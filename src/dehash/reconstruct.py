@@ -95,17 +95,23 @@ def build_dictionary(
     return Dictionary(columns=(leaves - center).T, column_ids=ids, vlad_id=vlad_id)
 
 
+def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarray:
+    """Distinct words of the stored histograms of ``image_ids``, read from the CSR rows."""
+    bow = index.bow
+    spans = []
+    for image_id in image_ids:
+        if bow is None or image_id not in index.bows:
+            raise ValueError(f"index has no stored histogram for {image_id!r}")
+        spans.append(bow.words[bow.span(index.row(image_id))])
+    return np.unique(np.concatenate(spans)) if spans else np.empty(0, dtype=np.int32)
+
+
 def candidates_from_binary(index: "DatabaseIndex", binary_ranking: "Ranking", top_r: int) -> CandidateVWs:
     """Words occurring in the histograms of the top binary-ranked images."""
     if not binary_ranking.entries:
         raise ValueError("binary ranking is empty")
-    vws: set[int] = set()
-    for image_id, _ in binary_ranking.entries[:top_r]:
-        bow = index.bows.get(image_id)
-        if bow is None:
-            raise ValueError(f"index has no stored histogram for {image_id!r}")
-        vws.update(bow.counts)
-    return CandidateVWs.from_leaf_ids(index.tree, vws)
+    top = (image_id for image_id, _ in binary_ranking.entries[:top_r])
+    return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, top))
 
 
 def candidates_from_gps(
@@ -117,10 +123,8 @@ def candidates_from_gps(
     if query_gps is None:
         raise ValueError("query carries no GPS")
     ranking = rank_gps(index, query_gps)
-    vws: set[int] = set()
-    for image_id, _ in ranking.entries[:top_r]:
-        vws.update(index.bows[image_id].counts)
-    return CandidateVWs.from_leaf_ids(index.tree, vws)
+    nearest = (image_id for image_id, _ in ranking.entries[:top_r])
+    return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, nearest))
 
 
 def candidates_from_category(index: "DatabaseIndex", category: int) -> CandidateVWs:
@@ -128,10 +132,7 @@ def candidates_from_category(index: "DatabaseIndex", category: int) -> Candidate
     members = [i for i, c in index.categories.items() if c == category]
     if not members:
         raise ValueError(f"no database image has category {category}")
-    vws: set[int] = set()
-    for image_id in members:
-        vws.update(index.bows[image_id].counts)
-    return CandidateVWs.from_leaf_ids(index.tree, vws)
+    return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, members))
 
 
 def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> CandidateVWs:
@@ -251,11 +252,13 @@ def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> Bo
         raise ValueError("top_r must be >= 1")
     if not ranking.entries:
         raise ValueError("ranking is empty")
+    bow = index.bow
+    if bow is None:
+        raise ValueError("index stores no BoW histograms")
     chosen = ranking.entries[:top_r]
     counts: dict[int, float] = {}
     for image_id, _ in chosen:
-        normalized = index.bows[image_id].l1_normalized()
-        for leaf, value in normalized.counts.items():
+        for leaf, value in zip(*bow.normalized(index.row(image_id))):
             counts[leaf] = counts.get(leaf, 0.0) + value / len(chosen)
     return BowHistogram(counts, index.tree.num_leaves)
 

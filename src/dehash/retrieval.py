@@ -5,13 +5,36 @@ ties broken by ascending image id.  Histograms compare under L1 after L1
 normalization, VLADs under L2 after the index's ranking normalization, codes
 under Hamming distance, and product-quantized entries under asymmetric
 distance (exact query against quantized database).
+
+The index is columnar.  Each per-image representation is stored once, as an
+array with one row per image, built when the index is built, so each
+``rank_*`` computes the whole score vector in one numpy pass.  Rows follow
+the ascending image ids, so one stable sort of the scores gives the
+(score, id) order:
+
+* BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
+  row's total, so a row's L1-normalized weights are its counts over its
+  total; scored with the sum-of-min identity
+  ``|a - b|_1 = 2 - 2 * sum_i min(a_i, b_i)`` for L1-normalized ``a`` and
+  ``b``, which visits only the words each database image holds, evaluated on
+  counts so that integer counts score exactly (see :func:`rank_bow`);
+* codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``;
+* VLAD: the raw ``(n, N*D)`` matrix and its ranking-normalized copy;
+* PQ codes: an ``(n, m)`` matrix, scored by one look-up-table gather;
+* GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none),
+  scored by a vectorized haversine.
+
+``l1_histogram_distance``, ``hamming_distance``, ``adc_distance`` and
+``haversine_m`` compare one pair at a time; they are the references the scans
+are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +44,9 @@ from .vocab import VocabularyTree, kmeans_pp_init, lloyd
 
 EARTH_RADIUS_M = 6_371_000.0
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
+# Rows per block when quantizing the whole database: bounds the
+# (rows, 2**bits, sub_dim) difference array to about 8 MiB.
+_PQ_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -45,11 +70,6 @@ class Ranking:
         return Ranking(
             tuple(e for e in self.entries if e[0] != image_id), degenerate=self.degenerate
         )
-
-
-def _sorted_ranking(scores: Mapping[str, float]) -> Ranking:
-    entries = tuple(sorted(scores.items(), key=lambda kv: (kv[1], kv[0])))
-    return Ranking(entries)
 
 
 def ranking_dump_lines(query_id: str, ranking: Ranking) -> list[str]:
@@ -76,34 +96,224 @@ class PQCodebooks:
         return self.codebooks.shape[2]
 
 
-@dataclass
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class BowMatrix:
+    """Sparse histograms as CSR rows, built by :meth:`from_histograms`.
+
+    Row ``r`` holds ``words[indptr[r]:indptr[r + 1]]`` in ascending order with
+    their raw ``counts``; ``mass[r]`` is the row's total, so the row's
+    L1-normalized weights are ``counts / mass[r]``.  ``entry_mass`` repeats
+    each row's total once per stored word, for the scan.  Rows are never empty.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64
+    words: np.ndarray  # (nnz,) int32
+    counts: np.ndarray  # (nnz,) float64
+    mass: np.ndarray  # (n,) float64
+    entry_mass: np.ndarray  # (nnz,) float64
+    vocab_size: int
+
+    @classmethod
+    def from_histograms(cls, histograms: Sequence[BowHistogram], vocab_size: int) -> "BowMatrix":
+        indptr = np.zeros(len(histograms) + 1, dtype=np.int64)
+        words, counts = [], []
+        for r, h in enumerate(histograms):
+            if h.vocab_size != vocab_size:
+                raise ValueError(f"histogram over {h.vocab_size} words, index vocabulary is {vocab_size}")
+            if not h.counts:
+                raise ValueError("stored histograms must not be empty")
+            row_words, row_counts = _sorted_entries(h)
+            words.append(row_words.astype(np.int32))
+            counts.append(row_counts)
+            indptr[r + 1] = indptr[r] + len(row_words)
+        counts_all = np.concatenate(counts)
+        mass = np.add.reduceat(counts_all, indptr[:-1])
+        return cls(
+            indptr=_readonly(indptr),
+            words=_readonly(np.concatenate(words)),
+            counts=_readonly(counts_all),
+            mass=_readonly(mass),
+            entry_mass=_readonly(mass.repeat(np.diff(indptr))),
+            vocab_size=vocab_size,
+        )
+
+    def span(self, row: int) -> slice:
+        return slice(int(self.indptr[row]), int(self.indptr[row + 1]))
+
+    def histogram(self, row: int) -> BowHistogram:
+        """Row ``row`` as the raw-count histogram it was built from."""
+        s = self.span(row)
+        return BowHistogram(
+            dict(zip(self.words[s].tolist(), self.counts[s].tolist())), self.vocab_size
+        )
+
+    def normalized(self, row: int) -> tuple[list[int], list[float]]:
+        """Row ``row``'s words and L1-normalized weights, ascending by word."""
+        s = self.span(row)
+        return self.words[s].tolist(), (self.counts[s] / self.mass[row]).tolist()
+
+
+def _sorted_entries(h: BowHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """Word ids in ascending order and their values, as a CSR row stores them."""
+    words = np.fromiter(h.counts.keys(), dtype=np.int64, count=len(h.counts))
+    values = np.fromiter(h.counts.values(), dtype=np.float64, count=len(h.counts))
+    order = np.argsort(words, kind="stable")
+    return words[order], values[order]
+
+
+class _ByRow(Mapping):
+    """Read-only by-id view of one stored column; ``make(row)`` builds a value."""
+
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        rows: Mapping[str, int],
+        make: Callable[[int], object],
+        present: np.ndarray | None = None,
+    ) -> None:
+        self._ids = ids
+        self._rows = rows
+        self._make = make
+        self._present = present  # None: every image has a value
+
+    def __getitem__(self, image_id: str):
+        row = self._rows[image_id]
+        if self._present is not None and not self._present[row]:
+            raise KeyError(image_id)
+        return self._make(row)
+
+    def __contains__(self, image_id: object) -> bool:
+        row = self._rows.get(image_id)
+        return row is not None and (self._present is None or bool(self._present[row]))
+
+    def __iter__(self) -> Iterator[str]:
+        if self._present is None:
+            return iter(self._ids)
+        return (i for i, has in zip(self._ids, self._present) if has)
+
+    def __len__(self) -> int:
+        return len(self._ids) if self._present is None else int(self._present.sum())
+
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
 class DatabaseIndex:
-    """All stored per-image representations, derived from one descriptor set each."""
+    """All stored per-image representations, derived from one descriptor set each.
 
-    tree: VocabularyTree
-    ids: list[str]
-    bows: dict[str, BowHistogram]
-    vlads: dict[str, VladVector]  # raw residual space
-    codes: dict[str, BinaryCode]
-    gps: dict[str, tuple[float, float]] = field(default_factory=dict)
-    categories: dict[str, int] = field(default_factory=dict)
-    rank_normalization: str = "intra-then-global-l2"
-    pq: PQCodebooks | None = None
-    pq_codes: dict[str, np.ndarray] = field(default_factory=dict)
-    _rank_matrix: np.ndarray | None = field(default=None, repr=False)
+    Built from per-image mappings (``build_index`` computes them from
+    descriptors), it keeps only columns: row ``r`` of every array belongs to
+    ``ids[r]``, and ``ids`` are in ascending order, so a stable sort of a
+    score vector breaks ties by id.  BoW histograms become a
+    :class:`BowMatrix`, VLADs a raw ``(n, N*D)`` matrix plus its
+    ranking-normalized copy, codes an ``(n, K/8)`` uint8 matrix, GPS an
+    ``(n, 2)`` radians matrix with NaN rows for images without a fix;
+    ``attach_pq`` adds an ``(n, m)`` PQ code matrix.
+    ``bows``, ``vlads``, ``codes``, ``pq_codes`` and ``gps`` are read-only
+    by-id views over those arrays.  ``bows``, ``vlads`` and ``codes`` each
+    cover every image or, when not given, none; ``gps`` may miss some.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tree: VocabularyTree,
+        ids: Sequence[str],
+        bows: Mapping[str, BowHistogram],
+        vlads: Mapping[str, VladVector],
+        codes: Mapping[str, BinaryCode],
+        gps: Mapping[str, tuple[float, float]] | None = None,
+        categories: Mapping[str, int] | None = None,
+        rank_normalization: str = "intra-then-global-l2",
+    ) -> None:
+        self.tree = tree
+        self.ids = tuple(sorted(ids))
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("image ids must be unique")
+        self.categories = dict(categories or {})
+        self.rank_normalization = rank_normalization
+        self.pq: PQCodebooks | None = None
+        self._row = {image_id: r for r, image_id in enumerate(self.ids)}
+        self._ids_array = np.array(self.ids, dtype=object)
+
+        self.bow: BowMatrix | None = None
+        self._vlad_matrix: np.ndarray | None = None
+        self._rank_matrix: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
+        self.nbits: int | None = None
+        self._pq_codes: np.ndarray | None = None
+        self._gps: np.ndarray | None = None
+        self.bows: Mapping[str, BowHistogram] = _EMPTY
+        self.vlads: Mapping[str, VladVector] = _EMPTY
+        self.codes: Mapping[str, BinaryCode] = _EMPTY
+        self.pq_codes: Mapping[str, np.ndarray] = _EMPTY
+        self.gps: Mapping[str, tuple[float, float]] = _EMPTY
+
+        if self._covers("bows", bows):
+            self.bow = BowMatrix.from_histograms([bows[i] for i in self.ids], tree.num_leaves)
+            self.bows = self._view(self.bow.histogram)
+        if self._covers("vlads", vlads):
+            rows = [vlads[i] for i in self.ids]
+            shape = rows[0].subvectors.shape
+            if any(v.subvectors.shape != shape for v in rows):
+                raise ValueError("VLADs differ in shape")
+            self._vlad_matrix = _readonly(np.array([v.flattened() for v in rows]))
+            self._rank_matrix = _readonly(
+                np.array([normalize_vlad(v, rank_normalization).flattened() for v in rows])
+            )
+            self.vlads = self._view(
+                lambda r: VladVector(self._vlad_matrix[r].reshape(shape), "none")
+            )
+        if self._covers("codes", codes):
+            rows = [codes[i] for i in self.ids]
+            self.nbits = rows[0].nbits
+            if any(c.nbits != self.nbits for c in rows):
+                raise ValueError("codes differ in length")
+            self._codes = _readonly(np.array([c.packed for c in rows]))
+            self.codes = self._view(lambda r: BinaryCode(self._codes[r], self.nbits))
+        if gps:
+            unknown = [i for i in gps if i not in self._row]
+            if unknown:
+                raise ValueError(f"GPS given for unknown images: {unknown[:3]}")
+            table = np.empty((len(self.ids), 2))
+            table.fill(np.nan)
+            for image_id, (lat, lon) in gps.items():
+                table[self._row[image_id]] = (math.radians(lat), math.radians(lon))
+            self._gps = _readonly(table)
+            self.gps = self._view(
+                lambda r: (math.degrees(table[r, 0]), math.degrees(table[r, 1])),
+                present=_readonly(~np.isnan(table[:, 0])),
+            )
+
+    def _covers(self, name: str, per_image: Mapping) -> bool:
+        """True when ``per_image`` holds every id, False when it is empty."""
+        if not per_image:
+            return False
+        if len(per_image) != len(self.ids) or any(i not in per_image for i in self.ids):
+            raise ValueError(f"{name} must cover every image id or none")
+        return True
+
+    def _view(self, make: Callable[[int], object], present: np.ndarray | None = None) -> Mapping:
+        return _ByRow(self.ids, self._row, make, present)
+
+    def row(self, image_id: str) -> int:
+        """Row of ``image_id`` in every column; raises ``KeyError`` if absent."""
+        return self._row[image_id]
 
     def ranking_vlad_matrix(self) -> np.ndarray:
         if self._rank_matrix is None:
-            rows = [
-                normalize_vlad(self.vlads[i], self.rank_normalization).flattened()
-                for i in self.ids
-            ]
-            self._rank_matrix = np.stack(rows)
+            raise ValueError("index stores no VLADs")
         return self._rank_matrix
+
+    def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
+        """Order every image by (score, id): rows are in id order, so a stable sort."""
+        order = np.argsort(scores, kind="stable")
+        entries = zip(self._ids_array[order].tolist(), scores[order].tolist())
+        return Ranking(tuple(entries), degenerate=degenerate)
 
 
 def build_index(
@@ -132,8 +342,8 @@ def build_index(
         bows=bows,
         vlads=vlads,
         codes=codes,
-        gps=dict(gps or {}),
-        categories=dict(categories or {}),
+        gps=gps,
+        categories=categories,
         rank_normalization=rank_normalization,
     )
 
@@ -152,15 +362,35 @@ def l1_histogram_distance(a: BowHistogram, b: BowHistogram) -> float:
 
 
 def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
+    """L1 ranking of L1-normalized histograms by the sum-of-min identity.
+
+    For a query ``a`` of mass ``A`` and a stored row ``b`` of mass ``B``,
+    ``|a/A - b/B|_1 = 2 - 2 * sum_i min(a_i/A, b_i/B)
+    = 2 * (A*B - sum_i min(a_i*B, b_i*A)) / (A*B)``.  The last form sums over
+    the words the row holds, and with integer counts every product and sum in
+    it is exact, so images at equal distance score equal floats and fall back
+    to the id order.
+    """
     if not index.ids:
         raise ValueError("index is empty")
+    bow = index.bow
+    if bow is None:
+        raise ValueError("index stores no BoW histograms")
+    if query.vocab_size != index.tree.num_leaves:
+        raise ValueError(
+            f"query histogram over {query.vocab_size} words, index vocabulary is {index.tree.num_leaves}"
+        )
     if not query.counts:
         # No words to compare against: fall back to a flagged id-order ranking.
-        entries = tuple((i, 2.0) for i in sorted(index.ids))
-        return Ranking(entries, degenerate=True)
-    return _sorted_ranking(
-        {i: l1_histogram_distance(query, index.bows[i]) for i in index.ids}
-    )
+        return index._ranking(np.full(len(index.ids), 2.0), degenerate=True)
+    words, values = _sorted_entries(query)
+    mass = float(values.sum())
+    dense = np.zeros(bow.vocab_size, dtype=np.float64)
+    dense[words] = values
+    scaled = dense[bow.words] * bow.entry_mass
+    np.minimum(scaled, bow.counts * mass, out=scaled)
+    joint = mass * bow.mass
+    return index._ranking(2.0 * (joint - np.add.reduceat(scaled, bow.indptr[:-1])) / joint)
 
 
 def rank_vlad(index: DatabaseIndex, query: VladVector) -> Ranking:
@@ -168,22 +398,24 @@ def rank_vlad(index: DatabaseIndex, query: VladVector) -> Ranking:
         raise ValueError("index is empty")
     q = normalize_vlad(query, index.rank_normalization).flattened()
     matrix = index.ranking_vlad_matrix()
-    dists = np.sqrt(np.sum((matrix - q) ** 2, axis=1))
-    return _sorted_ranking({i: float(d) for i, d in zip(index.ids, dists)})
+    return index._ranking(np.sqrt(np.sum((matrix - q) ** 2, axis=1)))
 
 
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
     if a.nbits != b.nbits:
         raise ValueError("codes differ in length")
-    return int(_POPCOUNT[np.bitwise_xor(a.packed, b.packed)].sum())
+    return int(np.bitwise_count(np.bitwise_xor(a.packed, b.packed)).sum())
 
 
 def rank_hamming(index: DatabaseIndex, query: BinaryCode) -> Ranking:
     if not index.ids:
         raise ValueError("index is empty")
-    return _sorted_ranking(
-        {i: float(hamming_distance(query, index.codes[i])) for i in index.ids}
-    )
+    if index._codes is None:
+        raise ValueError("index stores no binary codes")
+    if query.nbits != index.nbits:
+        raise ValueError(f"query code has {query.nbits} bits, index codes {index.nbits}")
+    differing = np.bitwise_count(index._codes ^ query.packed).sum(axis=1, dtype=np.int64)
+    return index._ranking(differing.astype(np.float64))
 
 
 def train_pq(
@@ -229,11 +461,27 @@ def encode_pq(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
 
 
 def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
-    """Quantize every database image's ranking-normalized VLAD."""
-    index.pq = codebooks
+    """Quantize every database image's ranking-normalized VLAD.
+
+    One ``argmin`` per sub-vector over a block of rows at a time, with the
+    same squared differences and sums as :func:`encode_pq`, so each row's
+    codes equal ``encode_pq`` of that row.
+    """
     matrix = index.ranking_vlad_matrix()
-    for row, image_id in enumerate(index.ids):
-        index.pq_codes[image_id] = encode_pq(codebooks, matrix[row])
+    books = codebooks.codebooks
+    m, k, sub_dim = books.shape
+    if m * sub_dim != matrix.shape[1]:
+        raise ValueError(f"codebooks cover dim {m * sub_dim}, VLADs have {matrix.shape[1]}")
+    codes = np.empty((len(index.ids), m), dtype=np.uint8 if k <= 256 else np.uint16)
+    block = max(1, _PQ_BLOCK_ELEMENTS // (k * sub_dim))
+    for j in range(m):
+        sub = matrix[:, j * sub_dim : (j + 1) * sub_dim]
+        for start in range(0, len(index.ids), block):
+            d2 = np.sum((books[j] - sub[start : start + block, None, :]) ** 2, axis=2)
+            codes[start : start + block, j] = np.argmin(d2, axis=1)
+    index.pq = codebooks
+    index._pq_codes = _readonly(codes)
+    index.pq_codes = index._view(codes.__getitem__)
 
 
 def adc_distance(codebooks: PQCodebooks, query: np.ndarray, codes: np.ndarray) -> float:
@@ -248,22 +496,18 @@ def adc_distance(codebooks: PQCodebooks, query: np.ndarray, codes: np.ndarray) -
     return total
 
 
-def rank_adc(index: DatabaseIndex, query: VladVector, codebooks: PQCodebooks | None = None) -> Ranking:
+def rank_adc(index: DatabaseIndex, query: VladVector) -> Ranking:
     """Asymmetric ranking: exact (normalized) query vs quantized database."""
-    books = codebooks or index.pq
-    if books is None or not index.pq_codes:
+    if index.pq is None or index._pq_codes is None:
         raise ValueError("index has no trained product quantizer")
     q = normalize_vlad(query, index.rank_normalization).flattened()
-    m, k, sub_dim = books.codebooks.shape
-    # Lookup-table evaluation: table[j, c] = ||q_j - center_{j,c}||^2.
-    table = np.empty((m, k), dtype=np.float64)
-    for j in range(m):
-        sub = q[j * sub_dim : (j + 1) * sub_dim]
-        table[j] = np.sum((books.codebooks[j] - sub) ** 2, axis=1)
-    cols = np.arange(m)
-    return _sorted_ranking(
-        {i: float(table[cols, index.pq_codes[i]].sum()) for i in index.ids}
-    )
+    books = index.pq.codebooks
+    m, k, sub_dim = books.shape
+    # Lookup-table evaluation: table[j, c] = ||q_j - center_{j,c}||^2, gathered
+    # for every image at once through the flat offsets j * k + code.
+    table = np.sum((books - q.reshape(m, 1, sub_dim)) ** 2, axis=2)
+    gathered = table.ravel().take(index._pq_codes + np.arange(m) * k)
+    return index._ranking(gathered.sum(axis=1))
 
 
 def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -293,12 +537,16 @@ def simulate_gps(
 
 
 def rank_gps(index: DatabaseIndex, query_gps: tuple[float, float]) -> Ranking:
-    if not index.gps:
+    if index._gps is None:
         raise ValueError("index carries no GPS data")
-    missing = [i for i in index.ids if i not in index.gps]
-    if missing:
-        raise ValueError(f"images without GPS: {missing[:3]}")
-    return _sorted_ranking({i: haversine_m(query_gps, index.gps[i]) for i in index.ids})
+    table = index._gps
+    missing = np.flatnonzero(np.isnan(table[:, 0]))
+    if missing.size:
+        raise ValueError(f"images without GPS: {[index.ids[r] for r in missing[:3]]}")
+    lat1, lon1 = math.radians(query_gps[0]), math.radians(query_gps[1])
+    lat2, lon2 = table[:, 0], table[:, 1]
+    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    return index._ranking(2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s))))
 
 
 def average_precision(ranking: Ranking, relevant: set[str]) -> float:

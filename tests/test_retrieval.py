@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from dehash.aggregate import BowHistogram, VladVector, compute_vlad
@@ -79,6 +81,22 @@ class TestRankBow:
                 assert score == pytest.approx(float(np.abs(qd - dd).sum()), abs=1e-12)
             scores = [s for _, s in ranking.entries]
             assert scores == sorted(scores)
+
+    def test_equal_distances_tie_exactly(self, small_index):
+        # Both rows lie at L1 distance exactly 10/13 from the query.  Scored
+        # as 2 - 2 * sum(min) over L1-normalized float weights they come out
+        # at 0.7692307692307692 and 0.7692307692307694, so only an exact
+        # score ties them and leaves them in id order.
+        m = small_index.tree.num_leaves
+        bows = {
+            "img-b": BowHistogram({1: 2.0, 2: 8.0}, m),
+            "img-a": BowHistogram({0: 3.0, 2: 2.0, 3: 1.0}, m),
+            "img-c": BowHistogram({4: 1.0}, m),
+        }
+        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        query = BowHistogram({0: 3.0, 1: 5.0, 2: 11.0, 3: 7.0}, m)
+        ranking = rank_bow(idx, query)
+        assert ranking.entries == (("img-a", 10 / 13), ("img-b", 10 / 13), ("img-c", 2.0))
 
     def test_empty_query_flagged(self, small_index):
         ranking = rank_bow(small_index, BowHistogram({}, small_index.tree.num_leaves))
@@ -322,3 +340,218 @@ class TestRankingDump:
         r = Ranking((("im3", 0.25), ("im1", 1.5)))
         lines = ranking_dump_lines("q7", r)
         assert lines == ["q7 im3 1 0.25", "q7 im1 2 1.5"]
+
+
+class TestColumnarIndex:
+    def test_views_read_back_what_was_indexed(self, small_index):
+        tree = small_index.tree
+        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
+        X = leafs[[0, 0, 1, 4]]
+        vlad = compute_vlad(tree, X)
+        code = BinaryCode.from_bits(np.arange(small_index.nbits) % 3 == 0)
+        bow = BowHistogram({4: 1.0, 0: 2.0, 1: 1.0}, tree.num_leaves)
+        idx = DatabaseIndex(
+            tree=tree, ids=["b", "a"], bows={"a": bow, "b": bow}, vlads={"a": vlad, "b": vlad},
+            codes={"a": code, "b": code}, gps={"a": (12.5, -3.25)},
+        )
+        assert idx.ids == ("a", "b")
+        assert idx.bows["a"].counts == bow.counts
+        np.testing.assert_array_equal(idx.vlads["b"].subvectors, vlad.subvectors)
+        assert idx.codes["a"] == code
+        assert idx.gps["a"] == pytest.approx((12.5, -3.25), abs=1e-12)
+        assert "b" not in idx.gps and len(idx.gps) == 1 and list(idx.gps) == ["a"]
+        assert "zz" not in idx.bows
+        with pytest.raises(KeyError):
+            idx.bows["zz"]
+
+    def test_arrays_are_read_only(self, small_index):
+        with pytest.raises(ValueError):
+            small_index.vlads[small_index.ids[0]].subvectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            small_index.codes[small_index.ids[0]].packed[0] = 0
+
+    def test_partial_coverage_rejected(self, small_index):
+        first = small_index.ids[0]
+        with pytest.raises(ValueError, match="every image id"):
+            DatabaseIndex(
+                tree=small_index.tree, ids=[first, "other"], bows={first: small_index.bows[first]},
+                vlads={}, codes={},
+            )
+
+    @pytest.mark.parametrize("bits", [3, 9])
+    def test_attach_pq_matches_per_row_encode(self, small_index, bits):
+        # Enough rows to span several blocks of the vectorized quantizer.
+        rng = np.random.default_rng(271)
+        tree = small_index.tree
+        vlads = {
+            f"v{i:04d}": VladVector(rng.normal(size=(tree.num_vlad_centers, tree.dim)))
+            for i in range(700)
+        }
+        idx = DatabaseIndex(tree=tree, ids=list(vlads), bows={}, vlads=vlads, codes={})
+        books = train_pq(idx.ranking_vlad_matrix(), 5, bits, seed=3)
+        attach_pq(idx, books)
+        matrix = idx.ranking_vlad_matrix()
+        want = np.stack([encode_pq(books, matrix[idx.row(i)]) for i in idx.ids])
+        got = np.stack([idx.pq_codes[i] for i in idx.ids])
+        assert got.dtype == (np.uint8 if bits <= 8 else np.uint16)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestScanErrors:
+    def test_rank_hamming_rejects_other_code_length(self, small_index):
+        # Same number of packed bytes, so only the bit count tells them apart.
+        query = BinaryCode.from_bits(np.zeros(small_index.nbits - 2, dtype=np.uint8))
+        assert query.packed.shape == small_index.codes[small_index.ids[0]].packed.shape
+        with pytest.raises(ValueError, match="bits"):
+            rank_hamming(small_index, query)
+
+    def test_rank_gps_rejects_images_without_gps(self, small_index):
+        ids = list(small_index.ids)
+        idx = DatabaseIndex(
+            tree=small_index.tree, ids=ids, bows={}, vlads={}, codes={},
+            gps={i: small_index.gps[i] for i in ids[1:]},
+        )
+        with pytest.raises(ValueError, match="images without GPS"):
+            rank_gps(idx, (40.0, -74.0))
+
+    def test_rank_bow_rejects_other_vocabulary(self, small_index):
+        m = small_index.tree.num_leaves
+        for size in (m - 1, m + 1):
+            with pytest.raises(ValueError):
+                rank_bow(small_index, BowHistogram({0: 1.0}, size))
+
+
+class TestTieBreak:
+    """Images with identical descriptors tie in every mode; ties go by id."""
+
+    GROUPS = {"a": ["im7", "im2", "im9"], "b": ["im4", "im1"]}
+
+    @pytest.fixture(scope="class")
+    def tied(self, small_index):
+        tree = small_index.tree
+        rng = np.random.default_rng(277)
+        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
+        shared = {g: leafs[rng.integers(0, tree.num_leaves, size=20)] for g in self.GROUPS}
+        descriptors, gps = {}, {}
+        # Inserted out of id order, the tied groups interleaved with singles.
+        for k, image_id in enumerate(["im7", "im5", "im4", "im2", "im8", "im9", "im1", "im3"]):
+            group = next((g for g, members in self.GROUPS.items() if image_id in members), None)
+            descriptors[image_id] = (
+                shared[group] if group else leafs[rng.integers(0, tree.num_leaves, size=20)]
+            )
+            gps[image_id] = {"a": (10.0, 20.0), "b": (10.5, 20.5), None: (11.0 + k, 21.0)}[group]
+        vlads = [compute_vlad(tree, X) for X in descriptors.values()]
+        model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
+        idx = build_index(tree, model, descriptors, gps=gps)
+        attach_pq(idx, train_pq(idx.ranking_vlad_matrix(), 3, 2, seed=1))
+        return idx
+
+    @pytest.mark.parametrize("mode", ["bow", "vlad", "hamming", "adc", "gps"])
+    def test_tied_images_in_ascending_id_order(self, tied, mode):
+        probe = "im7"
+        rank = {"bow": rank_bow, "vlad": rank_vlad, "hamming": rank_hamming, "adc": rank_adc,
+                "gps": rank_gps}[mode]
+        query = {"bow": tied.bows, "vlad": tied.vlads, "hamming": tied.codes, "adc": tied.vlads,
+                 "gps": tied.gps}[mode][probe]
+        ranking = rank(tied, query)
+        for dropped in (None, "im2"):
+            r = ranking if dropped is None else ranking.drop(dropped)
+            if dropped is not None:
+                assert r.entries == tuple(e for e in ranking.entries if e[0] != dropped)
+            ids = r.ids()
+            for members in self.GROUPS.values():
+                kept = sorted(m for m in members if m != dropped)
+                at = [ids.index(m) for m in kept]
+                # The members tie and come out in id order (another image
+                # may tie with them too, as short codes can collide).
+                assert len({r.entries[k][1] for k in at}) == 1
+                assert at == sorted(at)
+            assert r.entries == tuple(sorted(r.entries, key=lambda e: (e[1], e[0])))
+
+
+def dyadic_histogram(vocab_size):
+    """Integer counts summing to a power of two: every L1-normalized weight,
+    and every L1 distance between two such histograms, is exact in float64."""
+    return st.integers(0, 5).flatmap(
+        lambda p: st.lists(st.integers(0, vocab_size - 1), min_size=2**p, max_size=2**p)
+    ).map(lambda words: BowHistogram(
+        {w: float(words.count(w)) for w in sorted(set(words))}, vocab_size
+    ))
+
+
+def float_histogram(vocab_size):
+    return st.dictionaries(
+        st.integers(0, vocab_size - 1), st.floats(1e-3, 1e3), min_size=1, max_size=vocab_size
+    ).map(lambda counts: BowHistogram(counts, vocab_size))
+
+
+def with_duplicates(distinct, pick_query):
+    """A database of 1-12 images drawn from a few distinct values, so equal
+    values (and ties) are common, and a query that is one of them or fresh."""
+    return st.tuples(
+        st.lists(distinct, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+        ),
+        st.one_of(distinct, pick_query),
+        st.permutations(range(12)),
+    )
+
+
+def ids_for(values, order):
+    # Ids inserted out of sorted order.
+    return {f"im{order[k]:02d}": v for k, v in enumerate(values)}
+
+
+class TestScanProperties:
+    """The vectorized scans against the scalar reference functions."""
+
+    VOCAB = 9  # leaves of small_index's tree
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=with_duplicates(dyadic_histogram(VOCAB), st.none()))
+    def test_rank_bow_exact_on_dyadic_histograms(self, small_index, data):
+        values, query, order = data
+        bows = ids_for(values, order)
+        query = query or next(iter(bows.values()))
+        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        ranking = rank_bow(idx, query)
+        want = sorted(
+            ((i, l1_histogram_distance(query, h)) for i, h in bows.items()), key=lambda e: (e[1], e[0])
+        )
+        assert ranking.entries == tuple(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=with_duplicates(float_histogram(VOCAB), st.none()))
+    def test_rank_bow_within_tolerance_on_float_histograms(self, small_index, data):
+        values, query, order = data
+        bows = ids_for(values, order)
+        query = query or next(iter(bows.values()))
+        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        ranking = rank_bow(idx, query)
+        assert sorted(ranking.ids()) == sorted(bows)
+        for image_id, score in ranking.entries:
+            assert score == pytest.approx(l1_histogram_distance(query, bows[image_id]), abs=1e-12)
+        # (score, id) order, so equal histograms sit together in id order.
+        assert ranking.entries == tuple(sorted(ranking.entries, key=lambda e: (e[1], e[0])))
+        for a, b in zip(ranking.entries, ranking.entries[1:]):
+            if bows[a[0]].counts == bows[b[0]].counts:
+                assert a[1] == b[1] and a[0] < b[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nbits=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_rank_hamming_matches_reference(self, small_index, nbits, data):
+        code = st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
+            lambda bits: BinaryCode.from_bits(np.array(bits, dtype=np.uint8))
+        )
+        values, query, order = data.draw(with_duplicates(code, st.none()))
+        codes = ids_for(values, order)
+        query = query or next(iter(codes.values()))
+        idx = DatabaseIndex(tree=small_index.tree, ids=list(codes), bows={}, vlads={}, codes=codes)
+        ranking = rank_hamming(idx, query)
+        want = sorted(
+            ((i, float(hamming_distance(query, c))) for i, c in codes.items()), key=lambda e: (e[1], e[0])
+        )
+        assert ranking.entries == tuple(want)
