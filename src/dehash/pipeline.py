@@ -25,6 +25,7 @@ from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset,
 from .hashing import HashingModel, approximate_vlad, encode, train_hashing
 from .reconstruct import (
     CandidateVWs,
+    ReconstructionResult,
     combine_candidates,
     candidates_from_binary,
     candidates_from_category,
@@ -62,6 +63,9 @@ ALL_MODES = (
     "recon-cads",
     "recon-brpk",
 )
+
+# Modes whose query histogram comes from NN-lasso solves.
+SOLVER_MODES = ("vlad-to-bow", "recon", "recon-cads", "recon-brpk")
 
 DEFAULT_LAMBDA_SWEEP = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
 
@@ -363,6 +367,22 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     relevance = {q: dataset.relevance_by_id()[q] for q in query_ids}
     entry_by_id = {e.image_id: e for e in dataset.entries}
     rankings: dict[str, dict[str, Ranking]] = {mode: {} for mode in config.modes}
+    # Per solver mode, the NN-lasso solves its histograms came from; for
+    # recon-brpk that is its CADS starting point, since the prior blend is
+    # closed-form and has no path to walk.
+    solver = {
+        mode: {"solves": 0, "path_events": 0, "nonconverged": 0}
+        for mode in config.modes
+        if mode in SOLVER_MODES
+    }
+
+    def _tally(mode: str, result: ReconstructionResult) -> None:
+        row = solver[mode]
+        for report in result.reports:
+            if not report.skipped:
+                row["solves"] += 1
+                row["path_events"] += report.sweeps
+                row["nonconverged"] += int(not report.converged)
 
     def _rank_queries() -> None:
         for qid in query_ids:
@@ -398,18 +418,21 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
                         vlad_raw, tree, config.recon.lam,
                         tol=config.recon.tol, max_iter=config.recon.max_iter,
                     )
+                    _tally(mode, result)
                     ranking = rank_bow(index, result.histogram)
                 elif mode == "recon":
                     result = reconstruct_bow(
                         approx, tree, config.recon.lam,
                         tol=config.recon.tol, max_iter=config.recon.max_iter,
                     )
+                    _tally(mode, result)
                     ranking = rank_bow(index, result.histogram)
                 elif mode == "recon-cads":
                     cads_result = reconstruct_bow(
                         approx, tree, config.recon.lam, candidates,
                         tol=config.recon.tol, max_iter=config.recon.max_iter,
                     )
+                    _tally(mode, cads_result)
                     ranking = rank_bow(index, cads_result.histogram)
                 elif mode == "recon-brpk":
                     if cads_result is None:
@@ -417,6 +440,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
                             approx, tree, config.recon.lam, candidates,
                             tol=config.recon.tol, max_iter=config.recon.max_iter,
                         )
+                    _tally(mode, cads_result)
                     if config.recon.prior_source == "recon":
                         initial = rank_bow(index, cads_result.histogram).drop(qid)
                     elif config.recon.prior_source == "binary":
@@ -470,6 +494,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         "metrics": metric_table,
         "memory_table": memory_table(config),
         "lambda_sweep": sweep_rows,
+        "solver": solver,
     }
 
     report_path = None
@@ -514,6 +539,13 @@ def summarize_report(report: dict) -> str:
             f"{row['variant']:>7}  {row['bits']:>4}  {row['mobile_memory_bytes']:>12}  "
             f"{row['transmission_bytes']:>14}"
         )
+    if report["solver"]:
+        lines.append("")
+        lines.append("solver mode   solves  path_events  nonconverged")
+        for mode, row in report["solver"].items():
+            lines.append(
+                f"{mode:>11}  {row['solves']:>7}  {row['path_events']:>11}  {row['nonconverged']:>12}"
+            )
     if report["lambda_sweep"]:
         lines.append("")
         lines.append("lambda  reconstructed_vws")

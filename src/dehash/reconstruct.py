@@ -11,6 +11,8 @@ the solution toward a pseudo-histogram pooled from top-ranked results.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -93,6 +95,50 @@ def build_dictionary(
     center = np.asarray(tree.vlad_centers[vlad_id], dtype=np.float64)
     leaves = np.asarray(tree.leaf_centers, dtype=np.float64)[ids]
     return Dictionary(columns=(leaves - center).T, column_ids=ids, vlad_id=vlad_id)
+
+
+class ReconstructionContext:
+    """One tree's per-center difference dictionaries and their Grams.
+
+    Reach it through ``VocabularyTree.reconstruction_context``, so the cache
+    belongs to the tree it was computed from and is built on first use, per
+    center, not at index time.  A restricted dictionary slices its columns
+    from the cached full one (the values equal ``build_dictionary``'s bit for
+    bit) but gets no cached Gram: a slice of the full Gram can differ from the
+    sliced columns' own ``D.T @ D`` in the last bits, and the solve path
+    follows those bits.  Cached arrays are read-only and a center is built
+    under a lock, so solver threads may share the context.
+    """
+
+    def __init__(self, tree: VocabularyTree) -> None:
+        # A proxy, not a reference: the tree holds this context.
+        self._tree = weakref.proxy(tree)
+        self._full: dict[int, tuple[Dictionary, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def full(self, vlad_id: int) -> tuple[Dictionary, np.ndarray]:
+        """The center's whole difference dictionary and its Gram ``D.T @ D``."""
+        with self._lock:
+            entry = self._full.get(vlad_id)
+            if entry is None:
+                dictionary = build_dictionary(self._tree, vlad_id)
+                dictionary.columns.flags.writeable = False
+                gram = dictionary.columns.T @ dictionary.columns
+                gram.flags.writeable = False
+                entry = self._full[vlad_id] = (dictionary, gram)
+        return entry
+
+    def restricted(self, vlad_id: int, restrict: Iterable[int]) -> Dictionary:
+        """``build_dictionary(tree, vlad_id, restrict)``, sliced from the cache."""
+        full, _ = self.full(vlad_id)
+        wanted = np.asarray(sorted(set(int(i) for i in restrict)), dtype=np.int64)
+        pos = np.searchsorted(full.column_ids, wanted)
+        if not (np.all(pos < full.width) and np.array_equal(full.column_ids[pos], wanted)):
+            raise ValueError(f"restriction contains leaves outside sub-tree of center {vlad_id}")
+        # Rows of the (T, dim) transpose, transposed back: the same memory
+        # layout as a freshly built dictionary, so products round the same.
+        rows = full.columns.T[pos]
+        return Dictionary(columns=rows.T, column_ids=wanted, vlad_id=vlad_id)
 
 
 def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarray:
@@ -210,18 +256,21 @@ def reconstruct_bow(
     counts: dict[int, float] = {}
     reports: list[SubvectorReport] = []
     active = _active_centers(v)
+    context = tree.reconstruction_context
 
     def solve_one(center: int) -> tuple[Dictionary, LassoResult] | None:
-        restrict = None
-        if candidates is not None:
+        if candidates is None:
+            dictionary, gram = context.full(center)
+        else:
             allowed = candidates.allowed(center)
             if not allowed:
                 return None
-            restrict = allowed
-        dictionary = build_dictionary(tree, center, restrict)
+            dictionary, gram = context.restricted(center, allowed), None
         if dictionary.width == 0:
             return None
-        result = solve_nn_lasso(dictionary, v.subvectors[center], lam, tol=tol, max_iter=max_iter)
+        result = solve_nn_lasso(
+            dictionary, v.subvectors[center], lam, tol=tol, max_iter=max_iter, gram=gram
+        )
         return dictionary, result
 
     if workers and workers > 1:
@@ -240,9 +289,9 @@ def reconstruct_bow(
                 int(center), dictionary.width, result.sweeps, result.converged, False
             )
         )
-        for leaf, value in zip(dictionary.column_ids, result.coeffs):
-            if value > DROP_TOL:
-                counts[int(leaf)] = counts.get(int(leaf), 0.0) + float(value)
+        kept = result.coeffs > DROP_TOL
+        # Centers own disjoint leaves, so each leaf is written once.
+        counts.update(zip(dictionary.column_ids[kept].tolist(), result.coeffs[kept].tolist()))
     return ReconstructionResult(BowHistogram(counts, tree.num_leaves), reports)
 
 
@@ -303,6 +352,7 @@ def reconstruct_bow_with_prior(
 
     raw: dict[int, float] = {}
     reports: list[SubvectorReport] = []
+    context = tree.reconstruction_context
     for center in _active_centers(v):
         center = int(center)
         allowed: set[int]
@@ -314,7 +364,7 @@ def reconstruct_bow_with_prior(
         if not allowed:
             reports.append(SubvectorReport(center, 0, 0, True, True))
             continue
-        dictionary = build_dictionary(tree, center, allowed)
+        dictionary = context.restricted(center, allowed)
         h0_local = np.array(
             [dense_prior.get(int(leaf), 0.0) for leaf in dictionary.column_ids], dtype=np.float64
         )

@@ -6,11 +6,13 @@ Two routes from a residual sub-vector back to word counts:
   minimizing ``||v - D h||_2^2 + lam * ||h||_1`` over ``h >= 0``.  Note the
   quadratic term carries no 1/2 factor, so the per-coordinate threshold is
   ``lam / 2`` for a unit-norm column; regularization weights are calibrated
-  to this convention.  The default method follows the exact piecewise-linear
-  solution path in ``lam`` (homotopy); vocabulary dictionaries are far too
-  coherent for plain coordinate descent, which stalls swapping mass between
-  near-parallel columns at small ``lam``.  ``method="cd"`` selects cyclic
-  coordinate descent with zero-clipped soft-thresholding for reference.
+  to this convention.  The solver follows the exact piecewise-linear
+  solution path in ``lam`` (homotopy, as in LARS); vocabulary dictionaries
+  are far too coherent for plain coordinate descent, which stalls swapping
+  mass between near-parallel columns at small ``lam``.  Each path event
+  costs one small linear solve and a fixed number of vectorized operations
+  over the dictionary's columns.  Callers that solve against the same
+  dictionary many times pass its Gram matrix ``D.T @ D`` precomputed.
 * :func:`solve_tikhonov` - closed-form L2-regularized solve against a prior,
   evaluated through a (dim x dim) system rather than the (T x T) normal
   equations, so cost scales with the feature dimension and not the
@@ -84,8 +86,10 @@ def _validate_lasso_inputs(dictionary: Dictionary, v: np.ndarray, lam: float) ->
 
 def _segment_solution(gram, corr, active):
     """Per-segment path coefficients: h_A(lam) = a - lam * b on the active set."""
-    g = gram[np.ix_(active, active)]
-    rhs = np.column_stack([corr[active], np.full(len(active), 0.5)])
+    g = gram[active[:, None], active]
+    rhs = np.empty((active.size, 2))
+    rhs[:, 0] = corr[active]
+    rhs[:, 1] = 0.5
     try:
         sol = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
@@ -94,7 +98,12 @@ def _segment_solution(gram, corr, active):
 
 
 def _homotopy_nn_lasso(
-    dictionary: Dictionary, v: np.ndarray, lam: float, tol: float, max_iter: int
+    dictionary: Dictionary,
+    v: np.ndarray,
+    lam: float,
+    tol: float,
+    max_iter: int,
+    gram: np.ndarray | None,
 ) -> LassoResult:
     """Exact regularization-path solve, from the all-zero end down to ``lam``.
 
@@ -103,6 +112,15 @@ def _homotopy_nn_lasso(
     coefficient hitting zero, or an inactive correlation catching up with the
     threshold) keeps every iterate exactly optimal for its own weight, which
     is what coherent, overcomplete dictionaries need.
+
+    Each event costs one linear solve on the active block of the Gram matrix
+    (``gram``, or ``D.T @ D`` computed here) and a fixed handful of array
+    operations: the weights at which every active coefficient would reach
+    zero and every live inactive column would enter are computed as one
+    vector, and the next event is its first maximum, with deletions in
+    active order ahead of insertions in ascending column order.  ``active``
+    keeps insertion order, because the order of the Gram block sets the
+    rounding of the solve.
     """
     cols = dictionary.columns
     width = dictionary.width
@@ -115,111 +133,58 @@ def _homotopy_nn_lasso(
     if width == 0 or lam >= lam_cur:
         return LassoResult(h, True, 0, lasso_objective(dictionary, v, lam, h))
 
-    gram = cols.T @ cols
-    active = [int(np.argmax(corr))]
+    if gram is None:
+        gram = cols.T @ cols
+    live = np.diag(gram) > 0.0  # zero columns never enter
+    active = np.array([np.argmax(corr)], dtype=np.intp)
+    in_active = np.zeros(width, dtype=bool)
+    in_active[active] = True
     events = 0
     converged = False
-    sq = np.diag(gram)
+    # The iterate is written once, when the walk stops: (support, a, b,
+    # weight) of the segment it stopped on.
+    stop = None
 
     while events < max_iter:
         events += 1
         a, b = _segment_solution(gram, corr, active)
-
+        inactive = (live & ~in_active).nonzero()[0]
+        cross = gram[inactive[:, None], active]
         # Deletion events: an active coefficient dropping to zero (it shrinks
-        # as the weight decreases exactly when b < 0).
-        candidates: list[tuple[float, str, int]] = []
-        for i, t in enumerate(active):
-            if b[i] < -1e-15:
-                lam_star = a[i] / b[i]
-                if lam + event_tol < lam_star < lam_cur - event_tol:
-                    candidates.append((float(lam_star), "del", t))
-        # Insertion events: an inactive correlation reaching the threshold.
-        inactive = [t for t in range(width) if t not in active and sq[t] > 0.0]
-        if inactive:
-            ia = np.asarray(inactive)
-            p = 2.0 * (corr[ia] - gram[np.ix_(ia, active)] @ a)
-            q = 2.0 * (gram[np.ix_(ia, active)] @ b)
-            for p_t, q_t, t in zip(p, q, ia):
-                denom = 1.0 - q_t
-                if denom > 1e-15:
-                    lam_star = p_t / denom
-                    if lam + event_tol < lam_star < lam_cur - event_tol:
-                        candidates.append((float(lam_star), "add", int(t)))
-
-        if not candidates:
-            h[:] = 0.0
-            final = np.clip(a - lam * b, 0.0, None)
-            for i, t in enumerate(active):
-                h[t] = final[i]
+        # as the weight decreases exactly when b < 0).  Insertion events: an
+        # inactive correlation reaching the threshold.
+        num = np.concatenate((a, 2.0 * (corr[inactive] - cross @ a)))
+        den = np.concatenate((b, 1.0 - 2.0 * (cross @ b)))
+        ok = den > 1e-15
+        ok[: active.size] = b < -1e-15
+        lam_all = np.divide(num, den, out=np.full(num.size, -np.inf), where=ok)
+        lam_all[~((lam + event_tol < lam_all) & (lam_all < lam_cur - event_tol))] = -np.inf
+        pick = int(lam_all.argmax())
+        if lam_all[pick] == -np.inf:
+            stop = (active, a, b, lam)
             converged = True
             break
 
-        lam_star, kind, t = max(candidates, key=lambda c: c[0])
-        # Keep a valid iterate for this segment in case the event cap hits.
-        h[:] = 0.0
-        at_event = np.clip(a - lam_star * b, 0.0, None)
-        for i, u in enumerate(active):
-            h[u] = at_event[i]
-        lam_cur = lam_star
-        if kind == "del":
-            idx = active.index(t)
-            active.pop(idx)
-            if not active:
-                # Re-seed with the best correlation at this weight.
-                resid_corr = 2.0 * corr
-                best = int(np.argmax(resid_corr))
-                if resid_corr[best] > lam_cur:
-                    active = [best]
-                else:
-                    h[:] = 0.0
-                    converged = True
-                    break
+        lam_cur = float(lam_all[pick])
+        # The iterate at this event, kept in case the event cap hits.
+        stop = (active, a, b, lam_cur)
+        if pick < active.size:
+            # Never the last active column: alone it has b = 0.5 / ||d||^2 >= 0,
+            # so it never shrinks and the active set never empties.
+            in_active[active[pick]] = False
+            active = np.delete(active, pick)
         else:
-            active.append(t)
+            t = inactive[pick - active.size]
+            active = np.concatenate((active, [t]))
+            in_active[t] = True
 
+    if stop is not None:
+        support, a, b, at = stop
+        h[support] = np.clip(a - at * b, 0.0, None)
     stationarity, violation = lasso_kkt_residuals(dictionary, v, lam, h)
     kkt_tol = max(tol, 1e-7 * scale)
     converged = converged and stationarity <= kkt_tol and violation <= kkt_tol
     return LassoResult(h, converged, events, lasso_objective(dictionary, v, lam, h))
-
-
-def _cd_nn_lasso(
-    dictionary: Dictionary, v: np.ndarray, lam: float, tol: float, max_iter: int
-) -> LassoResult:
-    """Cyclic coordinate descent with zero-clipped soft-thresholding.
-
-    Each coordinate is minimized exactly, so the objective never increases.
-    Stops when the objective drop over a full sweep falls below ``tol``; if
-    ``max_iter`` sweeps pass first, the best iterate is returned with
-    ``converged=False``.
-    """
-    cols = dictionary.columns
-    sq = np.sum(cols * cols, axis=0)
-    live = np.flatnonzero(sq > 0.0)  # zero columns stay at coefficient 0
-    h = np.zeros(dictionary.width, dtype=np.float64)
-    r = v.copy()
-    obj = lasso_objective(dictionary, v, lam, h)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        for t in live:
-            col = cols[:, t]
-            old = h[t]
-            rho = col @ r + sq[t] * old
-            new = (rho - 0.5 * lam) / sq[t]
-            if new < 0.0:
-                new = 0.0
-            if new != old:
-                r -= col * (new - old)
-                h[t] = new
-        r = v - cols @ h  # refresh residual; guards against drift
-        new_obj = float(r @ r + lam * np.sum(h))
-        if obj - new_obj < tol:
-            obj = min(obj, new_obj)
-            converged = True
-            break
-        obj = new_obj
-    return LassoResult(coeffs=h, converged=converged, sweeps=sweeps, objective=obj)
 
 
 def solve_nn_lasso(
@@ -228,22 +193,20 @@ def solve_nn_lasso(
     lam: float,
     tol: float = LASSO_TOL,
     max_iter: int = LASSO_MAX_ITER,
-    method: str = "homotopy",
+    gram: np.ndarray | None = None,
 ) -> LassoResult:
     """Minimize ``||v - D h||^2 + lam * sum(h)`` over ``h >= 0``.
 
-    ``method="homotopy"`` (default) walks the exact solution path and is the
-    one that holds up on real vocabulary dictionaries; ``method="cd"`` is
-    plain cyclic coordinate descent.  ``max_iter`` caps path events or full
-    sweeps respectively; the best iterate is returned with ``converged=False``
-    when the cap is hit first.
+    Walks the exact solution path; ``max_iter`` caps the path events, and the
+    iterate at the last event is returned with ``converged=False`` when the
+    cap is hit first.  ``gram`` may carry a precomputed ``D.T @ D`` for
+    dictionaries solved repeatedly; it must be computed from these exact
+    columns, since the path's rounding follows it.
     """
     v = _validate_lasso_inputs(dictionary, v, lam)
-    if method == "homotopy":
-        return _homotopy_nn_lasso(dictionary, v, lam, tol, max_iter)
-    if method == "cd":
-        return _cd_nn_lasso(dictionary, v, lam, tol, max_iter)
-    raise ValueError(f"unknown method {method!r}")
+    if gram is not None and gram.shape != (dictionary.width, dictionary.width):
+        raise ValueError(f"gram must have shape ({dictionary.width}, {dictionary.width})")
+    return _homotopy_nn_lasso(dictionary, v, lam, tol, max_iter, gram)
 
 
 def lasso_kkt_residuals(
@@ -301,31 +264,3 @@ def solve_tikhonov(
     system = a1 * (cols @ cols.T) + a2 * np.eye(dictionary.dim)
     z = np.linalg.solve(system, v - cols @ h0)
     return a1 * (cols.T @ z) + h0
-
-
-def solve_tikhonov_direct(
-    dictionary: Dictionary,
-    v: np.ndarray,
-    h0: np.ndarray,
-    alpha: float,
-    n1: float | None = None,
-    n2: float | None = None,
-) -> np.ndarray:
-    """Same blend solved through the (T x T) normal equations.
-
-    Kept as the independent cross-check of :func:`solve_tikhonov`; only
-    sensible for narrow dictionaries.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    h0 = np.asarray(h0, dtype=np.float64)
-    if n1 is None:
-        n1 = float(v @ v)
-    if n2 is None:
-        n2 = float(h0 @ h0)
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("normalizers must be positive (zero v or h0)")
-    a1 = alpha / n1
-    a2 = (1.0 - alpha) / n2
-    cols = dictionary.columns
-    system = a1 * (cols.T @ cols) + a2 * np.eye(dictionary.width)
-    return np.linalg.solve(system, a1 * (cols.T @ v) + a2 * h0)

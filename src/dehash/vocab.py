@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .reconstruct import ReconstructionContext
 
 TREE_MAGIC = b"DHTREE01"
 
@@ -126,6 +131,17 @@ class VocabularyTree:
     @property
     def num_leaves(self) -> int:
         return self.leaf_centers.shape[0]
+
+    @cached_property
+    def reconstruction_context(self) -> "ReconstructionContext":
+        """This tree's cache of per-center difference dictionaries and Grams.
+
+        Created on first access and kept on the instance, so no two trees
+        share it; it assumes the tree's arrays are never modified.
+        """
+        from .reconstruct import ReconstructionContext
+
+        return ReconstructionContext(self)
 
     def validate(self) -> None:
         if self.vlad_centers.shape[1] != self.dim or self.leaf_centers.shape[1] != self.dim:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from dehash.dataset import SyntheticSpec
+from dehash.aggregate import compute_vlad
+from dehash.dataset import SyntheticSpec, ingest_dataset
+from dehash.hashing import approximate_vlad, encode
 from dehash.pipeline import (
     ExperimentConfig,
     HashParams,
@@ -18,6 +20,7 @@ from dehash.pipeline import (
     run_pipeline,
     summarize_report,
 )
+from dehash.reconstruct import reconstruct_bow
 
 
 def tiny_config(**overrides):
@@ -172,3 +175,55 @@ class TestRunPipeline:
     def test_too_many_queries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="queries"):
             run_pipeline(tiny_config(num_queries=10_000), out_dir=tmp_path)
+
+
+class TestSolverReport:
+    MODES = ("hamming", "vlad-to-bow", "recon", "recon-cads", "recon-brpk")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        config = tiny_config(modes=self.MODES)
+        out = tmp_path_factory.mktemp("solver")
+        return config, run_pipeline(config, out_dir=out / "a"), run_pipeline(config, out_dir=out / "b")
+
+    def test_one_row_per_solver_mode(self, runs):
+        _, a, _ = runs
+        assert list(a.report["solver"]) == ["vlad-to-bow", "recon", "recon-cads", "recon-brpk"]
+        for row in a.report["solver"].values():
+            assert set(row) == {"solves", "path_events", "nonconverged"}
+            assert row["solves"] > 0
+            assert 0 <= row["nonconverged"] <= row["solves"]
+
+    def test_counts_match_the_solves_run(self, runs):
+        config, a, _ = runs
+        dataset = ingest_dataset(a.report_path.parent / "data" / "manifest.tsv")
+        for mode in ("vlad-to-bow", "recon"):
+            want = {"solves": 0, "path_events": 0, "nonconverged": 0}
+            for qid in a.rankings[mode]:
+                v = compute_vlad(a.tree, dataset.descriptors[qid])
+                if mode == "recon":
+                    v = approximate_vlad(a.model, encode(a.model, v))
+                result = reconstruct_bow(
+                    v, a.tree, config.recon.lam, tol=config.recon.tol, max_iter=config.recon.max_iter
+                )
+                solved = [r for r in result.reports if not r.skipped]
+                want["solves"] += len(solved)
+                want["path_events"] += sum(r.sweeps for r in solved)
+                want["nonconverged"] += sum(not r.converged for r in solved)
+            assert a.report["solver"][mode] == want
+
+    def test_brpk_counts_its_cads_starting_point(self, runs):
+        _, a, _ = runs
+        assert a.report["solver"]["recon-brpk"] == a.report["solver"]["recon-cads"]
+
+    def test_report_bytes_identical(self, runs):
+        _, a, b = runs
+        assert a.report_path.read_bytes() == b.report_path.read_bytes()
+
+    def test_summary_lists_solver_rows(self, runs):
+        _, a, _ = runs
+        assert "nonconverged" in summarize_report(a.report)
+
+    def test_no_solver_modes_no_rows(self, tmp_path):
+        result = run_pipeline(tiny_config(modes=("bow", "hamming")), out_dir=tmp_path)
+        assert result.report["solver"] == {}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from dehash.reconstruct import (
     reconstruct_bow,
     reconstruct_bow_with_prior,
 )
+from dehash.sparse import solve_nn_lasso
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
+from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
 
 
@@ -127,6 +130,107 @@ class TestCandidates:
         b = CandidateVWs({0: frozenset({2})}, tree.num_vlad_centers)
         merged = combine_candidates([a, b], "intersection-fallback-union")
         assert merged.allowed(0) == {1, 2}
+
+
+def fresh_tree(seed=101):
+    X = gaussian_mixture(3000, 6, 8, seed=seed, spread=6.0)
+    return train_vocabulary(X, branch=4, levels=2, vlad_level=1, seed=seed)
+
+
+def assert_same_dictionary(got, want):
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.column_ids, want.column_ids)
+    assert got.vlad_id == want.vlad_id
+
+
+class TestReconstructionContext:
+    def test_full_dictionary_and_gram_are_exact(self, tree):
+        context = tree.reconstruction_context
+        assert tree.reconstruction_context is context
+        for center in range(tree.num_vlad_centers):
+            dictionary, gram = context.full(center)
+            assert_same_dictionary(dictionary, build_dictionary(tree, center))
+            assert np.array_equal(gram, dictionary.columns.T @ dictionary.columns)
+            assert context.full(center)[0] is dictionary
+            assert not dictionary.columns.flags.writeable and not gram.flags.writeable
+
+    def test_restricted_equals_build_dictionary(self, tree):
+        rng = np.random.default_rng(139)
+        for center in range(tree.num_vlad_centers):
+            pool = subtree_leaves(tree, center)
+            for size in (1, 2, pool.size - 1, pool.size):
+                restrict = [int(t) for t in rng.choice(pool, size=size, replace=False)]
+                got = tree.reconstruction_context.restricted(center, restrict)
+                assert_same_dictionary(got, build_dictionary(tree, center, restrict))
+
+    def test_restriction_outside_subtree_rejected(self, tree):
+        with pytest.raises(ValueError, match="outside"):
+            tree.reconstruction_context.restricted(0, [int(subtree_leaves(tree, 1)[0])])
+
+    def test_trees_never_share_the_cache(self):
+        # Trees made and dropped in turn may reuse one another's memory
+        # address; each must still see its own dictionaries.
+        seen = []
+        for seed in (201, 202, 203):
+            tree = fresh_tree(seed)
+            dictionary, gram = tree.reconstruction_context.full(0)
+            assert_same_dictionary(dictionary, build_dictionary(tree, 0))
+            assert np.array_equal(gram, dictionary.columns.T @ dictionary.columns)
+            seen.append(dictionary.columns.copy())
+            del tree, dictionary, gram
+        assert not np.array_equal(seen[0], seen[1])
+        a, b = fresh_tree(204), fresh_tree(205)
+        assert a.reconstruction_context is not b.reconstruction_context
+        assert a.reconstruction_context.full(0)[0] is not b.reconstruction_context.full(0)[0]
+
+    def test_reconstruction_equals_uncached_solves(self):
+        # The cached dictionaries and Gram give the same bits as building each
+        # dictionary afresh and letting the solver form its own Gram.  The
+        # realistic tree matters: there, a restricted solve fed a slice of the
+        # full Gram instead of its own differs in the last bits.
+        tree = coherent_tree()
+        rng = np.random.default_rng(149)
+        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
+        for _ in range(3):
+            X = leafs[rng.integers(0, tree.num_leaves, size=150)]
+            v = compute_vlad(tree, X + rng.normal(0, 0.05, size=X.shape))
+            allowed = set(int(t) for t in rng.choice(tree.num_leaves, size=120, replace=False))
+            for cand in (None, CandidateVWs.from_leaf_ids(tree, allowed)):
+                result = reconstruct_bow(v, tree, 0.02, cand)
+                want = {}
+                for report in result.reports:
+                    if report.skipped:
+                        continue
+                    restrict = None if cand is None else cand.allowed(report.vlad_id)
+                    d = build_dictionary(tree, report.vlad_id, restrict)
+                    solved = solve_nn_lasso(d, v.subvectors[report.vlad_id], 0.02)
+                    assert (solved.sweeps, solved.converged) == (report.sweeps, report.converged)
+                    want.update(
+                        (int(t), float(c)) for t, c in zip(d.column_ids, solved.coeffs) if c > 1e-6
+                    )
+                assert result.histogram.counts == want
+
+    def test_threads_share_a_cold_cache(self):
+        # More workers than cores, switching often, all filling one cold
+        # cache: the result equals serial and every cached entry is exact.
+        rng = np.random.default_rng(151)
+        serial_tree, threaded_tree = fresh_tree(), fresh_tree()
+        leafs = np.asarray(serial_tree.leaf_centers, dtype=np.float64)
+        X = leafs[rng.integers(0, serial_tree.num_leaves, size=60)]
+        v = compute_vlad(serial_tree, X)
+        serial = reconstruct_bow(v, serial_tree, 0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = reconstruct_bow(v, threaded_tree, 0.01, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.histogram.counts == serial.histogram.counts
+        context = threaded_tree.reconstruction_context
+        for report in threaded.reports:
+            assert_same_dictionary(
+                context.full(report.vlad_id)[0], build_dictionary(threaded_tree, report.vlad_id)
+            )
 
 
 class TestReconstructBow:

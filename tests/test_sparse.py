@@ -1,19 +1,38 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dehash.dataset import training_blob
 from dehash.sparse import (
+    LASSO_TOL,
     Dictionary,
     lasso_kkt_residuals,
     lasso_objective,
     solve_nn_lasso,
     solve_tikhonov,
-    solve_tikhonov_direct,
 )
+from dehash.vocab import train_vocabulary
+
+from homotopy_reference import homotopy_nn_lasso_reference
 
 
 def random_dictionary(rng, dim, width, vlad_id=0):
     cols = rng.normal(size=(dim, width))
     return Dictionary(columns=cols, column_ids=np.arange(width), vlad_id=vlad_id)
+
+
+def solve_tikhonov_direct(dictionary, v, h0, alpha):
+    """The prior-anchored blend solved through the (T x T) normal equations:
+    the independent cross-check of ``solve_tikhonov``'s (dim x dim) rewrite,
+    only sensible for narrow dictionaries."""
+    a1 = alpha / float(v @ v)
+    a2 = (1.0 - alpha) / float(h0 @ h0)
+    cols = dictionary.columns
+    system = a1 * (cols.T @ cols) + a2 * np.eye(dictionary.width)
+    return np.linalg.solve(system, a1 * (cols.T @ v) + a2 * h0)
 
 
 def projected_gradient(dictionary, v, lam, iters=4000):
@@ -196,3 +215,109 @@ class TestDictionaryType:
     def test_mismatched_ids_rejected(self):
         with pytest.raises(ValueError):
             Dictionary(np.eye(2), np.array([1]), 0)
+
+
+@cache
+def coherent_tree():
+    """A trained tree with 64 leaves per center in 16 dimensions: its
+    leaf-minus-center columns are the coherent dictionaries the solver meets
+    in reconstruction."""
+    return train_vocabulary(training_blob(16, 4000, 8, 0), branch=8, levels=3, vlad_level=1, seed=0)
+
+
+@st.composite
+def lasso_instances(draw):
+    """(dictionary, v, lam, max_iter, gram) drawn from four families: Gaussian
+    columns, a trained tree's full center dictionary (passed with its cached
+    Gram), a column subset of one, and Gaussian columns with some zeroed."""
+    kind = draw(st.sampled_from(("gaussian", "tree", "tree-subset", "zero-columns")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gram = None
+    if kind.startswith("tree"):
+        tree = coherent_tree()
+        full, full_gram = tree.reconstruction_context.full(int(rng.integers(tree.num_vlad_centers)))
+        if kind == "tree":
+            d, gram = full, full_gram
+        else:
+            width = draw(st.integers(1, full.width))
+            keep = np.sort(rng.choice(full.width, size=width, replace=False))
+            d = Dictionary(full.columns[:, keep], full.column_ids[keep], full.vlad_id)
+        # A residual sum, as a VLAD sub-vector is: counts on a few words plus noise.
+        counts = np.zeros(d.width)
+        support = rng.choice(d.width, size=min(d.width, int(rng.integers(1, 8))), replace=False)
+        counts[support] = rng.integers(1, 6, size=support.size)
+        v = d.columns @ counts + rng.normal(scale=0.05, size=d.dim)
+    else:
+        dim = draw(st.integers(2, 16))
+        width = draw(st.integers(1, 64))
+        cols = rng.normal(size=(dim, width))
+        if kind == "zero-columns":
+            cols[:, rng.random(width) < 0.3] = 0.0
+        d = Dictionary(cols, np.arange(width), 0)
+        v = rng.normal(size=dim) * 2.0
+    lam = draw(st.sampled_from((0.0, 1e-4, 0.02, 0.3)))
+    max_iter = draw(st.sampled_from((1, 2, 5, 500)))
+    return d, v, lam, max_iter, gram
+
+
+class TestHomotopyParity:
+    """The vectorized event search walks the same path as the scalar loop
+    it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=lasso_instances())
+    def test_matches_scalar_reference(self, instance):
+        d, v, lam, max_iter, gram = instance
+        want = homotopy_nn_lasso_reference(d, v, lam, LASSO_TOL, max_iter)
+        got = solve_nn_lasso(d, v, lam, max_iter=max_iter, gram=gram)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.sweeps == want.sweeps
+        assert got.converged == want.converged
+        assert got.objective == want.objective
+
+    def test_event_cap_returns_the_iterate_at_the_last_event(self):
+        d = coherent_tree().reconstruction_context.full(3)[0]
+        rng = np.random.default_rng(41)
+        v = d.columns @ rng.integers(0, 3, size=d.width).astype(float)
+        for cap in range(1, 12):
+            want = homotopy_nn_lasso_reference(d, v, 1e-4, LASSO_TOL, cap)
+            got = solve_nn_lasso(d, v, 1e-4, max_iter=cap)
+            assert got.sweeps == want.sweeps == cap
+            assert not got.converged
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_gram_shape_checked(self):
+        d = random_dictionary(np.random.default_rng(43), 4, 6)
+        with pytest.raises(ValueError, match="gram"):
+            solve_nn_lasso(d, np.ones(4), 0.1, gram=np.eye(5))
+
+
+@st.composite
+def nonnegative_targets(draw):
+    """v = D h with h >= 0 on a random support, over Gaussian or tree columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        tree = coherent_tree()
+        d = tree.reconstruction_context.full(int(rng.integers(tree.num_vlad_centers)))[0]
+    else:
+        width = draw(st.integers(1, 64))
+        d = random_dictionary(rng, draw(st.integers(2, 16)), width)
+    h = np.zeros(d.width)
+    support = rng.choice(d.width, size=min(d.width, int(rng.integers(1, 10))), replace=False)
+    h[support] = rng.uniform(0.0, 5.0, size=support.size)
+    lam = draw(st.floats(0.0, 1.0))
+    return d, d.columns @ h, lam
+
+
+class TestKKTProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=nonnegative_targets())
+    def test_converged_solutions_satisfy_kkt(self, instance):
+        d, v, lam = instance
+        result = solve_nn_lasso(d, v, lam)
+        if result.converged:
+            scale = max(1.0, float(np.max(np.abs(d.columns.T @ v))))
+            bound = max(LASSO_TOL, 1e-7 * scale)
+            stationarity, violation = lasso_kkt_residuals(d, v, lam, result.coeffs)
+            assert stationarity <= bound
+            assert violation <= bound
