@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vocab import VocabularyTree, leaf_assignments, vlad_assignments
+from .vocab import VocabularyTree, leaf_assignments, read_header, vlad_assignments
 
 DESC_MAGIC = b"DHDESC01"
 
@@ -160,14 +160,8 @@ def save_descriptors(path, descriptors: np.ndarray) -> None:
 
 
 def load_descriptors(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != DESC_MAGIC:
-        raise ValueError(f"{path}: bad magic at byte 0, not a descriptor file")
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated header at byte {len(data)}")
-    dim, count = struct.unpack_from("<2I", data, 8)
-    need = 16 + dim * count * 4
+    data, (dim, count), off = read_header(path, DESC_MAGIC, "<2I", "descriptor")
+    need = off + dim * count * 4
     if len(data) != need:
         raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=16).reshape(count, dim).copy()
+    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=off).reshape(count, dim).copy()

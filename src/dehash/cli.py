@@ -16,26 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import compute_bow, compute_vlad, load_descriptors
+from .aggregate import compute_vlad, load_descriptors
 from .dataset import SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
-from .hashing import approximate_vlad, encode, load_model, save_code, save_model, train_hashing
+from .hashing import load_model, save_code, save_model, train_hashing
 from .pipeline import (
     DEFAULT_LAMBDA_SWEEP,
     ExperimentConfig,
+    ReconParams,
     StageError,
     config_from_dict,
     lambda_sweep_counts,
+    rank_query,
     run_pipeline,
     summarize_report,
 )
-from .retrieval import (
-    build_index,
-    rank_bow,
-    rank_hamming,
-    rank_vlad,
-    ranking_dump_lines,
-)
-from .reconstruct import reconstruct_bow
+from .retrieval import build_index, ranking_dump_lines
 from .vocab import load_tree, save_tree, train_vocabulary
 
 
@@ -120,18 +115,8 @@ def _cmd_query(args) -> int:
         tree, model, dataset.descriptors, gps=dataset.gps_by_id(), categories=dataset.categories_by_id()
     )
     descriptors = load_descriptors(args.descriptors)
-    vlad = compute_vlad(tree, descriptors)
-    if args.mode == "bow":
-        ranking = rank_bow(index, compute_bow(tree, descriptors))
-    elif args.mode == "vlad":
-        ranking = rank_vlad(index, vlad)
-    elif args.mode == "hamming":
-        ranking = rank_hamming(index, encode(model, vlad))
-    elif args.mode == "recon":
-        approx = approximate_vlad(model, encode(model, vlad))
-        ranking = rank_bow(index, reconstruct_bow(approx, tree, args.lam).histogram)
-    else:
-        raise ValueError(args.mode)
+    config = ExperimentConfig(recon=ReconParams(lam=args.lam), modes=(args.mode,))
+    ranking, _ = rank_query(config, index, model, descriptors, args.query_id)[args.mode]
     for line in ranking_dump_lines(args.query_id, ranking)[: args.top]:
         print(line)
     return 0
@@ -199,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("query", help="rank one query against a manifest database")
+    p = sub.add_parser(
+        "query",
+        help="rank one query against a manifest database through the pipeline's query path; "
+        f"recon solves with tol={ReconParams.tol:g} and max_iter={ReconParams.max_iter}",
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--model", required=True)

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .aggregate import VladVector
+from .vocab import read_header
 
 if TYPE_CHECKING:
     from .reconstruct import ContextTag
@@ -382,16 +383,20 @@ def _model_shapes(variant: str, dim: int, n_centers: int, nbits: int):
 
 
 def load_model(path) -> HashingModel:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != MODEL_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a hashing model file")
-    variant_code, dim, n_centers, nbits = struct.unpack_from("<B3I", data, 8)
+    data, (variant_code, dim, n_centers, nbits), off = read_header(
+        path, MODEL_MAGIC, "<B3I", "hashing model"
+    )
     if variant_code not in _CODE_VARIANTS:
         raise ValueError(f"{path}: unknown variant byte {variant_code}")
+    if n_centers == 0:
+        raise ValueError(f"{path}: model has no VLAD centers")
     variant_key = _CODE_VARIANTS[variant_code]
     mean_shape, proj_shape = _model_shapes(variant_key, dim, n_centers, nbits)
-    off = 8 + struct.calcsize("<B3I")
+    rotation_shape = (nbits, nbits) if variant_key == "joint-rr" else (0,)
+    shapes = (mean_shape, proj_shape, rotation_shape, (nbits,))
+    need = off + 4 * sum(int(np.prod(shape)) for shape in shapes)
+    if len(data) != need:
+        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
 
     def take(shape):
         nonlocal off
@@ -402,10 +407,8 @@ def load_model(path) -> HashingModel:
 
     mean = take(mean_shape)
     projections = take(proj_shape)
-    rotation = take((nbits, nbits)) if variant_key == "joint-rr" else None
+    rotation = take(rotation_shape) if variant_key == "joint-rr" else None
     scales = take((nbits,))
-    if off != len(data):
-        raise ValueError(f"{path}: trailing bytes after offset {off}")
     return HashingModel(
         variant="joint" if variant_key == "joint-rr" else variant_key,
         dim=int(dim),
@@ -426,12 +429,8 @@ def save_code(code: BinaryCode, path) -> None:
 
 
 def load_code(path) -> BinaryCode:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != CODE_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a code file")
-    (nbits,) = struct.unpack_from("<I", data, 8)
-    need = 12 + (nbits + 7) // 8
+    data, (nbits,), off = read_header(path, CODE_MAGIC, "<I", "code")
+    need = off + (nbits + 7) // 8
     if len(data) != need:
         raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-    return BinaryCode(np.frombuffer(data, dtype=np.uint8, offset=12).copy(), int(nbits))
+    return BinaryCode(np.frombuffer(data, dtype=np.uint8, offset=off).copy(), int(nbits))

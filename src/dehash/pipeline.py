@@ -6,6 +6,9 @@ the requested modes, and emits a deterministic report: metric rows per mode,
 the device memory / transmission accounting, and an optional regularization
 sweep.  Wall-clock timings are kept out of the report payload so identical
 configs produce byte-identical reports; they are written to a sidecar file.
+
+``rank_query`` is the one query path: the pipeline and ``dehash query`` both
+rank through it, so each mode means the same thing in both.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from . import hashing
 from .aggregate import compute_bow, compute_vlad
@@ -266,6 +271,84 @@ def _query_candidates(
     return combine_candidates(cues, config.recon.combine)
 
 
+def rank_query(
+    config: ExperimentConfig,
+    index: DatabaseIndex,
+    model: HashingModel,
+    descriptors: np.ndarray,
+    qid: str,
+    gps: tuple[float, float] | None = None,
+    category: int | None = None,
+) -> dict[str, tuple[Ranking, ReconstructionResult | None]]:
+    """Rank one query under each of ``config.modes``: the one query path.
+
+    Returns ``{mode: (ranking, lasso)}``.  The ranking still holds ``qid``
+    when the query is a database image.  ``lasso`` is the NN-lasso result
+    behind a solver mode (for recon-brpk its CADS starting point, since the
+    prior blend is closed-form and has no path to walk), else ``None``.
+    """
+    tree = index.tree
+    vlad_raw = compute_vlad(tree, descriptors)
+    code = encode(model, vlad_raw)
+    approx = approximate_vlad(model, code)
+    hamming = rank_hamming(index, code)
+    # Context derives from the self-excluded binary ranking: the query
+    # photo itself is treated as unseen by the database.
+    binary = hamming.drop(qid)
+    candidates = None
+    if "recon-cads" in config.modes or "recon-brpk" in config.modes:
+        candidates = _query_candidates(config, index, binary, gps, category)
+    cads_result = None
+    ranked = {}
+    for mode in config.modes:
+        result = None
+        if mode == "bow":
+            ranking = rank_bow(index, compute_bow(tree, descriptors))
+        elif mode == "vlad":
+            ranking = rank_vlad(index, vlad_raw)
+        elif mode == "gps":
+            if gps is None:
+                raise ValueError(f"query {qid} has no GPS")
+            ranking = rank_gps(index, gps)
+        elif mode == "hamming":
+            ranking = hamming
+        elif mode == "approx-vlad":
+            ranking = rank_vlad(index, approx)
+        elif mode == "adc":
+            ranking = rank_adc(index, approx)
+        elif mode in ("vlad-to-bow", "recon"):
+            result = reconstruct_bow(
+                vlad_raw if mode == "vlad-to-bow" else approx, tree, config.recon.lam,
+                tol=config.recon.tol, max_iter=config.recon.max_iter,
+            )
+            ranking = rank_bow(index, result.histogram)
+        elif mode in ("recon-cads", "recon-brpk"):
+            if cads_result is None:
+                cads_result = reconstruct_bow(
+                    approx, tree, config.recon.lam, candidates,
+                    tol=config.recon.tol, max_iter=config.recon.max_iter,
+                )
+            result = cads_result
+            histogram = cads_result.histogram
+            if mode == "recon-brpk":
+                if config.recon.prior_source == "recon":
+                    initial = rank_bow(index, histogram).drop(qid)
+                elif config.recon.prior_source == "binary":
+                    initial = binary
+                else:
+                    raise ValueError(f"unknown prior source {config.recon.prior_source!r}")
+                prior = pseudo_bow(index, initial, config.recon.top_r_pseudo)
+                mass = histogram.total() or prior.total()
+                histogram = reconstruct_bow_with_prior(
+                    approx, tree, prior, config.recon.alpha, candidates, mass
+                ).histogram
+            ranking = rank_bow(index, histogram)
+        else:  # pragma: no cover - guarded by config validation
+            raise ValueError(mode)
+        ranked[mode] = (ranking, result)
+    return ranked
+
+
 def memory_table(config: ExperimentConfig) -> list[dict]:
     """Closed-form device memory and transmission accounting per variant."""
     d, n = config.dim, config.tree.branch**config.tree.vlad_level
@@ -364,98 +447,33 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         )
 
     query_ids = _pick_queries(dataset, config.num_queries)
-    relevance = {q: dataset.relevance_by_id()[q] for q in query_ids}
+    relevance_by_id = dataset.relevance_by_id()
+    relevance = {q: relevance_by_id[q] for q in query_ids}
     entry_by_id = {e.image_id: e for e in dataset.entries}
     rankings: dict[str, dict[str, Ranking]] = {mode: {} for mode in config.modes}
-    # Per solver mode, the NN-lasso solves its histograms came from; for
-    # recon-brpk that is its CADS starting point, since the prior blend is
-    # closed-form and has no path to walk.
+    # Per solver mode, the NN-lasso solves behind its rankings (see rank_query).
     solver = {
         mode: {"solves": 0, "path_events": 0, "nonconverged": 0}
         for mode in config.modes
         if mode in SOLVER_MODES
     }
 
-    def _tally(mode: str, result: ReconstructionResult) -> None:
-        row = solver[mode]
-        for report in result.reports:
-            if not report.skipped:
-                row["solves"] += 1
-                row["path_events"] += report.sweeps
-                row["nonconverged"] += int(not report.converged)
-
     def _rank_queries() -> None:
         for qid in query_ids:
-            descs = dataset.descriptors[qid]
             entry = entry_by_id[qid]
-            vlad_raw = compute_vlad(tree, descs)
-            code = encode(model, vlad_raw)
-            approx = approximate_vlad(model, code)
-            # Context derives from the self-excluded binary ranking: the query
-            # photo itself is treated as unseen by the database.
-            binary = rank_hamming(index, code).drop(qid)
-            candidates = None
-            if "recon-cads" in config.modes or "recon-brpk" in config.modes:
-                candidates = _query_candidates(config, index, binary, entry.gps, entry.category)
-            cads_result = None
-            for mode in config.modes:
-                if mode == "bow":
-                    ranking = rank_bow(index, compute_bow(tree, descs))
-                elif mode == "vlad":
-                    ranking = rank_vlad(index, vlad_raw)
-                elif mode == "gps":
-                    if entry.gps is None:
-                        raise ValueError(f"query {qid} has no GPS")
-                    ranking = rank_gps(index, entry.gps)
-                elif mode == "hamming":
-                    ranking = binary
-                elif mode == "approx-vlad":
-                    ranking = rank_vlad(index, approx)
-                elif mode == "adc":
-                    ranking = rank_adc(index, approx)
-                elif mode == "vlad-to-bow":
-                    result = reconstruct_bow(
-                        vlad_raw, tree, config.recon.lam,
-                        tol=config.recon.tol, max_iter=config.recon.max_iter,
-                    )
-                    _tally(mode, result)
-                    ranking = rank_bow(index, result.histogram)
-                elif mode == "recon":
-                    result = reconstruct_bow(
-                        approx, tree, config.recon.lam,
-                        tol=config.recon.tol, max_iter=config.recon.max_iter,
-                    )
-                    _tally(mode, result)
-                    ranking = rank_bow(index, result.histogram)
-                elif mode == "recon-cads":
-                    cads_result = reconstruct_bow(
-                        approx, tree, config.recon.lam, candidates,
-                        tol=config.recon.tol, max_iter=config.recon.max_iter,
-                    )
-                    _tally(mode, cads_result)
-                    ranking = rank_bow(index, cads_result.histogram)
-                elif mode == "recon-brpk":
-                    if cads_result is None:
-                        cads_result = reconstruct_bow(
-                            approx, tree, config.recon.lam, candidates,
-                            tol=config.recon.tol, max_iter=config.recon.max_iter,
-                        )
-                    _tally(mode, cads_result)
-                    if config.recon.prior_source == "recon":
-                        initial = rank_bow(index, cads_result.histogram).drop(qid)
-                    elif config.recon.prior_source == "binary":
-                        initial = binary
-                    else:
-                        raise ValueError(f"unknown prior source {config.recon.prior_source!r}")
-                    prior = pseudo_bow(index, initial, config.recon.top_r_pseudo)
-                    mass = cads_result.histogram.total() or prior.total()
-                    result = reconstruct_bow_with_prior(
-                        approx, tree, prior, config.recon.alpha, candidates, mass
-                    )
-                    ranking = rank_bow(index, result.histogram)
-                else:  # pragma: no cover - guarded by config validation
-                    raise ValueError(mode)
+            ranked = rank_query(
+                config, index, model, dataset.descriptors[qid], qid, entry.gps, entry.category
+            )
+            for mode, (ranking, result) in ranked.items():
                 rankings[mode][qid] = ranking.drop(qid)
+                if result is None:
+                    continue
+                row = solver[mode]
+                for report in result.reports:
+                    if not report.skipped:
+                        row["solves"] += 1
+                        row["path_events"] += report.sweeps
+                        row["nonconverged"] += int(not report.converged)
 
     watch.run("query", _rank_queries)
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .aggregate import BowHistogram, VladVector
-from .sparse import Dictionary, LassoResult, solve_nn_lasso, solve_tikhonov
+from .sparse import Dictionary, solve_nn_lasso, solve_tikhonov
 from .vocab import VocabularyTree, subtree_leaves
 
 if TYPE_CHECKING:
@@ -37,10 +36,6 @@ class ContextTag:
 
     gps: tuple[float, float] | None = None  # (lat, lon) degrees
     category: int | None = None
-    binary_ranking: "Ranking | None" = None
-
-    def has_cue(self) -> bool:
-        return self.gps is not None or self.category is not None or self.binary_ranking is not None
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,6 @@ def reconstruct_bow(
     candidates: CandidateVWs | None = None,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    workers: int | None = None,
 ) -> ReconstructionResult:
     """Recover a word histogram from a raw-space VLAD.
 
@@ -258,36 +252,22 @@ def reconstruct_bow(
     active = _active_centers(v)
     context = tree.reconstruction_context
 
-    def solve_one(center: int) -> tuple[Dictionary, LassoResult] | None:
-        if candidates is None:
+    for center in active.tolist():
+        allowed = None if candidates is None else candidates.allowed(center)
+        if allowed is None:
             dictionary, gram = context.full(center)
-        else:
-            allowed = candidates.allowed(center)
-            if not allowed:
-                return None
+        elif allowed:
             dictionary, gram = context.restricted(center, allowed), None
-        if dictionary.width == 0:
-            return None
+        else:
+            dictionary = None
+        if dictionary is None or dictionary.width == 0:
+            reports.append(SubvectorReport(center, 0, 0, True, True))
+            continue
         result = solve_nn_lasso(
             dictionary, v.subvectors[center], lam, tol=tol, max_iter=max_iter, gram=gram
         )
-        return dictionary, result
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_one, active))
-    else:
-        solved = [solve_one(center) for center in active]
-
-    for center, outcome in zip(active, solved):
-        if outcome is None:
-            reports.append(SubvectorReport(int(center), 0, 0, True, True))
-            continue
-        dictionary, result = outcome
         reports.append(
-            SubvectorReport(
-                int(center), dictionary.width, result.sweeps, result.converged, False
-            )
+            SubvectorReport(center, dictionary.width, result.sweeps, result.converged, False)
         )
         kept = result.coeffs > DROP_TOL
         # Centers own disjoint leaves, so each leaf is written once.

@@ -314,16 +314,30 @@ def save_tree(tree: VocabularyTree, path) -> None:
         f.write(np.ascontiguousarray(tree.parent_of_leaf, dtype="<u4").tobytes())
 
 
-def load_tree(path) -> VocabularyTree:
+def read_header(path, magic: bytes, header: str, what: str) -> tuple[bytes, tuple, int]:
+    """The bytes of ``path``, its ``struct`` ``header`` fields after ``magic``,
+    and the offset where the payload starts.
+
+    A wrong magic or a file that ends inside the header raises ``ValueError``
+    naming ``path``; the caller checks that the payload fills the rest exactly.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    if data[:8] != TREE_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a vocabulary tree file")
-    dim, n, m, branch, levels, vlad_level = struct.unpack_from("<6I", data, 8)
-    off = 8 + 24
+    if data[: len(magic)] != magic:
+        raise ValueError(f"{path}: bad magic, not a {what} file")
+    off = len(magic) + struct.calcsize(header)
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated header at byte {len(data)}, expected {off}")
+    return data, struct.unpack_from(header, data, len(magic)), off
+
+
+def load_tree(path) -> VocabularyTree:
+    data, (dim, n, m, branch, levels, vlad_level), off = read_header(
+        path, TREE_MAGIC, "<6I", "vocabulary tree"
+    )
     need = off + (n + m) * dim * 4 + m * 4
-    if len(data) < need:
-        raise ValueError(f"{path}: truncated at byte {len(data)}, expected {need}")
+    if len(data) != need:
+        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
     vlad_centers = np.frombuffer(data, dtype="<f4", count=n * dim, offset=off).reshape(n, dim)
     off += n * dim * 4
     leaf_centers = np.frombuffer(data, dtype="<f4", count=m * dim, offset=off).reshape(m, dim)

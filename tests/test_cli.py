@@ -7,6 +7,8 @@ from dehash.aggregate import save_descriptors, load_descriptors
 from dehash.cli import main
 from dehash.dataset import ingest_dataset
 from dehash.hashing import load_code, load_model
+from dehash.pipeline import ExperimentConfig, ReconParams, rank_query
+from dehash.retrieval import build_index, ranking_dump_lines
 from dehash.vocab import load_tree
 
 
@@ -92,6 +94,49 @@ class TestIndexAndQuery:
         ]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("mode", ["bow", "vlad", "hamming", "recon"])
+    def test_query_ranks_through_rank_query(self, workspace, capsys, mode):
+        # The CLI and the pipeline share one query path, solver settings included.
+        manifest = workspace / "data" / "manifest.tsv"
+        dataset = ingest_dataset(manifest)
+        qid = dataset.ids[2]
+        descriptors = workspace / "data" / "descriptors" / f"{qid}.desc"
+        assert main([
+            "query", "--manifest", str(manifest),
+            "--tree", str(workspace / "tree.bin"), "--model", str(workspace / "model.bin"),
+            "--descriptors", str(descriptors),
+            "--query-id", qid, "--mode", mode, "--lam", "0.05", "--top", "7",
+        ]) == 0
+        tree, model = load_tree(workspace / "tree.bin"), load_model(workspace / "model.bin")
+        index = build_index(
+            tree, model, dataset.descriptors,
+            gps=dataset.gps_by_id(), categories=dataset.categories_by_id(),
+        )
+        config = ExperimentConfig(recon=ReconParams(lam=0.05), modes=(mode,))
+        ranking, _ = rank_query(config, index, model, load_descriptors(descriptors), qid)[mode]
+        want = ranking_dump_lines(qid, ranking)[:7]
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_query_recon_solves_with_config_settings(self, workspace, monkeypatch):
+        import dehash.pipeline
+
+        seen = []
+        solve = dehash.pipeline.reconstruct_bow
+
+        def spy(*args, **kwargs):
+            seen.append((args[2], kwargs["tol"], kwargs["max_iter"]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dehash.pipeline, "reconstruct_bow", spy)
+        qid = ingest_dataset(workspace / "data" / "manifest.tsv").ids[0]
+        assert main([
+            "query", "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "--tree", str(workspace / "tree.bin"), "--model", str(workspace / "model.bin"),
+            "--descriptors", str(workspace / "data" / "descriptors" / f"{qid}.desc"),
+            "--mode", "recon", "--lam", "0.05",
+        ]) == 0
+        assert seen == [(0.05, ReconParams.tol, ReconParams.max_iter)]
+
 
 class TestBenchmark:
     def test_benchmark_with_config_file(self, tmp_path, capsys):
@@ -133,3 +178,16 @@ class TestErrors:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_truncated_tree_reports_error(self, workspace, tmp_path, capsys):
+        short = tmp_path / "short.bin"
+        short.write_bytes((workspace / "tree.bin").read_bytes()[:20])
+        dataset = ingest_dataset(workspace / "data" / "manifest.tsv")
+        code = main([
+            "query", "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "--tree", str(short), "--model", str(workspace / "model.bin"),
+            "--descriptors", str(workspace / "data" / "descriptors" / f"{dataset.ids[0]}.desc"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error" in err and str(short) in err

@@ -7,6 +7,7 @@ from dehash.aggregate import compute_vlad
 from dehash.dataset import SyntheticSpec, ingest_dataset
 from dehash.hashing import approximate_vlad, encode
 from dehash.pipeline import (
+    ALL_MODES,
     ExperimentConfig,
     HashParams,
     PQParams,
@@ -17,6 +18,7 @@ from dehash.pipeline import (
     config_hash,
     config_to_dict,
     memory_table,
+    rank_query,
     run_pipeline,
     summarize_report,
 )
@@ -227,3 +229,23 @@ class TestSolverReport:
     def test_no_solver_modes_no_rows(self, tmp_path):
         result = run_pipeline(tiny_config(modes=("bow", "hamming")), out_dir=tmp_path)
         assert result.report["solver"] == {}
+
+
+class TestRankQuery:
+    def test_pipeline_stores_rank_query_rankings(self, tmp_path):
+        # All ten modes (adc attaches PQ): run_pipeline ranks each query
+        # exactly as rank_query does, with the query image then dropped.
+        config = tiny_config(modes=ALL_MODES)
+        result = run_pipeline(config, out_dir=tmp_path)
+        dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
+        entry_by_id = {e.image_id: e for e in dataset.entries}
+        assert result.index.pq is not None
+        for qid in result.relevance:
+            entry = entry_by_id[qid]
+            ranked = rank_query(
+                config, result.index, result.model, dataset.descriptors[qid], qid,
+                entry.gps, entry.category,
+            )
+            assert list(ranked) == list(ALL_MODES)
+            for mode, (ranking, _) in ranked.items():
+                assert result.rankings[mode][qid] == ranking.drop(qid)

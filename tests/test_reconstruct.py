@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,21 +212,33 @@ class TestReconstructionContext:
                 assert result.histogram.counts == want
 
     def test_threads_share_a_cold_cache(self):
-        # More workers than cores, switching often, all filling one cold
-        # cache: the result equals serial and every cached entry is exact.
+        # More threads than cores, switching often, all filling one cold
+        # cache: every result equals serial and every cached entry is exact.
         rng = np.random.default_rng(151)
         serial_tree, threaded_tree = fresh_tree(), fresh_tree()
         leafs = np.asarray(serial_tree.leaf_centers, dtype=np.float64)
         X = leafs[rng.integers(0, serial_tree.num_leaves, size=60)]
         v = compute_vlad(serial_tree, X)
         serial = reconstruct_bow(v, serial_tree, 0.01)
+        results = [None] * 8
+
+        def solve(slot):
+            results[slot] = reconstruct_bow(v, threaded_tree, 0.01)
+
+        threads = [threading.Thread(target=solve, args=(slot,)) for slot in range(len(results))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = reconstruct_bow(v, threaded_tree, 0.01, workers=8)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded.histogram.counts == serial.histogram.counts
+        assert not any(thread.is_alive() for thread in threads)
+        for threaded in results:
+            assert threaded is not None
+            assert threaded.histogram.counts == serial.histogram.counts
         context = threaded_tree.reconstruction_context
         for report in threaded.reports:
             assert_same_dictionary(
@@ -312,15 +325,6 @@ class TestReconstructBow:
             for lam in (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
         ]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-    def test_workers_match_serial(self, tree):
-        rng = np.random.default_rng(137)
-        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
-        X = leafs[rng.integers(0, tree.num_leaves, size=30)]
-        v = compute_vlad(tree, X)
-        serial = reconstruct_bow(v, tree, 0.01)
-        threaded = reconstruct_bow(v, tree, 0.01, workers=4)
-        assert serial.histogram.counts == threaded.histogram.counts
 
     def test_cads_shrinks_dictionary_width(self, index):
         # Context from the binary ranking alone cuts the solve width well
