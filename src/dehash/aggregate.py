@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vocab import VocabularyTree, leaf_assignments, read_header, vlad_assignments
+from .vocab import VocabularyTree, cluster_sums, leaf_assignments, read_header, vlad_assignments
 
 DESC_MAGIC = b"DHDESC01"
 
@@ -93,16 +93,12 @@ class VladVector:
         return cls(flat.reshape(num_centers, -1), normalization)
 
 
-def compute_bow(
-    tree: VocabularyTree,
-    descriptors: np.ndarray,
-    mode: str = "exhaustive-subtree",
-) -> BowHistogram:
+def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
     """Count descriptors per leaf visual word."""
     X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("descriptor set must be nonempty")
-    leaves = leaf_assignments(tree, X, mode)
+    leaves = leaf_assignments(tree, X)
     counts = np.bincount(leaves, minlength=tree.num_leaves)
     nz = np.nonzero(counts)[0]
     return BowHistogram({int(t): float(counts[t]) for t in nz}, tree.num_leaves)
@@ -122,10 +118,8 @@ def compute_vlad(
     if X.shape[0] == 0:
         raise ValueError("descriptor set must be nonempty")
     assign = vlad_assignments(tree, X)
-    centers = np.asarray(tree.vlad_centers, dtype=np.float64)
-    residuals = X - centers[assign]
-    sums = np.zeros_like(centers)
-    np.add.at(sums, assign, residuals)
+    residuals = X - np.asarray(tree.vlad_centers, dtype=np.float64)[assign]
+    sums = cluster_sums(assign, residuals, tree.num_vlad_centers)
     return normalize_vlad(VladVector(sums, "none"), normalization)
 
 

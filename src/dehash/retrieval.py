@@ -40,13 +40,9 @@ import numpy as np
 
 from .aggregate import BowHistogram, VladVector, compute_bow, compute_vlad, normalize_vlad
 from .hashing import BinaryCode, HashingModel, encode
-from .vocab import VocabularyTree, kmeans_pp_init, lloyd
+from .vocab import VocabularyTree, kmeans_pp_init, lloyd, nearest_center
 
 EARTH_RADIUS_M = 6_371_000.0
-
-# Rows per block when quantizing the whole database: bounds the
-# (rows, 2**bits, sub_dim) difference array to about 8 MiB.
-_PQ_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -323,7 +319,6 @@ def build_index(
     gps: Mapping[str, tuple[float, float]] | None = None,
     categories: Mapping[str, int] | None = None,
     rank_normalization: str = "intra-then-global-l2",
-    quantize_mode: str = "exhaustive-subtree",
 ) -> DatabaseIndex:
     """Index a database: store BoW, raw VLAD, and binary code per image."""
     ids = list(descriptors_by_id)
@@ -332,7 +327,7 @@ def build_index(
     codes = {}
     for image_id in ids:
         X = descriptors_by_id[image_id]
-        bows[image_id] = compute_bow(tree, X, quantize_mode)
+        bows[image_id] = compute_bow(tree, X)
         vlad = compute_vlad(tree, X, "none")
         vlads[image_id] = vlad
         codes[image_id] = encode(model, vlad)
@@ -448,23 +443,28 @@ def train_pq(
     return PQCodebooks(codebooks=books, bits=bits)
 
 
-def encode_pq(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
-    """Nearest-center index per sub-vector slice."""
+def _pq_slices(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
+    """``vector`` as its ``(m, sub_dim)`` sub-vectors; ``ValueError`` on a wrong length."""
     vector = np.asarray(vector, dtype=np.float64)
     m, _, sub_dim = codebooks.codebooks.shape
-    codes = np.empty(m, dtype=np.uint16)
-    for j in range(m):
-        sub = vector[j * sub_dim : (j + 1) * sub_dim]
-        d2 = np.sum((codebooks.codebooks[j] - sub) ** 2, axis=1)
-        codes[j] = np.argmin(d2)
-    return codes
+    if vector.shape != (m * sub_dim,):
+        raise ValueError(f"codebooks cover dim {m * sub_dim}, vector has shape {vector.shape}")
+    return vector.reshape(m, sub_dim)
+
+
+def encode_pq(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
+    """Nearest-center index per sub-vector slice."""
+    subs = _pq_slices(codebooks, vector)
+    return np.array(
+        [nearest_center(sub[None], books)[0] for sub, books in zip(subs, codebooks.codebooks)],
+        dtype=np.uint16,
+    )
 
 
 def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     """Quantize every database image's ranking-normalized VLAD.
 
-    One ``argmin`` per sub-vector over a block of rows at a time, with the
-    same squared differences and sums as :func:`encode_pq`, so each row's
+    One ``nearest_center`` call per sub-vector over all rows, so each row's
     codes equal ``encode_pq`` of that row.
     """
     matrix = index.ranking_vlad_matrix()
@@ -473,12 +473,8 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     if m * sub_dim != matrix.shape[1]:
         raise ValueError(f"codebooks cover dim {m * sub_dim}, VLADs have {matrix.shape[1]}")
     codes = np.empty((len(index.ids), m), dtype=np.uint8 if k <= 256 else np.uint16)
-    block = max(1, _PQ_BLOCK_ELEMENTS // (k * sub_dim))
     for j in range(m):
-        sub = matrix[:, j * sub_dim : (j + 1) * sub_dim]
-        for start in range(0, len(index.ids), block):
-            d2 = np.sum((books[j] - sub[start : start + block, None, :]) ** 2, axis=2)
-            codes[start : start + block, j] = np.argmin(d2, axis=1)
+        codes[:, j] = nearest_center(matrix[:, j * sub_dim : (j + 1) * sub_dim], books[j])
     index.pq = codebooks
     index._pq_codes = _readonly(codes)
     index.pq_codes = index._view(codes.__getitem__)
@@ -486,11 +482,11 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
 
 def adc_distance(codebooks: PQCodebooks, query: np.ndarray, codes: np.ndarray) -> float:
     """Sum of squared sub-distances from the exact query to the quantized entry."""
-    query = np.asarray(query, dtype=np.float64)
-    m, _, sub_dim = codebooks.codebooks.shape
+    subs = _pq_slices(codebooks, query)
+    if np.shape(codes) != (len(subs),):
+        raise ValueError(f"expected {len(subs)} codes, got shape {np.shape(codes)}")
     total = 0.0
-    for j in range(m):
-        sub = query[j * sub_dim : (j + 1) * sub_dim]
+    for j, sub in enumerate(subs):
         center = codebooks.codebooks[j][codes[j]]
         total += float(np.sum((sub - center) ** 2))
     return total

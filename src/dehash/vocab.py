@@ -9,7 +9,7 @@ leaf below a VLAD center forms that center's candidate visual-word pool.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -26,22 +26,118 @@ KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 50
 
 
-def nearest_center(points: np.ndarray, centers: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
+# Score-matrix entries per block of rows in ``nearest_center``: about 2 MiB.
+_SCORE_BLOCK_ELEMENTS = 2**18
+# Up to this many (point, center, dim) differences, scanning them all costs
+# less than setting up the matrix product (the two cross near 25k on a 2-CPU
+# Xeon with one BLAS thread).  Per-image quantization falls below it.
+_SCAN_MAX_ELEMENTS = 2**15
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _difference_scan(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Argmin of ``einsum`` over explicit differences, a block of rows at a time."""
+    idx = np.empty(points.shape[0], dtype=np.int64)
+    block = max(1, _SCORE_BLOCK_ELEMENTS // max(1, centers.size))
+    for start in range(0, points.shape[0], block):
+        diff = points[start : start + block, None, :] - centers[None, :, :]
+        idx[start : start + block] = np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    return idx
+
+
+def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the closest center per point (squared L2, lowest index on ties).
 
-    Brute-force chunked scan; exact and deterministic, which the quantizer
-    contract requires.
+    The result is the argmin of ``D_j = einsum(x - c_j, x - c_j)`` evaluated in
+    floating point, lowest index among equal values, exactly as a full scan
+    over explicit differences gives it; the quantizer contract requires that.
+    Scanning every difference costs an ``(n, k, d)`` tensor, so the kernel
+    instead scores a block of rows with one matrix product,
+    ``S_j = |c_j|^2 + x.(-2 c_j)`` (equal to ``D_j - |x|^2`` in exact
+    arithmetic), and re-scores with the difference form only where ``S``
+    cannot decide.
+
+    Why the candidates always hold the exact answer.  With unit roundoff
+    ``u = 2**-53`` and ``g = (d + 2) u / (1 - (d + 2) u)``, and
+    ``R = |x| + max_j |c_j|``, standard summation bounds hold for any order
+    of the sums, so for whatever summation order the BLAS uses:
+
+    * the difference form has ``d`` subtractions, ``d`` squarings and
+      ``d - 1`` additions of non-negative terms, so
+      ``|fl(D_j) - D_j| <= g D_j <= g R^2``;
+    * ``|c|^2`` and ``x.(-2c)`` are ``d``-term dot products (scaling by -2
+      is exact) with errors of at most ``g |c|^2`` and ``2 g |x||c|``
+      (Cauchy-Schwarz), and their sum rounds once more, so
+      ``|fl(S_j) - S_j| <= g (|c_j|^2 + 2 |x||c_j|) <= g R^2``.
+
+    Let ``j*`` be the answer and ``m`` the index of the smallest ``fl(S)``.
+    ``fl(D_j*) <= fl(D_m)`` gives ``S_j* <= S_m + 2 g R^2``, hence
+    ``fl(S_j*) <= fl(S_m) + 4 g R^2``.  Every center scoring within
+    ``tau = 8 g R^2`` of the row minimum is therefore kept: the factor two
+    over the proof covers the rounding of ``R``, of ``tau`` itself and of the
+    comparison, and ``8 (d + 2)`` smallest subnormals are added for products
+    that underflow.  A row with one candidate is decided (it is ``m``); a row
+    with several re-scores them with the difference form and takes the
+    lowest index among the smallest values, which is ``j*`` because ``j*`` is
+    the first minimum over all centers.  A row whose point is not finite,
+    and every row when a center is not finite, or when ``4 R^2`` overflows,
+    falls back to the full difference scan, so NaN and overflow select what
+    that scan selects.  So does a call with at most ``_SCAN_MAX_ELEMENTS``
+    differences in all, where setting up the product costs more than the scan.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    n = points.shape[0]
+    n, d = points.shape
+    k = centers.shape[0]
+    if n * k * d <= _SCAN_MAX_ELEMENTS:
+        return _difference_scan(points, centers)
     idx = np.empty(n, dtype=np.int64)
-    for start in range(0, n, chunk_size):
-        block = points[start : start + chunk_size]
-        diff = block[:, None, :] - centers[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        idx[start : start + chunk_size] = np.argmin(d2, axis=1)
+    sq_norms = np.einsum("ij,ij->i", centers, centers)
+    c_max = np.sqrt(sq_norms.max())
+    g = (d + 2) * _U / (1 - (d + 2) * _U)
+    floor = 8 * (d + 2) * _TINY
+    scaled = -2.0 * centers.T
+    block = max(1, _SCORE_BLOCK_ELEMENTS // k)
+    for start in range(0, n, block):
+        X = points[start : start + block]
+        scores = X @ scaled
+        scores += sq_norms
+        best = np.argmin(scores, axis=1)
+        r2 = np.sqrt(np.einsum("ij,ij->i", X, X))
+        r2 += c_max
+        r2 *= r2  # R^2
+        exact = np.isfinite(4 * r2)  # false for a NaN or inf in x or a center
+        limit = scores[np.arange(len(best)), best]
+        limit += (8 * g) * r2 + floor
+        near = scores <= limit[:, None]
+        # A finite row always keeps its own minimum, so as many candidates as
+        # rows, all finite, means every row is decided: the usual case.
+        if not exact.all() or np.count_nonzero(near) > len(best):
+            tied = np.flatnonzero(exact & (np.count_nonzero(near, axis=1) > 1))
+            rows, cols = np.nonzero(near[tied])
+            diff = X[tied[rows]] - centers[cols]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            # Pairs arrive by row, then ascending center: a stable sort on
+            # (row, d2) puts each row's lowest-index minimum first.
+            order = np.lexsort((d2, rows))
+            best[tied] = cols[order[np.flatnonzero(np.diff(rows[order], prepend=-1))]]
+            scan = np.flatnonzero(~exact)
+            best[scan] = _difference_scan(X[scan], centers)
+        idx[start : start + block] = best
     return idx
+
+
+def cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """``(k, d)`` sums of ``rows`` per label in ``assign``, each added in row order.
+
+    One ``np.bincount`` over the row-major entries, keyed by (label, column),
+    adds the same values in the same order as ``np.add.at`` on a zero array,
+    so the sums are bit-identical.
+    """
+    d = rows.shape[1]
+    keys = (assign[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
 def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,8 +178,7 @@ def lloyd(
     for _ in range(max_iter):
         assign = nearest_center(points, centers)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, points)
+        sums = cluster_sums(assign, points, k)
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -108,11 +203,8 @@ class VocabularyTree:
     """Two-level view of a trained hierarchical vocabulary.
 
     ``vlad_centers`` are the coarse centers (level ``vlad_level``); the leaves
-    are the fine visual words.  ``sublevel_centers`` holds the centers of the
-    levels strictly between the VLAD level and the leaves; they are produced
-    by training but are not part of the on-disk format, so a loaded tree only
-    supports exhaustive sub-tree quantization when that gap is deeper than
-    one level.
+    are the fine visual words; each leaf's parent is the coarse center above
+    it, and a descriptor's leaf is searched among its coarse center's leaves.
     """
 
     dim: int
@@ -122,7 +214,6 @@ class VocabularyTree:
     vlad_centers: np.ndarray  # (N, dim) float32
     leaf_centers: np.ndarray  # (M, dim) float32
     parent_of_leaf: np.ndarray  # (M,) uint32
-    sublevel_centers: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     @property
     def num_vlad_centers(self) -> int:
@@ -152,6 +243,8 @@ class VocabularyTree:
             raise ValueError("parent_of_leaf must map every leaf")
         if self.parent_of_leaf.max(initial=0) >= self.num_vlad_centers:
             raise ValueError("parent id out of range")
+        if not (np.all(np.isfinite(self.vlad_centers)) and np.all(np.isfinite(self.leaf_centers))):
+            raise ValueError("tree centers must be finite")
 
 
 def train_vocabulary(
@@ -218,20 +311,24 @@ def train_vocabulary(
         vlad_centers=level_centers[vlad_level - 1].astype(np.float32),
         leaf_centers=level_centers[levels - 1].astype(np.float32),
         parent_of_leaf=(np.arange(num_leaves, dtype=np.uint32) // spread).astype(np.uint32),
-        sublevel_centers=tuple(
-            c.astype(np.float32) for c in level_centers[vlad_level : levels - 1]
-        ),
     )
     tree.validate()
     return tree
 
 
-def vlad_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
-    """Coarse-center id for each descriptor row."""
+def _descriptor_rows(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
+    """Descriptors as finite float64 rows of the tree's dimension, else ``ValueError``."""
     X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
     if X.shape[1] != tree.dim:
         raise ValueError(f"descriptor dim {X.shape[1]} != tree dim {tree.dim}")
-    return nearest_center(X, tree.vlad_centers)
+    if not np.isfinite(X).all():
+        raise ValueError("descriptors must be finite")
+    return X
+
+
+def vlad_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
+    """Coarse-center id for each descriptor row."""
+    return nearest_center(_descriptor_rows(tree, descriptors), tree.vlad_centers)
 
 
 def quantize_vlad(tree: VocabularyTree, descriptor: np.ndarray) -> int:
@@ -246,51 +343,27 @@ def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
     return np.flatnonzero(tree.parent_of_leaf == vlad_id).astype(np.int64)
 
 
-def leaf_assignments(
-    tree: VocabularyTree,
-    descriptors: np.ndarray,
-    mode: str = "exhaustive-subtree",
-) -> np.ndarray:
-    """Leaf id per descriptor row.
+def leaf_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
+    """Leaf id per descriptor row: the nearest leaf under the coarse center
+    ``vlad_assignments`` picks (lowest id on exact ties).
 
-    ``exhaustive-subtree`` scans every leaf under the descriptor's coarse
-    center; ``greedy-path`` descends one best child per level below it.  The
-    returned leaf always lies under the coarse center picked by
-    ``vlad_assignments``.
+    Rows are grouped by coarse center, so each subtree's leaves are scanned
+    by one ``nearest_center`` call.
     """
-    X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    if X.shape[1] != tree.dim:
-        raise ValueError(f"descriptor dim {X.shape[1]} != tree dim {tree.dim}")
-    vlad_ids = vlad_assignments(tree, X)
-    if mode == "exhaustive-subtree":
-        leaves = np.empty(X.shape[0], dtype=np.int64)
-        for v in np.unique(vlad_ids):
-            pool = subtree_leaves(tree, int(v))
-            rows = np.flatnonzero(vlad_ids == v)
-            local = nearest_center(X[rows], tree.leaf_centers[pool])
-            leaves[rows] = pool[local]
-        return leaves
-    if mode == "greedy-path":
-        depth = tree.levels - tree.vlad_level
-        if depth > 1 and len(tree.sublevel_centers) != depth - 1:
-            raise ValueError(
-                "greedy-path needs intermediate level centers, which the tree "
-                "file format does not retain; use exhaustive-subtree or a "
-                "freshly trained tree"
-            )
-        node = vlad_ids.copy()
-        per_level = list(tree.sublevel_centers) + [tree.leaf_centers]
-        for centers_l in per_level:
-            child_ids = node[:, None] * tree.branch + np.arange(tree.branch)
-            cand = np.asarray(centers_l, dtype=np.float64)[child_ids]  # (n, branch, dim)
-            d2 = np.einsum("ijk,ijk->ij", cand - X[:, None, :], cand - X[:, None, :])
-            node = child_ids[np.arange(X.shape[0]), np.argmin(d2, axis=1)]
-        return node
-    raise ValueError(f"unknown quantization mode: {mode!r}")
+    X = _descriptor_rows(tree, descriptors)
+    vlad_ids = nearest_center(X, tree.vlad_centers)
+    leaves = np.empty(X.shape[0], dtype=np.int64)
+    order = np.argsort(vlad_ids, kind="stable")
+    bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
+    for v in np.flatnonzero(np.diff(bounds)):
+        rows = order[bounds[v] : bounds[v + 1]]
+        pool = subtree_leaves(tree, int(v))
+        leaves[rows] = pool[nearest_center(X[rows], tree.leaf_centers[pool])]
+    return leaves
 
 
-def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray, mode: str = "exhaustive-subtree") -> int:
-    return int(leaf_assignments(tree, descriptor, mode)[0])
+def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray) -> int:
+    return int(leaf_assignments(tree, descriptor)[0])
 
 
 def save_tree(tree: VocabularyTree, path) -> None:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from dehash.aggregate import BowHistogram, VladVector, compute_vlad
-from dehash.hashing import BinaryCode, train_hashing
+from dehash.aggregate import BowHistogram, VladVector, compute_bow, compute_vlad
+from dehash.hashing import BinaryCode, encode, train_hashing
 from dehash.retrieval import (
     DatabaseIndex,
     Ranking,
@@ -32,6 +33,7 @@ from dehash.retrieval import (
     simulate_gps,
     train_pq,
 )
+from dehash import vocab
 from dehash.vocab import train_vocabulary
 
 from test_vocab import gaussian_mixture
@@ -202,6 +204,17 @@ class TestAdc:
             ids = small_index.ids
             rhos.append(spearmanr([exact[i] for i in ids], [approx[i] for i in ids]).statistic)
         assert np.mean(rhos) > 0.8
+
+    def test_wrong_length_vector_rejected(self):
+        books = train_pq(np.random.default_rng(1).normal(size=(40, 16)), num_subvectors=4, bits=2)
+        codes = encode_pq(books, np.ones(16))
+        for length in (13, 15, 17, 20):
+            with pytest.raises(ValueError, match="dim 16"):
+                encode_pq(books, np.ones(length))
+            with pytest.raises(ValueError, match="dim 16"):
+                adc_distance(books, np.ones(length), codes)
+        with pytest.raises(ValueError, match="codes"):
+            adc_distance(books, np.ones(16), codes[:3])
 
     def test_untrained_errors(self, small_index):
         fresh = DatabaseIndex(
@@ -395,6 +408,42 @@ class TestColumnarIndex:
         got = np.stack([idx.pq_codes[i] for i in idx.ids])
         assert got.dtype == (np.uint8 if bits <= 8 else np.uint16)
         np.testing.assert_array_equal(got, want)
+
+
+class TestBuildIndex:
+    @pytest.mark.parametrize("product", [True, False])
+    def test_columns_equal_per_image_results(self, small_index, product):
+        tree = small_index.tree
+        rng = np.random.default_rng(281)
+        leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
+        descriptors = {
+            "one": rng.normal(size=(1, tree.dim)),  # a single descriptor
+            "dups": np.repeat(rng.normal(size=(3, tree.dim)), 4, axis=0),
+            "on-leaves": leaves[rng.integers(0, tree.num_leaves, size=9)],
+            "mixed": np.vstack([leaves[:3], rng.normal(size=(30, tree.dim)), leaves[:3]]),
+            "flat": rng.normal(size=tree.dim),  # one descriptor as a 1-D row
+            "f32": rng.normal(size=(17, tree.dim)).astype(np.float32),
+        }
+        vlads = [compute_vlad(tree, X) for X in descriptors.values()]
+        model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
+        # ``product``: every quantizer call takes the matrix-product route, not
+        # the difference scan that calls this small take by default.
+        with mock.patch.object(vocab, "_SCAN_MAX_ELEMENTS", 0 if product else vocab._SCAN_MAX_ELEMENTS):
+            index = build_index(tree, model, descriptors)
+        for image_id, X in descriptors.items():
+            bow = compute_bow(tree, X)
+            vlad = compute_vlad(tree, X)
+            row = index.row(image_id)
+            s = index.bow.span(row)
+            assert dict(zip(index.bow.words[s].tolist(), index.bow.counts[s].tolist())) == bow.counts
+            assert np.array_equal(index._vlad_matrix[row], vlad.flattened())
+            assert np.array_equal(index._codes[row], encode(model, vlad).packed)
+
+    def test_empty_descriptor_set_rejected(self, small_index):
+        tree = small_index.tree
+        model = train_hashing(list(small_index.vlads.values()), "shared", nbits=tree.num_vlad_centers * 4, seed=3)
+        with pytest.raises(ValueError, match="nonempty"):
+            build_index(tree, model, {"a": np.ones((2, tree.dim)), "b": np.empty((0, tree.dim))})
 
 
 class TestScanErrors:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,6 @@ class TestTraining:
         assert tree.num_vlad_centers == 3
         assert tree.num_leaves == 27
         assert tree.parent_of_leaf.tolist() == [i // 9 for i in range(27)]
-        assert len(tree.sublevel_centers) == 1
 
     def test_one_point_per_leaf_is_fixed_point(self):
         # With exactly branch**levels well-separated points, every leaf center
@@ -163,40 +164,35 @@ class TestQuantization:
             want = int(np.argmin([np.sum((x - c) ** 2) for c in centers]))
             assert quantize_vlad(tree, x) == want
 
-    def test_leaf_exact_hit_both_modes(self, tree):
+    def test_leaf_exact_hit(self, tree):
         for t in [0, 5, tree.num_leaves - 1]:
-            d = tree.leaf_centers[t]
-            assert quantize_leaf(tree, d, "exhaustive-subtree") == t
-            assert quantize_leaf(tree, d, "greedy-path") == t
+            assert quantize_leaf(tree, tree.leaf_centers[t]) == t
 
-    def test_two_level_tree_modes_agree(self):
-        X = gaussian_mixture(500, 3, 4, seed=19)
-        two = train_vocabulary(X, branch=4, levels=2, vlad_level=1, seed=19)
-        rng = np.random.default_rng(19)
-        Q = rng.normal(size=(100, 3)) * 3
-        assert np.array_equal(
-            leaf_assignments(two, Q, "greedy-path"),
-            leaf_assignments(two, Q, "exhaustive-subtree"),
-        )
-
-    def test_exhaustive_never_worse_than_greedy(self, tree):
+    def test_exhaustive_equals_subtree_brute_force(self, tree):
         rng = np.random.default_rng(23)
         Q = rng.normal(size=(500, tree.dim)) * 3
-        greedy = leaf_assignments(tree, Q, "greedy-path")
-        exhaustive = leaf_assignments(tree, Q, "exhaustive-subtree")
+        Q[:20] = tree.leaf_centers[rng.integers(0, tree.num_leaves, 20)]
+        got = leaf_assignments(tree, Q)
         leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
-        d_greedy = np.sum((Q - leaves[greedy]) ** 2, axis=1)
-        d_ex = np.sum((Q - leaves[exhaustive]) ** 2, axis=1)
-        assert np.all(d_ex <= d_greedy + 1e-12)
+        for q, v, leaf in zip(Q, vlad_assignments(tree, Q), got):
+            pool = subtree_leaves(tree, int(v))
+            d2 = [float(np.sum((q - leaves[t]) ** 2)) for t in pool]
+            assert leaf == pool[int(np.argmin(d2))]
 
     def test_leaf_ancestor_is_vlad_assignment(self, tree):
         rng = np.random.default_rng(29)
         Q = rng.normal(size=(200, tree.dim)) * 3
-        for mode in ("greedy-path", "exhaustive-subtree"):
-            leaves = leaf_assignments(tree, Q, mode)
-            assert np.array_equal(
-                tree.parent_of_leaf[leaves].astype(np.int64), vlad_assignments(tree, Q)
-            )
+        leaves = leaf_assignments(tree, Q)
+        assert np.array_equal(tree.parent_of_leaf[leaves].astype(np.int64), vlad_assignments(tree, Q))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptor_rejected(self, tree, bad):
+        Q = np.zeros((3, tree.dim))
+        Q[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vlad_assignments(tree, Q)
+        with pytest.raises(ValueError, match="finite"):
+            leaf_assignments(tree, Q)
 
     def test_dimension_mismatch(self, tree):
         with pytest.raises(ValueError):
@@ -238,16 +234,25 @@ class TestSerialization:
         loaded = load_tree(tmp_path / "tree.bin")
         rng = np.random.default_rng(31)
         Q = rng.normal(size=(100, tree.dim)) * 3
-        assert np.array_equal(
-            leaf_assignments(loaded, Q, "exhaustive-subtree"),
-            leaf_assignments(tree, Q, "exhaustive-subtree"),
-        )
+        assert np.array_equal(leaf_assignments(loaded, Q), leaf_assignments(tree, Q))
 
-    def test_loaded_deep_tree_refuses_greedy(self, tree, tmp_path):
-        save_tree(tree, tmp_path / "tree.bin")
-        loaded = load_tree(tmp_path / "tree.bin")
-        with pytest.raises(ValueError, match="greedy-path"):
-            leaf_assignments(loaded, np.zeros(tree.dim), "greedy-path")
+    @pytest.mark.parametrize("field", ["vlad_centers", "leaf_centers"])
+    def test_non_finite_center_rejected(self, tree, field, tmp_path):
+        centers = getattr(tree, field).copy()
+        centers[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(tree, **{field: centers}).validate()
+        path = tmp_path / "tree.bin"
+        save_tree(tree, path)
+        data = bytearray(path.read_bytes())
+        # Element [1, 0] of the field, after the magic and the six-word header.
+        offset = len(b"DHTREE01") + 24 + tree.dim * 4
+        if field == "leaf_centers":
+            offset += tree.num_vlad_centers * tree.dim * 4
+        data[offset : offset + 4] = np.array(np.inf, dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
+            load_tree(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
