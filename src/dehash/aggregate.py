@@ -9,13 +9,20 @@ holds at raw scale.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .vocab import VocabularyTree, cluster_sums, leaf_assignments, read_header, vlad_assignments
+from .vocab import VocabularyTree, assign_descriptors, cluster_sums, read_header
 
 DESC_MAGIC = b"DHDESC01"
+
+# Most descriptor rows one pass of ``aggregate_images`` quantizes together.
+# It bounds the pass's temporaries (rows, residuals, sum keys: a few MiB), so
+# indexing a large database does not fault in hundreds of MiB of fresh pages;
+# an image with more rows gets a pass of its own.
+PASS_ROWS = 2**14
 
 NORMALIZATIONS = ("none", "global-l2", "intra-then-global-l2")
 
@@ -93,15 +100,34 @@ class VladVector:
         return cls(flat.reshape(num_centers, -1), normalization)
 
 
-def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
-    """Count descriptors per leaf visual word."""
-    X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
+def _descriptor_array(descriptors: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(descriptors))
     if X.shape[0] == 0:
         raise ValueError("descriptor set must be nonempty")
-    leaves = leaf_assignments(tree, X)
-    counts = np.bincount(leaves, minlength=tree.num_leaves)
-    nz = np.nonzero(counts)[0]
-    return BowHistogram({int(t): float(counts[t]) for t in nz}, tree.num_leaves)
+    return X
+
+
+def _histogram(counts: np.ndarray) -> BowHistogram:
+    """The non-zero entries of a per-leaf count vector."""
+    words = np.flatnonzero(counts)
+    return BowHistogram(dict(zip(words.tolist(), counts[words].astype(np.float64).tolist())), len(counts))
+
+
+def _residual_sums(
+    tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray, image: np.ndarray | int, images: int
+) -> np.ndarray:
+    """``(images, N, D)`` raw VLADs: row ``i``'s residual against its coarse
+    center is added to sub-vector ``vlad_ids[i]`` of image ``image[i]``, in row
+    order, so an image's sums do not depend on the other images in ``X``."""
+    n = tree.num_vlad_centers
+    residuals = X - np.asarray(tree.vlad_centers, dtype=np.float64)[vlad_ids]
+    return cluster_sums(image * n + vlad_ids, residuals, images * n).reshape(images, n, -1)
+
+
+def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
+    """Count descriptors per leaf visual word."""
+    _, _, leaves = assign_descriptors(tree, _descriptor_array(descriptors))
+    return _histogram(np.bincount(leaves, minlength=tree.num_leaves))
 
 
 def compute_vlad(
@@ -114,13 +140,51 @@ def compute_vlad(
     Centers receiving no descriptor keep a zero sub-vector.  ``normalization``
     follows :func:`normalize_vlad`.
     """
-    X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise ValueError("descriptor set must be nonempty")
-    assign = vlad_assignments(tree, X)
-    residuals = X - np.asarray(tree.vlad_centers, dtype=np.float64)[assign]
-    sums = cluster_sums(assign, residuals, tree.num_vlad_centers)
-    return normalize_vlad(VladVector(sums, "none"), normalization)
+    X, vlad_ids, _ = assign_descriptors(tree, _descriptor_array(descriptors), leaves=False)
+    return normalize_vlad(VladVector(_residual_sums(tree, X, vlad_ids, 0, 1)[0]), normalization)
+
+
+def _passes(sizes: Sequence[int]) -> Iterator[slice]:
+    """Runs of consecutive images holding at most ``PASS_ROWS`` rows in all,
+    except that an image with more rows forms a run of its own."""
+    start = rows = 0
+    for i, size in enumerate(sizes):
+        if rows and rows + size > PASS_ROWS:
+            yield slice(start, i)
+            start, rows = i, 0
+        rows += size
+    if rows:
+        yield slice(start, len(sizes))
+
+
+def aggregate_images(
+    tree: VocabularyTree, descriptor_sets: Sequence[np.ndarray], bow: bool = True
+) -> tuple[list[BowHistogram], list[VladVector]]:
+    """Each descriptor set's BoW histogram (when ``bow``, else none) and raw VLAD.
+
+    Consecutive sets are concatenated into passes of at most ``PASS_ROWS``
+    rows.  Each pass searches the coarse centers once and each subtree's
+    leaves once (``assign_descriptors``), then splits the ids back by image
+    offsets into per-image leaf counts and residual sums, each image's rows
+    added in their own order.  Every histogram and VLAD therefore equals
+    ``compute_bow`` and ``compute_vlad`` of that set alone, bit for bit.  An
+    empty or non-finite set raises ``ValueError``.
+    """
+    arrays = [_descriptor_array(X) for X in descriptor_sets]
+    bows: list[BowHistogram] = []
+    vlads: list[VladVector] = []
+    for run in _passes([X.shape[0] for X in arrays]):
+        batch = arrays[run]
+        X, vlad_ids, leaf_ids = assign_descriptors(
+            tree, np.concatenate(batch, dtype=np.float64), leaves=bow
+        )
+        image = np.repeat(np.arange(len(batch)), [len(b) for b in batch])
+        vlads.extend(VladVector(sums) for sums in _residual_sums(tree, X, vlad_ids, image, len(batch)))
+        if bow:
+            m = tree.num_leaves
+            counts = np.bincount(image * m + leaf_ids, minlength=len(batch) * m)
+            bows.extend(_histogram(row) for row in counts.reshape(len(batch), m))
+    return bows, vlads
 
 
 def normalize_vlad(v: VladVector, mode: str) -> VladVector:

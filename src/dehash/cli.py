@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import compute_vlad, load_descriptors
+from .aggregate import aggregate_images, load_descriptors
 from .dataset import SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
 from .hashing import load_model, save_code, save_model, train_hashing
 from .pipeline import (
@@ -87,7 +87,7 @@ def _cmd_train_tree(args) -> int:
 def _cmd_train_hash(args) -> int:
     tree = load_tree(args.tree)
     dataset = ingest_dataset(args.manifest)
-    vlads = [compute_vlad(tree, dataset.descriptors[i]) for i in dataset.ids]
+    _, vlads = aggregate_images(tree, [dataset.descriptors[i] for i in dataset.ids], bow=False)
     model = train_hashing(vlads, args.variant, args.bits, args.seed, args.rotate)
     save_model(model, args.out)
     print(f"trained {args.variant} model ({args.bits} bits) -> {args.out}")

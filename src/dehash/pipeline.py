@@ -25,10 +25,11 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import hashing
-from .aggregate import compute_bow, compute_vlad
+from .aggregate import aggregate_images, compute_bow, compute_vlad
 from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
 from .hashing import HashingModel, approximate_vlad, encode, train_hashing
 from .reconstruct import (
+    COMBINE_MODES,
     CandidateVWs,
     ReconstructionResult,
     combine_candidates,
@@ -74,6 +75,10 @@ SOLVER_MODES = ("vlad-to-bow", "recon", "recon-cads", "recon-brpk")
 
 DEFAULT_LAMBDA_SWEEP = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
 
+# Context cues CADS can combine, and the rankings BRPK can pool its prior from.
+CUES = ("gps", "binary", "category")
+PRIOR_SOURCES = ("recon", "binary")
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -105,6 +110,22 @@ class ReconParams:
     prior_source: str = "recon"  # initial ranking feeding the pseudo prior: recon | binary
     tol: float = 1e-6
     max_iter: int = 500
+
+    def __post_init__(self) -> None:
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        for name in ("top_r_binary", "top_r_gps", "top_r_pseudo"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        unknown = [cue for cue in self.cues if cue not in CUES]
+        if unknown or not self.cues:
+            raise ValueError(f"cues must be a nonempty subset of {CUES}, got {self.cues}")
+        if self.combine not in COMBINE_MODES:
+            raise ValueError(f"unknown combine mode {self.combine!r}")
+        if self.prior_source not in PRIOR_SOURCES:
+            raise ValueError(f"unknown prior source {self.prior_source!r}")
 
 
 @dataclass(frozen=True)
@@ -262,12 +283,10 @@ def _query_candidates(
             if gps is None:
                 raise ValueError("gps cue requested but query has no GPS")
             cues.append(candidates_from_gps(index, gps, config.recon.top_r_gps))
-        elif cue == "category":
+        else:  # category
             if category is None:
                 raise ValueError("category cue requested but query has no category")
             cues.append(candidates_from_category(index, category))
-        else:
-            raise ValueError(f"unknown cue {cue!r}")
     return combine_candidates(cues, config.recon.combine)
 
 
@@ -333,10 +352,8 @@ def rank_query(
             if mode == "recon-brpk":
                 if config.recon.prior_source == "recon":
                     initial = rank_bow(index, histogram).drop(qid)
-                elif config.recon.prior_source == "binary":
+                else:  # binary
                     initial = binary
-                else:
-                    raise ValueError(f"unknown prior source {config.recon.prior_source!r}")
                 prior = pseudo_bow(index, initial, config.recon.top_r_pseudo)
                 mass = histogram.total() or prior.total()
                 histogram = reconstruct_bow_with_prior(
@@ -419,7 +436,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     dataset = watch.run("dataset", lambda: _resolve_dataset(config, tree, workdir))
 
     def _train_hash() -> HashingModel:
-        vlads = [compute_vlad(tree, dataset.descriptors[i]) for i in dataset.ids]
+        _, vlads = aggregate_images(tree, [dataset.descriptors[i] for i in dataset.ids], bow=False)
         return train_hashing(
             vlads, config.hash.variant, config.hash.nbits, config.hash.seed, config.hash.rotate
         )

@@ -149,6 +149,8 @@ def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarra
 
 def candidates_from_binary(index: "DatabaseIndex", binary_ranking: "Ranking", top_r: int) -> CandidateVWs:
     """Words occurring in the histograms of the top binary-ranked images."""
+    if top_r < 1:
+        raise ValueError("top_r must be >= 1")
     if not binary_ranking.entries:
         raise ValueError("binary ranking is empty")
     top = (image_id for image_id, _ in binary_ranking.entries[:top_r])
@@ -161,6 +163,8 @@ def candidates_from_gps(
     """Words of the geographically nearest database images."""
     from .retrieval import rank_gps
 
+    if top_r < 1:
+        raise ValueError("top_r must be >= 1")
     if query_gps is None:
         raise ValueError("query carries no GPS")
     ranking = rank_gps(index, query_gps)

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import BowHistogram, VladVector, compute_bow, compute_vlad, normalize_vlad
+from .aggregate import BowHistogram, VladVector, aggregate_images, normalize_vlad
 from .hashing import BinaryCode, HashingModel, encode
 from .vocab import VocabularyTree, kmeans_pp_init, lloyd, nearest_center
 
@@ -320,17 +320,20 @@ def build_index(
     categories: Mapping[str, int] | None = None,
     rank_normalization: str = "intra-then-global-l2",
 ) -> DatabaseIndex:
-    """Index a database: store BoW, raw VLAD, and binary code per image."""
+    """Index a database: store BoW, raw VLAD, and binary code per image.
+
+    The descriptors go through the tree in passes of ``aggregate_images``:
+    consecutive images are quantized together, at most ``PASS_ROWS`` (2**14)
+    rows per pass, an image with more rows in a pass of its own, and the
+    results are split back by image.  Every column is therefore bit-identical
+    to per-image ``compute_bow``, ``compute_vlad`` and ``encode``.  An empty
+    or non-finite descriptor set raises ``ValueError``.
+    """
     ids = list(descriptors_by_id)
-    bows = {}
-    vlads = {}
-    codes = {}
-    for image_id in ids:
-        X = descriptors_by_id[image_id]
-        bows[image_id] = compute_bow(tree, X)
-        vlad = compute_vlad(tree, X, "none")
-        vlads[image_id] = vlad
-        codes[image_id] = encode(model, vlad)
+    bow_rows, vlad_rows = aggregate_images(tree, [descriptors_by_id[i] for i in ids])
+    bows = dict(zip(ids, bow_rows))
+    vlads = dict(zip(ids, vlad_rows))
+    codes = {image_id: encode(model, vlad) for image_id, vlad in vlads.items()}
     return DatabaseIndex(
         tree=tree,
         ids=ids,

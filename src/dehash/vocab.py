@@ -140,21 +140,89 @@ def cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
+def _pairwise_column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a ``(d, n)`` array, added as numpy adds each row of
+    its C-ordered ``(n, d)`` transpose; ``a`` is used as scratch space.
+
+    ``np.sum(x, axis=1)`` on a C-contiguous ``(n, d)`` array sums each row by
+    numpy's pairwise scheme: below 8 terms one running sum from 0; up to 128
+    terms eight running sums over strides of 8, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    remainder added one by one; above 128 terms the two halves split at the
+    multiple of 8 at or below ``d // 2``, each summed the same way.  Doing
+    the same additions on whole length-``n`` rows gives each column's sum bit
+    for bit (for the non-negative squares summed here; numpy would turn a
+    ``-0.0`` total into ``+0.0``).
+    """
+    d = a.shape[0]
+    if d < 8:
+        total = np.zeros(a.shape[1])
+        for row in a:
+            total += row
+        return total
+    if d <= 128:
+        stop = d - d % 8
+        r = a[:8]
+        for i in range(8, stop, 8):
+            r += a[i : i + 8]
+        pairs = r[0::2]
+        pairs += r[1::2]  # rows 0, 2, 4, 6: r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        quads = pairs[0::2]
+        quads += pairs[1::2]  # rows 0, 4: (r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)
+        total = quads[0] + quads[1]
+        for i in range(stop, d):
+            total += a[i]
+        return total
+    half = d // 2
+    half -= half % 8
+    return _pairwise_column_sums(a[:half]) + _pairwise_column_sums(a[half:])
+
+
+def _weighted_pick(d2: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to ``d2``, or uniformly
+    when every weight is zero.
+
+    The draw is the one ``rng.choice(len(d2), p=d2 / total)`` makes: the same
+    cumulative sum, renormalization and ``searchsorted`` of one
+    ``rng.random()``, without re-validating the weights on every call.  A
+    total that overflows raises ``ValueError``, as ``rng.choice`` does.
+    """
+    total = float(d2.sum())
+    if not total > 0.0:
+        return int(rng.integers(len(d2)))
+    if total == np.inf:
+        raise ValueError("squared distances overflow float64")
+    cdf = (d2 / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed k centers with D^2-weighted sampling from the data points."""
+    """Seed k centers with D^2-weighted sampling from the data points.
+
+    The points are kept column-major, so each seed's squared distances take
+    a few operations on whole length-``n`` rows; ``_pairwise_column_sums``
+    adds them in the order of ``np.sum((points - c) ** 2, axis=1)`` on
+    C-ordered points, and ``_weighted_pick`` draws as ``rng.choice`` does, so
+    the centers equal those of that row-major loop bit for bit.  When every
+    point coincides with a chosen center, the next is drawn uniformly.
+    """
+    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
+    buf = np.empty_like(columns)
+
+    def sq_dist(center: np.ndarray) -> np.ndarray:
+        np.subtract(columns, center[:, None], out=buf)
+        np.square(buf, out=buf)
+        return _pairwise_column_sums(buf)
+
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = sq_dist(centers[0])
     for j in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            pick = int(rng.choice(n, p=d2 / total))
-        else:
-            # All remaining points coincide with chosen centers.
-            pick = int(rng.integers(n))
-        centers[j] = points[pick]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        centers[j] = points[_weighted_pick(d2, rng)]
+        np.minimum(d2, sq_dist(centers[j]), out=d2)
     return centers
 
 
@@ -326,9 +394,36 @@ def _descriptor_rows(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarra
     return X
 
 
+def assign_descriptors(
+    tree: VocabularyTree, descriptors: np.ndarray, leaves: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The descriptors as float64 rows, each row's coarse-center id and, when
+    ``leaves``, its leaf id (lowest id on exact ties at either level).
+
+    The coarse centers are searched once for all rows; a row's leaf is the
+    nearest leaf under its coarse center, found with the rows grouped by
+    coarse center, one ``nearest_center`` call per subtree.  Every id is an
+    exact argmin of that row alone, so it does not depend on which other
+    rows share the call.  Non-finite rows or a wrong dimension raise
+    ``ValueError``.
+    """
+    X = _descriptor_rows(tree, descriptors)
+    vlad_ids = nearest_center(X, tree.vlad_centers)
+    if not leaves:
+        return X, vlad_ids, None
+    leaf_ids = np.empty(X.shape[0], dtype=np.int64)
+    order = np.argsort(vlad_ids, kind="stable")
+    bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
+    for v in np.flatnonzero(np.diff(bounds)):
+        rows = order[bounds[v] : bounds[v + 1]]
+        pool = subtree_leaves(tree, int(v))
+        leaf_ids[rows] = pool[nearest_center(X[rows], tree.leaf_centers[pool])]
+    return X, vlad_ids, leaf_ids
+
+
 def vlad_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
     """Coarse-center id for each descriptor row."""
-    return nearest_center(_descriptor_rows(tree, descriptors), tree.vlad_centers)
+    return assign_descriptors(tree, descriptors, leaves=False)[1]
 
 
 def quantize_vlad(tree: VocabularyTree, descriptor: np.ndarray) -> int:
@@ -345,21 +440,8 @@ def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
 
 def leaf_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
     """Leaf id per descriptor row: the nearest leaf under the coarse center
-    ``vlad_assignments`` picks (lowest id on exact ties).
-
-    Rows are grouped by coarse center, so each subtree's leaves are scanned
-    by one ``nearest_center`` call.
-    """
-    X = _descriptor_rows(tree, descriptors)
-    vlad_ids = nearest_center(X, tree.vlad_centers)
-    leaves = np.empty(X.shape[0], dtype=np.int64)
-    order = np.argsort(vlad_ids, kind="stable")
-    bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
-    for v in np.flatnonzero(np.diff(bounds)):
-        rows = order[bounds[v] : bounds[v + 1]]
-        pool = subtree_leaves(tree, int(v))
-        leaves[rows] = pool[nearest_center(X[rows], tree.leaf_centers[pool])]
-    return leaves
+    ``vlad_assignments`` picks (lowest id on exact ties)."""
+    return assign_descriptors(tree, descriptors)[2]
 
 
 def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray) -> int:

@@ -1,11 +1,14 @@
-"""Frozen chunked difference-scan quantizer: the reference the GEMM kernel must match.
+"""Frozen quantizer and seeder references the production kernels must match.
 
 ``nearest_center_reference`` is the ``nearest_center`` that ``dehash.vocab``
 shipped before it scored centers with one matrix product, and
 ``lloyd_reference`` the Lloyd iteration built on it, summing clusters with
-``np.add.at``.  Both are kept unchanged so the parity tests can require
-identical assignments (ties and non-finite rows included) and identical
-trained centers.  Do not edit them to follow the production code.
+``np.add.at``.  ``kmeans_pp_init_reference`` is the row-major k-means++
+seeder (``np.sum`` per seed, ``rng.choice`` per draw) shipped before the
+column-major one.  All are kept unchanged so the parity tests can require
+identical assignments (ties and non-finite rows included), identical seeds
+and identical trained centers.  Do not edit them to follow the production
+code.
 """
 
 import numpy as np
@@ -56,3 +59,21 @@ def lloyd_reference(points, centers, max_iter=50, tol=1e-6):
         if shift < tol:
             break
     return centers, nearest_center_reference(points, centers)
+
+
+def kmeans_pp_init_reference(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Seed k centers with D^2-weighted sampling from the data points."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            pick = int(rng.choice(n, p=d2 / total))
+        else:
+            # All remaining points coincide with chosen centers.
+            pick = int(rng.integers(n))
+        centers[j] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dehash import aggregate
 from dehash.aggregate import (
     BowHistogram,
     VladVector,
+    aggregate_images,
     compute_bow,
     compute_vlad,
     load_descriptors,
@@ -55,6 +59,21 @@ class TestComputeBow:
     def test_empty_input(self, tree):
         with pytest.raises(ValueError):
             compute_bow(tree, np.empty((0, tree.dim)))
+
+
+class TestAggregateImages:
+    def test_vlads_only_equal_compute_vlad(self, tree):
+        # The training-VLAD path: no histograms, images split over passes.
+        rng = np.random.default_rng(43)
+        sets = [rng.normal(size=(rows, tree.dim)) for rows in (4, 1, 6, 25, 3)]
+        sets.append(np.asarray(tree.leaf_centers[:7], dtype=np.float32))
+        with mock.patch.object(aggregate, "PASS_ROWS", 10):
+            bows, vlads = aggregate_images(tree, sets, bow=False)
+        assert bows == []
+        for X, v in zip(sets, vlads, strict=True):
+            assert np.array_equal(v.subvectors, compute_vlad(tree, X).subvectors)
+            assert v.normalization == "none"
+        assert aggregate_images(tree, []) == ([], [])
 
 
 class TestComputeVlad:

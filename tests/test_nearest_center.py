@@ -1,5 +1,7 @@
-"""The matrix-product nearest-center kernel against the frozen difference scan."""
+"""The matrix-product nearest-center kernel and the column-major k-means++
+seeder against their frozen references."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -9,9 +11,17 @@ from hypothesis import strategies as st
 
 from dehash import retrieval, vocab
 from dehash.retrieval import train_pq
-from dehash.vocab import cluster_sums, lloyd, nearest_center, train_vocabulary
+from dehash.vocab import (
+    _pairwise_column_sums,
+    _weighted_pick,
+    cluster_sums,
+    kmeans_pp_init,
+    lloyd,
+    nearest_center,
+    train_vocabulary,
+)
 
-from nearest_center_reference import lloyd_reference, nearest_center_reference
+from nearest_center_reference import kmeans_pp_init_reference, lloyd_reference, nearest_center_reference
 from test_vocab import gaussian_mixture
 
 
@@ -130,3 +140,131 @@ class TestTrainingParity:
         want = np.zeros((k, d))
         np.add.at(want, assign, rows)
         assert np.array_equal(cluster_sums(assign, rows, k), want)
+
+
+def frozen_training():
+    """Patch Lloyd and both imports of the seeder back to the frozen references."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(vocab, "lloyd", lloyd_reference))
+    stack.enter_context(mock.patch.object(retrieval, "lloyd", lloyd_reference))
+    stack.enter_context(mock.patch.object(vocab, "kmeans_pp_init", kmeans_pp_init_reference))
+    stack.enter_context(mock.patch.object(retrieval, "kmeans_pp_init", kmeans_pp_init_reference))
+    return stack
+
+
+@st.composite
+def seeding_inputs(draw):
+    """Points for every branch of the pairwise sum (d < 8, 8 <= d <= 128 and
+    the halving above 128), scales 1e-150 to 1e150, values on a coarse grid
+    (ties in the draw), duplicated rows and all-equal point sets (the
+    ``total == 0`` branch, with k above the number of distinct points)."""
+    d = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
+    n = draw(st.integers(1, 600))
+    k = draw(st.integers(1, 24))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    kind = draw(st.sampled_from(["normal", "grid", "few-distinct", "all-equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        points = rng.standard_normal((n, d))
+    elif kind == "grid":
+        points = rng.integers(-2, 3, size=(n, d)) * 0.5
+    elif kind == "few-distinct":
+        distinct = rng.standard_normal((draw(st.integers(1, 3)), d))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        points = np.repeat(rng.standard_normal((1, d)), n, axis=0)
+    return points * scale, k, draw(st.integers(0, 2**32 - 1))
+
+
+class FixedDraws(np.random.Generator):
+    """A generator whose ``random()`` returns the given values in turn, so a
+    test can put the uniform draw exactly on a cumulative-weight boundary;
+    ``rng.choice`` calls the override too."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = list(values)
+
+    def random(self, *args, **kwargs):
+        return self.values.pop(0)
+
+
+class TestSeedingParity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_sums_equal_np_sum(self, n, d, exponent, seed):
+        # Each branch of numpy's pairwise sum (below 8 terms, up to 128, the
+        # halving above), on values whose sums round differently by order.
+        rng = np.random.default_rng(seed)
+        squares = rng.standard_normal((n, d)) ** 2 * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        squares *= 10.0**exponent
+        want = np.sum(squares, axis=1)
+        assert np.array_equal(_pairwise_column_sums(np.ascontiguousarray(squares.T)), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 1.0, 3.0, 0.1, 1e-300, 7e12]), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pick_equals_choice(self, weights, seed):
+        d2 = np.array(weights) * np.random.default_rng(seed).uniform(0.5, 2.0, size=len(weights))
+        total = float(d2.sum())
+        if not total > 0.0:
+            want = int(np.random.default_rng(seed).integers(len(d2)))
+            assert _weighted_pick(d2, np.random.default_rng(seed)) == want
+            return
+        # Draws on, just below and just above every cumulative boundary, both
+        # as rng.choice renormalizes them and as they are before that.
+        raw = (d2 / total).cumsum()
+        draws = [0.0, float(np.random.default_rng(seed).random())]
+        for edge in np.concatenate([raw, raw / raw[-1]]):
+            if edge < 1.0:
+                draws += [float(edge), float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 1.0))]
+        for u in draws:
+            want = int(FixedDraws([u]).choice(len(d2), p=d2 / total))
+            assert _weighted_pick(d2, FixedDraws([u])) == want, u
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=seeding_inputs())
+    def test_equals_frozen_seeder(self, data):
+        points, k, seed = data
+        got = kmeans_pp_init(points, k, np.random.default_rng(seed))
+        want = kmeans_pp_init_reference(points, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_strided_column_slices(self):
+        # train_pq seeds from column slices of one matrix, as here.
+        vectors = np.random.default_rng(3).standard_normal((500, 48))
+        for sub_dim in (3, 8, 16):
+            sub = vectors[:, :sub_dim]
+            got = kmeans_pp_init(sub, 32, np.random.default_rng(sub_dim))
+            want = kmeans_pp_init_reference(sub, 32, np.random.default_rng(sub_dim))
+            assert np.array_equal(got, want)
+
+    def test_overflowing_distances_rejected(self):
+        points = np.array([[0.0], [1e200]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            kmeans_pp_init(points, 2, np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            kmeans_pp_init_reference(points, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
+    def test_train_pq_equals_frozen_training(self, n):
+        vectors = gaussian_mixture(n, 12, 5, seed=n)
+        got = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+        with frozen_training():
+            want = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+        assert np.array_equal(got.codebooks, want.codebooks)
+
+    def test_train_vocabulary_equals_frozen_training(self):
+        X = gaussian_mixture(800, 4, 6, seed=41)
+        got = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
+        with frozen_training():
+            want = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
+        assert np.array_equal(got.vlad_centers, want.vlad_centers)
+        assert np.array_equal(got.leaf_centers, want.leaf_centers)

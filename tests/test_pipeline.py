@@ -105,6 +105,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="modes"):
             config_from_dict({"modes": ["bow", "something"]})
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("lam", -0.01, "lam"),
+            ("lam", float("nan"), "lam"),
+            ("alpha", 0.0, "alpha"),
+            ("alpha", 1.0, "alpha"),
+            ("alpha", 1.5, "alpha"),
+            ("top_r_binary", 0, "top_r_binary"),
+            ("top_r_gps", 0, "top_r_gps"),
+            ("top_r_pseudo", -1, "top_r_pseudo"),
+            ("cues", ("gps", "wifi"), "cues"),
+            ("cues", (), "cues"),
+            ("combine", "majority", "combine"),
+            ("prior_source", "gps", "prior source"),
+        ],
+    )
+    def test_bad_recon_params_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ReconParams(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            config_from_dict({"recon": {field: value}})
+
+    def test_valid_recon_params_accepted(self):
+        ReconParams(lam=0.0, alpha=0.5, top_r_binary=1, top_r_gps=1, top_r_pseudo=1,
+                    cues=("category",), combine="union", prior_source="binary")
+
 
 class TestMemoryTable:
     def test_matches_closed_forms(self):

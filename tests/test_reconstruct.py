@@ -105,6 +105,14 @@ class TestCandidates:
         cand = candidates_from_gps(index, index.gps["db_0"], top_r=1)
         assert set().union(*cand.per_center.values()) == set(index.bows["db_0"].counts)
 
+    @pytest.mark.parametrize("top_r", [0, -1])
+    def test_top_r_below_one_rejected(self, index, top_r):
+        ranking = Ranking(tuple((i, 0.0) for i in index.ids))
+        with pytest.raises(ValueError, match="top_r"):
+            candidates_from_binary(index, ranking, top_r=top_r)
+        with pytest.raises(ValueError, match="top_r"):
+            candidates_from_gps(index, index.gps["db_0"], top_r=top_r)
+
     def test_from_category_disjoint_pools(self, index):
         c0 = candidates_from_category(index, 0)
         c1 = candidates_from_category(index, 1)

@@ -33,7 +33,7 @@ from dehash.retrieval import (
     simulate_gps,
     train_pq,
 )
-from dehash import vocab
+from dehash import aggregate, vocab
 from dehash.vocab import train_vocabulary
 
 from test_vocab import gaussian_mixture
@@ -444,6 +444,71 @@ class TestBuildIndex:
         model = train_hashing(list(small_index.vlads.values()), "shared", nbits=tree.num_vlad_centers * 4, seed=3)
         with pytest.raises(ValueError, match="nonempty"):
             build_index(tree, model, {"a": np.ones((2, tree.dim)), "b": np.empty((0, tree.dim))})
+
+    @staticmethod
+    def expected_passes(sizes, pass_rows):
+        """Rows per pass: consecutive images while they fit, a larger image alone."""
+        passes = []
+        for size in sizes:
+            if passes and passes[-1] + size <= pass_rows:
+                passes[-1] += size
+            else:
+                passes.append(size)
+        return passes
+
+    @pytest.mark.parametrize("pass_rows", [1, 7, aggregate.PASS_ROWS])
+    def test_batched_passes_equal_per_image_results(self, small_index, pass_rows):
+        tree = small_index.tree
+        rng = np.random.default_rng(283)
+        leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
+        descriptors = {
+            "one": rng.normal(size=(1, tree.dim)),
+            "pair": rng.normal(size=(2, tree.dim)),
+            "on-leaves": leaves[rng.integers(0, tree.num_leaves, size=3)],
+            "dups": np.repeat(rng.normal(size=(3, tree.dim)), 4, axis=0),
+            "flat": rng.normal(size=tree.dim),
+            "f32": rng.normal(size=(17, tree.dim)).astype(np.float32),
+            "big": rng.normal(size=(aggregate.PASS_ROWS + 3, tree.dim)),  # beyond every pass
+            "tail": rng.normal(size=(5, tree.dim)),
+        }
+        sizes = [np.atleast_2d(X).shape[0] for X in descriptors.values()]
+        vlads = [compute_vlad(tree, X) for X in descriptors.values()]
+        model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
+        calls = []
+
+        def counting(tree_, X, leaves=True):
+            calls.append(len(X))
+            return vocab.assign_descriptors(tree_, X, leaves)
+
+        with mock.patch.object(aggregate, "PASS_ROWS", pass_rows), \
+                mock.patch.object(aggregate, "assign_descriptors", counting):
+            index = build_index(tree, model, descriptors)
+        assert calls == self.expected_passes(sizes, pass_rows)
+        assert len(calls) > 1
+        if pass_rows == 7:
+            assert calls[0] == 1 + 2 + 3  # three images share the first pass
+        for image_id, X in descriptors.items():
+            bow = compute_bow(tree, X)
+            vlad = compute_vlad(tree, X)
+            row = index.row(image_id)
+            s = index.bow.span(row)
+            assert dict(zip(index.bow.words[s].tolist(), index.bow.counts[s].tolist())) == bow.counts
+            assert np.array_equal(index._vlad_matrix[row], vlad.flattened())
+            assert np.array_equal(index._codes[row], encode(model, vlad).packed)
+
+    @pytest.mark.parametrize("pass_rows", [1, 7, aggregate.PASS_ROWS])
+    def test_bad_image_rejected_in_any_pass(self, small_index, pass_rows):
+        tree = small_index.tree
+        model = train_hashing(list(small_index.vlads.values()), "shared", nbits=tree.num_vlad_centers * 4, seed=3)
+        good = np.ones((3, tree.dim))
+        nan = np.ones((2, tree.dim))
+        nan[1, 0] = np.nan
+        with mock.patch.object(aggregate, "PASS_ROWS", pass_rows):
+            with pytest.raises(ValueError, match="nonempty"):
+                build_index(tree, model, {"a": good, "b": np.empty((0, tree.dim)), "c": good})
+            for bad in (nan, np.full((1, tree.dim), np.inf)):
+                with pytest.raises(ValueError, match="finite"):
+                    build_index(tree, model, {"a": good, "b": bad, "c": good})
 
 
 class TestScanErrors:
