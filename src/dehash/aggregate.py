@@ -193,19 +193,29 @@ def normalize_vlad(v: VladVector, mode: str) -> VladVector:
     ``intra-then-global-l2`` scales every nonzero sub-vector to unit norm
     first, then divides the whole vector by its norm.
     """
-    if mode == "none":
-        return VladVector(v.subvectors.copy(), "none")
+    return VladVector(normalize_vlads(v.subvectors[None], mode)[0], mode)
+
+
+def normalize_vlads(stack: np.ndarray, mode: str) -> np.ndarray:
+    """A normalized copy of an ``(n, N, D)`` stack of VLAD sub-vectors.
+
+    Each row comes out as :func:`normalize_vlad` makes it, bit for bit: the
+    sums run over each row's own sub-vectors and then over its flattened
+    ``N * D`` values, as one row alone would.
+    """
     if mode not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {mode!r}")
-    sub = v.subvectors.copy()
+    sub = stack.copy()
+    if mode == "none":
+        return sub
     if mode == "intra-then-global-l2":
-        norms = np.sqrt(np.sum(sub * sub, axis=1))
+        norms = np.sqrt(np.sum(sub * sub, axis=2))
         nonzero = norms > 0
-        sub[nonzero] /= norms[nonzero, None]
-    whole = float(np.sqrt(np.sum(sub * sub)))
-    if whole > 0:
-        sub /= whole
-    return VladVector(sub, mode)
+        sub[nonzero] /= norms[nonzero][:, None]
+    whole = np.sqrt(np.sum(sub * sub, axis=(1, 2)))
+    positive = whole > 0
+    sub[positive] /= whole[positive][:, None, None]
+    return sub
 
 
 def save_descriptors(path, descriptors: np.ndarray) -> None:

@@ -151,9 +151,9 @@ def candidates_from_binary(index: "DatabaseIndex", binary_ranking: "Ranking", to
     """Words occurring in the histograms of the top binary-ranked images."""
     if top_r < 1:
         raise ValueError("top_r must be >= 1")
-    if not binary_ranking.entries:
+    if not len(binary_ranking):
         raise ValueError("binary ranking is empty")
-    top = (image_id for image_id, _ in binary_ranking.entries[:top_r])
+    top = binary_ranking.top_ids(top_r)
     return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, top))
 
 
@@ -168,7 +168,7 @@ def candidates_from_gps(
     if query_gps is None:
         raise ValueError("query carries no GPS")
     ranking = rank_gps(index, query_gps)
-    nearest = (image_id for image_id, _ in ranking.entries[:top_r])
+    nearest = ranking.top_ids(top_r)
     return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, nearest))
 
 
@@ -283,14 +283,14 @@ def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> Bo
     """Mean of the L1-normalized histograms of the top-ranked images."""
     if top_r < 1:
         raise ValueError("top_r must be >= 1")
-    if not ranking.entries:
+    if not len(ranking):
         raise ValueError("ranking is empty")
     bow = index.bow
     if bow is None:
         raise ValueError("index stores no BoW histograms")
-    chosen = ranking.entries[:top_r]
+    chosen = ranking.top_ids(top_r)
     counts: dict[int, float] = {}
-    for image_id, _ in chosen:
+    for image_id in chosen:
         for leaf, value in zip(*bow.normalized(index.row(image_id))):
             counts[leaf] = counts.get(leaf, 0.0) + value / len(chosen)
     return BowHistogram(counts, index.tree.num_leaves)

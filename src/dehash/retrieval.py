@@ -19,10 +19,20 @@ the ascending image ids, so one stable sort of the scores gives the
   ``b``, which visits only the words each database image holds, evaluated on
   counts so that integer counts score exactly (see :func:`rank_bow`);
 * codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``;
-* VLAD: the raw ``(n, N*D)`` matrix and its ranking-normalized copy;
+* VLAD: the raw ``(n, N*D)`` matrix and its ranking-normalized copy, made
+  in one pass over the ``(n, N, D)`` stack; a query VLAD must have the
+  stored ``(N, D)`` shape;
 * PQ codes: an ``(n, m)`` matrix, scored by one look-up-table gather;
 * GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none),
   scored by a vectorized haversine.
+
+A :class:`Ranking` holds a scan's result as two arrays over the index's
+shared id table: the row order (the stable ``argsort`` of the scores) and
+the scores in that order.  Dropping the query is one integer mask, a
+position one comparison over the order, and the context cues and BRPK read
+only the leading ids (``top_ids``).  The metrics work from the positions of
+the relevant images.  The ``(image_id, score)`` tuples (``entries``) and
+``ids()`` are built only when asked for, as the text dump does.
 
 ``l1_histogram_distance``, ``hamming_distance``, ``adc_distance`` and
 ``haversine_m`` compare one pair at a time; they are the references the scans
@@ -34,38 +44,114 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import BowHistogram, VladVector, aggregate_images, normalize_vlad
+from .aggregate import BowHistogram, VladVector, aggregate_images, normalize_vlad, normalize_vlads
 from .hashing import BinaryCode, HashingModel, encode
 from .vocab import VocabularyTree, kmeans_pp_init, lloyd, nearest_center
 
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass
 class Ranking:
-    """Result list, best first: (image_id, score) with the mode's score convention."""
+    """Result list, best first, with the mode's score convention.
 
-    entries: tuple[tuple[str, float], ...]
-    degenerate: bool = False  # set when the query was empty and order is by id only
+    Held as arrays: ``_order`` lists rows of a shared id table ``_ids`` (a
+    ranking from an index uses the index's own table and row lookup) and
+    ``_scores`` the float64 score at each rank.  ``drop`` is one integer
+    mask, ``position`` one comparison over the order, and ``top_ids`` reads
+    only the leading rows.  ``entries`` (``(image_id, score)`` pairs) and
+    ``ids()`` are built on first use; building them is the only per-entry
+    Python work a ranking does.
+
+    ``Ranking(entries)`` accepts any pairs as given, out of order or with
+    repeated ids, and ``entries`` returns them unchanged; ``drop`` removes
+    every pair of an id and ``position`` finds its first.  ``degenerate`` is
+    set when the query was empty and the order is by id only.
+    """
+
+    __slots__ = ("_ids", "_rows", "_order", "_scores", "_entries", "degenerate")
+
+    def __init__(self, entries: Sequence[tuple[str, float]], degenerate: bool = False) -> None:
+        entries = tuple(entries)
+        rows: dict[str, int] = {}
+        order = [rows.setdefault(image_id, len(rows)) for image_id, _ in entries]
+        ids = np.empty(len(rows), dtype=object)
+        ids[:] = list(rows)
+        scores = np.array([score for _, score in entries], dtype=np.float64)
+        self._set(ids, rows, np.array(order, dtype=np.intp), scores, degenerate)
+        self._entries = entries
+
+    @classmethod
+    def _of_rows(
+        cls,
+        ids: np.ndarray,
+        rows: Mapping[str, int],
+        order: np.ndarray,
+        scores: np.ndarray,
+        degenerate: bool,
+    ) -> "Ranking":
+        """``ids[order[k]]`` at rank ``k + 1`` with ``scores[k]``; ``rows`` inverts ``ids``."""
+        ranking = cls.__new__(cls)
+        ranking._set(ids, rows, order, scores, degenerate)
+        return ranking
+
+    def _set(self, ids, rows, order, scores, degenerate) -> None:
+        self._ids = ids
+        self._rows = rows
+        self._order = order
+        self._scores = scores
+        self._entries: tuple[tuple[str, float], ...] | None = None
+        self.degenerate = degenerate
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        """``(image_id, score)`` pairs, best first."""
+        if self._entries is None:
+            self._entries = tuple(zip(self.ids(), self._scores.tolist()))
+        return self._entries
+
+    def __len__(self) -> int:
+        return len(self._order)
 
     def ids(self) -> list[str]:
-        return [image_id for image_id, _ in self.entries]
+        return self._ids[self._order].tolist()
+
+    def top_ids(self, n: int) -> list[str]:
+        """The ids of the first ``n`` entries (sliced as ``entries[:n]``)."""
+        return self._ids[self._order[:n]].tolist()
 
     def position(self, image_id: str) -> int:
-        """1-based rank of an image; raises if absent."""
-        for rank, (candidate, _) in enumerate(self.entries, start=1):
-            if candidate == image_id:
-                return rank
+        """1-based rank of an image's first entry; raises if absent."""
+        at = np.flatnonzero(self._order == self._rows.get(image_id, -1))
+        if at.size:
+            return int(at[0]) + 1
         raise ValueError(f"{image_id!r} not present in ranking")
 
+    def positions(self, image_ids: Iterable[str]) -> np.ndarray:
+        """Ascending 1-based ranks of every entry whose id is in ``image_ids``."""
+        hit = np.zeros(len(self._ids), dtype=bool)
+        hit[[self._rows[i] for i in image_ids if i in self._rows]] = True
+        return np.flatnonzero(hit[self._order]) + 1
+
     def drop(self, image_id: str) -> "Ranking":
-        return Ranking(
-            tuple(e for e in self.entries if e[0] != image_id), degenerate=self.degenerate
+        """This ranking without any entry of ``image_id``."""
+        keep = self._order != self._rows.get(image_id, -1)
+        return Ranking._of_rows(
+            self._ids, self._rows, self._order[keep], self._scores[keep], self.degenerate
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return self.degenerate == other.degenerate and self.entries == other.entries
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ranking(entries={self.entries!r}, degenerate={self.degenerate!r})"
 
 
 def ranking_dump_lines(query_id: str, ranking: Ranking) -> list[str]:
@@ -239,6 +325,7 @@ class DatabaseIndex:
         self.bow: BowMatrix | None = None
         self._vlad_matrix: np.ndarray | None = None
         self._rank_matrix: np.ndarray | None = None
+        self._vlad_shape: tuple[int, int] | None = None
         self._codes: np.ndarray | None = None
         self.nbits: int | None = None
         self._pq_codes: np.ndarray | None = None
@@ -257,9 +344,13 @@ class DatabaseIndex:
             shape = rows[0].subvectors.shape
             if any(v.subvectors.shape != shape for v in rows):
                 raise ValueError("VLADs differ in shape")
-            self._vlad_matrix = _readonly(np.array([v.flattened() for v in rows]))
-            self._rank_matrix = _readonly(
-                np.array([normalize_vlad(v, rank_normalization).flattened() for v in rows])
+            # Both matrices are allocated here and in normalize_vlads, not in
+            # a numpy Python helper, so tracemalloc charges them to dehash.
+            stack = _readonly(np.array([v.subvectors for v in rows]))
+            self._vlad_shape = shape
+            self._vlad_matrix = stack.reshape(len(rows), -1)
+            self._rank_matrix = _readonly(normalize_vlads(stack, rank_normalization)).reshape(
+                len(rows), -1
             )
             self.vlads = self._view(
                 lambda r: VladVector(self._vlad_matrix[r].reshape(shape), "none")
@@ -308,8 +399,7 @@ class DatabaseIndex:
     def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
         """Order every image by (score, id): rows are in id order, so a stable sort."""
         order = np.argsort(scores, kind="stable")
-        entries = zip(self._ids_array[order].tolist(), scores[order].tolist())
-        return Ranking(tuple(entries), degenerate=degenerate)
+        return Ranking._of_rows(self._ids_array, self._row, order, scores[order], degenerate)
 
 
 def build_index(
@@ -391,12 +481,27 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     return index._ranking(2.0 * (joint - np.add.reduceat(scaled, bow.indptr[:-1])) / joint)
 
 
+def _normalized_query(index: DatabaseIndex, query: VladVector) -> np.ndarray:
+    """``query`` flattened under the index's ranking normalization.
+
+    ``ValueError`` unless its ``(N, D)`` shape is the stored VLADs': a
+    query of another shape would broadcast against, or be normalized over
+    other sub-vectors than, the rows it is compared with.
+    """
+    if index._vlad_shape is None:
+        raise ValueError("index stores no VLADs")
+    if query.subvectors.shape != index._vlad_shape:
+        raise ValueError(
+            f"query VLAD has shape {query.subvectors.shape}, index VLADs {index._vlad_shape}"
+        )
+    return normalize_vlad(query, index.rank_normalization).flattened()
+
+
 def rank_vlad(index: DatabaseIndex, query: VladVector) -> Ranking:
     if not index.ids:
         raise ValueError("index is empty")
-    q = normalize_vlad(query, index.rank_normalization).flattened()
-    matrix = index.ranking_vlad_matrix()
-    return index._ranking(np.sqrt(np.sum((matrix - q) ** 2, axis=1)))
+    q = _normalized_query(index, query)
+    return index._ranking(np.sqrt(np.sum((index.ranking_vlad_matrix() - q) ** 2, axis=1)))
 
 
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
@@ -499,7 +604,7 @@ def rank_adc(index: DatabaseIndex, query: VladVector) -> Ranking:
     """Asymmetric ranking: exact (normalized) query vs quantized database."""
     if index.pq is None or index._pq_codes is None:
         raise ValueError("index has no trained product quantizer")
-    q = normalize_vlad(query, index.rank_normalization).flattened()
+    q = _normalized_query(index, query)
     books = index.pq.codebooks
     m, k, sub_dim = books.shape
     # Lookup-table evaluation: table[j, c] = ||q_j - center_{j,c}||^2, gathered
@@ -551,12 +656,9 @@ def rank_gps(index: DatabaseIndex, query_gps: tuple[float, float]) -> Ranking:
 def average_precision(ranking: Ranking, relevant: set[str]) -> float:
     if not relevant:
         raise ValueError("query has no relevant images")
-    hits = 0
     cum = 0.0
-    for rank, (image_id, _) in enumerate(ranking.entries, start=1):
-        if image_id in relevant:
-            hits += 1
-            cum += hits / rank
+    for hits, rank in enumerate(ranking.positions(relevant).tolist(), start=1):
+        cum += hits / rank
     return cum / len(relevant)
 
 
@@ -574,9 +676,7 @@ def recall_at(rankings: Mapping[str, Ranking], reference: Mapping[str, str], n: 
     """Fraction of queries whose single reference image appears in the top n."""
     if not rankings:
         raise ValueError("no queries")
-    hits = sum(
-        1 for q, r in rankings.items() if reference[q] in [i for i, _ in r.entries[:n]]
-    )
+    hits = sum(1 for q, r in rankings.items() if reference[q] in r.top_ids(n))
     return hits / len(rankings)
 
 

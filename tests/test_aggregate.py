@@ -12,6 +12,7 @@ from dehash.aggregate import (
     compute_vlad,
     load_descriptors,
     normalize_vlad,
+    normalize_vlads,
     save_descriptors,
 )
 from dehash.reconstruct import build_dictionary
@@ -135,6 +136,36 @@ class TestNormalization:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             normalize_vlad(VladVector(np.ones((2, 2))), "l3")
+        with pytest.raises(ValueError):
+            normalize_vlads(np.ones((1, 2, 2)), "l3")
+
+    @pytest.mark.parametrize("mode", ["none", "global-l2", "intra-then-global-l2"])
+    @pytest.mark.parametrize("shape", [(40, 8, 16), (9, 3, 5), (3, 64, 300), (0, 8, 16)])
+    def test_stack_equals_per_row_loop(self, mode, shape):
+        rng = np.random.default_rng(61)
+        stack = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e4], size=(shape[0], 1, 1))
+        stack[rng.random(shape[:2]) < 0.2] = 0  # zero sub-vectors
+        stack[::7] = 0  # zero rows
+        got = normalize_vlads(stack, mode)
+        assert got.shape == stack.shape and got.tobytes() == np.array(
+            [_normalize_row(row, mode) for row in stack]
+        ).reshape(shape).tobytes()
+        assert np.array_equal(stack[::7], np.zeros_like(stack[::7]))  # the input is not written
+
+
+def _normalize_row(sub, mode):
+    """One VLAD's normalization as a per-row loop computes it: the reference."""
+    sub = sub.copy()
+    if mode == "none":
+        return sub
+    if mode == "intra-then-global-l2":
+        norms = np.sqrt(np.sum(sub * sub, axis=1))
+        nonzero = norms > 0
+        sub[nonzero] /= norms[nonzero, None]
+    whole = float(np.sqrt(np.sum(sub * sub)))
+    if whole > 0:
+        sub /= whole
+    return sub
 
 
 class TestDescriptorFiles:

@@ -267,6 +267,9 @@ class TestRankQuery:
         dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
         entry_by_id = {e.image_id: e for e in dataset.entries}
         assert result.index.pq is not None
+        # Ranking, dropping, the context cues, BRPK and the metrics all read
+        # the arrays: the run builds no (image_id, score) tuples.
+        assert all(r._entries is None for rs in result.rankings.values() for r in rs.values())
         for qid in result.relevance:
             entry = entry_by_id[qid]
             ranked = rank_query(

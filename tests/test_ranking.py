@@ -1,0 +1,106 @@
+"""Array rankings against the frozen eager-tuple reference (ranking_reference.py)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ranking_reference as ref
+from dehash.retrieval import (
+    DatabaseIndex,
+    Ranking,
+    average_precision,
+    mean_ndcg,
+    recall_at,
+)
+
+POOL = [f"im{i}" for i in range(6)]
+ABSENT = "zz"
+# Scores drawn often from a few values, so rankings hold ties.
+SCORES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(-1e3, 1e3))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_same(got: Ranking, want: ref.Ranking, relevant: set[str], reference: str) -> None:
+    assert got.entries == want.entries
+    assert got.ids() == want.ids()
+    assert got.degenerate == want.degenerate
+    assert len(got) == len(want.entries)
+    for n in range(-1, len(want.entries) + 2):
+        assert got.top_ids(n) == [i for i, _ in want.entries[:n]]
+        assert recall_at({"q": got}, {"q": reference}, n) == ref.recall_at(
+            {"q": want}, {"q": reference}, n
+        )
+    for image_id in (*POOL, ABSENT):
+        assert outcome(got.position, image_id) == outcome(want.position, image_id)
+    # Metrics compare exactly: the same float additions in the same order.
+    assert average_precision(got, relevant) == ref.average_precision(want, relevant)
+    assert outcome(mean_ndcg, {"q": got}, {"q": reference}) == outcome(
+        ref.mean_ndcg, {"q": want}, {"q": reference}
+    )
+
+
+def check_against_reference(got: Ranking, want: ref.Ranking, data) -> None:
+    relevant = data.draw(st.sets(st.sampled_from([*POOL, ABSENT]), min_size=1), "relevant")
+    reference = data.draw(st.sampled_from([*POOL, ABSENT]), "reference")
+    dropped = data.draw(st.sampled_from([*POOL, ABSENT]), "dropped")
+    pairs = [
+        (got, want),
+        (got.drop(dropped), want.drop(dropped)),
+        (got.drop(dropped).drop(dropped), want.drop(dropped).drop(dropped)),
+        (Ranking(got.entries), ref.Ranking(want.entries)),
+        (Ranking(got.entries, not got.degenerate), ref.Ranking(want.entries, not want.degenerate)),
+    ]
+    for g, w in pairs:
+        assert_same(g, w, relevant, reference)
+    for g1, w1 in pairs:
+        for g2, w2 in pairs:
+            assert (g1 == g2) == (w1 == w2)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)),
+        degenerate=st.booleans(),
+        data=st.data(),
+    )
+    def test_index_rankings(self, ids, degenerate, data):
+        scores = np.array(
+            data.draw(st.lists(SCORES, min_size=len(ids), max_size=len(ids)), "scores"),
+            dtype=np.float64,
+        )
+        index = DatabaseIndex(tree=None, ids=ids, bows={}, vlads={}, codes={})
+        got = index._ranking(scores, degenerate)
+        want = ref.index_ranking(tuple(sorted(ids)), scores, degenerate)
+        check_against_reference(got, want, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(st.sampled_from(POOL), SCORES), max_size=8),
+        data=st.data(),
+    )
+    def test_rankings_from_entries(self, entries, data):
+        # Out of order and with repeated ids, as the benchmark self-test
+        # builds deliberately broken rankings.
+        entries = tuple(entries)
+        got = Ranking(entries)
+        assert got.entries is entries
+        check_against_reference(got, ref.Ranking(entries), data)
+
+
+def test_drop_keeps_the_shared_id_table():
+    index = DatabaseIndex(tree=None, ids=["b", "a", "c"], bows={}, vlads={}, codes={})
+    ranking = index._ranking(np.array([1.0, 0.0, 1.0]))
+    assert ranking.entries == (("b", 0.0), ("a", 1.0), ("c", 1.0))
+    dropped = ranking.drop("b")
+    assert dropped.entries == (("a", 1.0), ("c", 1.0))
+    assert dropped._ids is ranking._ids and dropped._rows is index._row
+    assert ranking.entries == (("b", 0.0), ("a", 1.0), ("c", 1.0))
+

@@ -528,6 +528,21 @@ class TestScanErrors:
         with pytest.raises(ValueError, match="images without GPS"):
             rank_gps(idx, (40.0, -74.0))
 
+    def test_vlad_scans_reject_other_shapes(self, small_index):
+        n, d = small_index.vlads[small_index.ids[0]].subvectors.shape
+        with_pq = DatabaseIndex(
+            tree=small_index.tree, ids=small_index.ids, bows={}, vlads=dict(small_index.vlads), codes={}
+        )
+        attach_pq(with_pq, train_pq(with_pq.ranking_vlad_matrix(), n, 2, seed=1))
+        # (1, 1) would broadcast, (d, n) has the stored flat length but other
+        # sub-vectors, and (n + 1, d) fails to broadcast.
+        for shape in ((1, 1), (d, n), (n + 1, d)):
+            query = VladVector(np.ones(shape))
+            for rank in (rank_vlad, rank_adc):
+                with pytest.raises(ValueError) as err:
+                    rank(with_pq, query)
+                assert str(shape) in str(err.value) and str((n, d)) in str(err.value)
+
     def test_rank_bow_rejects_other_vocabulary(self, small_index):
         m = small_index.tree.num_leaves
         for size in (m - 1, m + 1):
