@@ -87,17 +87,60 @@ class VladVector:
     def num_centers(self) -> int:
         return self.subvectors.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.subvectors.shape[1]
-
     def flattened(self) -> np.ndarray:
         return self.subvectors.reshape(-1)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, num_centers: int, normalization: str = "none") -> "VladVector":
-        flat = np.asarray(flat, dtype=np.float64)
-        return cls(flat.reshape(num_centers, -1), normalization)
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class BowMatrix:
+    """Sparse histograms as CSR rows, one per image, every array read-only.
+
+    Row ``r`` holds ``words[indptr[r]:indptr[r + 1]]`` in ascending order with
+    their raw ``counts``; ``mass[r]`` is the row's total, so the row's
+    L1-normalized weights are ``counts / mass[r]``.  ``entry_mass`` repeats
+    each row's total once per stored word, for the scan.  ``ValueError``
+    unless every row holds at least one word, ascending and inside the
+    vocabulary, with a positive count.
+    """
+
+    def __init__(
+        self, indptr: np.ndarray, words: np.ndarray, counts: np.ndarray, vocab_size: int
+    ) -> None:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        words = np.asarray(words, dtype=np.int32)
+        counts = np.asarray(counts, dtype=np.float64)
+        sizes = np.diff(indptr)
+        if indptr[0] != 0 or np.any(sizes < 1) or not indptr[-1] == len(words) == len(counts):
+            raise ValueError("every BoW row needs at least one word, and one count per word")
+        rising = np.diff(words) > 0
+        rising[indptr[1:-1] - 1] = True  # rows restart at their first word
+        if not (rising.all() and np.all(counts > 0) and np.all((0 <= words) & (words < vocab_size))):
+            raise ValueError(f"BoW rows need ascending words in [0, {vocab_size}) with positive counts")
+        self.indptr = _readonly(indptr)
+        self.words = _readonly(words)
+        self.counts = _readonly(counts)
+        self.mass = _readonly(np.add.reduceat(counts, indptr[:-1]))
+        self.entry_mass = _readonly(self.mass.repeat(sizes))
+        self.vocab_size = vocab_size
+
+    def span(self, row: int) -> slice:
+        return slice(int(self.indptr[row]), int(self.indptr[row + 1]))
+
+    def histogram(self, row: int) -> BowHistogram:
+        """Row ``row`` as a raw-count histogram."""
+        s = self.span(row)
+        return BowHistogram(
+            dict(zip(self.words[s].tolist(), self.counts[s].tolist())), self.vocab_size
+        )
+
+    def normalized(self, row: int) -> tuple[list[int], list[float]]:
+        """Row ``row``'s words and L1-normalized weights, ascending by word."""
+        s = self.span(row)
+        return self.words[s].tolist(), (self.counts[s] / self.mass[row]).tolist()
 
 
 def _descriptor_array(descriptors: np.ndarray) -> np.ndarray:
@@ -105,12 +148,6 @@ def _descriptor_array(descriptors: np.ndarray) -> np.ndarray:
     if X.shape[0] == 0:
         raise ValueError("descriptor set must be nonempty")
     return X
-
-
-def _histogram(counts: np.ndarray) -> BowHistogram:
-    """The non-zero entries of a per-leaf count vector."""
-    words = np.flatnonzero(counts)
-    return BowHistogram(dict(zip(words.tolist(), counts[words].astype(np.float64).tolist())), len(counts))
 
 
 def _residual_sums(
@@ -127,7 +164,9 @@ def _residual_sums(
 def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
     """Count descriptors per leaf visual word."""
     _, _, leaves = assign_descriptors(tree, _descriptor_array(descriptors))
-    return _histogram(np.bincount(leaves, minlength=tree.num_leaves))
+    counts = np.bincount(leaves, minlength=tree.num_leaves)
+    words = np.flatnonzero(counts)
+    return BowHistogram(dict(zip(words.tolist(), counts[words].astype(np.float64).tolist())), len(counts))
 
 
 def compute_vlad(
@@ -159,32 +198,46 @@ def _passes(sizes: Sequence[int]) -> Iterator[slice]:
 
 def aggregate_images(
     tree: VocabularyTree, descriptor_sets: Sequence[np.ndarray], bow: bool = True
-) -> tuple[list[BowHistogram], list[VladVector]]:
-    """Each descriptor set's BoW histogram (when ``bow``, else none) and raw VLAD.
+) -> tuple[BowMatrix | None, np.ndarray]:
+    """The index columns of ``descriptor_sets``, row ``r`` from set ``r``: the
+    BoW histograms as a :class:`BowMatrix` (when ``bow``, else ``None``) and
+    the ``(n, N, D)`` stack of raw VLADs.
 
     Consecutive sets are concatenated into passes of at most ``PASS_ROWS``
     rows.  Each pass searches the coarse centers once and each subtree's
-    leaves once (``assign_descriptors``), then splits the ids back by image
-    offsets into per-image leaf counts and residual sums, each image's rows
-    added in their own order.  Every histogram and VLAD therefore equals
-    ``compute_bow`` and ``compute_vlad`` of that set alone, bit for bit.  An
-    empty or non-finite set raises ``ValueError``.
+    leaves once (``assign_descriptors``).  One ``bincount`` keyed by (image,
+    leaf) gives the pass's ``(images, M)`` count matrix, whose non-zero
+    entries, read in row-major order, are its CSR rows, ascending by word; one
+    residual sum keyed by (image, center) gives its VLAD rows, each image's
+    rows added in their own order.  Row ``r`` therefore equals ``compute_bow``
+    and ``compute_vlad`` of set ``r`` alone, bit for bit.  An empty or
+    non-finite set raises ``ValueError``.
     """
     arrays = [_descriptor_array(X) for X in descriptor_sets]
-    bows: list[BowHistogram] = []
-    vlads: list[VladVector] = []
+    m = tree.num_leaves
+    vlads = np.empty((len(arrays), tree.num_vlad_centers, tree.dim))
+    indptr = np.zeros(len(arrays) + 1, dtype=np.int64)  # words per image, then summed
+    # Seeded with empty arrays so that no descriptor sets still concatenate.
+    words, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for run in _passes([X.shape[0] for X in arrays]):
         batch = arrays[run]
         X, vlad_ids, leaf_ids = assign_descriptors(
             tree, np.concatenate(batch, dtype=np.float64), leaves=bow
         )
         image = np.repeat(np.arange(len(batch)), [len(b) for b in batch])
-        vlads.extend(VladVector(sums) for sums in _residual_sums(tree, X, vlad_ids, image, len(batch)))
+        vlads[run] = _residual_sums(tree, X, vlad_ids, image, len(batch))
         if bow:
-            m = tree.num_leaves
-            counts = np.bincount(image * m + leaf_ids, minlength=len(batch) * m)
-            bows.extend(_histogram(row) for row in counts.reshape(len(batch), m))
-    return bows, vlads
+            flat = np.bincount(image * m + leaf_ids, minlength=len(batch) * m)
+            nonzero = np.flatnonzero(flat)
+            words.append(nonzero % m)
+            counts.append(flat[nonzero])
+            indptr[run.start + 1 : run.stop + 1] = np.bincount(nonzero // m, minlength=len(batch))
+    if not bow:
+        return None, vlads
+    np.cumsum(indptr, out=indptr)
+    return BowMatrix(
+        indptr, np.concatenate(words, dtype=np.int32), np.concatenate(counts, dtype=np.float64), m
+    ), vlads
 
 
 def normalize_vlad(v: VladVector, mode: str) -> VladVector:

@@ -44,6 +44,7 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
+    seen: set[str] = set()
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -52,6 +53,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 tab-separated fields, got {len(parts)}")
         image_id, desc_path, lat, lon, cat, rel = parts
+        if image_id in seen:
+            raise ValueError(f"{path}:{lineno}: image id {image_id!r} listed twice")
+        seen.add(image_id)
         gps = None if lat == "-" or lon == "-" else (float(lat), float(lon))
         category = None if cat == "-" else int(cat)
         relevant = tuple(r for r in rel.split(",") if r) if rel != "-" else ()

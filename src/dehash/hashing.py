@@ -120,18 +120,15 @@ def random_rotation(k: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _stack_training(vlads: Sequence[VladVector]) -> np.ndarray:
-    return np.stack([v.flattened() for v in vlads]).astype(np.float64)
-
-
 def train_hashing(
-    training_vlads: Sequence[VladVector],
+    training_vlads: np.ndarray | Sequence[VladVector],
     variant: str,
     nbits: int,
     seed: int = 0,
     rotate: bool = False,
 ) -> HashingModel:
-    """Fit a hashing model on raw (unnormalized) training VLADs.
+    """Fit a hashing model on raw (unnormalized) training VLADs, given as
+    ``VladVector``s or as their ``(n, N, D)`` stack.
 
     PCA bases keep the top eigenvectors of the training covariance; the rank
     bound ``K <= min(D*N, n-1)`` (or ``K/N <= D`` per sub-vector for the split
@@ -143,13 +140,15 @@ def train_hashing(
         raise ValueError("rotation is only defined for the joint variant")
     if len(training_vlads) == 0:
         raise ValueError("training set must be nonempty")
-    first = training_vlads[0]
-    n_centers, dim = first.num_centers, first.dim
+    if isinstance(training_vlads, np.ndarray):
+        stack = training_vlads.astype(np.float64)
+    else:
+        stack = np.array([v.subvectors for v in training_vlads], dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError("training VLADs disagree on their (N, D) shape")
+    n, n_centers, dim = stack.shape
     total = n_centers * dim
-    X = _stack_training(training_vlads)
-    if X.shape[1] != total:
-        raise ValueError("training vectors disagree on dimensionality")
-    n = X.shape[0]
+    X = stack.reshape(n, total)
 
     if variant == "sign":
         if nbits != total:
@@ -285,6 +284,15 @@ def encode(model: HashingModel, v: VladVector) -> BinaryCode:
     return BinaryCode.from_bits(bits)
 
 
+def encode_stack(model: HashingModel, vlads: np.ndarray) -> np.ndarray:
+    """The packed codes of an ``(n, N, D)`` stack of raw VLADs, one row each
+    as ``encode`` makes it, in an ``(n, ceil(K / 8))`` uint8 matrix."""
+    packed = np.empty((len(vlads), (model.nbits + 7) // 8), dtype=np.uint8)
+    for r, subvectors in enumerate(vlads):
+        packed[r] = encode(model, VladVector(subvectors)).packed
+    return packed
+
+
 def approximate_vlad(model: HashingModel, code: BinaryCode) -> VladVector:
     """Reverse a code into a raw-space approximated VLAD.
 
@@ -314,7 +322,7 @@ def approximate_vlad(model: HashingModel, code: BinaryCode) -> VladVector:
         w = np.asarray(model.projections, dtype=np.float64)
         blocks = scaled.reshape(model.num_centers, model.bits_per_center) @ w.T
         flat = (blocks + np.asarray(model.mean, dtype=np.float64)).reshape(-1)
-    return VladVector.from_flat(flat, model.num_centers)
+    return VladVector(flat.reshape(model.num_centers, -1))
 
 
 def transmission_size(code: BinaryCode, context: "ContextTag | None" = None) -> int:
@@ -391,6 +399,12 @@ def load_model(path) -> HashingModel:
     if n_centers == 0:
         raise ValueError(f"{path}: model has no VLAD centers")
     variant_key = _CODE_VARIANTS[variant_code]
+    # A header train_hashing cannot write would fail, or code wrongly, later.
+    split = variant_key in ("independent", "shared")
+    if (split and (nbits % n_centers or nbits // n_centers > dim)) or (
+        variant_key == "sign" and nbits != dim * n_centers
+    ):
+        raise ValueError(f"{path}: no {variant_key} model has {nbits} bits over N={n_centers}, D={dim}")
     mean_shape, proj_shape = _model_shapes(variant_key, dim, n_centers, nbits)
     rotation_shape = (nbits, nbits) if variant_key == "joint-rr" else (0,)
     shapes = (mean_shape, proj_shape, rotation_shape, (nbits,))

@@ -25,9 +25,9 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import hashing
-from .aggregate import aggregate_images, compute_bow, compute_vlad
+from .aggregate import BowMatrix, aggregate_images, compute_bow, compute_vlad
 from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
-from .hashing import HashingModel, approximate_vlad, encode, train_hashing
+from .hashing import HashingModel, approximate_vlad, encode, encode_stack, train_hashing
 from .reconstruct import (
     COMBINE_MODES,
     CandidateVWs,
@@ -44,7 +44,6 @@ from .retrieval import (
     DatabaseIndex,
     Ranking,
     attach_pq,
-    build_index,
     mean_average_precision,
     mean_ndcg,
     rank_adc,
@@ -134,6 +133,12 @@ class PQParams:
     bits: int = 8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.subvectors < 1:
+            raise ValueError(f"subvectors must be >= 1, got {self.subvectors}")
+        if not 1 <= self.bits <= 16:
+            raise ValueError(f"bits must lie in 1..16, got {self.bits}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -154,6 +159,11 @@ class ExperimentConfig:
         unknown = set(self.modes) - set(ALL_MODES)
         if unknown:
             raise ValueError(f"unknown modes: {sorted(unknown)}")
+        if any(n < 1 for n in self.recall_ns):
+            raise ValueError(f"recall_ns entries must be >= 1, got {self.recall_ns}")
+        for name in ("num_queries", "sweep_queries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -435,21 +445,23 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     )
     dataset = watch.run("dataset", lambda: _resolve_dataset(config, tree, workdir))
 
-    def _train_hash() -> HashingModel:
-        _, vlads = aggregate_images(tree, [dataset.descriptors[i] for i in dataset.ids], bow=False)
-        return train_hashing(
-            vlads, config.hash.variant, config.hash.nbits, config.hash.seed, config.hash.rotate
-        )
+    # The database is aggregated once, in the index's ascending-id row order;
+    # hashing trains on the same VLAD rows gathered back into manifest order.
+    ids = sorted(dataset.ids)
 
-    model = watch.run("train-hash", _train_hash)
+    def _train_hash() -> tuple[HashingModel, BowMatrix, np.ndarray]:
+        bow, vlads = aggregate_images(tree, [dataset.descriptors[i] for i in ids])
+        row = {image_id: r for r, image_id in enumerate(ids)}
+        h = config.hash
+        model = train_hashing(vlads[[row[i] for i in dataset.ids]], h.variant, h.nbits, h.seed, h.rotate)
+        return model, bow, vlads
+
+    model, bow, vlads = watch.run("train-hash", _train_hash)
     index = watch.run(
         "index",
-        lambda: build_index(
-            tree,
-            model,
-            dataset.descriptors,
-            gps=dataset.gps_by_id(),
-            categories=dataset.categories_by_id(),
+        lambda: DatabaseIndex(
+            tree, ids, bow, vlads, encode_stack(model, vlads), model.nbits,
+            dataset.gps_by_id(), dataset.categories_by_id(),
         ),
     )
     if "adc" in config.modes:

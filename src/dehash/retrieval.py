@@ -7,10 +7,10 @@ under Hamming distance, and product-quantized entries under asymmetric
 distance (exact query against quantized database).
 
 The index is columnar.  Each per-image representation is stored once, as an
-array with one row per image, built when the index is built, so each
-``rank_*`` computes the whole score vector in one numpy pass.  Rows follow
-the ascending image ids, so one stable sort of the scores gives the
-(score, id) order:
+array with one row per image, which ``build_index`` aggregates straight from
+the descriptors, so each ``rank_*`` computes the whole score vector in one
+numpy pass.  Rows follow the ascending image ids, so one stable sort of the
+scores gives the (score, id) order:
 
 * BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
   row's total, so a row's L1-normalized weights are its counts over its
@@ -48,8 +48,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import BowHistogram, VladVector, aggregate_images, normalize_vlad, normalize_vlads
-from .hashing import BinaryCode, HashingModel, encode
+from .aggregate import (
+    BowHistogram, BowMatrix, VladVector, _readonly, aggregate_images, normalize_vlad, normalize_vlads
+)
+from .hashing import BinaryCode, HashingModel, encode_stack
 from .vocab import VocabularyTree, kmeans_pp_init, lloyd, nearest_center
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -178,76 +180,6 @@ class PQCodebooks:
         return self.codebooks.shape[2]
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True, eq=False)
-class BowMatrix:
-    """Sparse histograms as CSR rows, built by :meth:`from_histograms`.
-
-    Row ``r`` holds ``words[indptr[r]:indptr[r + 1]]`` in ascending order with
-    their raw ``counts``; ``mass[r]`` is the row's total, so the row's
-    L1-normalized weights are ``counts / mass[r]``.  ``entry_mass`` repeats
-    each row's total once per stored word, for the scan.  Rows are never empty.
-    """
-
-    indptr: np.ndarray  # (n + 1,) int64
-    words: np.ndarray  # (nnz,) int32
-    counts: np.ndarray  # (nnz,) float64
-    mass: np.ndarray  # (n,) float64
-    entry_mass: np.ndarray  # (nnz,) float64
-    vocab_size: int
-
-    @classmethod
-    def from_histograms(cls, histograms: Sequence[BowHistogram], vocab_size: int) -> "BowMatrix":
-        indptr = np.zeros(len(histograms) + 1, dtype=np.int64)
-        words, counts = [], []
-        for r, h in enumerate(histograms):
-            if h.vocab_size != vocab_size:
-                raise ValueError(f"histogram over {h.vocab_size} words, index vocabulary is {vocab_size}")
-            if not h.counts:
-                raise ValueError("stored histograms must not be empty")
-            row_words, row_counts = _sorted_entries(h)
-            words.append(row_words.astype(np.int32))
-            counts.append(row_counts)
-            indptr[r + 1] = indptr[r] + len(row_words)
-        counts_all = np.concatenate(counts)
-        mass = np.add.reduceat(counts_all, indptr[:-1])
-        return cls(
-            indptr=_readonly(indptr),
-            words=_readonly(np.concatenate(words)),
-            counts=_readonly(counts_all),
-            mass=_readonly(mass),
-            entry_mass=_readonly(mass.repeat(np.diff(indptr))),
-            vocab_size=vocab_size,
-        )
-
-    def span(self, row: int) -> slice:
-        return slice(int(self.indptr[row]), int(self.indptr[row + 1]))
-
-    def histogram(self, row: int) -> BowHistogram:
-        """Row ``row`` as the raw-count histogram it was built from."""
-        s = self.span(row)
-        return BowHistogram(
-            dict(zip(self.words[s].tolist(), self.counts[s].tolist())), self.vocab_size
-        )
-
-    def normalized(self, row: int) -> tuple[list[int], list[float]]:
-        """Row ``row``'s words and L1-normalized weights, ascending by word."""
-        s = self.span(row)
-        return self.words[s].tolist(), (self.counts[s] / self.mass[row]).tolist()
-
-
-def _sorted_entries(h: BowHistogram) -> tuple[np.ndarray, np.ndarray]:
-    """Word ids in ascending order and their values, as a CSR row stores them."""
-    words = np.fromiter(h.counts.keys(), dtype=np.int64, count=len(h.counts))
-    values = np.fromiter(h.counts.values(), dtype=np.float64, count=len(h.counts))
-    order = np.argsort(words, kind="stable")
-    return words[order], values[order]
-
-
 class _ByRow(Mapping):
     """Read-only by-id view of one stored column; ``make(row)`` builds a value."""
 
@@ -286,48 +218,51 @@ _EMPTY: Mapping = MappingProxyType({})
 
 
 class DatabaseIndex:
-    """All stored per-image representations, derived from one descriptor set each.
+    """All stored per-image representations, as columns with one row per image.
 
-    Built from per-image mappings (``build_index`` computes them from
-    descriptors), it keeps only columns: row ``r`` of every array belongs to
-    ``ids[r]``, and ``ids`` are in ascending order, so a stable sort of a
-    score vector breaks ties by id.  BoW histograms become a
-    :class:`BowMatrix`, VLADs a raw ``(n, N*D)`` matrix plus its
-    ranking-normalized copy, codes an ``(n, K/8)`` uint8 matrix, GPS an
-    ``(n, 2)`` radians matrix with NaN rows for images without a fix;
-    ``attach_pq`` adds an ``(n, m)`` PQ code matrix.
-    ``bows``, ``vlads``, ``codes``, ``pq_codes`` and ``gps`` are read-only
-    by-id views over those arrays.  ``bows``, ``vlads`` and ``codes`` each
-    cover every image or, when not given, none; ``gps`` may miss some.
+    Row ``r`` of every column belongs to ``ids[r]``, and ``ids`` must be
+    strictly ascending, so a stable sort of a score vector breaks ties by id.
+    Each column is optional and, when given, has one row per id: ``bow``, a
+    :class:`BowMatrix` over the tree's leaves; ``vlads``, the ``(n, N, D)``
+    raw VLAD stack (both from ``aggregate_images``), kept as an ``(n, N*D)``
+    matrix plus its ranking-normalized copy; ``codes``, the packed
+    ``(n, ceil(nbits / 8))`` uint8 code matrix (``encode_stack``).  ``gps``
+    may miss images and becomes an ``(n, 2)`` radians matrix, NaN where an
+    image has no fix; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
+    column that breaks these rules raises ``ValueError``.  The arrays are made
+    read-only, and ``bows``, ``vlads``, ``codes``, ``pq_codes`` and ``gps``
+    are by-id views over them.
     """
 
     def __init__(
         self,
         tree: VocabularyTree,
         ids: Sequence[str],
-        bows: Mapping[str, BowHistogram],
-        vlads: Mapping[str, VladVector],
-        codes: Mapping[str, BinaryCode],
+        bow: BowMatrix | None = None,
+        vlads: np.ndarray | None = None,
+        codes: np.ndarray | None = None,
+        nbits: int | None = None,
         gps: Mapping[str, tuple[float, float]] | None = None,
         categories: Mapping[str, int] | None = None,
         rank_normalization: str = "intra-then-global-l2",
     ) -> None:
         self.tree = tree
-        self.ids = tuple(sorted(ids))
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("image ids must be unique")
+        self.ids = tuple(ids)
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("image ids must be strictly ascending")
+        n = len(self.ids)
         self.categories = dict(categories or {})
         self.rank_normalization = rank_normalization
         self.pq: PQCodebooks | None = None
         self._row = {image_id: r for r, image_id in enumerate(self.ids)}
         self._ids_array = np.array(self.ids, dtype=object)
 
-        self.bow: BowMatrix | None = None
+        self.bow = bow
         self._vlad_matrix: np.ndarray | None = None
         self._rank_matrix: np.ndarray | None = None
         self._vlad_shape: tuple[int, int] | None = None
         self._codes: np.ndarray | None = None
-        self.nbits: int | None = None
+        self.nbits = nbits
         self._pq_codes: np.ndarray | None = None
         self._gps: np.ndarray | None = None
         self.bows: Mapping[str, BowHistogram] = _EMPTY
@@ -336,37 +271,34 @@ class DatabaseIndex:
         self.pq_codes: Mapping[str, np.ndarray] = _EMPTY
         self.gps: Mapping[str, tuple[float, float]] = _EMPTY
 
-        if self._covers("bows", bows):
-            self.bow = BowMatrix.from_histograms([bows[i] for i in self.ids], tree.num_leaves)
-            self.bows = self._view(self.bow.histogram)
-        if self._covers("vlads", vlads):
-            rows = [vlads[i] for i in self.ids]
-            shape = rows[0].subvectors.shape
-            if any(v.subvectors.shape != shape for v in rows):
-                raise ValueError("VLADs differ in shape")
-            # Both matrices are allocated here and in normalize_vlads, not in
-            # a numpy Python helper, so tracemalloc charges them to dehash.
-            stack = _readonly(np.array([v.subvectors for v in rows]))
-            self._vlad_shape = shape
-            self._vlad_matrix = stack.reshape(len(rows), -1)
-            self._rank_matrix = _readonly(normalize_vlads(stack, rank_normalization)).reshape(
-                len(rows), -1
-            )
+        if bow is not None:
+            _check_rows("BoW", len(bow.indptr) - 1, n)
+            if bow.vocab_size != tree.num_leaves:
+                raise ValueError(f"BoW over {bow.vocab_size} words, index vocabulary is {tree.num_leaves}")
+            self.bows = self._view(bow.histogram)
+        if vlads is not None:
+            if vlads.ndim != 3:
+                raise ValueError(f"VLADs must be an (n, N, D) stack, got shape {vlads.shape}")
+            _check_rows("VLAD", len(vlads), n)
+            shape = self._vlad_shape = vlads.shape[1:]
+            flat = (n, math.prod(shape))
+            self._vlad_matrix = _readonly(vlads).reshape(flat)
+            # normalize_vlads allocates the copy in dehash code, so tracemalloc charges it to dehash.
+            self._rank_matrix = _readonly(normalize_vlads(vlads, rank_normalization)).reshape(flat)
             self.vlads = self._view(
                 lambda r: VladVector(self._vlad_matrix[r].reshape(shape), "none")
             )
-        if self._covers("codes", codes):
-            rows = [codes[i] for i in self.ids]
-            self.nbits = rows[0].nbits
-            if any(c.nbits != self.nbits for c in rows):
-                raise ValueError("codes differ in length")
-            self._codes = _readonly(np.array([c.packed for c in rows]))
-            self.codes = self._view(lambda r: BinaryCode(self._codes[r], self.nbits))
+        if codes is not None:
+            if nbits is None or codes.shape[1:] != ((nbits + 7) // 8,):
+                raise ValueError(f"codes of shape {codes.shape} do not pack {nbits} bits per row")
+            _check_rows("code", len(codes), n)
+            self._codes = _readonly(np.asarray(codes, dtype=np.uint8))
+            self.codes = self._view(lambda r: BinaryCode(self._codes[r], nbits))
         if gps:
             unknown = [i for i in gps if i not in self._row]
             if unknown:
                 raise ValueError(f"GPS given for unknown images: {unknown[:3]}")
-            table = np.empty((len(self.ids), 2))
+            table = np.empty((n, 2))
             table.fill(np.nan)
             for image_id, (lat, lon) in gps.items():
                 table[self._row[image_id]] = (math.radians(lat), math.radians(lon))
@@ -375,14 +307,6 @@ class DatabaseIndex:
                 lambda r: (math.degrees(table[r, 0]), math.degrees(table[r, 1])),
                 present=_readonly(~np.isnan(table[:, 0])),
             )
-
-    def _covers(self, name: str, per_image: Mapping) -> bool:
-        """True when ``per_image`` holds every id, False when it is empty."""
-        if not per_image:
-            return False
-        if len(per_image) != len(self.ids) or any(i not in per_image for i in self.ids):
-            raise ValueError(f"{name} must cover every image id or none")
-        return True
 
     def _view(self, make: Callable[[int], object], present: np.ndarray | None = None) -> Mapping:
         return _ByRow(self.ids, self._row, make, present)
@@ -402,6 +326,11 @@ class DatabaseIndex:
         return Ranking._of_rows(self._ids_array, self._row, order, scores[order], degenerate)
 
 
+def _check_rows(column: str, rows: int, ids: int) -> None:
+    if rows != ids:
+        raise ValueError(f"{column} column has {rows} rows for {ids} image ids")
+
+
 def build_index(
     tree: VocabularyTree,
     model: HashingModel,
@@ -410,30 +339,19 @@ def build_index(
     categories: Mapping[str, int] | None = None,
     rank_normalization: str = "intra-then-global-l2",
 ) -> DatabaseIndex:
-    """Index a database: store BoW, raw VLAD, and binary code per image.
+    """Index a database: its BoW, raw VLAD and binary code columns.
 
-    The descriptors go through the tree in passes of ``aggregate_images``:
-    consecutive images are quantized together, at most ``PASS_ROWS`` (2**14)
-    rows per pass, an image with more rows in a pass of its own, and the
-    results are split back by image.  Every column is therefore bit-identical
-    to per-image ``compute_bow``, ``compute_vlad`` and ``encode``.  An empty
-    or non-finite descriptor set raises ``ValueError``.
+    The images, sorted by id, go through the tree in passes of
+    ``aggregate_images`` (at most ``PASS_ROWS`` rows each, an image with more
+    alone), which write the BoW CSR rows and the VLAD stack directly;
+    ``encode_stack`` hashes each VLAD row.  Every column is bit-identical to
+    per-image ``compute_bow``, ``compute_vlad`` and ``encode``.  An empty or
+    non-finite descriptor set raises ``ValueError``.
     """
-    ids = list(descriptors_by_id)
-    bow_rows, vlad_rows = aggregate_images(tree, [descriptors_by_id[i] for i in ids])
-    bows = dict(zip(ids, bow_rows))
-    vlads = dict(zip(ids, vlad_rows))
-    codes = {image_id: encode(model, vlad) for image_id, vlad in vlads.items()}
-    return DatabaseIndex(
-        tree=tree,
-        ids=ids,
-        bows=bows,
-        vlads=vlads,
-        codes=codes,
-        gps=gps,
-        categories=categories,
-        rank_normalization=rank_normalization,
-    )
+    ids = sorted(descriptors_by_id)
+    bow, vlads = aggregate_images(tree, [descriptors_by_id[i] for i in ids])
+    codes = encode_stack(model, vlads)
+    return DatabaseIndex(tree, ids, bow, vlads, codes, model.nbits, gps, categories, rank_normalization)
 
 
 def l1_histogram_distance(a: BowHistogram, b: BowHistogram) -> float:
@@ -471,8 +389,9 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     if not query.counts:
         # No words to compare against: fall back to a flagged id-order ranking.
         return index._ranking(np.full(len(index.ids), 2.0), degenerate=True)
-    words, values = _sorted_entries(query)
-    mass = float(values.sum())
+    words = np.fromiter(query.counts.keys(), dtype=np.int64, count=len(query.counts))
+    values = np.fromiter(query.counts.values(), dtype=np.float64, count=len(query.counts))
+    mass = float(values[np.argsort(words, kind="stable")].sum())  # ascending by word
     dense = np.zeros(bow.vocab_size, dtype=np.float64)
     dense[words] = values
     scaled = dense[bow.words] * bow.entry_mass
@@ -522,14 +441,12 @@ def rank_hamming(index: DatabaseIndex, query: BinaryCode) -> Ranking:
 
 
 def train_pq(
-    vectors: np.ndarray | Sequence[VladVector],
+    vectors: np.ndarray,
     num_subvectors: int,
     bits: int,
     seed: int = 0,
 ) -> PQCodebooks:
-    """Fit product-quantizer codebooks (k-means per sub-vector slice)."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = np.stack([v.flattened() for v in vectors])
+    """Fit product-quantizer codebooks (k-means per sub-vector slice) to ``(n, dim)`` rows."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n, total = vectors.shape
     if total % num_subvectors != 0:
@@ -676,6 +593,8 @@ def recall_at(rankings: Mapping[str, Ranking], reference: Mapping[str, str], n: 
     """Fraction of queries whose single reference image appears in the top n."""
     if not rankings:
         raise ValueError("no queries")
+    if n < 1:
+        raise ValueError(f"recall@{n} is undefined; n must be >= 1")
     hits = sum(1 for q, r in rankings.items() if reference[q] in r.top_ids(n))
     return hits / len(rankings)
 

@@ -421,14 +421,9 @@ def assign_descriptors(
     return X, vlad_ids, leaf_ids
 
 
-def vlad_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
-    """Coarse-center id for each descriptor row."""
-    return assign_descriptors(tree, descriptors, leaves=False)[1]
-
-
 def quantize_vlad(tree: VocabularyTree, descriptor: np.ndarray) -> int:
     """Nearest coarse center (lowest id on exact ties)."""
-    return int(vlad_assignments(tree, descriptor)[0])
+    return int(assign_descriptors(tree, descriptor, leaves=False)[1][0])
 
 
 def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
@@ -438,14 +433,9 @@ def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
     return np.flatnonzero(tree.parent_of_leaf == vlad_id).astype(np.int64)
 
 
-def leaf_assignments(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
-    """Leaf id per descriptor row: the nearest leaf under the coarse center
-    ``vlad_assignments`` picks (lowest id on exact ties)."""
-    return assign_descriptors(tree, descriptors)[2]
-
-
 def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray) -> int:
-    return int(leaf_assignments(tree, descriptor)[0])
+    """Nearest leaf under the nearest coarse center (lowest id on exact ties)."""
+    return int(assign_descriptors(tree, descriptor)[2][0])
 
 
 def save_tree(tree: VocabularyTree, path) -> None:

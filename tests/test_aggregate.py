@@ -6,6 +6,7 @@ import pytest
 from dehash import aggregate
 from dehash.aggregate import (
     BowHistogram,
+    BowMatrix,
     VladVector,
     aggregate_images,
     compute_bow,
@@ -69,12 +70,57 @@ class TestAggregateImages:
         sets = [rng.normal(size=(rows, tree.dim)) for rows in (4, 1, 6, 25, 3)]
         sets.append(np.asarray(tree.leaf_centers[:7], dtype=np.float32))
         with mock.patch.object(aggregate, "PASS_ROWS", 10):
-            bows, vlads = aggregate_images(tree, sets, bow=False)
-        assert bows == []
+            bow, vlads = aggregate_images(tree, sets, bow=False)
+        assert bow is None
+        assert vlads.shape == (len(sets), tree.num_vlad_centers, tree.dim)
         for X, v in zip(sets, vlads, strict=True):
-            assert np.array_equal(v.subvectors, compute_vlad(tree, X).subvectors)
-            assert v.normalization == "none"
-        assert aggregate_images(tree, []) == ([], [])
+            assert np.array_equal(v, compute_vlad(tree, X).subvectors)
+
+    def test_columns_equal_per_set_results(self, tree):
+        rng = np.random.default_rng(47)
+        sets = [rng.normal(size=(rows, tree.dim)) * 3 for rows in (4, 1, 6, 25, 3)]
+        with mock.patch.object(aggregate, "PASS_ROWS", 10):
+            bow, vlads = aggregate_images(tree, sets)
+        assert bow.indptr.dtype == np.int64 and bow.words.dtype == np.int32
+        for r, X in enumerate(sets):
+            s = bow.span(r)
+            assert bow.histogram(r).counts == compute_bow(tree, X).counts
+            assert list(bow.words[s]) == sorted(bow.words[s])
+            assert bow.mass[r] == len(X) and np.all(bow.entry_mass[s] == len(X))
+            assert np.array_equal(vlads[r], compute_vlad(tree, X).subvectors)
+
+    def test_no_sets(self, tree):
+        bow, vlads = aggregate_images(tree, [])
+        assert len(bow.indptr) == 1 and len(bow.words) == len(bow.counts) == len(bow.mass) == 0
+        assert vlads.shape == (0, tree.num_vlad_centers, tree.dim)
+
+
+class TestBowMatrix:
+    def test_rows_read_back(self):
+        bow = BowMatrix([0, 2, 3], [1, 4, 0], [2.0, 6.0, 1.0], 5)
+        assert bow.histogram(0).counts == {1: 2.0, 4: 6.0}
+        assert bow.normalized(0) == ([1, 4], [0.25, 0.75])
+        assert bow.mass.tolist() == [8.0, 1.0] and bow.entry_mass.tolist() == [8.0, 8.0, 1.0]
+        with pytest.raises(ValueError):
+            bow.counts[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "indptr, words, counts",
+        [
+            ([0, 2, 2], [1, 4], [2.0, 6.0]),  # an empty row
+            ([1, 2], [1, 4], [2.0, 6.0]),  # not starting at 0
+            ([0, 2], [1, 4, 0], [2.0, 6.0]),  # more words than the rows hold
+            ([0, 2], [1, 4], [2.0]),  # a word without a count
+            ([0, 2], [4, 1], [2.0, 6.0]),  # words descending within a row
+            ([0, 2], [1, 1], [2.0, 6.0]),  # a repeated word
+            ([0, 2], [1, 5], [2.0, 6.0]),  # outside the vocabulary
+            ([0, 2], [-1, 4], [2.0, 6.0]),
+            ([0, 2], [1, 4], [2.0, 0.0]),  # a zero count
+        ],
+    )
+    def test_malformed_rows_rejected(self, indptr, words, counts):
+        with pytest.raises(ValueError):
+            BowMatrix(indptr, words, counts, 5)
 
 
 class TestComputeVlad:

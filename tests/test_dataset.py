@@ -56,6 +56,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="m.tsv:1"):
             read_manifest(tmp_path / "m.tsv")
 
+    def test_repeated_image_id_rejected(self, tmp_path):
+        # The index keys every column by id, so a second line for an id
+        # would silently replace the first image's descriptors.
+        entries = [ManifestEntry(i, f"{i}.desc", None, None, ()) for i in ("a", "b", "a")]
+        write_manifest(tmp_path / "m.tsv", entries)
+        with pytest.raises(ValueError, match="m.tsv:3.*'a'"):
+            read_manifest(tmp_path / "m.tsv")
+
 
 class TestIngest:
     def test_loads_files_and_metadata(self, tmp_path):

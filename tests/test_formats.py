@@ -68,3 +68,31 @@ def test_model_without_centers_raises_value_error(tmp_path):
     path.write_bytes(MODEL_MAGIC + struct.pack("<B3I", 2, 4, 0, 8))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "variant, dim, n_centers, nbits",
+    [
+        (2, 4, 2, 3),  # shared: 3 bits do not split over 2 centers
+        (1, 4, 2, 3),  # independent, likewise
+        (2, 2, 2, 6),  # shared: 3 bits per center exceed D = 2
+        (1, 2, 2, 6),  # independent, likewise
+        (3, 4, 2, 5),  # sign: one bit per component, D*N = 8
+        (3, 4, 2, 9),
+    ],
+)
+def test_model_header_train_hashing_cannot_write_rejected(variant, dim, n_centers, nbits, tmp_path):
+    # The payload has exactly the length such a header asks for, so only the
+    # header itself can be at fault.
+    total = dim * n_centers
+    floats = {
+        1: total + dim * n_centers * (nbits // n_centers) + nbits,
+        2: dim + dim * (nbits // n_centers) + nbits,
+        3: nbits,
+    }[variant]
+    path = tmp_path / "bad-header.bin"
+    path.write_bytes(
+        MODEL_MAGIC + struct.pack("<B3I", variant, dim, n_centers, nbits) + bytes(4 * floats)
+    )
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)

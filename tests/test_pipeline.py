@@ -1,11 +1,14 @@
 import dataclasses
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from dehash.aggregate import compute_vlad
+from dehash import pipeline
+from dehash.aggregate import aggregate_images, compute_vlad
 from dehash.dataset import SyntheticSpec, ingest_dataset
-from dehash.hashing import approximate_vlad, encode
+from dehash.hashing import approximate_vlad, encode, save_model, train_hashing
 from dehash.pipeline import (
     ALL_MODES,
     ExperimentConfig,
@@ -23,6 +26,7 @@ from dehash.pipeline import (
     summarize_report,
 )
 from dehash.reconstruct import reconstruct_bow
+from dehash.retrieval import Ranking, recall_at
 
 
 def tiny_config(**overrides):
@@ -128,6 +132,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             config_from_dict({"recon": {field: value}})
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"recall_ns": [-1]}, "recall_ns"),
+            ({"recall_ns": [1, 0, 5]}, "recall_ns"),
+            ({"num_queries": 0}, "num_queries"),
+            ({"sweep_queries": 0}, "sweep_queries"),
+            ({"pq": {"bits": 17}}, "bits"),
+            ({"pq": {"bits": 0}}, "bits"),
+            ({"pq": {"subvectors": 0}}, "subvectors"),
+        ],
+    )
+    def test_bad_config_values_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(data)
+        with pytest.raises(ValueError, match=match):
+            if "pq" in data:
+                PQParams(**data["pq"])
+            else:
+                ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+    def test_recall_at_rejects_n_below_one(self):
+        ranking = Ranking((("a", 0.0), ("b", 1.0)))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="recall"):
+                recall_at({"q": ranking}, {"q": "b"}, n)
+
     def test_valid_recon_params_accepted(self):
         ReconParams(lam=0.0, alpha=0.5, top_r_binary=1, top_r_gps=1, top_r_pseudo=1,
                     cues=("category",), combine="union", prior_source="binary")
@@ -200,6 +231,29 @@ class TestRunPipeline:
         bad = tiny_config(tree=TreeParams(branch=1))
         with pytest.raises(StageError, match=r"\[train-tree\]"):
             run_pipeline(bad, out_dir=tmp_path)
+
+    def test_database_aggregated_once(self, tmp_path):
+        # One aggregation pass feeds both the hashing model and the index; the
+        # model is the one train_hashing fits on per-image VLADs in manifest order.
+        run_pipeline(tiny_config(modes=("hamming",)), out_dir=tmp_path / "synth")
+        data = tmp_path / "synth" / "data"
+        lines = (data / "manifest.tsv").read_text().splitlines()
+        # Ids out of ascending order, so the VLAD rows must be gathered back.
+        (data / "reversed.tsv").write_text("\n".join(reversed(lines)) + "\n")
+        config = tiny_config(modes=("bow", "hamming"), manifest=str(data / "reversed.tsv"))
+        with mock.patch.object(pipeline, "aggregate_images", wraps=aggregate_images) as spy, \
+                mock.patch.object(pipeline, "train_hashing", wraps=train_hashing) as train:
+            result = run_pipeline(config, out_dir=tmp_path)
+        assert spy.call_count == 1
+        dataset = ingest_dataset(data / "reversed.tsv")
+        assert dataset.ids == sorted(dataset.ids, reverse=True)
+        vlads = [compute_vlad(result.tree, dataset.descriptors[i]) for i in dataset.ids]
+        assert np.array_equal(train.call_args.args[0], np.array([v.subvectors for v in vlads]))
+        h = config.hash
+        save_model(result.model, tmp_path / "run.bin")
+        save_model(train_hashing(vlads, h.variant, h.nbits, h.seed, h.rotate), tmp_path / "want.bin")
+        assert (tmp_path / "run.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        assert result.index.ids == tuple(sorted(dataset.ids))
 
     def test_too_many_queries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="queries"):

@@ -22,6 +22,7 @@ from dehash.sparse import solve_nn_lasso
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
+from index_columns import index_of
 from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
 
@@ -360,13 +361,11 @@ class TestPseudoBow:
             assert h1.counts[k] == pytest.approx(h3.counts[k])
 
     def test_mean_of_disjoint_one_hots(self, tree):
-        from dehash.retrieval import DatabaseIndex
-
         bows = {
             "a": BowHistogram({0: 4.0}, tree.num_leaves),
             "b": BowHistogram({5: 2.0}, tree.num_leaves),
         }
-        idx = DatabaseIndex(tree=tree, ids=["a", "b"], bows=bows, vlads={}, codes={})
+        idx = index_of(tree=tree, ids=["a", "b"], bows=bows)
         h = pseudo_bow(idx, Ranking((("a", 0.0), ("b", 1.0))), top_r=2)
         assert h.counts == {0: 0.5, 5: 0.5}
 

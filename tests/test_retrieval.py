@@ -36,6 +36,7 @@ from dehash.retrieval import (
 from dehash import aggregate, vocab
 from dehash.vocab import train_vocabulary
 
+from index_columns import bow_matrix, index_of
 from test_vocab import gaussian_mixture
 
 
@@ -95,7 +96,7 @@ class TestRankBow:
             "img-a": BowHistogram({0: 3.0, 2: 2.0, 3: 1.0}, m),
             "img-c": BowHistogram({4: 1.0}, m),
         }
-        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        idx = index_of(tree=small_index.tree, ids=list(bows), bows=bows)
         query = BowHistogram({0: 3.0, 1: 5.0, 2: 11.0, 3: 7.0}, m)
         ranking = rank_bow(idx, query)
         assert ranking.entries == (("img-a", 10 / 13), ("img-b", 10 / 13), ("img-c", 2.0))
@@ -118,8 +119,8 @@ class TestRankVlad:
         tree = train_vocabulary(gaussian_mixture(400, 3, 4, seed=219), 2, 2, 1, seed=219)
         a = VladVector(np.array([[1.0, 0, 0], [0, 0, 0]]))
         b = VladVector(np.array([[0, 1.0, 0], [0, 0, 0]]))
-        idx = DatabaseIndex(
-            tree=tree, ids=["a"], bows={}, vlads={"a": a}, codes={},
+        idx = index_of(
+            tree=tree, ids=["a"], vlads={"a": a},
             rank_normalization="global-l2",
         )
         ranking = rank_vlad(idx, b)
@@ -217,8 +218,8 @@ class TestAdc:
             adc_distance(books, np.ones(16), codes[:3])
 
     def test_untrained_errors(self, small_index):
-        fresh = DatabaseIndex(
-            tree=small_index.tree, ids=["x"], bows={}, vlads={"x": small_index.vlads[small_index.ids[0]]}, codes={}
+        fresh = index_of(
+            tree=small_index.tree, ids=["x"], vlads={"x": small_index.vlads[small_index.ids[0]]}
         )
         with pytest.raises(ValueError, match="quantizer"):
             rank_adc(fresh, small_index.vlads[small_index.ids[0]])
@@ -363,7 +364,7 @@ class TestColumnarIndex:
         vlad = compute_vlad(tree, X)
         code = BinaryCode.from_bits(np.arange(small_index.nbits) % 3 == 0)
         bow = BowHistogram({4: 1.0, 0: 2.0, 1: 1.0}, tree.num_leaves)
-        idx = DatabaseIndex(
+        idx = index_of(
             tree=tree, ids=["b", "a"], bows={"a": bow, "b": bow}, vlads={"a": vlad, "b": vlad},
             codes={"a": code, "b": code}, gps={"a": (12.5, -3.25)},
         )
@@ -384,12 +385,33 @@ class TestColumnarIndex:
             small_index.codes[small_index.ids[0]].packed[0] = 0
 
     def test_partial_coverage_rejected(self, small_index):
-        first = small_index.ids[0]
-        with pytest.raises(ValueError, match="every image id"):
-            DatabaseIndex(
-                tree=small_index.tree, ids=[first, "other"], bows={first: small_index.bows[first]},
-                vlads={}, codes={},
-            )
+        # Each column holds one row per id, or is left out.
+        tree, first = small_index.tree, small_index.ids[0]
+        row = small_index.row(first)
+        columns = (
+            {"bow": bow_matrix([small_index.bows[first]], tree.num_leaves)},
+            {"vlads": small_index._vlad_matrix[row : row + 1].reshape(1, tree.num_vlad_centers, -1)},
+            {"codes": small_index._codes[row : row + 1], "nbits": small_index.nbits},
+        )
+        for column in columns:
+            with pytest.raises(ValueError, match="1 rows for 2 image ids"):
+                DatabaseIndex(tree, [first, "other"], **column)
+
+    def test_ids_must_ascend(self, small_index):
+        for ids in (["b", "a"], ["a", "a"], ["a", "c", "b"]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                DatabaseIndex(small_index.tree, ids)
+
+    def test_columns_must_fit_the_index(self, small_index):
+        tree, ids = small_index.tree, small_index.ids
+        with pytest.raises(ValueError, match="vocabulary"):
+            DatabaseIndex(tree, ids[:1], bow=bow_matrix([BowHistogram({0: 1.0}, 5)], 5))
+        with pytest.raises(ValueError, match="stack"):
+            DatabaseIndex(tree, ids, vlads=small_index._vlad_matrix)
+        with pytest.raises(ValueError, match="bits"):
+            DatabaseIndex(tree, ids, codes=small_index._codes, nbits=small_index.nbits + 8)
+        with pytest.raises(ValueError, match="bits"):
+            DatabaseIndex(tree, ids, codes=small_index._codes)
 
     @pytest.mark.parametrize("bits", [3, 9])
     def test_attach_pq_matches_per_row_encode(self, small_index, bits):
@@ -400,7 +422,7 @@ class TestColumnarIndex:
             f"v{i:04d}": VladVector(rng.normal(size=(tree.num_vlad_centers, tree.dim)))
             for i in range(700)
         }
-        idx = DatabaseIndex(tree=tree, ids=list(vlads), bows={}, vlads=vlads, codes={})
+        idx = index_of(tree=tree, ids=list(vlads), vlads=vlads)
         books = train_pq(idx.ranking_vlad_matrix(), 5, bits, seed=3)
         attach_pq(idx, books)
         matrix = idx.ranking_vlad_matrix()
@@ -439,6 +461,24 @@ class TestBuildIndex:
             assert np.array_equal(index._vlad_matrix[row], vlad.flattened())
             assert np.array_equal(index._codes[row], encode(model, vlad).packed)
 
+    def test_mapping_order_does_not_matter(self, small_index):
+        # A mapping in manifest order, ids not ascending, gives the same
+        # columns as the same images given in sorted order.
+        tree = small_index.tree
+        rng = np.random.default_rng(287)
+        names = ["im5", "im1", "im9", "im0", "im3", "im7"]
+        descriptors = {i: rng.normal(size=(int(rng.integers(1, 6)), tree.dim)) for i in names}
+        model = train_hashing(list(small_index.vlads.values()), "shared", nbits=tree.num_vlad_centers * 4, seed=3)
+        with mock.patch.object(aggregate, "PASS_ROWS", 7):
+            shuffled = build_index(tree, model, descriptors)
+            ordered = build_index(tree, model, {i: descriptors[i] for i in sorted(names)})
+        assert shuffled.ids == ordered.ids == tuple(sorted(names))
+        for column in ("indptr", "words", "counts", "mass", "entry_mass"):
+            assert np.array_equal(getattr(shuffled.bow, column), getattr(ordered.bow, column))
+        assert np.array_equal(shuffled._vlad_matrix, ordered._vlad_matrix)
+        assert np.array_equal(shuffled.ranking_vlad_matrix(), ordered.ranking_vlad_matrix())
+        assert np.array_equal(shuffled._codes, ordered._codes)
+
     def test_empty_descriptor_set_rejected(self, small_index):
         tree = small_index.tree
         model = train_hashing(list(small_index.vlads.values()), "shared", nbits=tree.num_vlad_centers * 4, seed=3)
@@ -461,16 +501,18 @@ class TestBuildIndex:
         tree = small_index.tree
         rng = np.random.default_rng(283)
         leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
+        # Keyed in ascending id order, the order build_index aggregates in.
         descriptors = {
-            "one": rng.normal(size=(1, tree.dim)),
-            "pair": rng.normal(size=(2, tree.dim)),
-            "on-leaves": leaves[rng.integers(0, tree.num_leaves, size=3)],
-            "dups": np.repeat(rng.normal(size=(3, tree.dim)), 4, axis=0),
-            "flat": rng.normal(size=tree.dim),
-            "f32": rng.normal(size=(17, tree.dim)).astype(np.float32),
-            "big": rng.normal(size=(aggregate.PASS_ROWS + 3, tree.dim)),  # beyond every pass
-            "tail": rng.normal(size=(5, tree.dim)),
+            "0-one": rng.normal(size=(1, tree.dim)),
+            "1-pair": rng.normal(size=(2, tree.dim)),
+            "2-on-leaves": leaves[rng.integers(0, tree.num_leaves, size=3)],
+            "3-dups": np.repeat(rng.normal(size=(3, tree.dim)), 4, axis=0),
+            "4-flat": rng.normal(size=tree.dim),
+            "5-f32": rng.normal(size=(17, tree.dim)).astype(np.float32),
+            "6-big": rng.normal(size=(aggregate.PASS_ROWS + 3, tree.dim)),  # beyond every pass
+            "7-tail": rng.normal(size=(5, tree.dim)),
         }
+        assert list(descriptors) == sorted(descriptors)
         sizes = [np.atleast_2d(X).shape[0] for X in descriptors.values()]
         vlads = [compute_vlad(tree, X) for X in descriptors.values()]
         model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
@@ -521,8 +563,8 @@ class TestScanErrors:
 
     def test_rank_gps_rejects_images_without_gps(self, small_index):
         ids = list(small_index.ids)
-        idx = DatabaseIndex(
-            tree=small_index.tree, ids=ids, bows={}, vlads={}, codes={},
+        idx = index_of(
+            tree=small_index.tree, ids=ids,
             gps={i: small_index.gps[i] for i in ids[1:]},
         )
         with pytest.raises(ValueError, match="images without GPS"):
@@ -530,8 +572,8 @@ class TestScanErrors:
 
     def test_vlad_scans_reject_other_shapes(self, small_index):
         n, d = small_index.vlads[small_index.ids[0]].subvectors.shape
-        with_pq = DatabaseIndex(
-            tree=small_index.tree, ids=small_index.ids, bows={}, vlads=dict(small_index.vlads), codes={}
+        with_pq = index_of(
+            tree=small_index.tree, ids=small_index.ids, vlads=dict(small_index.vlads)
         )
         attach_pq(with_pq, train_pq(with_pq.ranking_vlad_matrix(), n, 2, seed=1))
         # (1, 1) would broadcast, (d, n) has the stored flat length but other
@@ -642,7 +684,7 @@ class TestScanProperties:
         values, query, order = data
         bows = ids_for(values, order)
         query = query or next(iter(bows.values()))
-        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        idx = index_of(tree=small_index.tree, ids=list(bows), bows=bows)
         ranking = rank_bow(idx, query)
         want = sorted(
             ((i, l1_histogram_distance(query, h)) for i, h in bows.items()), key=lambda e: (e[1], e[0])
@@ -655,7 +697,7 @@ class TestScanProperties:
         values, query, order = data
         bows = ids_for(values, order)
         query = query or next(iter(bows.values()))
-        idx = DatabaseIndex(tree=small_index.tree, ids=list(bows), bows=bows, vlads={}, codes={})
+        idx = index_of(tree=small_index.tree, ids=list(bows), bows=bows)
         ranking = rank_bow(idx, query)
         assert sorted(ranking.ids()) == sorted(bows)
         for image_id, score in ranking.entries:
@@ -678,7 +720,7 @@ class TestScanProperties:
         values, query, order = data.draw(with_duplicates(code, st.none()))
         codes = ids_for(values, order)
         query = query or next(iter(codes.values()))
-        idx = DatabaseIndex(tree=small_index.tree, ids=list(codes), bows={}, vlads={}, codes=codes)
+        idx = index_of(tree=small_index.tree, ids=list(codes), codes=codes)
         ranking = rank_hamming(idx, query)
         want = sorted(
             ((i, float(hamming_distance(query, c))) for i, c in codes.items()), key=lambda e: (e[1], e[0])

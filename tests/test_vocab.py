@@ -5,14 +5,13 @@ import pytest
 
 from dehash.vocab import (
     VocabularyTree,
-    leaf_assignments,
+    assign_descriptors,
     load_tree,
     quantize_leaf,
     quantize_vlad,
     save_tree,
     subtree_leaves,
     train_vocabulary,
-    vlad_assignments,
 )
 
 
@@ -102,7 +101,7 @@ class TestTraining:
         oracle_centers, oracle_assign = oracle_kmeans(
             X, branch, np.random.default_rng([7, 1, 0])
         )
-        got_assign = vlad_assignments(tree, X)
+        got_assign = assign_descriptors(tree, X, leaves=False)[1]
         got = sse(X, np.asarray(tree.vlad_centers, dtype=np.float64), got_assign)
         want = sse(X, oracle_centers, oracle_assign)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
@@ -111,7 +110,7 @@ class TestTraining:
         for node in range(branch):
             pts = X[oracle_assign == node]
             c2, a2 = oracle_kmeans(pts, branch, np.random.default_rng([7, 2, node]))
-            leaf_ids = leaf_assignments(tree, pts)
+            leaf_ids = assign_descriptors(tree, pts)[2]
             got = sse(pts, np.asarray(tree.leaf_centers, dtype=np.float64), leaf_ids)
             want = sse(pts, c2, a2)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
@@ -172,9 +171,9 @@ class TestQuantization:
         rng = np.random.default_rng(23)
         Q = rng.normal(size=(500, tree.dim)) * 3
         Q[:20] = tree.leaf_centers[rng.integers(0, tree.num_leaves, 20)]
-        got = leaf_assignments(tree, Q)
+        _, vlad_ids, got = assign_descriptors(tree, Q)
         leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
-        for q, v, leaf in zip(Q, vlad_assignments(tree, Q), got):
+        for q, v, leaf in zip(Q, vlad_ids, got):
             pool = subtree_leaves(tree, int(v))
             d2 = [float(np.sum((q - leaves[t]) ** 2)) for t in pool]
             assert leaf == pool[int(np.argmin(d2))]
@@ -182,17 +181,18 @@ class TestQuantization:
     def test_leaf_ancestor_is_vlad_assignment(self, tree):
         rng = np.random.default_rng(29)
         Q = rng.normal(size=(200, tree.dim)) * 3
-        leaves = leaf_assignments(tree, Q)
-        assert np.array_equal(tree.parent_of_leaf[leaves].astype(np.int64), vlad_assignments(tree, Q))
+        _, vlad_ids, leaves = assign_descriptors(tree, Q)
+        assert np.array_equal(tree.parent_of_leaf[leaves].astype(np.int64), vlad_ids)
+        assert np.array_equal(assign_descriptors(tree, Q, leaves=False)[1], vlad_ids)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_descriptor_rejected(self, tree, bad):
         Q = np.zeros((3, tree.dim))
         Q[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            vlad_assignments(tree, Q)
+            assign_descriptors(tree, Q, leaves=False)
         with pytest.raises(ValueError, match="finite"):
-            leaf_assignments(tree, Q)
+            assign_descriptors(tree, Q)
 
     def test_dimension_mismatch(self, tree):
         with pytest.raises(ValueError):
@@ -234,7 +234,7 @@ class TestSerialization:
         loaded = load_tree(tmp_path / "tree.bin")
         rng = np.random.default_rng(31)
         Q = rng.normal(size=(100, tree.dim)) * 3
-        assert np.array_equal(leaf_assignments(loaded, Q), leaf_assignments(tree, Q))
+        assert np.array_equal(assign_descriptors(loaded, Q)[2], assign_descriptors(tree, Q)[2])
 
     @pytest.mark.parametrize("field", ["vlad_centers", "leaf_centers"])
     def test_non_finite_center_rejected(self, tree, field, tmp_path):
