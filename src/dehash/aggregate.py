@@ -97,14 +97,18 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 
 class BowMatrix:
-    """Sparse histograms as CSR rows, one per image, every array read-only.
+    """Sparse histograms as CSR rows, one per image, plus their posting lists;
+    every array read-only.
 
     Row ``r`` holds ``words[indptr[r]:indptr[r + 1]]`` in ascending order with
     their raw ``counts``; ``mass[r]`` is the row's total, so the row's
-    L1-normalized weights are ``counts / mass[r]``.  ``entry_mass`` repeats
-    each row's total once per stored word, for the scan.  ``ValueError``
-    unless every row holds at least one word, ascending and inside the
-    vocabulary, with a positive count.
+    L1-normalized weights are ``counts / mass[r]``.  The posting lists are
+    the same entries ordered by word (the inverted file): word ``w``'s
+    entries sit at ``posting_entries[posting_ptr[w]:posting_ptr[w + 1]]``
+    (positions in ``words`` and ``counts``, ascending) and belong to rows
+    ``posting_rows`` at the same places.  ``ValueError`` unless every row
+    holds at least one word, ascending and inside the vocabulary, with a
+    positive count.
     """
 
     def __init__(
@@ -124,8 +128,17 @@ class BowMatrix:
         self.words = _readonly(words)
         self.counts = _readonly(counts)
         self.mass = _readonly(np.add.reduceat(counts, indptr[:-1]))
-        self.entry_mass = _readonly(self.mass.repeat(sizes))
         self.vocab_size = vocab_size
+        # A stable sort keeps each word's entries ascending; on 16-bit keys
+        # numpy's stable sort is a radix sort.
+        keys = words.astype(np.uint16) if vocab_size <= 2**16 else words
+        position = np.int32 if len(words) <= np.iinfo(np.int32).max else np.int64
+        self.posting_entries = _readonly(keys.argsort(kind="stable").astype(position))
+        rows = np.arange(len(sizes), dtype=position).repeat(sizes)
+        self.posting_rows = _readonly(rows[self.posting_entries])
+        ptr = np.zeros(vocab_size + 1, dtype=np.int64)
+        np.bincount(words, minlength=vocab_size).cumsum(out=ptr[1:])
+        self.posting_ptr = _readonly(ptr)
 
     def span(self, row: int) -> slice:
         return slice(int(self.indptr[row]), int(self.indptr[row + 1]))
@@ -249,26 +262,30 @@ def normalize_vlad(v: VladVector, mode: str) -> VladVector:
     return VladVector(normalize_vlads(v.subvectors[None], mode)[0], mode)
 
 
-def normalize_vlads(stack: np.ndarray, mode: str) -> np.ndarray:
-    """A normalized copy of an ``(n, N, D)`` stack of VLAD sub-vectors.
+def normalize_vlads(stack: np.ndarray, mode: str, out: np.ndarray | None = None) -> np.ndarray:
+    """A normalized copy of an ``(n, N, D)`` stack of VLAD sub-vectors,
+    written to ``out`` (any array of that shape, a transposed view too) when
+    given, else to a new C-ordered array; returns it.
 
     Each row comes out as :func:`normalize_vlad` makes it, bit for bit: the
     sums run over each row's own sub-vectors and then over its flattened
-    ``N * D`` values, as one row alone would.
+    ``N * D`` values, as one row alone would.  A zero (sub-)vector is divided
+    by 1, which leaves it as is.
     """
     if mode not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {mode!r}")
-    sub = stack.copy()
+    if out is None:
+        out = np.empty_like(stack, order="C")
     if mode == "none":
-        return sub
+        out[...] = stack
+        return out
+    sub = np.ascontiguousarray(stack)  # the sums run over C-ordered rows
     if mode == "intra-then-global-l2":
         norms = np.sqrt(np.sum(sub * sub, axis=2))
-        nonzero = norms > 0
-        sub[nonzero] /= norms[nonzero][:, None]
+        sub = sub / np.where(norms > 0, norms, 1.0)[:, :, None]
     whole = np.sqrt(np.sum(sub * sub, axis=(1, 2)))
-    positive = whole > 0
-    sub[positive] /= whole[positive][:, None, None]
-    return sub
+    np.divide(sub, np.where(whole > 0, whole, 1.0)[:, None, None], out=out)
+    return out
 
 
 def save_descriptors(path, descriptors: np.ndarray) -> None:

@@ -9,22 +9,28 @@ distance (exact query against quantized database).
 The index is columnar.  Each per-image representation is stored once, as an
 array with one row per image, which ``build_index`` aggregates straight from
 the descriptors, so each ``rank_*`` computes the whole score vector in one
-numpy pass.  Rows follow the ascending image ids, so one stable sort of the
-scores gives the (score, id) order:
+numpy pass.  Rows follow the ascending image ids, so the stable order of the
+scores is the (score, id) order; ``DatabaseIndex._ranking`` gets it from
+numpy's faster unstable sort and puts each run of equal scores back in row
+order (see :func:`_stable_argsort`):
 
 * BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
   row's total, so a row's L1-normalized weights are its counts over its
-  total; scored with the sum-of-min identity
-  ``|a - b|_1 = 2 - 2 * sum_i min(a_i, b_i)`` for L1-normalized ``a`` and
-  ``b``, which visits only the words each database image holds, evaluated on
+  total, and its posting lists (each word's entries); scored with the
+  sum-of-min identity ``|a - b|_1 = 2 - 2 * sum_i min(a_i, b_i)`` for
+  L1-normalized ``a`` and ``b``, whose terms are non-zero only at the words
+  the query holds, so only those words' postings are visited; evaluated on
   counts so that integer counts score exactly (see :func:`rank_bow`);
 * codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``;
-* VLAD: the raw ``(n, N*D)`` matrix and its ranking-normalized copy, made
-  in one pass over the ``(n, N, D)`` stack; a query VLAD must have the
+* VLAD: the raw ``(n, N*D)`` matrix, and its ranking-normalized copy stored
+  column-major as ``(N*D, n)``, written in one pass over the ``(n, N, D)``
+  stack; a scan streams it 8 dimensions at a time and adds the squared
+  differences in the order numpy's row sums use
+  (:func:`dehash.vocab.column_sq_distances`); a query VLAD must have the
   stored ``(N, D)`` shape;
 * PQ codes: an ``(n, m)`` matrix, scored by one look-up-table gather;
-* GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none),
-  scored by a vectorized haversine.
+* GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none) and the
+  cosine of each latitude, scored by a vectorized haversine.
 
 A :class:`Ranking` holds a scan's result as two arrays over the index's
 shared id table: the row order (the stable ``argsort`` of the scores) and
@@ -52,9 +58,14 @@ from .aggregate import (
     BowHistogram, BowMatrix, VladVector, _readonly, aggregate_images, normalize_vlad, normalize_vlads
 )
 from .hashing import BinaryCode, HashingModel, encode_stack
-from .vocab import VocabularyTree, kmeans_pp_init, lloyd, nearest_center
+from .vocab import VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center
 
 EARTH_RADIUS_M = 6_371_000.0
+
+# Below this many scores numpy's stable sort costs less than the unstable
+# sort plus the tie repair (the two cross between about 500 and 2000 scores
+# on a 2-CPU Xeon with AVX-512, depending on how many scores tie).
+_STABLE_SORT_MAX = 2048
 
 
 class Ranking:
@@ -225,10 +236,11 @@ class DatabaseIndex:
     Each column is optional and, when given, has one row per id: ``bow``, a
     :class:`BowMatrix` over the tree's leaves; ``vlads``, the ``(n, N, D)``
     raw VLAD stack (both from ``aggregate_images``), kept as an ``(n, N*D)``
-    matrix plus its ranking-normalized copy; ``codes``, the packed
-    ``(n, ceil(nbits / 8))`` uint8 code matrix (``encode_stack``).  ``gps``
-    may miss images and becomes an ``(n, 2)`` radians matrix, NaN where an
-    image has no fix; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
+    matrix plus its ranking-normalized copy, column-major ``(N*D, n)``;
+    ``codes``, the packed ``(n, ceil(nbits / 8))`` uint8 code matrix
+    (``encode_stack``).  ``gps`` may miss images and becomes an ``(n, 2)``
+    radians matrix, NaN where an image has no fix, plus each latitude's
+    cosine; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
     column that breaks these rules raises ``ValueError``.  The arrays are made
     read-only, and ``bows``, ``vlads``, ``codes``, ``pq_codes`` and ``gps``
     are by-id views over them.
@@ -259,12 +271,13 @@ class DatabaseIndex:
 
         self.bow = bow
         self._vlad_matrix: np.ndarray | None = None
-        self._rank_matrix: np.ndarray | None = None
+        self._rank_columns: np.ndarray | None = None
         self._vlad_shape: tuple[int, int] | None = None
         self._codes: np.ndarray | None = None
         self.nbits = nbits
         self._pq_codes: np.ndarray | None = None
         self._gps: np.ndarray | None = None
+        self._gps_cos: np.ndarray | None = None
         self.bows: Mapping[str, BowHistogram] = _EMPTY
         self.vlads: Mapping[str, VladVector] = _EMPTY
         self.codes: Mapping[str, BinaryCode] = _EMPTY
@@ -281,10 +294,10 @@ class DatabaseIndex:
                 raise ValueError(f"VLADs must be an (n, N, D) stack, got shape {vlads.shape}")
             _check_rows("VLAD", len(vlads), n)
             shape = self._vlad_shape = vlads.shape[1:]
-            flat = (n, math.prod(shape))
-            self._vlad_matrix = _readonly(vlads).reshape(flat)
-            # normalize_vlads allocates the copy in dehash code, so tracemalloc charges it to dehash.
-            self._rank_matrix = _readonly(normalize_vlads(vlads, rank_normalization)).reshape(flat)
+            self._vlad_matrix = _readonly(vlads).reshape(n, math.prod(shape))
+            columns = np.empty((math.prod(shape), n))
+            normalize_vlads(vlads, rank_normalization, out=columns.reshape(*shape, n).transpose(2, 0, 1))
+            self._rank_columns = _readonly(columns)
             self.vlads = self._view(
                 lambda r: VladVector(self._vlad_matrix[r].reshape(shape), "none")
             )
@@ -303,6 +316,7 @@ class DatabaseIndex:
             for image_id, (lat, lon) in gps.items():
                 table[self._row[image_id]] = (math.radians(lat), math.radians(lon))
             self._gps = _readonly(table)
+            self._gps_cos = _readonly(np.cos(table[:, 0]))
             self.gps = self._view(
                 lambda r: (math.degrees(table[r, 0]), math.degrees(table[r, 1])),
                 present=_readonly(~np.isnan(table[:, 0])),
@@ -316,14 +330,47 @@ class DatabaseIndex:
         return self._row[image_id]
 
     def ranking_vlad_matrix(self) -> np.ndarray:
-        if self._rank_matrix is None:
+        """A new C-ordered ``(n, N*D)`` copy of the ranking-normalized VLADs,
+        row ``r`` for ``ids[r]`` (the index keeps them column-major)."""
+        if self._rank_columns is None:
             raise ValueError("index stores no VLADs")
-        return self._rank_matrix
+        return self._rank_columns.T.copy()
 
     def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
-        """Order every image by (score, id): rows are in id order, so a stable sort."""
-        order = np.argsort(scores, kind="stable")
+        """Order every image by (score, id): rows are in id order, so the stable order."""
+        order = _stable_argsort(scores)
         return Ranking._of_rows(self._ids_array, self._row, order, scores[order], degenerate)
+
+
+def _stable_argsort(scores: np.ndarray) -> np.ndarray:
+    """``np.argsort(scores, kind="stable")``, from numpy's unstable sort when
+    there are at least ``_STABLE_SORT_MAX`` scores.
+
+    The unstable sort (a SIMD sort where numpy has one for the host) puts
+    unequal scores in order; only rows of equal scores can come out of row
+    order.  Numbering the runs of equal sorted scores, one integer sort of
+    ``run * n + row`` keeps every run in place and puts its rows ascending.
+    ``-0.0`` and ``+0.0`` compare equal, so they share a run, as they do in
+    the stable sort.  NaN equals nothing, and the sort puts NaN last, so a
+    NaN score falls back to the stable sort.
+    """
+    n = len(scores)
+    if n < max(_STABLE_SORT_MAX, 2):  # the repair reads a last score
+        return np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
+    ordered = scores[order]
+    if np.isnan(ordered[-1]):
+        return np.argsort(scores, kind="stable")
+    tied = ordered[1:] == ordered[:-1]
+    if not tied.any():
+        return order
+    base = np.zeros(n, dtype=np.int64)
+    np.cumsum(~tied, out=base[1:])  # the run number of each sorted position
+    base *= n
+    keys = base + order
+    keys.sort()
+    keys -= base  # the runs kept their positions, so this leaves each row
+    return keys
 
 
 def _check_rows(column: str, rows: int, ids: int) -> None:
@@ -376,6 +423,13 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     the words the row holds, and with integer counts every product and sum in
     it is exact, so images at equal distance score equal floats and fall back
     to the id order.
+
+    A term is zero unless the query holds the word, so ``min(a_w*B, b_w*A)``
+    is computed only for the postings of the query's words and scattered
+    into a zero array at their CSR positions.  That array equals, value for
+    value, the one a dense gather over every stored entry builds, for
+    integer and fractional counts alike, and one ``np.add.reduceat`` sums
+    each row of it, so the scores are the same floats.
     """
     if not index.ids:
         raise ValueError("index is empty")
@@ -392,12 +446,20 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     words = np.fromiter(query.counts.keys(), dtype=np.int64, count=len(query.counts))
     values = np.fromiter(query.counts.values(), dtype=np.float64, count=len(query.counts))
     mass = float(values[np.argsort(words, kind="stable")].sum())  # ascending by word
-    dense = np.zeros(bow.vocab_size, dtype=np.float64)
-    dense[words] = values
-    scaled = dense[bow.words] * bow.entry_mass
-    np.minimum(scaled, bow.counts * mass, out=scaled)
+    ends = bow.posting_ptr[words + 1]
+    sizes = ends - bow.posting_ptr[words]
+    # The query words' postings laid end to end: word k's block ends at
+    # ends[k] in the posting lists and at cum[k] in ``at``.
+    cum = sizes.cumsum()
+    at = (ends - cum).repeat(sizes)
+    at += np.arange(len(at))
+    entries = bow.posting_entries[at]
+    hits = values.repeat(sizes) * bow.mass[bow.posting_rows[at]]
+    np.minimum(hits, bow.counts[entries] * mass, out=hits)
+    terms = np.zeros(len(bow.counts))
+    terms[entries] = hits
     joint = mass * bow.mass
-    return index._ranking(2.0 * (joint - np.add.reduceat(scaled, bow.indptr[:-1])) / joint)
+    return index._ranking(2.0 * (joint - np.add.reduceat(terms, bow.indptr[:-1])) / joint)
 
 
 def _normalized_query(index: DatabaseIndex, query: VladVector) -> np.ndarray:
@@ -420,7 +482,7 @@ def rank_vlad(index: DatabaseIndex, query: VladVector) -> Ranking:
     if not index.ids:
         raise ValueError("index is empty")
     q = _normalized_query(index, query)
-    return index._ranking(np.sqrt(np.sum((index.ranking_vlad_matrix() - q) ** 2, axis=1)))
+    return index._ranking(np.sqrt(column_sq_distances(index._rank_columns, q)))
 
 
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
@@ -489,17 +551,20 @@ def encode_pq(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
 def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     """Quantize every database image's ranking-normalized VLAD.
 
-    One ``nearest_center`` call per sub-vector over all rows, so each row's
-    codes equal ``encode_pq`` of that row.
+    One ``nearest_center`` call per sub-vector over all rows, on a C-ordered
+    copy of that sub-vector's columns, so each row's codes equal
+    ``encode_pq`` of that row.
     """
-    matrix = index.ranking_vlad_matrix()
+    if index._rank_columns is None:
+        raise ValueError("index stores no VLADs")
+    columns = index._rank_columns
     books = codebooks.codebooks
     m, k, sub_dim = books.shape
-    if m * sub_dim != matrix.shape[1]:
-        raise ValueError(f"codebooks cover dim {m * sub_dim}, VLADs have {matrix.shape[1]}")
+    if m * sub_dim != len(columns):
+        raise ValueError(f"codebooks cover dim {m * sub_dim}, VLADs have {len(columns)}")
     codes = np.empty((len(index.ids), m), dtype=np.uint8 if k <= 256 else np.uint16)
     for j in range(m):
-        codes[:, j] = nearest_center(matrix[:, j * sub_dim : (j + 1) * sub_dim], books[j])
+        codes[:, j] = nearest_center(columns[j * sub_dim : (j + 1) * sub_dim].T.copy(), books[j])
     index.pq = codebooks
     index._pq_codes = _readonly(codes)
     index.pq_codes = index._view(codes.__getitem__)
@@ -566,7 +631,7 @@ def rank_gps(index: DatabaseIndex, query_gps: tuple[float, float]) -> Ranking:
         raise ValueError(f"images without GPS: {[index.ids[r] for r in missing[:3]]}")
     lat1, lon1 = math.radians(query_gps[0]), math.radians(query_gps[1])
     lat2, lon2 = table[:, 0], table[:, 1]
-    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * index._gps_cos * np.sin((lon2 - lon1) / 2) ** 2
     return index._ranking(2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s))))
 
 

@@ -140,42 +140,63 @@ def cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
-def _pairwise_column_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over axis 0 of a ``(d, n)`` array, added as numpy adds each row of
-    its C-ordered ``(n, d)`` transpose; ``a`` is used as scratch space.
+def column_sq_distances(
+    columns: np.ndarray, point: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared L2 distances from ``point`` to every column of a ``(d, n)``
+    array: ``np.sum((columns.T - point) ** 2, axis=1)`` bit for bit.
 
     ``np.sum(x, axis=1)`` on a C-contiguous ``(n, d)`` array sums each row by
     numpy's pairwise scheme: below 8 terms one running sum from 0; up to 128
     terms eight running sums over strides of 8, combined as
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
     remainder added one by one; above 128 terms the two halves split at the
-    multiple of 8 at or below ``d // 2``, each summed the same way.  Doing
-    the same additions on whole length-``n`` rows gives each column's sum bit
-    for bit (for the non-negative squares summed here; numpy would turn a
-    ``-0.0`` total into ``+0.0``).
+    multiple of 8 at or below ``d // 2``, each summed the same way.  Here the
+    same additions run on whole length-``n`` rows of the column-major data,
+    streamed 8 rows at a time: each group's differences are squared in an
+    ``(8, n)`` buffer and added into eight running sums, so nothing of size
+    ``(d, n)`` is built.  The squares are non-negative, so starting a sum
+    from ``+0.0`` changes nothing.  ``scratch``, a ``(16, n)`` float64 array,
+    holds the running sums and the group; a caller that scans many times
+    passes one, so the pages are not mapped afresh for every call.
     """
-    d = a.shape[0]
-    if d < 8:
-        total = np.zeros(a.shape[1])
-        for row in a:
-            total += row
+    if scratch is None:
+        scratch = np.empty((16, columns.shape[1]))
+    return _pairwise_sq_rows(columns, point, 0, len(columns), scratch[:8], scratch[8:])
+
+
+def _pairwise_sq_rows(
+    columns: np.ndarray, point: np.ndarray, lo: int, hi: int, sums: np.ndarray, group: np.ndarray
+) -> np.ndarray:
+    """Rows ``lo:hi`` of :func:`column_sq_distances`, in a new array."""
+    d = hi - lo
+    if d > 128:
+        half = d // 2
+        half -= half % 8
+        total = _pairwise_sq_rows(columns, point, lo, lo + half, sums, group)
+        total += _pairwise_sq_rows(columns, point, lo + half, hi, sums, group)
         return total
-    if d <= 128:
-        stop = d - d % 8
-        r = a[:8]
-        for i in range(8, stop, 8):
-            r += a[i : i + 8]
-        pairs = r[0::2]
-        pairs += r[1::2]  # rows 0, 2, 4, 6: r0 + r1, r2 + r3, r4 + r5, r6 + r7
+    stop = hi - d % 8
+    if d >= 8:
+        np.subtract(columns[lo : lo + 8], point[lo : lo + 8, None], out=sums)
+        np.square(sums, out=sums)
+        for i in range(lo + 8, stop, 8):
+            np.subtract(columns[i : i + 8], point[i : i + 8, None], out=group)
+            np.square(group, out=group)
+            sums += group
+        pairs = sums[0::2]
+        pairs += sums[1::2]  # rows 0, 2, 4, 6: r0 + r1, r2 + r3, r4 + r5, r6 + r7
         quads = pairs[0::2]
         quads += pairs[1::2]  # rows 0, 4: (r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)
         total = quads[0] + quads[1]
-        for i in range(stop, d):
-            total += a[i]
-        return total
-    half = d // 2
-    half -= half % 8
-    return _pairwise_column_sums(a[:half]) + _pairwise_column_sums(a[half:])
+    else:
+        total = np.zeros(columns.shape[1])
+    row = group[0]
+    for i in range(stop, hi):
+        np.subtract(columns[i], point[i], out=row)
+        np.square(row, out=row)
+        total += row
+    return total
 
 
 def _weighted_pick(d2: np.ndarray, rng: np.random.Generator) -> int:
@@ -201,7 +222,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     """Seed k centers with D^2-weighted sampling from the data points.
 
     The points are kept column-major, so each seed's squared distances take
-    a few operations on whole length-``n`` rows; ``_pairwise_column_sums``
+    a few operations on whole length-``n`` rows; ``column_sq_distances``
     adds them in the order of ``np.sum((points - c) ** 2, axis=1)`` on
     C-ordered points, and ``_weighted_pick`` draws as ``rng.choice`` does, so
     the centers equal those of that row-major loop bit for bit.  When every
@@ -210,19 +231,13 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     columns = np.ascontiguousarray(points.T)
-    buf = np.empty_like(columns)
-
-    def sq_dist(center: np.ndarray) -> np.ndarray:
-        np.subtract(columns, center[:, None], out=buf)
-        np.square(buf, out=buf)
-        return _pairwise_column_sums(buf)
-
+    scratch = np.empty((16, n))
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
-    d2 = sq_dist(centers[0])
+    d2 = column_sq_distances(columns, centers[0], scratch)
     for j in range(1, k):
         centers[j] = points[_weighted_pick(d2, rng)]
-        np.minimum(d2, sq_dist(centers[j]), out=d2)
+        np.minimum(d2, column_sq_distances(columns, centers[j], scratch), out=d2)
     return centers
 
 

@@ -1,0 +1,33 @@
+"""Frozen row-major scans: the references the column-major VLAD scan and the
+posting-list BoW scan must match.
+
+``vlad_distances`` is the row-major L2 scan and ``bow_scores`` the
+dense-gather CSR sum-of-min scan that ``dehash.retrieval`` shipped before the
+ranking-normalized VLADs were stored column-major and ``BowMatrix`` kept
+posting lists, kept unchanged so the tests can require identical score
+floats.  Do not edit it to follow the production code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def vlad_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L2 distance from ``q`` to every row of the C-ordered ``(n, N*D)`` matrix."""
+    return np.sqrt(np.sum((matrix - q) ** 2, axis=1))
+
+
+def bow_scores(bow, query) -> np.ndarray:
+    """``rank_bow``'s score per row: every stored entry gathered from a dense
+    query, ``min(a_w*B, b_w*A)``, one ``np.add.reduceat`` per row."""
+    words = np.fromiter(query.counts.keys(), dtype=np.int64, count=len(query.counts))
+    values = np.fromiter(query.counts.values(), dtype=np.float64, count=len(query.counts))
+    mass = float(values[np.argsort(words, kind="stable")].sum())  # ascending by word
+    dense = np.zeros(bow.vocab_size, dtype=np.float64)
+    dense[words] = values
+    entry_mass = bow.mass.repeat(np.diff(bow.indptr))
+    scaled = dense[bow.words] * entry_mass
+    np.minimum(scaled, bow.counts * mass, out=scaled)
+    joint = mass * bow.mass
+    return 2.0 * (joint - np.add.reduceat(scaled, bow.indptr[:-1])) / joint

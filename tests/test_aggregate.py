@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehash import aggregate
 from dehash.aggregate import (
@@ -86,7 +88,7 @@ class TestAggregateImages:
             s = bow.span(r)
             assert bow.histogram(r).counts == compute_bow(tree, X).counts
             assert list(bow.words[s]) == sorted(bow.words[s])
-            assert bow.mass[r] == len(X) and np.all(bow.entry_mass[s] == len(X))
+            assert bow.mass[r] == len(X)
             assert np.array_equal(vlads[r], compute_vlad(tree, X).subvectors)
 
     def test_no_sets(self, tree):
@@ -100,9 +102,36 @@ class TestBowMatrix:
         bow = BowMatrix([0, 2, 3], [1, 4, 0], [2.0, 6.0, 1.0], 5)
         assert bow.histogram(0).counts == {1: 2.0, 4: 6.0}
         assert bow.normalized(0) == ([1, 4], [0.25, 0.75])
-        assert bow.mass.tolist() == [8.0, 1.0] and bow.entry_mass.tolist() == [8.0, 8.0, 1.0]
+        assert bow.mass.tolist() == [8.0, 1.0]
+        # Word 0 is entry 2 (row 1), word 1 entry 0 and word 4 entry 1 (row 0).
+        assert bow.posting_ptr.tolist() == [0, 1, 2, 2, 2, 3]
+        assert bow.posting_entries.tolist() == [2, 0, 1] and bow.posting_rows.tolist() == [1, 0, 0]
         with pytest.raises(ValueError):
             bow.counts[0] = 1.0
+        with pytest.raises(ValueError):
+            bow.posting_rows[0] = 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), max_size=30),
+        vocab_size=st.sampled_from([1, 7, 64, 2**16, 2**16 + 1, 70_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_postings_list_each_words_entries(self, sizes, vocab_size, seed):
+        # The uint16 radix-sort path up to 2**16 words and the int32 path above.
+        rng = np.random.default_rng(seed)
+        rows = [np.sort(rng.choice(vocab_size, size=min(k, vocab_size), replace=False)) for k in sizes]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        words = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+        bow = BowMatrix(indptr, words, rng.uniform(0.5, 3.0, size=len(words)), vocab_size)
+        assert bow.posting_entries.dtype == bow.posting_rows.dtype == np.int32
+        assert len(bow.posting_ptr) == vocab_size + 1
+        for w in np.unique(np.concatenate([words, [0, vocab_size - 1]])):
+            s = slice(bow.posting_ptr[w], bow.posting_ptr[w + 1])
+            want = np.flatnonzero(words == w)
+            assert np.array_equal(bow.posting_entries[s], want)
+            assert np.array_equal(bow.posting_rows[s], np.searchsorted(indptr, want, side="right") - 1)
+        assert bow.posting_ptr[-1] == len(words)
 
     @pytest.mark.parametrize(
         "indptr, words, counts",

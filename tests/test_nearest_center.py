@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dehash import retrieval, vocab
 from dehash.retrieval import train_pq
 from dehash.vocab import (
-    _pairwise_column_sums,
     _weighted_pick,
     cluster_sums,
+    column_sq_distances,
     kmeans_pp_init,
     lloyd,
     nearest_center,
@@ -201,10 +201,11 @@ class TestSeedingParity:
         # Each branch of numpy's pairwise sum (below 8 terms, up to 128, the
         # halving above), on values whose sums round differently by order.
         rng = np.random.default_rng(seed)
-        squares = rng.standard_normal((n, d)) ** 2 * 10.0 ** rng.integers(-3, 4, size=(n, d))
-        squares *= 10.0**exponent
-        want = np.sum(squares, axis=1)
-        assert np.array_equal(_pairwise_column_sums(np.ascontiguousarray(squares.T)), want)
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3, size=(n, d))
+        points *= 10.0**exponent
+        center = points[0] * rng.uniform(0.5, 1.5, size=d)
+        want = np.sum((points - center) ** 2, axis=1)
+        assert np.array_equal(column_sq_distances(np.ascontiguousarray(points.T), center), want)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,11 +1,14 @@
 """Array rankings against the frozen eager-tuple reference (ranking_reference.py)."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ranking_reference as ref
 from index_columns import index_of
+from dehash import retrieval
 from dehash.retrieval import (
     Ranking,
     average_precision,
@@ -107,3 +110,39 @@ def test_drop_keeps_the_shared_id_table():
     assert dropped._ids is ranking._ids and dropped._rows is index._row
     assert ranking.entries == (("b", 0.0), ("a", 1.0), ("c", 1.0))
 
+
+# Values the tie repair must order as the stable sort does: zeros of both
+# signs (one run), infinities, NaN (the stable-sort fallback), and integers,
+# as Hamming distances are.
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+PALETTE = st.lists(
+    st.one_of(st.sampled_from(SPECIAL), st.integers(0, 32).map(float), st.floats(-1e3, 1e3)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestTieBreakOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 2), st.integers(0, 6000)),
+        palette=PALETTE,
+        distinct=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        repair_all=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_is_the_stable_sort(self, n, palette, distinct, repair_all, seed):
+        # Scores drawn from a few values, a share of them replaced by
+        # distinct ones, so rankings mix long tie runs with single scores.
+        # ``repair_all`` takes the unstable sort and tie repair at every size.
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(np.array(palette), size=n)
+        spread = rng.random(n) < distinct
+        scores[spread] = rng.standard_normal(int(spread.sum()))
+        index = index_of(tree=None, ids=[f"im{i:04d}" for i in range(n)])
+        cutoff = 0 if repair_all else retrieval._STABLE_SORT_MAX
+        with mock.patch.object(retrieval, "_STABLE_SORT_MAX", cutoff):
+            got = index._ranking(scores)
+        want = np.argsort(scores, kind="stable")
+        assert got._order.dtype == want.dtype and np.array_equal(got._order, want)
+        assert got._scores.tobytes() == scores[want].tobytes()  # -0.0 and +0.0 where they were

@@ -473,7 +473,7 @@ class TestBuildIndex:
             shuffled = build_index(tree, model, descriptors)
             ordered = build_index(tree, model, {i: descriptors[i] for i in sorted(names)})
         assert shuffled.ids == ordered.ids == tuple(sorted(names))
-        for column in ("indptr", "words", "counts", "mass", "entry_mass"):
+        for column in ("indptr", "words", "counts", "mass", "posting_entries", "posting_rows", "posting_ptr"):
             assert np.array_equal(getattr(shuffled.bow, column), getattr(ordered.bow, column))
         assert np.array_equal(shuffled._vlad_matrix, ordered._vlad_matrix)
         assert np.array_equal(shuffled.ranking_vlad_matrix(), ordered.ranking_vlad_matrix())
