@@ -27,46 +27,60 @@ PASS_ROWS = 2**14
 NORMALIZATIONS = ("none", "global-l2", "intra-then-global-l2")
 
 
-@dataclass
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _check_rows(indptr: np.ndarray, words: np.ndarray, values: np.ndarray, vocab_size: int) -> None:
+    """``ValueError`` unless every CSR row ``words[indptr[r]:indptr[r + 1]]``
+    ascends strictly inside ``[0, vocab_size)`` with positive values (NaN is
+    not positive)."""
+    rising = np.diff(words) > 0
+    rising[indptr[1:-1] - 1] = True  # rows restart at their first word
+    if not (rising.all() and np.all(values > 0) and np.all((0 <= words) & (words < vocab_size))):
+        raise ValueError(f"BoW rows need ascending words in [0, {vocab_size}) with positive counts")
+
+
 class BowHistogram:
-    """Sparse non-negative histogram over the leaf vocabulary."""
+    """Sparse non-negative histogram over the leaf vocabulary: word
+    ``words[k]`` has weight ``values[k]``.
 
-    counts: dict[int, float]
-    vocab_size: int
+    ``words`` (int64) ascend strictly inside ``[0, vocab_size)`` and every
+    value (float64) is positive, else ``ValueError``; both arrays are made
+    read-only, so a histogram is passed from stage to stage without copies.
+    ``counts`` is the same histogram as a new ``{word: value}`` dict.
+    """
 
-    def __post_init__(self) -> None:
-        for key, value in self.counts.items():
-            if not 0 <= key < self.vocab_size:
-                raise ValueError(f"word id {key} outside vocabulary of size {self.vocab_size}")
-            if not value > 0:
-                raise ValueError(f"histogram entries must be positive, got {value} at {key}")
+    def __init__(self, words, values, vocab_size: int) -> None:
+        words = np.asarray(words, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if words.ndim != 1 or words.shape != values.shape:
+            raise ValueError("a histogram needs one value per word")
+        _check_rows(np.array([0, len(words)]), words, values, vocab_size)
+        self.words = _readonly(words)
+        self.values = _readonly(values)
+        self.vocab_size = vocab_size
+
+    @property
+    def counts(self) -> dict[int, float]:
+        return dict(zip(self.words.tolist(), self.values.tolist()))
 
     @property
     def num_words(self) -> int:
-        return len(self.counts)
+        return len(self.words)
 
     def total(self) -> float:
-        return float(sum(self.counts.values()))
+        """The values added one by one, in ascending word order."""
+        return float(sum(self.values.tolist()))
 
     def l1_normalized(self) -> "BowHistogram":
-        mass = self.total()
-        if mass == 0:
-            return BowHistogram({}, self.vocab_size)
-        return BowHistogram({k: v / mass for k, v in self.counts.items()}, self.vocab_size)
+        return BowHistogram(self.words, self.values / (self.total() or 1.0), self.vocab_size)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.vocab_size, dtype=np.float64)
-        if self.counts:
-            keys = np.fromiter(self.counts.keys(), dtype=np.int64, count=len(self.counts))
-            vals = np.fromiter(self.counts.values(), dtype=np.float64, count=len(self.counts))
-            dense[keys] = vals
+        dense[self.words] = self.values
         return dense
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, drop_below: float = 0.0) -> "BowHistogram":
-        dense = np.asarray(dense, dtype=np.float64)
-        keys = np.flatnonzero(dense > drop_below)
-        return cls({int(k): float(dense[k]) for k in keys}, dense.shape[0])
 
 
 @dataclass
@@ -89,11 +103,6 @@ class VladVector:
 
     def flattened(self) -> np.ndarray:
         return self.subvectors.reshape(-1)
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 class BowMatrix:
@@ -120,10 +129,7 @@ class BowMatrix:
         sizes = np.diff(indptr)
         if indptr[0] != 0 or np.any(sizes < 1) or not indptr[-1] == len(words) == len(counts):
             raise ValueError("every BoW row needs at least one word, and one count per word")
-        rising = np.diff(words) > 0
-        rising[indptr[1:-1] - 1] = True  # rows restart at their first word
-        if not (rising.all() and np.all(counts > 0) and np.all((0 <= words) & (words < vocab_size))):
-            raise ValueError(f"BoW rows need ascending words in [0, {vocab_size}) with positive counts")
+        _check_rows(indptr, words, counts, vocab_size)
         self.indptr = _readonly(indptr)
         self.words = _readonly(words)
         self.counts = _readonly(counts)
@@ -146,14 +152,7 @@ class BowMatrix:
     def histogram(self, row: int) -> BowHistogram:
         """Row ``row`` as a raw-count histogram."""
         s = self.span(row)
-        return BowHistogram(
-            dict(zip(self.words[s].tolist(), self.counts[s].tolist())), self.vocab_size
-        )
-
-    def normalized(self, row: int) -> tuple[list[int], list[float]]:
-        """Row ``row``'s words and L1-normalized weights, ascending by word."""
-        s = self.span(row)
-        return self.words[s].tolist(), (self.counts[s] / self.mass[row]).tolist()
+        return BowHistogram(self.words[s], self.counts[s], self.vocab_size)
 
 
 def _descriptor_array(descriptors: np.ndarray) -> np.ndarray:
@@ -179,7 +178,7 @@ def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
     _, _, leaves = assign_descriptors(tree, _descriptor_array(descriptors))
     counts = np.bincount(leaves, minlength=tree.num_leaves)
     words = np.flatnonzero(counts)
-    return BowHistogram(dict(zip(words.tolist(), counts[words].astype(np.float64).tolist())), len(counts))
+    return BowHistogram(words, counts[words], len(counts))
 
 
 def compute_vlad(

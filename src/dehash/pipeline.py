@@ -25,7 +25,7 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import hashing
-from .aggregate import BowMatrix, aggregate_images, compute_bow, compute_vlad
+from .aggregate import BowMatrix, VladVector, aggregate_images, compute_vlad
 from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
 from .hashing import HashingModel, approximate_vlad, encode, encode_stack, train_hashing
 from .reconstruct import (
@@ -317,7 +317,10 @@ def rank_query(
     prior blend is closed-form and has no path to walk), else ``None``.
     """
     tree = index.tree
-    vlad_raw = compute_vlad(tree, descriptors)
+    # One aggregation pass: the coarse search serves the VLAD and, when a
+    # mode needs the histogram, the leaf search.
+    bow, vlads = aggregate_images(tree, [descriptors], bow="bow" in config.modes)
+    vlad_raw = VladVector(vlads[0])
     code = encode(model, vlad_raw)
     approx = approximate_vlad(model, code)
     hamming = rank_hamming(index, code)
@@ -332,7 +335,7 @@ def rank_query(
     for mode in config.modes:
         result = None
         if mode == "bow":
-            ranking = rank_bow(index, compute_bow(tree, descriptors))
+            ranking = rank_bow(index, bow.histogram(0))
         elif mode == "vlad":
             ranking = rank_vlad(index, vlad_raw)
         elif mode == "gps":

@@ -56,9 +56,6 @@ class CandidateVWs:
     def total_width(self) -> int:
         return sum(len(s) for s in self.per_center.values())
 
-    def mean_width(self) -> float:
-        return self.total_width() / self.num_centers
-
     @classmethod
     def from_leaf_ids(cls, tree: VocabularyTree, leaf_ids: Iterable[int]) -> "CandidateVWs":
         grouped: dict[int, set[int]] = {}
@@ -139,12 +136,16 @@ class ReconstructionContext:
 def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarray:
     """Distinct words of the stored histograms of ``image_ids``, read from the CSR rows."""
     bow = index.bow
-    spans = []
+    spans = [np.empty(0, dtype=np.int32)]
     for image_id in image_ids:
-        if bow is None or image_id not in index.bows:
+        try:
+            row = index.row(image_id)
+        except KeyError:
+            row = None
+        if bow is None or row is None:
             raise ValueError(f"index has no stored histogram for {image_id!r}")
-        spans.append(bow.words[bow.span(index.row(image_id))])
-    return np.unique(np.concatenate(spans)) if spans else np.empty(0, dtype=np.int32)
+        spans.append(bow.words[bow.span(row)])
+    return np.unique(np.concatenate(spans))
 
 
 def candidates_from_binary(index: "DatabaseIndex", binary_ranking: "Ranking", top_r: int) -> CandidateVWs:
@@ -224,14 +225,18 @@ class ReconstructionResult:
     histogram: BowHistogram
     reports: list[SubvectorReport]
 
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged or r.skipped for r in self.reports)
-
 
 def _active_centers(v: VladVector) -> np.ndarray:
     norms = np.sqrt(np.sum(v.subvectors * v.subvectors, axis=1))
     return np.flatnonzero(norms >= MIN_SUBVECTOR_NORM)
+
+
+def _by_word(words: list[np.ndarray], values: list[np.ndarray], vocab_size: int) -> BowHistogram:
+    """One histogram from per-center pieces; centers own disjoint leaves, but
+    a tree may interleave them, so the pieces are sorted once by word."""
+    words, values = np.concatenate(words), np.concatenate(values)
+    order = np.argsort(words, kind="stable")
+    return BowHistogram(words[order], values[order], vocab_size)
 
 
 def reconstruct_bow(
@@ -248,10 +253,11 @@ def reconstruct_bow(
     negligible norm received no features and are skipped).  ``candidates``
     restricts each center's dictionary; centers with an empty candidate set
     are skipped.  Coefficients below a small drop tolerance are discarded.
+    The histogram's words ascend whichever way the tree numbers its leaves.
     """
     if v.num_centers != tree.num_vlad_centers:
         raise ValueError("VLAD center count does not match the tree")
-    counts: dict[int, float] = {}
+    words, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     reports: list[SubvectorReport] = []
     active = _active_centers(v)
     context = tree.reconstruction_context
@@ -274,13 +280,18 @@ def reconstruct_bow(
             SubvectorReport(center, dictionary.width, result.sweeps, result.converged, False)
         )
         kept = result.coeffs > DROP_TOL
-        # Centers own disjoint leaves, so each leaf is written once.
-        counts.update(zip(dictionary.column_ids[kept].tolist(), result.coeffs[kept].tolist()))
-    return ReconstructionResult(BowHistogram(counts, tree.num_leaves), reports)
+        words.append(dictionary.column_ids[kept])
+        values.append(result.coeffs[kept])
+    return ReconstructionResult(_by_word(words, values, tree.num_leaves), reports)
 
 
 def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> BowHistogram:
-    """Mean of the L1-normalized histograms of the top-ranked images."""
+    """Mean of the L1-normalized histograms of the top-ranked images.
+
+    One ``np.bincount`` over the chosen CSR rows, read in rank order: each
+    word's weights ``count / mass / k`` are added to 0.0 one image at a time,
+    best first.
+    """
     if top_r < 1:
         raise ValueError("top_r must be >= 1")
     if not len(ranking):
@@ -288,12 +299,13 @@ def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> Bo
     bow = index.bow
     if bow is None:
         raise ValueError("index stores no BoW histograms")
-    chosen = ranking.top_ids(top_r)
-    counts: dict[int, float] = {}
-    for image_id in chosen:
-        for leaf, value in zip(*bow.normalized(index.row(image_id))):
-            counts[leaf] = counts.get(leaf, 0.0) + value / len(chosen)
-    return BowHistogram(counts, index.tree.num_leaves)
+    rows = [index.row(image_id) for image_id in ranking.top_ids(top_r)]
+    spans = [bow.span(row) for row in rows]
+    words = np.concatenate([bow.words[s] for s in spans])
+    weights = np.concatenate([bow.counts[s] / bow.mass[row] for s, row in zip(spans, rows)])
+    dense = np.bincount(words, weights / len(rows), minlength=bow.vocab_size)
+    support = np.flatnonzero(dense)
+    return BowHistogram(support, dense[support], bow.vocab_size)
 
 
 def reconstruct_bow_with_prior(
@@ -308,16 +320,18 @@ def reconstruct_bow_with_prior(
 
     The prior is first rescaled to ``mass`` (the estimated feature count,
     defaulting to ``||h0||_1``) so the blend mixes quantities on the count
-    scale regardless of how the prior was normalized.  The candidate set of
-    each active center is widened by the prior's support there, the
-    per-center systems share the global normalizers ``||v||^2`` and
-    ``||h0||^2`` (the centers partition one joint problem), negative
-    coefficients are clipped, and the result is rescaled to ``mass`` before
-    being floored to integer counts.
+    scale regardless of how the prior was normalized; each center reads its
+    part of the prior from that one dense vector.  The candidate set of each
+    active center is widened by the prior's support there, the per-center
+    systems share the global normalizers ``||v||^2`` and ``||h0||^2`` (the
+    centers partition one joint problem; ``||h0||^2`` is summed in ascending
+    word order), negative coefficients are clipped, and the result is
+    rescaled to ``mass`` (its total summed center by center) before being
+    floored to integer counts.
     """
     if v.num_centers != tree.num_vlad_centers:
         raise ValueError("VLAD center count does not match the tree")
-    if not h0.counts:
+    if not h0.num_words:
         raise ValueError("prior histogram is empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -326,48 +340,39 @@ def reconstruct_bow_with_prior(
         raise ValueError("zero VLAD")
     if mass is None:
         mass = h0.total()
-    prior_scale = mass / h0.total()
-    dense_prior = {leaf: value * prior_scale for leaf, value in h0.counts.items()}
-    n2 = float(sum(value * value for value in dense_prior.values()))
+    scaled = h0.values * (mass / h0.total())
+    n2 = float(sum((scaled * scaled).tolist()))
+    prior = np.zeros(tree.num_leaves)
+    prior[h0.words] = scaled
+    prior_parent = tree.parent_of_leaf[h0.words]
 
-    prior_by_center: dict[int, set[int]] = {}
-    for leaf in dense_prior:
-        prior_by_center.setdefault(int(tree.parent_of_leaf[leaf]), set()).add(int(leaf))
-
-    raw: dict[int, float] = {}
+    words, raw = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     reports: list[SubvectorReport] = []
     context = tree.reconstruction_context
-    for center in _active_centers(v):
-        center = int(center)
-        allowed: set[int]
+    for center in _active_centers(v).tolist():
         if candidates is not None:
             allowed = set(candidates.allowed(center))
         else:
-            allowed = set(int(t) for t in subtree_leaves(tree, center))
-        allowed |= prior_by_center.get(center, set())
+            allowed = set(subtree_leaves(tree, center).tolist())
+        allowed.update(h0.words[prior_parent == center].tolist())
         if not allowed:
             reports.append(SubvectorReport(center, 0, 0, True, True))
             continue
         dictionary = context.restricted(center, allowed)
-        h0_local = np.array(
-            [dense_prior.get(int(leaf), 0.0) for leaf in dictionary.column_ids], dtype=np.float64
-        )
         coeffs = solve_tikhonov(
-            dictionary, v.subvectors[center], h0_local, alpha, n1=n1, n2=n2
+            dictionary, v.subvectors[center], prior[dictionary.column_ids], alpha, n1=n1, n2=n2
         )
         reports.append(SubvectorReport(center, dictionary.width, 1, True, False))
-        for leaf, value in zip(dictionary.column_ids, coeffs):
-            if value > 0.0:
-                raw[int(leaf)] = raw.get(int(leaf), 0.0) + float(value)
+        kept = coeffs > 0.0
+        words.append(dictionary.column_ids[kept])
+        raw.append(coeffs[kept])
 
-    total = sum(raw.values())
-    counts: dict[int, float] = {}
-    if total > 0:
-        scale = mass / total
-        for leaf, value in raw.items():
-            # The epsilon keeps count-valued solutions from flooring through
-            # an exact integer on float roundoff.
-            floored = float(np.floor(value * scale + 1e-9))
-            if floored > 0:
-                counts[leaf] = floored
-    return ReconstructionResult(BowHistogram(counts, tree.num_leaves), reports)
+    histogram = _by_word(words, raw, tree.num_leaves)
+    total = sum(np.concatenate(raw).tolist())
+    if total > 0:  # else no coefficient was kept and the histogram is empty
+        # The epsilon keeps count-valued solutions from flooring through an
+        # exact integer on float roundoff.
+        floored = np.floor(histogram.values * (mass / total) + 1e-9)
+        kept = floored > 0
+        histogram = BowHistogram(histogram.words[kept], floored[kept], tree.num_leaves)
+    return ReconstructionResult(histogram, reports)

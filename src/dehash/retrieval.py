@@ -403,15 +403,7 @@ def build_index(
 
 def l1_histogram_distance(a: BowHistogram, b: BowHistogram) -> float:
     """L1 distance between L1-normalized sparse histograms (range [0, 2])."""
-    an = a.l1_normalized().counts
-    bn = b.l1_normalized().counts
-    dist = 0.0
-    for key, value in an.items():
-        dist += abs(value - bn.get(key, 0.0))
-    for key, value in bn.items():
-        if key not in an:
-            dist += value
-    return dist
+    return float(np.abs(a.l1_normalized().to_dense() - b.l1_normalized().to_dense()).sum())
 
 
 def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
@@ -422,7 +414,9 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     = 2 * (A*B - sum_i min(a_i*B, b_i*A)) / (A*B)``.  The last form sums over
     the words the row holds, and with integer counts every product and sum in
     it is exact, so images at equal distance score equal floats and fall back
-    to the id order.
+    to the id order.  ``A`` is ``np.sum`` of the query's ``values``, which
+    the histogram already holds in ascending word order, as arrays the scan
+    reads without conversion.
 
     A term is zero unless the query holds the word, so ``min(a_w*B, b_w*A)``
     is computed only for the postings of the query's words and scattered
@@ -440,12 +434,11 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
         raise ValueError(
             f"query histogram over {query.vocab_size} words, index vocabulary is {index.tree.num_leaves}"
         )
-    if not query.counts:
+    if not query.num_words:
         # No words to compare against: fall back to a flagged id-order ranking.
         return index._ranking(np.full(len(index.ids), 2.0), degenerate=True)
-    words = np.fromiter(query.counts.keys(), dtype=np.int64, count=len(query.counts))
-    values = np.fromiter(query.counts.values(), dtype=np.float64, count=len(query.counts))
-    mass = float(values[np.argsort(words, kind="stable")].sum())  # ascending by word
+    words, values = query.words, query.values
+    mass = float(values.sum())
     ends = bow.posting_ptr[words + 1]
     sizes = ends - bow.posting_ptr[words]
     # The query words' postings laid end to end: word k's block ends at

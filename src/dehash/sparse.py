@@ -55,10 +55,6 @@ class Dictionary:
     def dim(self) -> int:
         return self.columns.shape[0]
 
-    def zero_column_mask(self) -> np.ndarray:
-        """Columns whose leaf coincides with the coarse center (unrecoverable)."""
-        return ~np.any(self.columns != 0.0, axis=0)
-
 
 @dataclass
 class LassoResult:

@@ -3,16 +3,20 @@ columns ``DatabaseIndex`` stores, rows in ascending-id order."""
 
 import numpy as np
 
-from dehash.aggregate import BowMatrix
+from dehash.aggregate import BowHistogram, BowMatrix
 from dehash.retrieval import DatabaseIndex
 
 
+def histogram_of(counts, vocab_size):
+    """A ``BowHistogram`` from a ``{word: value}`` dict in any order."""
+    return BowHistogram(sorted(counts), [counts[w] for w in sorted(counts)], vocab_size)
+
+
 def bow_matrix(histograms, vocab_size):
-    """CSR rows of ``BowHistogram``s, each row ascending by word."""
-    words = [sorted(h.counts) for h in histograms]
-    counts = [h.counts[w] for h, row in zip(histograms, words) for w in row]
-    indptr = np.cumsum([0] + [len(row) for row in words])
-    return BowMatrix(indptr, [w for row in words for w in row], counts, vocab_size)
+    """CSR rows of ``BowHistogram``s."""
+    indptr = np.cumsum([0] + [h.num_words for h in histograms])
+    words = [w for h in histograms for w in h.words.tolist()]
+    return BowMatrix(indptr, words, [v for h in histograms for v in h.values.tolist()], vocab_size)
 
 
 def index_of(tree, ids, bows=None, vlads=None, codes=None, **kwargs):

@@ -21,6 +21,7 @@ from dehash.aggregate import (
 from dehash.reconstruct import build_dictionary
 from dehash.vocab import train_vocabulary
 
+from index_columns import histogram_of
 from test_vocab import gaussian_mixture
 
 
@@ -33,16 +34,47 @@ def tree():
 class TestBowHistogram:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            BowHistogram({0: 0.0}, 10)
+            histogram_of({0: 0.0}, 10)
         with pytest.raises(ValueError):
-            BowHistogram({10: 1.0}, 10)
+            histogram_of({10: 1.0}, 10)
+
+    @pytest.mark.parametrize(
+        "words, values",
+        [
+            ([-1, 2], [1.0, 1.0]),  # word outside the vocabulary
+            ([2, 10], [1.0, 1.0]),
+            ([1, 2], [1.0, 0.0]),  # zero, negative or NaN value
+            ([1, 2], [-1.0, 1.0]),
+            ([1, 2], [1.0, float("nan")]),
+            ([3, 1], [1.0, 1.0]),  # unsorted or repeated words
+            ([2, 2], [1.0, 1.0]),
+            ([1, 2], [1.0]),  # one value per word
+            ([[1, 2]], [[1.0, 1.0]]),
+        ],
+    )
+    def test_constructor_rejects(self, words, values):
+        with pytest.raises(ValueError):
+            BowHistogram(words, values, 10)
+
+    def test_arrays_ascend_and_are_read_only(self):
+        h = histogram_of({5: 6.0, 1: 2.0, 3: 0.5}, 8)
+        assert h.words.dtype == np.int64 and h.values.dtype == np.float64
+        assert h.words.tolist() == [1, 3, 5] and h.values.tolist() == [2.0, 0.5, 6.0]
+        assert list(h.counts.items()) == [(1, 2.0), (3, 0.5), (5, 6.0)]
+        assert h.num_words == 3 and h.total() == 8.5
+        with pytest.raises(ValueError):
+            h.values[0] = 1.0
+        empty = BowHistogram([], [], 8)
+        assert empty.counts == {} and empty.total() == 0.0 and empty.l1_normalized().num_words == 0
 
     def test_normalization_and_dense(self):
-        h = BowHistogram({1: 2.0, 5: 6.0}, 8)
+        h = histogram_of({1: 2.0, 5: 6.0}, 8)
         hn = h.l1_normalized()
         assert hn.counts == {1: 0.25, 5: 0.75}
-        assert h.to_dense().tolist() == [0, 2.0, 0, 0, 0, 6.0, 0, 0]
-        assert BowHistogram.from_dense(h.to_dense()).counts == h.counts
+        dense = h.to_dense()
+        assert dense.tolist() == [0, 2.0, 0, 0, 0, 6.0, 0, 0]
+        support = np.flatnonzero(dense)
+        assert dict(zip(support.tolist(), dense[support].tolist())) == h.counts
 
 
 class TestComputeBow:
@@ -101,7 +133,7 @@ class TestBowMatrix:
     def test_rows_read_back(self):
         bow = BowMatrix([0, 2, 3], [1, 4, 0], [2.0, 6.0, 1.0], 5)
         assert bow.histogram(0).counts == {1: 2.0, 4: 6.0}
-        assert bow.normalized(0) == ([1, 4], [0.25, 0.75])
+        assert (bow.counts[bow.span(0)] / bow.mass[0]).tolist() == [0.25, 0.75]
         assert bow.mass.tolist() == [8.0, 1.0]
         # Word 0 is entry 2 (row 1), word 1 entry 0 and word 4 entry 1 (row 0).
         assert bow.posting_ptr.tolist() == [0, 1, 2, 2, 2, 3]

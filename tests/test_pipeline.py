@@ -5,8 +5,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dehash import pipeline
-from dehash.aggregate import aggregate_images, compute_vlad
+from dehash import aggregate, pipeline
+from dehash.aggregate import aggregate_images, compute_bow, compute_vlad
 from dehash.dataset import SyntheticSpec, ingest_dataset
 from dehash.hashing import approximate_vlad, encode, save_model, train_hashing
 from dehash.pipeline import (
@@ -26,7 +26,8 @@ from dehash.pipeline import (
     summarize_report,
 )
 from dehash.reconstruct import reconstruct_bow
-from dehash.retrieval import Ranking, recall_at
+from dehash.retrieval import Ranking, rank_bow, recall_at
+from dehash.vocab import assign_descriptors
 
 
 def tiny_config(**overrides):
@@ -244,8 +245,10 @@ class TestRunPipeline:
         with mock.patch.object(pipeline, "aggregate_images", wraps=aggregate_images) as spy, \
                 mock.patch.object(pipeline, "train_hashing", wraps=train_hashing) as train:
             result = run_pipeline(config, out_dir=tmp_path)
-        assert spy.call_count == 1
         dataset = ingest_dataset(data / "reversed.tsv")
+        # The database in one call, then one call per query (rank_query).
+        sizes = [len(call.args[1]) for call in spy.call_args_list]
+        assert sizes == [len(dataset.ids)] + [1] * config.num_queries
         assert dataset.ids == sorted(dataset.ids, reverse=True)
         vlads = [compute_vlad(result.tree, dataset.descriptors[i]) for i in dataset.ids]
         assert np.array_equal(train.call_args.args[0], np.array([v.subvectors for v in vlads]))
@@ -333,3 +336,23 @@ class TestRankQuery:
             assert list(ranked) == list(ALL_MODES)
             for mode, (ranking, _) in ranked.items():
                 assert result.rankings[mode][qid] == ranking.drop(qid)
+
+    def test_one_aggregation_pass_per_query(self, tmp_path):
+        # One coarse search serves the VLAD and, when bow is ranked, the
+        # histogram: assign_descriptors runs once per query either way.
+        config = tiny_config(modes=("bow", "vlad", "hamming", "recon-brpk"))
+        result = run_pipeline(config, out_dir=tmp_path)
+        dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
+        entry_by_id = {e.image_id: e for e in dataset.entries}
+        for modes, leaves in ((config.modes, True), (config.modes[1:], False)):
+            for qid in result.relevance:
+                entry, descriptors = entry_by_id[qid], dataset.descriptors[qid]
+                with mock.patch.object(aggregate, "assign_descriptors", wraps=assign_descriptors) as spy:
+                    ranked = rank_query(
+                        dataclasses.replace(config, modes=modes), result.index, result.model,
+                        descriptors, qid, entry.gps, entry.category,
+                    )
+                assert spy.call_count == 1 and spy.call_args.kwargs["leaves"] is leaves
+                if leaves:
+                    want = rank_bow(result.index, compute_bow(result.tree, descriptors))
+                    assert ranked["bow"][0] == want

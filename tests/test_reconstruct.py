@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from dehash.aggregate import BowHistogram, VladVector, compute_bow, compute_vlad
+from dehash.aggregate import VladVector, compute_bow, compute_vlad
 from dehash.hashing import train_hashing
 from dehash.reconstruct import (
     CandidateVWs,
@@ -22,7 +22,7 @@ from dehash.sparse import solve_nn_lasso
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
-from index_columns import index_of
+from index_columns import histogram_of, index_of
 from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
 
@@ -72,7 +72,7 @@ class TestBuildDictionary:
 
     def test_zero_column_flagged_when_leaf_equals_center(self):
         tiny = train_vocabulary(np.array([[0.0], [0.0], [4.0], [4.0]]), 2, 2, 1, seed=1)
-        masks = [build_dictionary(tiny, v).zero_column_mask() for v in range(2)]
+        masks = [~np.any(build_dictionary(tiny, v).columns != 0.0, axis=0) for v in range(2)]
         # Duplicated training points collapse leaves onto their parent center.
         assert any(m.any() for m in masks)
 
@@ -274,7 +274,7 @@ class TestReconstructBow:
             X = leafs[picks]
             truth = compute_bow(tree, X)
             result = reconstruct_bow(compute_vlad(tree, X), tree, lam=1e-4)
-            assert result.all_converged
+            assert all(r.converged or r.skipped for r in result.reports)
             recovered = {t: round(c) for t, c in result.histogram.counts.items() if round(c) > 0}
             assert recovered == {t: int(c) for t, c in truth.counts.items()}
 
@@ -342,7 +342,8 @@ class TestReconstructBow:
         ranking = rank_hamming(index, index.codes[qid])
         cand = candidates_from_binary(index, ranking, top_r=2)
         full_width = index.tree.num_leaves / index.tree.num_vlad_centers
-        assert cand.mean_width() * 5 <= full_width * index.tree.num_vlad_centers
+        mean_width = cand.total_width() / cand.num_centers
+        assert mean_width * 5 <= full_width * index.tree.num_vlad_centers
 
 
 class TestPseudoBow:
@@ -362,8 +363,8 @@ class TestPseudoBow:
 
     def test_mean_of_disjoint_one_hots(self, tree):
         bows = {
-            "a": BowHistogram({0: 4.0}, tree.num_leaves),
-            "b": BowHistogram({5: 2.0}, tree.num_leaves),
+            "a": histogram_of({0: 4.0}, tree.num_leaves),
+            "b": histogram_of({5: 2.0}, tree.num_leaves),
         }
         idx = index_of(tree=tree, ids=["a", "b"], bows=bows)
         h = pseudo_bow(idx, Ranking((("a", 0.0), ("b", 1.0))), top_r=2)
@@ -405,7 +406,7 @@ class TestPriorReconstruction:
         leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
         X = leafs[rng.integers(0, tree.num_leaves, size=40)]
         v = compute_vlad(tree, X)
-        prior = BowHistogram({3: 1.0}, tree.num_leaves)
+        prior = histogram_of({3: 1.0}, tree.num_leaves)
         allowed = set(int(x) for x in rng.choice(tree.num_leaves, size=12, replace=False))
         cand = CandidateVWs.from_leaf_ids(tree, allowed)
         result = reconstruct_bow_with_prior(v, tree, prior, 0.5, cand, mass=40.0)
@@ -414,7 +415,7 @@ class TestPriorReconstruction:
     def test_rejects_empty_prior(self, tree):
         v = VladVector(np.ones((tree.num_vlad_centers, tree.dim)))
         with pytest.raises(ValueError):
-            reconstruct_bow_with_prior(v, tree, BowHistogram({}, tree.num_leaves), 0.5)
+            reconstruct_bow_with_prior(v, tree, histogram_of({}, tree.num_leaves), 0.5)
 
     def test_counts_are_integral(self, tree):
         rng = np.random.default_rng(157)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from dehash.aggregate import BowHistogram, VladVector, compute_bow, compute_vlad
+from dehash.aggregate import VladVector, compute_bow, compute_vlad
 from dehash.hashing import BinaryCode, encode, train_hashing
 from dehash.retrieval import (
     DatabaseIndex,
@@ -36,7 +36,7 @@ from dehash.retrieval import (
 from dehash import aggregate, vocab
 from dehash.vocab import train_vocabulary
 
-from index_columns import bow_matrix, index_of
+from index_columns import bow_matrix, histogram_of, index_of
 from test_vocab import gaussian_mixture
 
 
@@ -65,8 +65,8 @@ class TestRankBow:
 
     def test_disjoint_supports_distance_two(self, small_index):
         m = small_index.tree.num_leaves
-        a = BowHistogram({0: 3.0}, m)
-        b = BowHistogram({1: 5.0, 2: 1.0}, m)
+        a = histogram_of({0: 3.0}, m)
+        b = histogram_of({1: 5.0, 2: 1.0}, m)
         assert l1_histogram_distance(a, b) == pytest.approx(2.0)
 
     def test_matches_dense_l1_oracle(self, small_index):
@@ -74,7 +74,7 @@ class TestRankBow:
         m = small_index.tree.num_leaves
         for _ in range(50):
             keys = rng.choice(m, size=4, replace=False)
-            query = BowHistogram({int(k): float(rng.integers(1, 6)) for k in keys}, m)
+            query = histogram_of({int(k): float(rng.integers(1, 6)) for k in keys}, m)
             ranking = rank_bow(small_index, query)
             qd = query.to_dense()
             qd = qd / qd.sum()
@@ -92,17 +92,17 @@ class TestRankBow:
         # score ties them and leaves them in id order.
         m = small_index.tree.num_leaves
         bows = {
-            "img-b": BowHistogram({1: 2.0, 2: 8.0}, m),
-            "img-a": BowHistogram({0: 3.0, 2: 2.0, 3: 1.0}, m),
-            "img-c": BowHistogram({4: 1.0}, m),
+            "img-b": histogram_of({1: 2.0, 2: 8.0}, m),
+            "img-a": histogram_of({0: 3.0, 2: 2.0, 3: 1.0}, m),
+            "img-c": histogram_of({4: 1.0}, m),
         }
         idx = index_of(tree=small_index.tree, ids=list(bows), bows=bows)
-        query = BowHistogram({0: 3.0, 1: 5.0, 2: 11.0, 3: 7.0}, m)
+        query = histogram_of({0: 3.0, 1: 5.0, 2: 11.0, 3: 7.0}, m)
         ranking = rank_bow(idx, query)
         assert ranking.entries == (("img-a", 10 / 13), ("img-b", 10 / 13), ("img-c", 2.0))
 
     def test_empty_query_flagged(self, small_index):
-        ranking = rank_bow(small_index, BowHistogram({}, small_index.tree.num_leaves))
+        ranking = rank_bow(small_index, histogram_of({}, small_index.tree.num_leaves))
         assert ranking.degenerate
         assert ranking.ids() == sorted(small_index.ids)
 
@@ -363,7 +363,7 @@ class TestColumnarIndex:
         X = leafs[[0, 0, 1, 4]]
         vlad = compute_vlad(tree, X)
         code = BinaryCode.from_bits(np.arange(small_index.nbits) % 3 == 0)
-        bow = BowHistogram({4: 1.0, 0: 2.0, 1: 1.0}, tree.num_leaves)
+        bow = histogram_of({4: 1.0, 0: 2.0, 1: 1.0}, tree.num_leaves)
         idx = index_of(
             tree=tree, ids=["b", "a"], bows={"a": bow, "b": bow}, vlads={"a": vlad, "b": vlad},
             codes={"a": code, "b": code}, gps={"a": (12.5, -3.25)},
@@ -405,7 +405,7 @@ class TestColumnarIndex:
     def test_columns_must_fit_the_index(self, small_index):
         tree, ids = small_index.tree, small_index.ids
         with pytest.raises(ValueError, match="vocabulary"):
-            DatabaseIndex(tree, ids[:1], bow=bow_matrix([BowHistogram({0: 1.0}, 5)], 5))
+            DatabaseIndex(tree, ids[:1], bow=bow_matrix([histogram_of({0: 1.0}, 5)], 5))
         with pytest.raises(ValueError, match="stack"):
             DatabaseIndex(tree, ids, vlads=small_index._vlad_matrix)
         with pytest.raises(ValueError, match="bits"):
@@ -589,7 +589,7 @@ class TestScanErrors:
         m = small_index.tree.num_leaves
         for size in (m - 1, m + 1):
             with pytest.raises(ValueError):
-                rank_bow(small_index, BowHistogram({0: 1.0}, size))
+                rank_bow(small_index, histogram_of({0: 1.0}, size))
 
 
 class TestTieBreak:
@@ -645,7 +645,7 @@ def dyadic_histogram(vocab_size):
     and every L1 distance between two such histograms, is exact in float64."""
     return st.integers(0, 5).flatmap(
         lambda p: st.lists(st.integers(0, vocab_size - 1), min_size=2**p, max_size=2**p)
-    ).map(lambda words: BowHistogram(
+    ).map(lambda words: histogram_of(
         {w: float(words.count(w)) for w in sorted(set(words))}, vocab_size
     ))
 
@@ -653,7 +653,7 @@ def dyadic_histogram(vocab_size):
 def float_histogram(vocab_size):
     return st.dictionaries(
         st.integers(0, vocab_size - 1), st.floats(1e-3, 1e3), min_size=1, max_size=vocab_size
-    ).map(lambda counts: BowHistogram(counts, vocab_size))
+    ).map(lambda counts: histogram_of(counts, vocab_size))
 
 
 def with_duplicates(distinct, pick_query):

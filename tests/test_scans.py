@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_reference as ref
-from index_columns import bow_matrix
-from dehash.aggregate import BowHistogram, VladVector, normalize_vlad
+from index_columns import bow_matrix, histogram_of
+from dehash.aggregate import VladVector, normalize_vlad
 from dehash.retrieval import DatabaseIndex, rank_bow, rank_vlad
 
 from test_retrieval import small_index  # noqa: F401  (a fixture)
@@ -60,7 +60,7 @@ class TestVladScan:
 
 def bow_index(rows, vocab_size):
     ids = ids_of(len(rows))
-    histograms = [BowHistogram(row, vocab_size) for row in rows]
+    histograms = [histogram_of(row, vocab_size) for row in rows]
     tree = SimpleNamespace(num_leaves=vocab_size)
     return DatabaseIndex(tree, ids, bow=bow_matrix(histograms, vocab_size)), ids
 
@@ -87,12 +87,12 @@ class TestBowScan:
         if one_word_rows:
             rows = [dict([next(iter(row.items()))]) for row in rows]
         index, ids = bow_index(rows, vocab_size)
-        histogram = BowHistogram({w % vocab_size: c for w, c in query.items()}, vocab_size)
+        histogram = histogram_of({w % vocab_size: c for w, c in query.items()}, vocab_size)
         assert_ranked_as(rank_bow(index, histogram), ids, ref.bow_scores(index.bow, histogram))
 
     def test_query_words_no_row_holds(self):
         index, ids = bow_index([{0: 2.0, 1: 1.0}, {1: 3.0}, {0: 1.0}], 6)
-        histogram = BowHistogram({4: 1.0, 5: 2.5}, 6)
+        histogram = histogram_of({4: 1.0, 5: 2.5}, 6)
         ranking = rank_bow(index, histogram)
         assert ranking.entries == tuple((i, 2.0) for i in ids)
         assert_ranked_as(ranking, ids, ref.bow_scores(index.bow, histogram))
@@ -105,6 +105,6 @@ class TestBowScan:
             counts = rng.integers(1, 9, size=len(words)).astype(float)
             if rng.random() < 0.5:
                 counts *= rng.uniform(0.01, 3.0, size=len(words))  # fractional
-            histogram = BowHistogram(dict(zip(words.tolist(), counts.tolist())), m)
+            histogram = histogram_of(dict(zip(words.tolist(), counts.tolist())), m)
             want = ref.bow_scores(small_index.bow, histogram)
             assert_ranked_as(rank_bow(small_index, histogram), list(small_index.ids), want)

@@ -130,7 +130,7 @@ class TestNonNegativeLasso:
     def test_zero_columns_stay_zero(self):
         cols = np.array([[1.0, 0.0], [0.5, 0.0]])
         d = Dictionary(cols, np.array([3, 7]), 0)
-        assert d.zero_column_mask().tolist() == [False, True]
+        assert (~np.any(d.columns != 0.0, axis=0)).tolist() == [False, True]
         result = solve_nn_lasso(d, np.array([1.0, 0.5]), 0.01)
         assert result.coeffs[1] == 0.0
 
