@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .aggregate import BowHistogram, VladVector
-from .sparse import Dictionary, solve_nn_lasso, solve_tikhonov
+from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov
 from .vocab import VocabularyTree, subtree_leaves
 
 if TYPE_CHECKING:
@@ -58,11 +58,17 @@ class CandidateVWs:
 
     @classmethod
     def from_leaf_ids(cls, tree: VocabularyTree, leaf_ids: Iterable[int]) -> "CandidateVWs":
-        grouped: dict[int, set[int]] = {}
-        for leaf in leaf_ids:
-            grouped.setdefault(int(tree.parent_of_leaf[leaf]), set()).add(int(leaf))
+        """Group distinct leaf ids by coarse center, with array sorts rather than a per-leaf loop."""
+        if not isinstance(leaf_ids, np.ndarray):
+            leaf_ids = np.fromiter(leaf_ids, dtype=np.int64)
+        leaves = np.unique(leaf_ids.astype(np.int64, copy=False))
+        parents = tree.parent_of_leaf[leaves]
+        order = np.argsort(parents, kind="stable")
+        grouped = leaves[order].tolist()
+        centers, starts = np.unique(parents[order], return_index=True)
+        bounds = starts.tolist() + [len(grouped)]
         return cls(
-            {c: frozenset(s) for c, s in grouped.items()},
+            {c: frozenset(grouped[b:e]) for c, b, e in zip(centers.tolist(), bounds, bounds[1:])},
             tree.num_vlad_centers,
         )
 
@@ -94,12 +100,15 @@ class ReconstructionContext:
 
     Reach it through ``VocabularyTree.reconstruction_context``, so the cache
     belongs to the tree it was computed from and is built on first use, per
-    center, not at index time.  A restricted dictionary slices its columns
-    from the cached full one (the values equal ``build_dictionary``'s bit for
-    bit) but gets no cached Gram: a slice of the full Gram can differ from the
-    sliced columns' own ``D.T @ D`` in the last bits, and the solve path
-    follows those bits.  Cached arrays are read-only and a center is built
-    under a lock, so solver threads may share the context.
+    center, not at index time.  A cached dictionary also keeps its mask of
+    repeated columns (``Dictionary.first_copies``) once the solver has asked
+    for it.  A restricted dictionary slices its columns from the cached full
+    one (the values equal ``build_dictionary``'s bit for bit) but gets no
+    cached Gram: the solver forms the sliced columns' own ``D.T @ D``, as it
+    would for a dictionary built afresh, rather than a slice of the full
+    Gram, which can differ from it in the last bits.  Cached arrays are
+    read-only and a center is built under a lock, so solver threads may
+    share the context.
     """
 
     def __init__(self, tree: VocabularyTree) -> None:
@@ -123,9 +132,10 @@ class ReconstructionContext:
     def restricted(self, vlad_id: int, restrict: Iterable[int]) -> Dictionary:
         """``build_dictionary(tree, vlad_id, restrict)``, sliced from the cache."""
         full, _ = self.full(vlad_id)
-        wanted = np.asarray(sorted(set(int(i) for i in restrict)), dtype=np.int64)
+        wanted = np.fromiter(sorted(set(restrict)), dtype=np.int64)
         pos = np.searchsorted(full.column_ids, wanted)
-        if not (np.all(pos < full.width) and np.array_equal(full.column_ids[pos], wanted)):
+        # Both ascend, so the last position bounds them all.
+        if wanted.size and (pos[-1] >= full.width or not np.all(full.column_ids[pos] == wanted)):
             raise ValueError(f"restriction contains leaves outside sub-tree of center {vlad_id}")
         # Rows of the (T, dim) transpose, transposed back: the same memory
         # layout as a freshly built dictionary, so products round the same.
@@ -257,12 +267,10 @@ def reconstruct_bow(
     """
     if v.num_centers != tree.num_vlad_centers:
         raise ValueError("VLAD center count does not match the tree")
-    words, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    reports: list[SubvectorReport] = []
-    active = _active_centers(v)
     context = tree.reconstruction_context
-
-    for center in active.tolist():
+    solved: list[tuple[int, Dictionary | None]] = []
+    problems = []
+    for center in _active_centers(v).tolist():
         allowed = None if candidates is None else candidates.allowed(center)
         if allowed is None:
             dictionary, gram = context.full(center)
@@ -271,11 +279,19 @@ def reconstruct_bow(
         else:
             dictionary = None
         if dictionary is None or dictionary.width == 0:
+            solved.append((center, None))
+            continue
+        solved.append((center, dictionary))
+        problems.append((dictionary, v.subvectors[center], gram))
+    results = iter(solve_nn_lasso_batch(problems, lam, tol=tol, max_iter=max_iter))
+
+    words, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    reports: list[SubvectorReport] = []
+    for center, dictionary in solved:
+        if dictionary is None:
             reports.append(SubvectorReport(center, 0, 0, True, True))
             continue
-        result = solve_nn_lasso(
-            dictionary, v.subvectors[center], lam, tol=tol, max_iter=max_iter, gram=gram
-        )
+        result = next(results)
         reports.append(
             SubvectorReport(center, dictionary.width, result.sweeps, result.converged, False)
         )

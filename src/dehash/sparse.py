@@ -2,16 +2,20 @@
 
 Two routes from a residual sub-vector back to word counts:
 
-* :func:`solve_nn_lasso` - non-negative L1-regularized least squares,
-  minimizing ``||v - D h||_2^2 + lam * ||h||_1`` over ``h >= 0``.  Note the
-  quadratic term carries no 1/2 factor, so the per-coordinate threshold is
-  ``lam / 2`` for a unit-norm column; regularization weights are calibrated
-  to this convention.  The solver follows the exact piecewise-linear
-  solution path in ``lam`` (homotopy, as in LARS); vocabulary dictionaries
-  are far too coherent for plain coordinate descent, which stalls swapping
-  mass between near-parallel columns at small ``lam``.  Each path event
-  costs one small linear solve and a fixed number of vectorized operations
-  over the dictionary's columns.  Callers that solve against the same
+* :func:`solve_nn_lasso_batch` - non-negative L1-regularized least squares,
+  minimizing ``||v - D h||_2^2 + lam * ||h||_1`` over ``h >= 0`` for several
+  dictionaries and targets at once; :func:`solve_nn_lasso` is its
+  one-problem call.  Note the quadratic term carries no 1/2 factor, so the
+  per-coordinate threshold is ``lam / 2`` for a unit-norm column;
+  regularization weights are calibrated to this convention.  The solver
+  follows the exact piecewise-linear solution path in ``lam`` (homotopy, as
+  in LARS); vocabulary dictionaries are far too coherent for plain
+  coordinate descent, which stalls swapping mass between near-parallel
+  columns at small ``lam``.  The paths of one batch advance in lockstep:
+  each round costs one stacked linear solve over every running walk's
+  active block and a fixed number of array operations over the batch's
+  columns, so a reconstruction's numpy calls scale with its longest path,
+  not with its total event count.  Callers that solve against the same
   dictionary many times pass its Gram matrix ``D.T @ D`` precomputed.
 * :func:`solve_tikhonov` - closed-form L2-regularized solve against a prior,
   evaluated through a (dim x dim) system rather than the (T x T) normal
@@ -22,6 +26,8 @@ Two routes from a residual sub-vector back to word counts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +61,18 @@ class Dictionary:
     def dim(self) -> int:
         return self.columns.shape[0]
 
+    @cached_property
+    def first_copies(self) -> np.ndarray:
+        """``(T,)`` mask of the columns equal to no earlier column, bit for bit."""
+        first = np.zeros(self.width, dtype=bool)
+        if self.dim:
+            rows = np.ascontiguousarray(self.columns.T).view(np.dtype((np.void, 8 * self.dim)))
+            first[np.unique(rows.ravel(), return_index=True)[1]] = True
+        else:
+            first[:1] = True
+        first.flags.writeable = False
+        return first
+
 
 @dataclass
 class LassoResult:
@@ -69,118 +87,189 @@ def lasso_objective(dictionary: Dictionary, v: np.ndarray, lam: float, h: np.nda
     return float(r @ r + lam * np.sum(h))
 
 
-def _validate_lasso_inputs(dictionary: Dictionary, v: np.ndarray, lam: float) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (dictionary.dim,):
-        raise ValueError(f"v must have shape ({dictionary.dim},)")
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(dictionary.columns)):
-        raise ValueError("inputs must be finite")
+def _solve_blocks(blocks: np.ndarray, rhs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Solve a stack of padded active blocks at once.
+
+    A singular block (linearly dependent active columns) makes LAPACK refuse
+    the whole stack; the stack is then solved block by block, and each
+    singular block by least squares on its unpadded part.
+    """
+    try:
+        return np.linalg.solve(blocks, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs)
+        for i, k in enumerate(sizes.tolist()):
+            try:
+                sol[i] = np.linalg.solve(blocks[i], rhs[i])
+            except np.linalg.LinAlgError:
+                sol[i, :k] = np.linalg.lstsq(blocks[i, :k, :k], rhs[i, :k], rcond=None)[0]
+        return sol
+
+
+def solve_nn_lasso_batch(
+    problems: Sequence[tuple[Dictionary, np.ndarray, np.ndarray | None]],
+    lam: float,
+    tol: float = LASSO_TOL,
+    max_iter: int = LASSO_MAX_ITER,
+) -> list[LassoResult]:
+    """Solve several problems ``(dictionary, v, gram)`` at one weight ``lam``.
+
+    Each solve is an exact regularization-path walk, from the all-zero end
+    down to ``lam``.  The optimum is piecewise linear in the weight: on each
+    segment the active coefficients follow ``a - lam * b``.  Walking segment
+    events (a coefficient hitting zero, or an inactive correlation catching
+    up with the threshold) keeps every iterate exactly optimal for its own
+    weight, which is what coherent, overcomplete dictionaries need.
+
+    All paths advance in lockstep, one event per round for every walk still
+    running, so a round costs a fixed handful of array operations over the
+    whole batch.  The problems are padded to a common width plus one dummy
+    column that padded active slots point at.  Per round:
+
+    * the active Gram blocks, in insertion order and padded with identity,
+      go through one stacked solve for ``(a, b)``;
+    * every column's correlation change comes from one stacked product of
+      the Grams with the scattered ``(a, b)``;
+    * the weights at which each active coefficient would reach zero and each
+      live inactive column would enter form one row per walk;
+    * each walk's next event is its row's first maximum below the current
+      weight, with deletions in active order ahead of insertions in
+      ascending column order.
+
+    A walk stops when no event lies above ``lam``, or at ``max_iter`` events
+    with the iterate at its last event and ``converged=False``.  Zero columns
+    never enter, and neither does a column equal to an earlier column of its
+    dictionary: with its twin it would make the active block singular, and
+    alone it would only stand in for the twin.
+
+    ``gram`` may carry a precomputed ``D.T @ D`` for a dictionary solved
+    repeatedly.  Results come back in the order of ``problems``.  An item's
+    result does not depend on its position in the batch, and differs from
+    the same item solved alone only by rounding.
+    """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    return v
+    count = len(problems)
+    if not count:
+        return []
+    widths = np.array([d.width for d, _, _ in problems])
+    width, dim = int(widths.max()), max(d.dim for d, _, _ in problems)
+    cols = np.zeros((count, dim, width))
+    vs = np.zeros((count, dim))
+    # Column `width` is the dummy: zero in every Gram and never entering.
+    grams = np.zeros((count, width + 1, width + 1))
+    corr = np.zeros((count, width + 1))
+    enter = np.zeros((count, width + 1), dtype=bool)
+    for i, (dictionary, v, gram) in enumerate(problems):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (dictionary.dim,):
+            raise ValueError(f"v must have shape ({dictionary.dim},)")
+        w = dictionary.width
+        if gram is not None and gram.shape != (w, w):
+            raise ValueError(f"gram must have shape ({w}, {w})")
+        cols[i, : dictionary.dim, :w] = dictionary.columns
+        vs[i, : dictionary.dim] = v
+    if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(vs))):
+        raise ValueError("inputs must be finite")
+    for i, (dictionary, _, gram) in enumerate(problems):
+        w, columns = dictionary.width, dictionary.columns
+        grams[i, :w, :w] = columns.T @ columns if gram is None else gram
+        corr[i, :w] = columns.T @ vs[i, : dictionary.dim]
+        enter[i, :w] = dictionary.first_copies
+    enter &= np.diagonal(grams, axis1=1, axis2=2) > 0.0
 
-
-def _segment_solution(gram, corr, active):
-    """Per-segment path coefficients: h_A(lam) = a - lam * b on the active set."""
-    g = gram[active[:, None], active]
-    rhs = np.empty((active.size, 2))
-    rhs[:, 0] = corr[active]
-    rhs[:, 1] = 0.5
-    try:
-        sol = np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(g, rhs, rcond=None)
-    return sol[:, 0], sol[:, 1]
-
-
-def _homotopy_nn_lasso(
-    dictionary: Dictionary,
-    v: np.ndarray,
-    lam: float,
-    tol: float,
-    max_iter: int,
-    gram: np.ndarray | None,
-) -> LassoResult:
-    """Exact regularization-path solve, from the all-zero end down to ``lam``.
-
-    The optimum is piecewise linear in the weight: on each segment the active
-    coefficients follow ``a - lam * b``.  Walking segment events (a
-    coefficient hitting zero, or an inactive correlation catching up with the
-    threshold) keeps every iterate exactly optimal for its own weight, which
-    is what coherent, overcomplete dictionaries need.
-
-    Each event costs one linear solve on the active block of the Gram matrix
-    (``gram``, or ``D.T @ D`` computed here) and a fixed handful of array
-    operations: the weights at which every active coefficient would reach
-    zero and every live inactive column would enter are computed as one
-    vector, and the next event is its first maximum, with deletions in
-    active order ahead of insertions in ascending column order.  ``active``
-    keeps insertion order, because the order of the Gram block sets the
-    rounding of the solve.
-    """
-    cols = dictionary.columns
-    width = dictionary.width
-    corr = cols.T @ v
-    scale = max(1.0, float(np.max(np.abs(corr)) if width else 1.0))
+    scale = np.maximum(1.0, np.max(np.abs(corr), axis=1))
     event_tol = 1e-12 * scale
+    top = np.where(enter, corr, -np.inf)
+    lam_max = 2.0 * np.max(top, axis=1)
+    walking = lam < lam_max  # the rest end at h = 0
+    h = np.zeros((count, width + 1))
+    events = np.zeros(count, dtype=np.int64)
+    reached = np.zeros(count, dtype=bool)  # no event left above lam
 
-    h = np.zeros(width, dtype=np.float64)
-    lam_cur = 2.0 * float(np.max(corr)) if width else 0.0
-    if width == 0 or lam >= lam_cur:
-        return LassoResult(h, True, 0, lasso_objective(dictionary, v, lam, h))
+    # State of the running walks, compacted whenever some stop.
+    run = np.flatnonzero(walking) if max_iter > 0 else np.arange(0)
+    gram = grams[run]
+    # Per column (c_t, 1/2): an active column's row of the segment system,
+    # and the base of an inactive column's event weight.
+    base = np.empty((run.size, width + 1, 2))
+    base[:, :, 0] = corr[run]
+    base[:, :, 1] = 0.5
+    enter = enter[run]
+    lo, hi = lam + event_tol[run], lam_max[run] - event_tol[run]
+    etol = event_tol[run]
+    active = np.full((run.size, width + 1), width, dtype=np.intp)
+    active[:, 0] = np.argmax(top[run], axis=1)
+    enter[np.arange(run.size), active[:, 0]] = False
+    nact = np.ones(run.size, dtype=np.intp)
+    slots, eye = np.arange(width), np.eye(width + 1)
+    rounds = 0
 
-    if gram is None:
-        gram = cols.T @ cols
-    live = np.diag(gram) > 0.0  # zero columns never enter
-    active = np.array([np.argmax(corr)], dtype=np.intp)
-    in_active = np.zeros(width, dtype=bool)
-    in_active[active] = True
-    events = 0
-    converged = False
-    # The iterate is written once, when the walk stops: (support, a, b,
-    # weight) of the segment it stopped on.
-    stop = None
+    while run.size:
+        rounds += 1
+        rows = np.arange(run.size)[:, None]
+        k = int(nact.max())
+        act = active[:, :k]
+        block = gram[rows[:, :, None], act[:, :, None], act[:, None, :]]
+        block += eye[:k, :k] * (act == width)[:, None, :]
+        sol = _solve_blocks(block, base[rows, act], nact)
+        path = np.zeros((run.size, width + 1, 2))
+        path[rows, act] = sol
+        # Deletions: a / b where b < 0, as (-a/2) / (-b/2).  Insertions:
+        # 2 (c - G a) / (1 - 2 G b), as (c - G a) / (1/2 - G b).  Halving
+        # is exact, so both test one threshold and round as the full forms.
+        ev = np.concatenate((sol * -0.5, base - gram @ path), axis=1)
+        valid = ev[:, :, 1] > 5e-16
+        valid[:, k:] &= enter
+        lam_all = np.divide(ev[:, :, 0], ev[:, :, 1], out=np.full(valid.shape, -np.inf), where=valid)
+        lam_all = np.where(lam_all < hi[:, None], lam_all, -np.inf)
+        pick = np.argmax(lam_all, axis=1)
+        best = lam_all[rows[:, 0], pick]
+        done = ~(best > lo)
 
-    while events < max_iter:
-        events += 1
-        a, b = _segment_solution(gram, corr, active)
-        inactive = (live & ~in_active).nonzero()[0]
-        cross = gram[inactive[:, None], active]
-        # Deletion events: an active coefficient dropping to zero (it shrinks
-        # as the weight decreases exactly when b < 0).  Insertion events: an
-        # inactive correlation reaching the threshold.
-        num = np.concatenate((a, 2.0 * (corr[inactive] - cross @ a)))
-        den = np.concatenate((b, 1.0 - 2.0 * (cross @ b)))
-        ok = den > 1e-15
-        ok[: active.size] = b < -1e-15
-        lam_all = np.divide(num, den, out=np.full(num.size, -np.inf), where=ok)
-        lam_all[~((lam + event_tol < lam_all) & (lam_all < lam_cur - event_tol))] = -np.inf
-        pick = int(lam_all.argmax())
-        if lam_all[pick] == -np.inf:
-            stop = (active, a, b, lam)
-            converged = True
-            break
+        stop = done if rounds < max_iter else np.ones(run.size, dtype=bool)
+        if stop.any():
+            # The iterate at lam, or at this event when the cap hits.
+            i = np.flatnonzero(stop)
+            at = np.where(done[i], lam, best[i])
+            h[run[i]] = np.clip(path[i, :, 0] - at[:, None] * path[i, :, 1], 0.0, None)
+            events[run[i]] = rounds
+            reached[run[i[done[i]]]] = True
+            keep = ~stop
+            run, gram, base, enter = run[keep], gram[keep], base[keep], enter[keep]
+            lo, etol, active, nact = lo[keep], etol[keep], active[keep], nact[keep]
+            pick, best = pick[keep], best[keep]
+        hi = best - etol
 
-        lam_cur = float(lam_all[pick])
-        # The iterate at this event, kept in case the event cap hits.
-        stop = (active, a, b, lam_cur)
-        if pick < active.size:
-            # Never the last active column: alone it has b = 0.5 / ||d||^2 >= 0,
-            # so it never shrinks and the active set never empties.
-            in_active[active[pick]] = False
-            active = np.delete(active, pick)
-        else:
-            t = inactive[pick - active.size]
-            active = np.concatenate((active, [t]))
-            in_active[t] = True
+        # Never the last active column: alone it has b = 0.5 / ||d||^2 >= 0,
+        # so it never shrinks and the active set never empties.
+        add = pick >= k
+        i = np.flatnonzero(~add)
+        if i.size:
+            gone = pick[i]
+            enter[i, active[i, gone]] = True
+            active[i, :width] = active[i[:, None], slots + (slots >= gone[:, None])]
+        i = np.flatnonzero(add)
+        if i.size:
+            new = pick[i] - k
+            active[i, nact[i]] = new
+            enter[i, new] = False
+        nact += np.where(add, 1, -1)
 
-    if stop is not None:
-        support, a, b, at = stop
-        h[support] = np.clip(a - at * b, 0.0, None)
-    stationarity, violation = lasso_kkt_residuals(dictionary, v, lam, h)
-    kkt_tol = max(tol, 1e-7 * scale)
-    converged = converged and stationarity <= kkt_tol and violation <= kkt_tol
-    return LassoResult(h, converged, events, lasso_objective(dictionary, v, lam, h))
+    h = h[:, :width]
+    resid = vs - (cols @ h[:, :, None])[:, :, 0]
+    grad = -2.0 * (cols.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0] + lam
+    support = h > 0
+    stationarity = np.max(np.where(support, np.abs(grad), 0.0), axis=1, initial=0.0)
+    off = support | (np.arange(width) >= widths[:, None])
+    violation = np.maximum(0.0, -np.min(np.where(off, np.inf, grad), axis=1, initial=np.inf))
+    kkt_tol = np.maximum(tol, 1e-7 * scale)
+    converged = ~walking | (reached & (stationarity <= kkt_tol) & (violation <= kkt_tol))
+    objective = np.sum(resid * resid, axis=1) + lam * np.sum(h, axis=1)
+    return [
+        LassoResult(h[i, : d.width].copy(), bool(converged[i]), int(events[i]), float(objective[i]))
+        for i, (d, _, _) in enumerate(problems)
+    ]
 
 
 def solve_nn_lasso(
@@ -193,16 +282,12 @@ def solve_nn_lasso(
 ) -> LassoResult:
     """Minimize ``||v - D h||^2 + lam * sum(h)`` over ``h >= 0``.
 
-    Walks the exact solution path; ``max_iter`` caps the path events, and the
-    iterate at the last event is returned with ``converged=False`` when the
-    cap is hit first.  ``gram`` may carry a precomputed ``D.T @ D`` for
-    dictionaries solved repeatedly; it must be computed from these exact
-    columns, since the path's rounding follows it.
+    The one-problem call of :func:`solve_nn_lasso_batch`: walks the exact
+    solution path; ``max_iter`` caps the path events, and the iterate at the
+    last event is returned with ``converged=False`` when the cap is hit
+    first.  ``gram`` may carry a precomputed ``D.T @ D``.
     """
-    v = _validate_lasso_inputs(dictionary, v, lam)
-    if gram is not None and gram.shape != (dictionary.width, dictionary.width):
-        raise ValueError(f"gram must have shape ({dictionary.width}, {dictionary.width})")
-    return _homotopy_nn_lasso(dictionary, v, lam, tol, max_iter, gram)
+    return solve_nn_lasso_batch([(dictionary, v, gram)], lam, tol, max_iter)[0]
 
 
 def lasso_kkt_residuals(

@@ -18,12 +18,12 @@ from dehash.reconstruct import (
     reconstruct_bow,
     reconstruct_bow_with_prior,
 )
-from dehash.sparse import solve_nn_lasso
+from dehash.sparse import LassoResult, solve_nn_lasso
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
 from index_columns import histogram_of, index_of
-from test_sparse import coherent_tree
+from test_sparse import assert_same_walk, coherent_tree
 from test_vocab import gaussian_mixture
 
 
@@ -126,6 +126,25 @@ class TestCandidates:
         with pytest.raises(ValueError, match="category"):
             candidates_from_category(index, 99)
 
+    @pytest.mark.parametrize("which", ["small", "coherent"])
+    def test_from_leaf_ids_groups_as_the_per_leaf_loop(self, tree, which):
+        grouping_tree = tree if which == "small" else coherent_tree()
+
+        def per_leaf(leaf_ids):
+            grouped = {}
+            for leaf in leaf_ids:
+                grouped.setdefault(int(grouping_tree.parent_of_leaf[leaf]), set()).add(int(leaf))
+            return {c: frozenset(s) for c, s in grouped.items()}
+
+        rng = np.random.default_rng(137)
+        for size in (0, 1, 5, 40, 160, grouping_tree.num_leaves):
+            ids = rng.integers(0, grouping_tree.num_leaves, size=size)  # with repeats
+            want = per_leaf(ids)
+            for form in (ids, ids.tolist(), set(ids.tolist()), np.unique(ids).astype(np.int32)):
+                got = CandidateVWs.from_leaf_ids(grouping_tree, form)
+                assert got.per_center == want
+                assert all(type(c) is int and all(type(t) is int for t in s) for c, s in got.per_center.items())
+
     def test_combine_union_and_intersection(self, tree):
         a = CandidateVWs({0: frozenset({1, 2})}, tree.num_vlad_centers)
         b = CandidateVWs({0: frozenset({2, 3}), 1: frozenset({9})}, tree.num_vlad_centers)
@@ -194,10 +213,11 @@ class TestReconstructionContext:
         assert a.reconstruction_context.full(0)[0] is not b.reconstruction_context.full(0)[0]
 
     def test_reconstruction_equals_uncached_solves(self):
-        # The cached dictionaries and Gram give the same bits as building each
-        # dictionary afresh and letting the solver form its own Gram.  The
-        # realistic tree matters: there, a restricted solve fed a slice of the
-        # full Gram instead of its own differs in the last bits.
+        # The cached dictionaries and Gram, walked together, take the same
+        # path as each dictionary built afresh and walked alone with its own
+        # Gram: the same kept words, event counts and flags, and coefficients
+        # equal up to the rounding of the batched factorization.  The
+        # realistic tree matters: its center 4 holds three equal leaves.
         tree = coherent_tree()
         rng = np.random.default_rng(149)
         leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
@@ -207,18 +227,20 @@ class TestReconstructionContext:
             allowed = set(int(t) for t in rng.choice(tree.num_leaves, size=120, replace=False))
             for cand in (None, CandidateVWs.from_leaf_ids(tree, allowed)):
                 result = reconstruct_bow(v, tree, 0.02, cand)
-                want = {}
+                counts = result.histogram.counts
+                seen = set()
                 for report in result.reports:
                     if report.skipped:
                         continue
                     restrict = None if cand is None else cand.allowed(report.vlad_id)
                     d = build_dictionary(tree, report.vlad_id, restrict)
                     solved = solve_nn_lasso(d, v.subvectors[report.vlad_id], 0.02)
-                    assert (solved.sweeps, solved.converged) == (report.sweeps, report.converged)
-                    want.update(
-                        (int(t), float(c)) for t, c in zip(d.column_ids, solved.coeffs) if c > 1e-6
-                    )
-                assert result.histogram.counts == want
+                    kept = np.array([counts.get(int(t), 0.0) for t in d.column_ids])
+                    got = LassoResult(kept, report.converged, report.sweeps, 0.0)
+                    want = np.where(solved.coeffs > 1e-6, solved.coeffs, 0.0)
+                    assert_same_walk(got, LassoResult(want, solved.converged, solved.sweeps, 0.0), d)
+                    seen.update(d.column_ids.tolist())
+                assert set(counts) <= seen
 
     def test_threads_share_a_cold_cache(self):
         # More threads than cores, switching often, all filling one cold
