@@ -13,7 +13,6 @@ from .hashing import (
     approximate_vlad,
     encode,
     train_hashing,
-    transmission_size,
 )
 from .reconstruct import (
     CandidateVWs,
@@ -81,5 +80,4 @@ __all__ = [
     "subtree_leaves",
     "train_hashing",
     "train_vocabulary",
-    "transmission_size",
 ]

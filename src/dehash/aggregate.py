@@ -1,9 +1,11 @@
 """BoW histograms and VLAD vectors computed from descriptor sets.
 
-The reconstruction path consumes VLAD in raw residual space (plain per-center
-residual sums); normalization is applied only where vectors are compared for
-ranking, because the linear model tying a VLAD sub-vector to its BoW counts
-holds at raw scale.
+A VLAD is a float64 ``(N, D)`` array of per-center residual sums, raw and
+unnormalized from ``compute_vlad`` through hashing and reconstruction,
+because the linear model tying a VLAD sub-vector to its BoW counts holds at
+raw scale.  ``vlad_rows`` is the one shape check every entry point applies.
+Only ranking normalizes, and always the one way ``RANK_NORMALIZATION`` names:
+intra-normalization, then a global L2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ DESC_MAGIC = b"DHDESC01"
 # an image with more rows gets a pass of its own.
 PASS_ROWS = 2**14
 
-NORMALIZATIONS = ("none", "global-l2", "intra-then-global-l2")
+RANK_NORMALIZATION = "intra-then-global-l2"
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -74,32 +76,26 @@ class BowHistogram:
         """The values added one by one, in ascending word order."""
         return float(sum(self.values.tolist()))
 
-    def l1_normalized(self) -> "BowHistogram":
-        return BowHistogram(self.words, self.values / (self.total() or 1.0), self.vocab_size)
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.vocab_size, dtype=np.float64)
         dense[self.words] = self.values
         return dense
 
 
+def vlad_rows(v, shape: tuple[int, int]) -> np.ndarray:
+    """``v`` as a float64 ``(N, D)`` array; ``ValueError`` unless its shape is
+    ``shape``, the ``(N, D)`` of the tree, model or index it is used with."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != tuple(shape):
+        raise ValueError(f"VLAD has shape {v.shape}, expected {tuple(shape)}")
+    return v
+
+
 @dataclass
 class VladVector:
-    """Per-center residual sums, one (dim,) sub-vector per coarse center."""
+    """A ranking-normalized VLAD, as :func:`normalize_vlad` returns it."""
 
     subvectors: np.ndarray  # (N, D) float64
-    normalization: str = "none"
-
-    def __post_init__(self) -> None:
-        self.subvectors = np.asarray(self.subvectors, dtype=np.float64)
-        if self.subvectors.ndim != 2:
-            raise ValueError("subvectors must be a (N, D) array")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    @property
-    def num_centers(self) -> int:
-        return self.subvectors.shape[0]
 
     def flattened(self) -> np.ndarray:
         return self.subvectors.reshape(-1)
@@ -181,18 +177,12 @@ def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
     return BowHistogram(words, counts[words], len(counts))
 
 
-def compute_vlad(
-    tree: VocabularyTree,
-    descriptors: np.ndarray,
-    normalization: str = "none",
-) -> VladVector:
-    """Sum descriptor residuals against their coarse centers.
-
-    Centers receiving no descriptor keep a zero sub-vector.  ``normalization``
-    follows :func:`normalize_vlad`.
+def compute_vlad(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
+    """The raw ``(N, D)`` VLAD: descriptor residuals summed against their
+    coarse centers.  Centers receiving no descriptor keep a zero sub-vector.
     """
     X, vlad_ids, _ = assign_descriptors(tree, _descriptor_array(descriptors), leaves=False)
-    return normalize_vlad(VladVector(_residual_sums(tree, X, vlad_ids, 0, 1)[0]), normalization)
+    return _residual_sums(tree, X, vlad_ids, 0, 1)[0]
 
 
 def _passes(sizes: Sequence[int]) -> Iterator[slice]:
@@ -252,17 +242,21 @@ def aggregate_images(
     ), vlads
 
 
-def normalize_vlad(v: VladVector, mode: str) -> VladVector:
-    """Apply the requested normalization; zero (sub-)vectors are left as is.
-
-    ``intra-then-global-l2`` scales every nonzero sub-vector to unit norm
-    first, then divides the whole vector by its norm.
+def normalize_vlad(v, mode: str) -> VladVector:
+    """The ``(N, D)`` VLAD ``v`` under the ranking normalization, the only
+    ``mode`` accepted: every nonzero sub-vector scaled to unit norm, then the
+    whole vector divided by its norm; zero (sub-)vectors are left as is.
     """
-    return VladVector(normalize_vlads(v.subvectors[None], mode)[0], mode)
+    if mode != RANK_NORMALIZATION:
+        raise ValueError(f"unknown normalization {mode!r}; VLADs rank under {RANK_NORMALIZATION!r}")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"a VLAD is an (N, D) array, got shape {v.shape}")
+    return VladVector(normalize_vlads(v[None])[0])
 
 
-def normalize_vlads(stack: np.ndarray, mode: str, out: np.ndarray | None = None) -> np.ndarray:
-    """A normalized copy of an ``(n, N, D)`` stack of VLAD sub-vectors,
+def normalize_vlads(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """An ``(n, N, D)`` stack of VLADs under the ranking normalization,
     written to ``out`` (any array of that shape, a transposed view too) when
     given, else to a new C-ordered array; returns it.
 
@@ -271,17 +265,11 @@ def normalize_vlads(stack: np.ndarray, mode: str, out: np.ndarray | None = None)
     ``N * D`` values, as one row alone would.  A zero (sub-)vector is divided
     by 1, which leaves it as is.
     """
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {mode!r}")
     if out is None:
         out = np.empty_like(stack, order="C")
-    if mode == "none":
-        out[...] = stack
-        return out
     sub = np.ascontiguousarray(stack)  # the sums run over C-ordered rows
-    if mode == "intra-then-global-l2":
-        norms = np.sqrt(np.sum(sub * sub, axis=2))
-        sub = sub / np.where(norms > 0, norms, 1.0)[:, :, None]
+    norms = np.sqrt(np.sum(sub * sub, axis=2))
+    sub = sub / np.where(norms > 0, norms, 1.0)[:, :, None]
     whole = np.sqrt(np.sum(sub * sub, axis=(1, 2)))
     np.divide(sub, np.where(whole > 0, whole, 1.0)[:, None, None], out=out)
     return out

@@ -43,8 +43,15 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """The entries of a manifest that ``write_manifest`` wrote.
+
+    ``ValueError``, naming ``path:line``, on a malformed line, a repeated id,
+    or a relevant id that is the image itself or names no image of the
+    manifest: neither could ever be retrieved, so its query's AP would drop
+    without an error.
+    """
     entries = []
-    seen: set[str] = set()
+    line_of: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -53,15 +60,23 @@ def read_manifest(path) -> list[ManifestEntry]:
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 tab-separated fields, got {len(parts)}")
         image_id, desc_path, lat, lon, cat, rel = parts
-        if image_id in seen:
+        if image_id in line_of:
             raise ValueError(f"{path}:{lineno}: image id {image_id!r} listed twice")
-        seen.add(image_id)
+        line_of[image_id] = lineno
         gps = None if lat == "-" or lon == "-" else (float(lat), float(lon))
         category = None if cat == "-" else int(cat)
         relevant = tuple(r for r in rel.split(",") if r) if rel != "-" else ()
+        if image_id in relevant:
+            raise ValueError(f"{path}:{lineno}: image {image_id!r} lists itself as relevant")
         entries.append(ManifestEntry(image_id, desc_path, gps, category, relevant))
     if not entries:
         raise ValueError(f"{path}: manifest is empty")
+    for entry in entries:
+        unknown = [r for r in entry.relevant_ids if r not in line_of]
+        if unknown:
+            raise ValueError(
+                f"{path}:{line_of[entry.image_id]}: relevant image {unknown[0]!r} is not in the manifest"
+            )
     return entries
 
 

@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .aggregate import VladVector
+from .aggregate import vlad_rows
 from .vocab import read_header
-
-if TYPE_CHECKING:
-    from .reconstruct import ContextTag
 
 MODEL_MAGIC = b"DHHASH01"
 CODE_MAGIC = b"DHCODE01"
@@ -40,7 +37,6 @@ _VARIANT_CODES = {"joint": 0, "independent": 1, "shared": 2, "sign": 3, "rp": 4,
 _CODE_VARIANTS = {v: k for k, v in _VARIANT_CODES.items()}
 
 GPS_PAYLOAD_BYTES = 16  # two float64 coordinates
-CATEGORY_PAYLOAD_BYTES = 4  # one uint32 label
 
 _SCALE_FLOOR = 1e-12
 
@@ -121,14 +117,14 @@ def random_rotation(k: int, seed: int) -> np.ndarray:
 
 
 def train_hashing(
-    training_vlads: np.ndarray | Sequence[VladVector],
+    training_vlads: np.ndarray | Sequence[np.ndarray],
     variant: str,
     nbits: int,
     seed: int = 0,
     rotate: bool = False,
 ) -> HashingModel:
     """Fit a hashing model on raw (unnormalized) training VLADs, given as
-    ``VladVector``s or as their ``(n, N, D)`` stack.
+    ``(N, D)`` arrays or as their ``(n, N, D)`` stack.
 
     PCA bases keep the top eigenvectors of the training covariance; the rank
     bound ``K <= min(D*N, n-1)`` (or ``K/N <= D`` per sub-vector for the split
@@ -140,10 +136,7 @@ def train_hashing(
         raise ValueError("rotation is only defined for the joint variant")
     if len(training_vlads) == 0:
         raise ValueError("training set must be nonempty")
-    if isinstance(training_vlads, np.ndarray):
-        stack = training_vlads.astype(np.float64)
-    else:
-        stack = np.array([v.subvectors for v in training_vlads], dtype=np.float64)
+    stack = np.array(training_vlads, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError("training VLADs disagree on their (N, D) shape")
     n, n_centers, dim = stack.shape
@@ -275,11 +268,10 @@ def _project(model: HashingModel, x: np.ndarray) -> np.ndarray:
     return (centered @ w).reshape(model.nbits)
 
 
-def encode(model: HashingModel, v: VladVector) -> BinaryCode:
-    """Hash a raw VLAD into its bit-packed code (bit = 1 when projection >= 0)."""
-    x = v.flattened()
-    if x.shape[0] != model.total_dim:
-        raise ValueError(f"vector dim {x.shape[0]} != model dim {model.total_dim}")
+def encode(model: HashingModel, v: np.ndarray) -> BinaryCode:
+    """Hash a raw ``(N, D)`` VLAD into its bit-packed code (bit = 1 when
+    projection >= 0)."""
+    x = vlad_rows(v, (model.num_centers, model.dim)).reshape(-1)
     bits = (_project(model, x) >= 0.0).astype(np.uint8)
     return BinaryCode.from_bits(bits)
 
@@ -288,13 +280,13 @@ def encode_stack(model: HashingModel, vlads: np.ndarray) -> np.ndarray:
     """The packed codes of an ``(n, N, D)`` stack of raw VLADs, one row each
     as ``encode`` makes it, in an ``(n, ceil(K / 8))`` uint8 matrix."""
     packed = np.empty((len(vlads), (model.nbits + 7) // 8), dtype=np.uint8)
-    for r, subvectors in enumerate(vlads):
-        packed[r] = encode(model, VladVector(subvectors)).packed
+    for r, v in enumerate(vlads):
+        packed[r] = encode(model, v).packed
     return packed
 
 
-def approximate_vlad(model: HashingModel, code: BinaryCode) -> VladVector:
-    """Reverse a code into a raw-space approximated VLAD.
+def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:
+    """Reverse a code into a raw-space approximated ``(N, D)`` VLAD.
 
     Signs come from the bits; magnitudes are restored with the stored per-bit
     training scales, so re-encoding the result reproduces ``code``.
@@ -322,18 +314,7 @@ def approximate_vlad(model: HashingModel, code: BinaryCode) -> VladVector:
         w = np.asarray(model.projections, dtype=np.float64)
         blocks = scaled.reshape(model.num_centers, model.bits_per_center) @ w.T
         flat = (blocks + np.asarray(model.mean, dtype=np.float64)).reshape(-1)
-    return VladVector(flat.reshape(model.num_centers, -1))
-
-
-def transmission_size(code: BinaryCode, context: "ContextTag | None" = None) -> int:
-    """Payload bytes sent per query: packed bits plus any context fields."""
-    size = (code.nbits + 7) // 8
-    if context is not None:
-        if context.gps is not None:
-            size += GPS_PAYLOAD_BYTES
-        if context.category is not None:
-            size += CATEGORY_PAYLOAD_BYTES
-    return size
+    return flat.reshape(model.num_centers, -1)
 
 
 def projection_bytes(variant: str, dim: int, num_centers: int, nbits: int) -> int:

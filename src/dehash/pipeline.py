@@ -25,7 +25,7 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import hashing
-from .aggregate import BowMatrix, VladVector, aggregate_images, compute_vlad
+from .aggregate import BowMatrix, aggregate_images
 from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
 from .hashing import HashingModel, approximate_vlad, encode, encode_stack, train_hashing
 from .reconstruct import (
@@ -320,7 +320,7 @@ def rank_query(
     # One aggregation pass: the coarse search serves the VLAD and, when a
     # mode needs the histogram, the leaf search.
     bow, vlads = aggregate_images(tree, [descriptors], bow="bow" in config.modes)
-    vlad_raw = VladVector(vlads[0])
+    vlad_raw = vlads[0]
     code = encode(model, vlad_raw)
     approx = approximate_vlad(model, code)
     hamming = rank_hamming(index, code)
@@ -411,12 +411,12 @@ def lambda_sweep_counts(
     max_iter: int = 500,
 ) -> list[dict]:
     """Total reconstructed-word count per regularization weight (true-VLAD input)."""
-    vlads = {q: compute_vlad(tree, dataset.descriptors[q]) for q in query_ids}
+    _, vlads = aggregate_images(tree, [dataset.descriptors[q] for q in query_ids], bow=False)
     rows = []
     for lam in lambdas:
         total = 0
-        for q in query_ids:
-            result = reconstruct_bow(vlads[q], tree, lam, tol=tol, max_iter=max_iter)
+        for v in vlads:
+            result = reconstruct_bow(v, tree, lam, tol=tol, max_iter=max_iter)
             total += result.histogram.num_words
         rows.append({"lam": lam, "reconstructed_vws": total})
     return rows

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import BowHistogram, VladVector
+from .aggregate import BowHistogram, vlad_rows
 from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov
 from .vocab import VocabularyTree, subtree_leaves
 
@@ -236,8 +236,8 @@ class ReconstructionResult:
     reports: list[SubvectorReport]
 
 
-def _active_centers(v: VladVector) -> np.ndarray:
-    norms = np.sqrt(np.sum(v.subvectors * v.subvectors, axis=1))
+def _active_centers(v: np.ndarray) -> np.ndarray:
+    norms = np.sqrt(np.sum(v * v, axis=1))
     return np.flatnonzero(norms >= MIN_SUBVECTOR_NORM)
 
 
@@ -250,14 +250,14 @@ def _by_word(words: list[np.ndarray], values: list[np.ndarray], vocab_size: int)
 
 
 def reconstruct_bow(
-    v: VladVector,
+    v: np.ndarray,
     tree: VocabularyTree,
     lam: float,
     candidates: CandidateVWs | None = None,
     tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> ReconstructionResult:
-    """Recover a word histogram from a raw-space VLAD.
+    """Recover a word histogram from a raw-space ``(N, D)`` VLAD.
 
     One non-negative sparse solve per active sub-vector (sub-vectors with
     negligible norm received no features and are skipped).  ``candidates``
@@ -265,8 +265,7 @@ def reconstruct_bow(
     are skipped.  Coefficients below a small drop tolerance are discarded.
     The histogram's words ascend whichever way the tree numbers its leaves.
     """
-    if v.num_centers != tree.num_vlad_centers:
-        raise ValueError("VLAD center count does not match the tree")
+    v = vlad_rows(v, (tree.num_vlad_centers, tree.dim))
     context = tree.reconstruction_context
     solved: list[tuple[int, Dictionary | None]] = []
     problems = []
@@ -282,7 +281,7 @@ def reconstruct_bow(
             solved.append((center, None))
             continue
         solved.append((center, dictionary))
-        problems.append((dictionary, v.subvectors[center], gram))
+        problems.append((dictionary, v[center], gram))
     results = iter(solve_nn_lasso_batch(problems, lam, tol=tol, max_iter=max_iter))
 
     words, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
@@ -325,7 +324,7 @@ def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> Bo
 
 
 def reconstruct_bow_with_prior(
-    v: VladVector,
+    v: np.ndarray,
     tree: VocabularyTree,
     h0: BowHistogram,
     alpha: float,
@@ -345,13 +344,12 @@ def reconstruct_bow_with_prior(
     rescaled to ``mass`` (its total summed center by center) before being
     floored to integer counts.
     """
-    if v.num_centers != tree.num_vlad_centers:
-        raise ValueError("VLAD center count does not match the tree")
+    v = vlad_rows(v, (tree.num_vlad_centers, tree.dim))
     if not h0.num_words:
         raise ValueError("prior histogram is empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    n1 = float(np.sum(v.subvectors * v.subvectors))
+    n1 = float(np.sum(v * v))
     if n1 <= 0:
         raise ValueError("zero VLAD")
     if mass is None:
@@ -376,7 +374,7 @@ def reconstruct_bow_with_prior(
             continue
         dictionary = context.restricted(center, allowed)
         coeffs = solve_tikhonov(
-            dictionary, v.subvectors[center], prior[dictionary.column_ids], alpha, n1=n1, n2=n2
+            dictionary, v[center], prior[dictionary.column_ids], alpha, n1=n1, n2=n2
         )
         reports.append(SubvectorReport(center, dictionary.width, 1, True, False))
         kept = coeffs > 0.0

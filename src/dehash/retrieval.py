@@ -22,12 +22,13 @@ order (see :func:`_stable_argsort`):
   the query holds, so only those words' postings are visited; evaluated on
   counts so that integer counts score exactly (see :func:`rank_bow`);
 * codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``;
-* VLAD: the raw ``(n, N*D)`` matrix, and its ranking-normalized copy stored
-  column-major as ``(N*D, n)``, written in one pass over the ``(n, N, D)``
-  stack; a scan streams it 8 dimensions at a time and adds the squared
-  differences in the order numpy's row sums use
-  (:func:`dehash.vocab.column_sq_distances`); a query VLAD must have the
-  stored ``(N, D)`` shape;
+* VLAD: the raw ``(n, N*D)`` matrix, and its copy under the one ranking
+  normalization (``aggregate.RANK_NORMALIZATION``: intra-normalization, then
+  a global L2) stored column-major as ``(N*D, n)``, written in one pass over
+  the ``(n, N, D)`` stack; a scan streams it 8 dimensions at a time and adds
+  the squared differences in the order numpy's row sums use
+  (:func:`dehash.vocab.column_sq_distances`); a query VLAD is a raw ``(N, D)``
+  array of the stored shape;
 * PQ codes: an ``(n, m)`` matrix, scored by one look-up-table gather;
 * GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none) and the
   cosine of each latitude, scored by a vectorized haversine.
@@ -39,10 +40,6 @@ position one comparison over the order, and the context cues and BRPK read
 only the leading ids (``top_ids``).  The metrics work from the positions of
 the relevant images.  The ``(image_id, score)`` tuples (``entries``) and
 ``ids()`` are built only when asked for, as the text dump does.
-
-``l1_histogram_distance``, ``hamming_distance``, ``adc_distance`` and
-``haversine_m`` compare one pair at a time; they are the references the scans
-are tested against.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .aggregate import (
-    BowHistogram, BowMatrix, VladVector, _readonly, aggregate_images, normalize_vlad, normalize_vlads
+    RANK_NORMALIZATION, BowHistogram, BowMatrix, _readonly, aggregate_images, normalize_vlads, vlad_rows
 )
 from .hashing import BinaryCode, HashingModel, encode_stack
 from .vocab import VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center
@@ -236,15 +233,18 @@ class DatabaseIndex:
     Each column is optional and, when given, has one row per id: ``bow``, a
     :class:`BowMatrix` over the tree's leaves; ``vlads``, the ``(n, N, D)``
     raw VLAD stack (both from ``aggregate_images``), kept as an ``(n, N*D)``
-    matrix plus its ranking-normalized copy, column-major ``(N*D, n)``;
+    matrix plus its copy under ``rank_normalization`` (always
+    ``RANK_NORMALIZATION``), column-major ``(N*D, n)``;
     ``codes``, the packed ``(n, ceil(nbits / 8))`` uint8 code matrix
     (``encode_stack``).  ``gps`` may miss images and becomes an ``(n, 2)``
     radians matrix, NaN where an image has no fix, plus each latitude's
     cosine; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
     column that breaks these rules raises ``ValueError``.  The arrays are made
-    read-only, and ``bows``, ``vlads``, ``codes``, ``pq_codes`` and ``gps``
-    are by-id views over them.
+    read-only, and ``bows``, ``vlads`` (raw ``(N, D)`` row views), ``codes``,
+    ``pq_codes`` and ``gps`` are by-id views over them.
     """
+
+    rank_normalization = RANK_NORMALIZATION
 
     def __init__(
         self,
@@ -256,7 +256,6 @@ class DatabaseIndex:
         nbits: int | None = None,
         gps: Mapping[str, tuple[float, float]] | None = None,
         categories: Mapping[str, int] | None = None,
-        rank_normalization: str = "intra-then-global-l2",
     ) -> None:
         self.tree = tree
         self.ids = tuple(ids)
@@ -264,7 +263,6 @@ class DatabaseIndex:
             raise ValueError("image ids must be strictly ascending")
         n = len(self.ids)
         self.categories = dict(categories or {})
-        self.rank_normalization = rank_normalization
         self.pq: PQCodebooks | None = None
         self._row = {image_id: r for r, image_id in enumerate(self.ids)}
         self._ids_array = np.array(self.ids, dtype=object)
@@ -279,7 +277,7 @@ class DatabaseIndex:
         self._gps: np.ndarray | None = None
         self._gps_cos: np.ndarray | None = None
         self.bows: Mapping[str, BowHistogram] = _EMPTY
-        self.vlads: Mapping[str, VladVector] = _EMPTY
+        self.vlads: Mapping[str, np.ndarray] = _EMPTY
         self.codes: Mapping[str, BinaryCode] = _EMPTY
         self.pq_codes: Mapping[str, np.ndarray] = _EMPTY
         self.gps: Mapping[str, tuple[float, float]] = _EMPTY
@@ -296,11 +294,9 @@ class DatabaseIndex:
             shape = self._vlad_shape = vlads.shape[1:]
             self._vlad_matrix = _readonly(vlads).reshape(n, math.prod(shape))
             columns = np.empty((math.prod(shape), n))
-            normalize_vlads(vlads, rank_normalization, out=columns.reshape(*shape, n).transpose(2, 0, 1))
+            normalize_vlads(vlads, out=columns.reshape(*shape, n).transpose(2, 0, 1))
             self._rank_columns = _readonly(columns)
-            self.vlads = self._view(
-                lambda r: VladVector(self._vlad_matrix[r].reshape(shape), "none")
-            )
+            self.vlads = self._view(lambda r: self._vlad_matrix[r].reshape(shape))
         if codes is not None:
             if nbits is None or codes.shape[1:] != ((nbits + 7) // 8,):
                 raise ValueError(f"codes of shape {codes.shape} do not pack {nbits} bits per row")
@@ -384,26 +380,21 @@ def build_index(
     descriptors_by_id: Mapping[str, np.ndarray],
     gps: Mapping[str, tuple[float, float]] | None = None,
     categories: Mapping[str, int] | None = None,
-    rank_normalization: str = "intra-then-global-l2",
 ) -> DatabaseIndex:
     """Index a database: its BoW, raw VLAD and binary code columns.
 
     The images, sorted by id, go through the tree in passes of
     ``aggregate_images`` (at most ``PASS_ROWS`` rows each, an image with more
     alone), which write the BoW CSR rows and the VLAD stack directly;
-    ``encode_stack`` hashes each VLAD row.  Every column is bit-identical to
-    per-image ``compute_bow``, ``compute_vlad`` and ``encode``.  An empty or
-    non-finite descriptor set raises ``ValueError``.
+    ``encode_stack`` hashes each VLAD row, and the index ranks the VLADs
+    under ``RANK_NORMALIZATION``.  Every column is bit-identical to per-image
+    ``compute_bow``, ``compute_vlad`` and ``encode``.  An empty or non-finite
+    descriptor set raises ``ValueError``.
     """
     ids = sorted(descriptors_by_id)
     bow, vlads = aggregate_images(tree, [descriptors_by_id[i] for i in ids])
     codes = encode_stack(model, vlads)
-    return DatabaseIndex(tree, ids, bow, vlads, codes, model.nbits, gps, categories, rank_normalization)
-
-
-def l1_histogram_distance(a: BowHistogram, b: BowHistogram) -> float:
-    """L1 distance between L1-normalized sparse histograms (range [0, 2])."""
-    return float(np.abs(a.l1_normalized().to_dense() - b.l1_normalized().to_dense()).sum())
+    return DatabaseIndex(tree, ids, bow, vlads, codes, model.nbits, gps, categories)
 
 
 def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
@@ -455,33 +446,23 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     return index._ranking(2.0 * (joint - np.add.reduceat(terms, bow.indptr[:-1])) / joint)
 
 
-def _normalized_query(index: DatabaseIndex, query: VladVector) -> np.ndarray:
-    """``query`` flattened under the index's ranking normalization.
+def _normalized_query(index: DatabaseIndex, query: np.ndarray) -> np.ndarray:
+    """The raw ``(N, D)`` ``query`` flattened under the ranking normalization.
 
-    ``ValueError`` unless its ``(N, D)`` shape is the stored VLADs': a
-    query of another shape would broadcast against, or be normalized over
-    other sub-vectors than, the rows it is compared with.
+    ``ValueError`` unless its shape is the stored VLADs': a query of another
+    shape would broadcast against, or be normalized over other sub-vectors
+    than, the rows it is compared with.
     """
     if index._vlad_shape is None:
         raise ValueError("index stores no VLADs")
-    if query.subvectors.shape != index._vlad_shape:
-        raise ValueError(
-            f"query VLAD has shape {query.subvectors.shape}, index VLADs {index._vlad_shape}"
-        )
-    return normalize_vlad(query, index.rank_normalization).flattened()
+    return normalize_vlads(vlad_rows(query, index._vlad_shape)[None]).reshape(-1)
 
 
-def rank_vlad(index: DatabaseIndex, query: VladVector) -> Ranking:
+def rank_vlad(index: DatabaseIndex, query: np.ndarray) -> Ranking:
     if not index.ids:
         raise ValueError("index is empty")
     q = _normalized_query(index, query)
     return index._ranking(np.sqrt(column_sq_distances(index._rank_columns, q)))
-
-
-def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
-    if a.nbits != b.nbits:
-        raise ValueError("codes differ in length")
-    return int(np.bitwise_count(np.bitwise_xor(a.packed, b.packed)).sum())
 
 
 def rank_hamming(index: DatabaseIndex, query: BinaryCode) -> Ranking:
@@ -523,30 +504,12 @@ def train_pq(
     return PQCodebooks(codebooks=books, bits=bits)
 
 
-def _pq_slices(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
-    """``vector`` as its ``(m, sub_dim)`` sub-vectors; ``ValueError`` on a wrong length."""
-    vector = np.asarray(vector, dtype=np.float64)
-    m, _, sub_dim = codebooks.codebooks.shape
-    if vector.shape != (m * sub_dim,):
-        raise ValueError(f"codebooks cover dim {m * sub_dim}, vector has shape {vector.shape}")
-    return vector.reshape(m, sub_dim)
-
-
-def encode_pq(codebooks: PQCodebooks, vector: np.ndarray) -> np.ndarray:
-    """Nearest-center index per sub-vector slice."""
-    subs = _pq_slices(codebooks, vector)
-    return np.array(
-        [nearest_center(sub[None], books)[0] for sub, books in zip(subs, codebooks.codebooks)],
-        dtype=np.uint16,
-    )
-
-
 def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     """Quantize every database image's ranking-normalized VLAD.
 
     One ``nearest_center`` call per sub-vector over all rows, on a C-ordered
-    copy of that sub-vector's columns, so each row's codes equal
-    ``encode_pq`` of that row.
+    copy of that sub-vector's columns, so each row's code equals that of the
+    row's sub-vector quantized alone.
     """
     if index._rank_columns is None:
         raise ValueError("index stores no VLADs")
@@ -563,19 +526,7 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     index.pq_codes = index._view(codes.__getitem__)
 
 
-def adc_distance(codebooks: PQCodebooks, query: np.ndarray, codes: np.ndarray) -> float:
-    """Sum of squared sub-distances from the exact query to the quantized entry."""
-    subs = _pq_slices(codebooks, query)
-    if np.shape(codes) != (len(subs),):
-        raise ValueError(f"expected {len(subs)} codes, got shape {np.shape(codes)}")
-    total = 0.0
-    for j, sub in enumerate(subs):
-        center = codebooks.codebooks[j][codes[j]]
-        total += float(np.sum((sub - center) ** 2))
-    return total
-
-
-def rank_adc(index: DatabaseIndex, query: VladVector) -> Ranking:
+def rank_adc(index: DatabaseIndex, query: np.ndarray) -> Ranking:
     """Asymmetric ranking: exact (normalized) query vs quantized database."""
     if index.pq is None or index._pq_codes is None:
         raise ValueError("index has no trained product quantizer")
@@ -587,16 +538,6 @@ def rank_adc(index: DatabaseIndex, query: VladVector) -> Ranking:
     table = np.sum((books - q.reshape(m, 1, sub_dim)) ** 2, axis=2)
     gathered = table.ravel().take(index._pq_codes + np.arange(m) * k)
     return index._ranking(gathered.sum(axis=1))
-
-
-def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in meters between (lat, lon) points in degrees."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (*a, *b))
-    s = (
-        math.sin((lat2 - lat1) / 2) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
 
 
 def simulate_gps(

@@ -4,7 +4,8 @@
 These are the two functions as ``dehash.reconstruct`` shipped them while a
 histogram was a ``{word: value}`` dict, kept unchanged except that they take
 and return plain dicts (the prior's entries in the order ``pseudo_bow``
-first saw them) so the tests can compare with ``==``.  Do not edit them to
+first saw them) so the tests can compare with ``==``, and that the VLAD is
+a plain ``(N, D)`` array.  Do not edit them to
 follow the production code.
 """
 
@@ -32,9 +33,9 @@ def pseudo_bow(index, ranking, top_r: int = 5) -> dict[int, float]:
 
 def reconstruct_bow_with_prior(v, tree, h0: dict[int, float], alpha, candidates=None, mass=None):
     """The floored prior-anchored histogram, as ``{word: count}``."""
-    norms = np.sqrt(np.sum(v.subvectors * v.subvectors, axis=1))
+    norms = np.sqrt(np.sum(v * v, axis=1))
     active = np.flatnonzero(norms >= MIN_SUBVECTOR_NORM)
-    n1 = float(np.sum(v.subvectors * v.subvectors))
+    n1 = float(np.sum(v * v))
     h0_total = float(sum(h0.values()))
     if mass is None:
         mass = h0_total
@@ -63,7 +64,7 @@ def reconstruct_bow_with_prior(v, tree, h0: dict[int, float], alpha, candidates=
             [dense_prior.get(int(leaf), 0.0) for leaf in dictionary.column_ids], dtype=np.float64
         )
         coeffs = solve_tikhonov(
-            dictionary, v.subvectors[center], h0_local, alpha, n1=n1, n2=n2
+            dictionary, v[center], h0_local, alpha, n1=n1, n2=n2
         )
         for leaf, value in zip(dictionary.column_ids, coeffs):
             if value > 0.0:

@@ -21,16 +21,17 @@ def bow_matrix(histograms, vocab_size):
 
 def index_of(tree, ids, bows=None, vlads=None, codes=None, **kwargs):
     """A ``DatabaseIndex`` over the sorted ``ids``; ``bows``, ``vlads`` and
-    ``codes`` map every id to its histogram, ``VladVector`` or ``BinaryCode``,
-    or are left out.  Other keywords (gps, categories, rank_normalization) go
-    to the constructor as given."""
+    ``codes`` map every id to its histogram, raw ``(N, D)`` VLAD or
+    ``BinaryCode``, or are left out.  Other keywords (gps, categories) go to
+    the constructor as given; the index ranks VLADs under the one
+    ``RANK_NORMALIZATION``."""
     ids = sorted(ids)
     columns = {}
     if bows:
         vocab_size = tree.num_leaves if tree is not None else bows[ids[0]].vocab_size
         columns["bow"] = bow_matrix([bows[i] for i in ids], vocab_size)
     if vlads:
-        columns["vlads"] = np.array([vlads[i].subvectors for i in ids])
+        columns["vlads"] = np.array([vlads[i] for i in ids])
     if codes:
         columns["codes"] = np.array([codes[i].packed for i in ids])
         columns["nbits"] = codes[ids[0]].nbits

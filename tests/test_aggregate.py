@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dehash import aggregate
 from dehash.aggregate import (
+    RANK_NORMALIZATION,
     BowHistogram,
     BowMatrix,
-    VladVector,
     aggregate_images,
     compute_bow,
     compute_vlad,
@@ -22,6 +22,7 @@ from dehash.reconstruct import build_dictionary
 from dehash.vocab import train_vocabulary
 
 from index_columns import histogram_of
+from pair_reference import l1_normalized
 from test_vocab import gaussian_mixture
 
 
@@ -65,11 +66,11 @@ class TestBowHistogram:
         with pytest.raises(ValueError):
             h.values[0] = 1.0
         empty = BowHistogram([], [], 8)
-        assert empty.counts == {} and empty.total() == 0.0 and empty.l1_normalized().num_words == 0
+        assert empty.counts == {} and empty.total() == 0.0 and l1_normalized(empty).num_words == 0
 
     def test_normalization_and_dense(self):
         h = histogram_of({1: 2.0, 5: 6.0}, 8)
-        hn = h.l1_normalized()
+        hn = l1_normalized(h)
         assert hn.counts == {1: 0.25, 5: 0.75}
         dense = h.to_dense()
         assert dense.tolist() == [0, 2.0, 0, 0, 0, 6.0, 0, 0]
@@ -108,7 +109,7 @@ class TestAggregateImages:
         assert bow is None
         assert vlads.shape == (len(sets), tree.num_vlad_centers, tree.dim)
         for X, v in zip(sets, vlads, strict=True):
-            assert np.array_equal(v, compute_vlad(tree, X).subvectors)
+            assert np.array_equal(v, compute_vlad(tree, X))
 
     def test_columns_equal_per_set_results(self, tree):
         rng = np.random.default_rng(47)
@@ -121,7 +122,7 @@ class TestAggregateImages:
             assert bow.histogram(r).counts == compute_bow(tree, X).counts
             assert list(bow.words[s]) == sorted(bow.words[s])
             assert bow.mass[r] == len(X)
-            assert np.array_equal(vlads[r], compute_vlad(tree, X).subvectors)
+            assert np.array_equal(vlads[r], compute_vlad(tree, X))
 
     def test_no_sets(self, tree):
         bow, vlads = aggregate_images(tree, [])
@@ -187,14 +188,15 @@ class TestBowMatrix:
 class TestComputeVlad:
     def test_descriptor_on_center_gives_zero(self, tree):
         v = compute_vlad(tree, tree.vlad_centers[2][None, :])
-        assert np.all(v.subvectors == 0)
+        assert v.shape == (tree.num_vlad_centers, tree.dim) and v.dtype == np.float64
+        assert np.all(v == 0)
 
     def test_symmetric_pair_cancels(self, tree):
         c = np.asarray(tree.vlad_centers[1], dtype=np.float64)
         s = c + 0.05  # close enough to stay assigned to center 1
         X = np.stack([s, 2 * c - s])
         v = compute_vlad(tree, X)
-        np.testing.assert_allclose(v.subvectors[1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(v[1], 0.0, atol=1e-12)
 
     def test_matches_dictionary_model_on_leaf_centers(self, tree):
         # Descriptors sitting exactly on leaf centers make the linear model
@@ -208,7 +210,7 @@ class TestComputeVlad:
             d = build_dictionary(tree, center)
             counts = np.array([h.counts.get(int(t), 0.0) for t in d.column_ids])
             np.testing.assert_allclose(
-                v.subvectors[center], d.columns @ counts, rtol=1e-12, atol=1e-12
+                v[center], d.columns @ counts, rtol=1e-12, atol=1e-12
             )
 
     def test_permutation_invariance(self, tree):
@@ -216,59 +218,57 @@ class TestComputeVlad:
         X = rng.normal(size=(120, tree.dim)) * 3
         v1 = compute_vlad(tree, X)
         v2 = compute_vlad(tree, rng.permutation(X))
-        np.testing.assert_allclose(v1.subvectors, v2.subvectors, atol=1e-10)
+        np.testing.assert_allclose(v1, v2, atol=1e-10)
         assert compute_bow(tree, X).counts == compute_bow(tree, rng.permutation(X)).counts
 
 
 class TestNormalization:
     def test_zero_vector_unchanged(self):
-        v = VladVector(np.zeros((3, 4)))
-        for mode in ("none", "global-l2", "intra-then-global-l2"):
-            assert np.all(normalize_vlad(v, mode).subvectors == 0)
+        assert np.all(normalize_vlad(np.zeros((3, 4)), RANK_NORMALIZATION).subvectors == 0)
 
     def test_single_nonzero_subvector_intra(self):
         sub = np.zeros((3, 4))
         sub[1] = [3.0, 0, 0, 0]
-        v = normalize_vlad(VladVector(sub), "intra-then-global-l2")
+        v = normalize_vlad(sub, "intra-then-global-l2")
         assert np.linalg.norm(v.subvectors[1]) == pytest.approx(1.0)
         assert np.linalg.norm(v.flattened()) == pytest.approx(1.0)
 
-    def test_global_l2_idempotent(self):
+    def test_rank_normalization_idempotent(self):
         rng = np.random.default_rng(59)
-        v = VladVector(rng.normal(size=(4, 5)))
-        once = normalize_vlad(v, "global-l2")
-        twice = normalize_vlad(once, "global-l2")
+        once = normalize_vlad(rng.normal(size=(4, 5)), RANK_NORMALIZATION)
+        twice = normalize_vlad(once.subvectors, RANK_NORMALIZATION)
         np.testing.assert_allclose(once.subvectors, twice.subvectors, atol=1e-12)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_vlad(VladVector(np.ones((2, 2))), "l3")
-        with pytest.raises(ValueError):
-            normalize_vlads(np.ones((1, 2, 2)), "l3")
+        # The ranking normalization is the only one; the others are gone.
+        for mode in ("none", "global-l2", "l3"):
+            with pytest.raises(ValueError, match="unknown normalization"):
+                normalize_vlad(np.ones((2, 2)), mode)
+        for shape in ((4,), (1, 2, 2)):
+            with pytest.raises(ValueError, match=r"\(N, D\)"):
+                normalize_vlad(np.ones(shape), RANK_NORMALIZATION)
 
-    @pytest.mark.parametrize("mode", ["none", "global-l2", "intra-then-global-l2"])
+    @pytest.mark.parametrize("mode", [RANK_NORMALIZATION])
     @pytest.mark.parametrize("shape", [(40, 8, 16), (9, 3, 5), (3, 64, 300), (0, 8, 16)])
     def test_stack_equals_per_row_loop(self, mode, shape):
         rng = np.random.default_rng(61)
         stack = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e4], size=(shape[0], 1, 1))
         stack[rng.random(shape[:2]) < 0.2] = 0  # zero sub-vectors
         stack[::7] = 0  # zero rows
-        got = normalize_vlads(stack, mode)
-        assert got.shape == stack.shape and got.tobytes() == np.array(
-            [_normalize_row(row, mode) for row in stack]
-        ).reshape(shape).tobytes()
+        got = normalize_vlads(stack)
+        want = np.array([_normalize_row(row) for row in stack]).reshape(shape)
+        assert got.shape == stack.shape and got.tobytes() == want.tobytes()
+        rows = [normalize_vlad(row, mode).subvectors for row in stack]
+        assert np.array(rows).reshape(shape).tobytes() == want.tobytes()
         assert np.array_equal(stack[::7], np.zeros_like(stack[::7]))  # the input is not written
 
 
-def _normalize_row(sub, mode):
-    """One VLAD's normalization as a per-row loop computes it: the reference."""
+def _normalize_row(sub):
+    """One VLAD's ranking normalization as a per-row loop computes it: the reference."""
     sub = sub.copy()
-    if mode == "none":
-        return sub
-    if mode == "intra-then-global-l2":
-        norms = np.sqrt(np.sum(sub * sub, axis=1))
-        nonzero = norms > 0
-        sub[nonzero] /= norms[nonzero, None]
+    norms = np.sqrt(np.sum(sub * sub, axis=1))
+    nonzero = norms > 0
+    sub[nonzero] /= norms[nonzero, None]
     whole = float(np.sqrt(np.sum(sub * sub)))
     if whole > 0:
         sub /= whole

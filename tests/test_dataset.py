@@ -42,6 +42,7 @@ class TestManifest:
         entries = [
             ManifestEntry("a", "a.desc", (1.5, -2.25), 3, ("b", "c")),
             ManifestEntry("b", "b.desc", None, None, ()),
+            ManifestEntry("c", "c.desc", None, 0, ("a",)),
         ]
         write_manifest(tmp_path / "m.tsv", entries)
         assert read_manifest(tmp_path / "m.tsv") == entries
@@ -62,6 +63,25 @@ class TestManifest:
         entries = [ManifestEntry(i, f"{i}.desc", None, None, ()) for i in ("a", "b", "a")]
         write_manifest(tmp_path / "m.tsv", entries)
         with pytest.raises(ValueError, match="m.tsv:3.*'a'"):
+            read_manifest(tmp_path / "m.tsv")
+
+    def test_relevant_id_outside_the_manifest_rejected(self, tmp_path):
+        # "ghost" can never be retrieved, so a query listing it loses AP silently.
+        entries = [
+            ManifestEntry("a", "a.desc", None, None, ("b", "ghost")),
+            ManifestEntry("b", "b.desc", None, None, ("a",)),
+        ]
+        write_manifest(tmp_path / "m.tsv", entries)
+        with pytest.raises(ValueError, match="m.tsv:1.*'ghost'"):
+            read_manifest(tmp_path / "m.tsv")
+
+    def test_image_relevant_to_itself_rejected(self, tmp_path):
+        entries = [
+            ManifestEntry("a", "a.desc", None, None, ()),
+            ManifestEntry("b", "b.desc", None, None, ("a", "b")),
+        ]
+        write_manifest(tmp_path / "m.tsv", entries)
+        with pytest.raises(ValueError, match="m.tsv:2.*'b'.*itself"):
             read_manifest(tmp_path / "m.tsv")
 
 

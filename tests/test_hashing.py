@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from dehash.aggregate import VladVector
 from dehash.hashing import (
     BinaryCode,
     approximate_vlad,
@@ -15,13 +14,11 @@ from dehash.hashing import (
     save_code,
     save_model,
     train_hashing,
-    transmission_size,
 )
-from dehash.reconstruct import ContextTag
 
 
 def random_vlads(rng, n, num_centers, dim, scale=1.0):
-    return [VladVector(rng.normal(size=(num_centers, dim)) * scale) for _ in range(n)]
+    return [rng.normal(size=(num_centers, dim)) * scale for _ in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +45,7 @@ class TestTraining:
     def test_pca_matches_eigensolver_oracle(self, rng):
         vlads = random_vlads(rng, 300, 2, 6)
         model = train_hashing(vlads, "joint", nbits=12)
-        X = np.stack([v.flattened() for v in vlads])
+        X = np.stack([v.reshape(-1) for v in vlads])
         Xc = X - X.mean(axis=0)
         eigvals, eigvecs = np.linalg.eigh(Xc.T @ Xc / X.shape[0])
         order = np.argsort(eigvals)[::-1]
@@ -60,10 +57,20 @@ class TestTraining:
     def test_variance_per_bit_nonincreasing(self, rng):
         vlads = random_vlads(rng, 250, 2, 8)
         model = train_hashing(vlads, "joint", nbits=16)
-        X = np.stack([v.flattened() for v in vlads])
+        X = np.stack([v.reshape(-1) for v in vlads])
         proj = (X - X.mean(axis=0)) @ np.asarray(model.projections, dtype=np.float64)
         variances = proj.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
+
+    def test_list_and_stack_train_the_same_model(self, rng):
+        vlads = random_vlads(rng, 60, 2, 4)
+        a = train_hashing(vlads, "joint", nbits=8)
+        b = train_hashing(np.stack(vlads), "joint", nbits=8)
+        for field in ("mean", "projections", "reversal_scales"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for ragged in ([np.zeros((2, 4)), np.zeros((3, 4))], [np.zeros(8)] * 5):
+            with pytest.raises(ValueError):
+                train_hashing(ragged, "joint", nbits=2)
 
     def test_rank_bound_enforced(self, rng):
         vlads = random_vlads(rng, 10, 2, 8)
@@ -101,19 +108,19 @@ class TestEncode:
     def test_sign_convention(self, rng):
         vlads = random_vlads(rng, 50, 1, 2)
         model = train_hashing(vlads, "sign", nbits=2)
-        bits = encode(model, VladVector(np.array([[2.0, -3.0]]))).bits()
+        bits = encode(model, np.array([[2.0, -3.0]])).bits()
         assert bits.tolist() == [1, 0]
 
     def test_zero_projection_maps_to_one(self, rng):
         vlads = random_vlads(rng, 50, 1, 2)
         model = train_hashing(vlads, "sign", nbits=2)
-        bits = encode(model, VladVector(np.zeros((1, 2)))).bits()
+        bits = encode(model, np.zeros((1, 2))).bits()
         assert bits.tolist() == [1, 1]
 
     def test_mean_input_joint(self, rng):
         vlads = random_vlads(rng, 80, 2, 4)
         model = train_hashing(vlads, "joint", nbits=8)
-        mean_v = VladVector(np.asarray(model.mean, dtype=np.float64).reshape(2, 4))
+        mean_v = np.asarray(model.mean, dtype=np.float64).reshape(2, 4)
         bits = encode(model, mean_v).bits()
         assert bits.tolist() == [1] * 8  # all projections are exactly zero
 
@@ -121,7 +128,7 @@ class TestEncode:
         vlads = random_vlads(rng, 100, 4, 8)
         model = train_hashing(vlads, "joint", nbits=32)
         codes = [encode(model, v) for v in vlads]
-        X = np.stack([v.flattened() for v in vlads])
+        X = np.stack([v.reshape(-1) for v in vlads])
         Xc = X - X.mean(axis=0)
         ham, l2 = [], []
         for i in range(0, 100, 3):
@@ -134,8 +141,10 @@ class TestEncode:
     def test_dimension_mismatch(self, rng):
         vlads = random_vlads(rng, 50, 2, 4)
         model = train_hashing(vlads, "joint", nbits=8)
-        with pytest.raises(ValueError):
-            encode(model, VladVector(np.zeros((2, 5))))
+        # Too long, transposed and flattened VLADs are all refused.
+        for shape in ((2, 5), (4, 2), (8,)):
+            with pytest.raises(ValueError, match=r"expected \(2, 4\)"):
+                encode(model, np.zeros(shape))
 
 
 class TestReversal:
@@ -158,7 +167,7 @@ class TestReversal:
         w = np.asarray(model.projections, dtype=np.float64)
         mean = np.asarray(model.mean, dtype=np.float64)
         for v in vlads[:20]:
-            xc = v.flattened() - mean
+            xc = v.reshape(-1) - mean
             err = np.linalg.norm(w @ (w.T @ xc) - xc) / np.linalg.norm(xc)
             assert err <= 1e-5
 
@@ -195,13 +204,6 @@ class TestAccounting:
         # Two-level coarse tree with 10 branches: 10 + 100 nodes of 128 floats.
         assert quantizer_bytes(128, 10, 2) == 128 * 110 * 4 == 56320
         assert mobile_memory_bytes("shared", 128, 100, 12800, 10, 2) == 65536 + 56320 == 121856
-
-    def test_transmission_size(self):
-        code = BinaryCode.from_bits(np.ones(12800, dtype=np.uint8))
-        assert transmission_size(code) == 1600
-        assert transmission_size(BinaryCode.from_bits(np.ones(800, dtype=np.uint8))) == 100
-        assert transmission_size(code, ContextTag(gps=(1.0, 2.0))) == 1616
-        assert transmission_size(code, ContextTag(gps=(1.0, 2.0), category=3)) == 1620
 
 
 class TestSerialization:

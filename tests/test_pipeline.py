@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from unittest import mock
 
@@ -218,6 +219,18 @@ class TestRunPipeline:
         lams = [row["lam"] for row in result.report["lambda_sweep"]]
         assert lams == [0.01, 0.1]
 
+    def test_lambda_sweep_counts_equal_per_query_solves(self, result):
+        recon = tiny_config().recon
+        dataset = ingest_dataset(result.report_path.parent / "data" / "manifest.tsv")
+        vlads = [compute_vlad(result.tree, dataset.descriptors[q]) for q in result.relevance]
+        for row in result.report["lambda_sweep"]:
+            words = sum(
+                reconstruct_bow(v, result.tree, row["lam"], tol=recon.tol, max_iter=recon.max_iter)
+                .histogram.num_words
+                for v in vlads
+            )
+            assert row["reconstructed_vws"] == words
+
     def test_summary_is_printable(self, result):
         text = summarize_report(result.report)
         assert "mode" in text and "bow" in text
@@ -251,7 +264,7 @@ class TestRunPipeline:
         assert sizes == [len(dataset.ids)] + [1] * config.num_queries
         assert dataset.ids == sorted(dataset.ids, reverse=True)
         vlads = [compute_vlad(result.tree, dataset.descriptors[i]) for i in dataset.ids]
-        assert np.array_equal(train.call_args.args[0], np.array([v.subvectors for v in vlads]))
+        assert np.array_equal(train.call_args.args[0], np.array(vlads))
         h = config.hash
         save_model(result.model, tmp_path / "run.bin")
         save_model(train_hashing(vlads, h.variant, h.nbits, h.seed, h.rotate), tmp_path / "want.bin")
@@ -261,6 +274,34 @@ class TestRunPipeline:
     def test_too_many_queries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="queries"):
             run_pipeline(tiny_config(num_queries=10_000), out_dir=tmp_path)
+
+
+class TestReportDigests:
+    """The report bytes of two fixed configs, pinned: every labelled report
+    change records its new digests here and in CHANGES.md."""
+
+    CONFIGS = {
+        "A": (
+            ExperimentConfig(synthetic=SyntheticSpec(num_images=300, seed=0), num_queries=54),
+            "927e17f4c47fa56f2731d2b267c9b2c5dce13dd2e097c5eaa9b2ff144799e692",
+        ),
+        "B": (
+            ExperimentConfig(
+                recon=ReconParams(cues=("category", "binary"), prior_source="binary", combine="union"),
+                synthetic=SyntheticSpec(num_images=200, seed=5),
+                num_queries=30,
+            ),
+            "6bd6244d3ab69aa75200c870d599b8cf8d052453b16fe40af2b416f6d3ae1fff",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_report_bytes_are_pinned(self, name, tmp_path):
+        config, want = self.CONFIGS[name]
+        result = run_pipeline(config, out_dir=tmp_path)
+        rows = {key: result.report[key] for key in ("metrics", "solver")}
+        got = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
+        assert got == want, f"config {name} report moved:\n{json.dumps(rows, indent=1)}"
 
 
 class TestSolverReport:

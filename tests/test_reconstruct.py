@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from dehash.aggregate import VladVector, compute_bow, compute_vlad
+from dehash.aggregate import compute_bow, compute_vlad
 from dehash.hashing import train_hashing
 from dehash.reconstruct import (
     CandidateVWs,
@@ -23,6 +23,7 @@ from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
 from index_columns import histogram_of, index_of
+from pair_reference import l1_normalized
 from test_sparse import assert_same_walk, coherent_tree
 from test_vocab import gaussian_mixture
 
@@ -234,7 +235,7 @@ class TestReconstructionContext:
                         continue
                     restrict = None if cand is None else cand.allowed(report.vlad_id)
                     d = build_dictionary(tree, report.vlad_id, restrict)
-                    solved = solve_nn_lasso(d, v.subvectors[report.vlad_id], 0.02)
+                    solved = solve_nn_lasso(d, v[report.vlad_id], 0.02)
                     kept = np.array([counts.get(int(t), 0.0) for t in d.column_ids])
                     got = LassoResult(kept, report.converged, report.sweeps, 0.0)
                     want = np.where(solved.coeffs > 1e-6, solved.coeffs, 0.0)
@@ -301,9 +302,18 @@ class TestReconstructBow:
             assert recovered == {t: int(c) for t, c in truth.counts.items()}
 
     def test_zero_vlad_gives_empty_histogram(self, tree):
-        v = VladVector(np.zeros((tree.num_vlad_centers, tree.dim)))
+        v = np.zeros((tree.num_vlad_centers, tree.dim))
         result = reconstruct_bow(v, tree, lam=0.01)
         assert result.histogram.counts == {}
+
+    def test_vlad_of_another_shape_rejected(self, tree):
+        n, d = tree.num_vlad_centers, tree.dim
+        prior = histogram_of({0: 1.0}, tree.num_leaves)
+        for shape in ((d, n), (n * d,), (n + 1, d), (n, d - 1)):
+            with pytest.raises(ValueError, match=r"expected \(%d, %d\)" % (n, d)):
+                reconstruct_bow(np.ones(shape), tree, lam=0.01)
+            with pytest.raises(ValueError, match=r"expected \(%d, %d\)" % (n, d)):
+                reconstruct_bow_with_prior(np.ones(shape), tree, prior, 0.5)
 
     def test_restriction_safety(self, tree):
         # Restricting to a superset of the true support changes nothing in the
@@ -373,7 +383,7 @@ class TestPseudoBow:
         first = index.ids[0]
         ranking = Ranking(tuple((i, float(k)) for k, i in enumerate(index.ids)))
         h = pseudo_bow(index, ranking, top_r=1)
-        assert h.counts == index.bows[first].l1_normalized().counts
+        assert h.counts == l1_normalized(index.bows[first]).counts
 
     def test_identical_top_images(self, index):
         ranking = Ranking(tuple((index.ids[0], 0.0) for _ in range(3)))
@@ -435,7 +445,7 @@ class TestPriorReconstruction:
         assert set(result.histogram.counts) <= (allowed | {3})
 
     def test_rejects_empty_prior(self, tree):
-        v = VladVector(np.ones((tree.num_vlad_centers, tree.dim)))
+        v = np.ones((tree.num_vlad_centers, tree.dim))
         with pytest.raises(ValueError):
             reconstruct_bow_with_prior(v, tree, histogram_of({}, tree.num_leaves), 0.5)
 

@@ -7,19 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from dehash.aggregate import VladVector, compute_bow, compute_vlad
+from dehash.aggregate import RANK_NORMALIZATION, compute_bow, compute_vlad, normalize_vlad
 from dehash.hashing import BinaryCode, encode, train_hashing
 from dehash.retrieval import (
     DatabaseIndex,
     Ranking,
-    adc_distance,
     attach_pq,
     average_precision,
     build_index,
-    encode_pq,
-    hamming_distance,
-    haversine_m,
-    l1_histogram_distance,
     mean_average_precision,
     mean_ndcg,
     ndcg,
@@ -37,6 +32,7 @@ from dehash import aggregate, vocab
 from dehash.vocab import train_vocabulary
 
 from index_columns import bow_matrix, histogram_of, index_of
+from pair_reference import adc_distance, encode_pq, hamming_distance, haversine_m, l1_histogram_distance
 from test_vocab import gaussian_mixture
 
 
@@ -117,22 +113,18 @@ class TestRankVlad:
     def test_orthonormal_pair_distance(self):
         # Two unit vectors on different axes sit sqrt(2) apart.
         tree = train_vocabulary(gaussian_mixture(400, 3, 4, seed=219), 2, 2, 1, seed=219)
-        a = VladVector(np.array([[1.0, 0, 0], [0, 0, 0]]))
-        b = VladVector(np.array([[0, 1.0, 0], [0, 0, 0]]))
-        idx = index_of(
-            tree=tree, ids=["a"], vlads={"a": a},
-            rank_normalization="global-l2",
-        )
+        a = np.array([[1.0, 0, 0], [0, 0, 0]])
+        b = np.array([[0, 1.0, 0], [0, 0, 0]])
+        idx = index_of(tree=tree, ids=["a"], vlads={"a": a})
         ranking = rank_vlad(idx, b)
         assert ranking.entries[0][1] == pytest.approx(math.sqrt(2.0))
 
     def test_matches_brute_force(self, small_index):
         rng = np.random.default_rng(223)
         tree = small_index.tree
-        q = VladVector(rng.normal(size=(tree.num_vlad_centers, tree.dim)))
+        q = rng.normal(size=(tree.num_vlad_centers, tree.dim))
         ranking = rank_vlad(small_index, q)
-        from dehash.aggregate import normalize_vlad
-
+        assert small_index.rank_normalization == RANK_NORMALIZATION
         qn = normalize_vlad(q, small_index.rank_normalization).flattened()
         for image_id, score in ranking.entries:
             dn = normalize_vlad(small_index.vlads[image_id], small_index.rank_normalization)
@@ -181,12 +173,8 @@ class TestAdc:
     def test_table_free_recomputation(self, small_index):
         rng = np.random.default_rng(233)
         attach_pq(small_index, train_pq(small_index.ranking_vlad_matrix(), 5, 3, seed=2))
-        q = VladVector(
-            rng.normal(size=(small_index.tree.num_vlad_centers, small_index.tree.dim))
-        )
+        q = rng.normal(size=(small_index.tree.num_vlad_centers, small_index.tree.dim))
         ranking = rank_adc(small_index, q)
-        from dehash.aggregate import normalize_vlad
-
         qn = normalize_vlad(q, small_index.rank_normalization).flattened()
         for image_id, score in ranking.entries:
             want = adc_distance(small_index.pq, qn, small_index.pq_codes[image_id])
@@ -199,7 +187,7 @@ class TestAdc:
         tree = small_index.tree
         rhos = []
         for _ in range(5):
-            q = VladVector(rng.normal(size=(tree.num_vlad_centers, tree.dim)))
+            q = rng.normal(size=(tree.num_vlad_centers, tree.dim))
             exact = {i: r for r, (i, _) in enumerate(rank_vlad(small_index, q).entries)}
             approx = {i: r for r, (i, _) in enumerate(rank_adc(small_index, q).entries)}
             ids = small_index.ids
@@ -370,7 +358,7 @@ class TestColumnarIndex:
         )
         assert idx.ids == ("a", "b")
         assert idx.bows["a"].counts == bow.counts
-        np.testing.assert_array_equal(idx.vlads["b"].subvectors, vlad.subvectors)
+        np.testing.assert_array_equal(idx.vlads["b"], vlad)
         assert idx.codes["a"] == code
         assert idx.gps["a"] == pytest.approx((12.5, -3.25), abs=1e-12)
         assert "b" not in idx.gps and len(idx.gps) == 1 and list(idx.gps) == ["a"]
@@ -380,7 +368,7 @@ class TestColumnarIndex:
 
     def test_arrays_are_read_only(self, small_index):
         with pytest.raises(ValueError):
-            small_index.vlads[small_index.ids[0]].subvectors[0, 0] = 1.0
+            small_index.vlads[small_index.ids[0]][0, 0] = 1.0
         with pytest.raises(ValueError):
             small_index.codes[small_index.ids[0]].packed[0] = 0
 
@@ -419,7 +407,7 @@ class TestColumnarIndex:
         rng = np.random.default_rng(271)
         tree = small_index.tree
         vlads = {
-            f"v{i:04d}": VladVector(rng.normal(size=(tree.num_vlad_centers, tree.dim)))
+            f"v{i:04d}": rng.normal(size=(tree.num_vlad_centers, tree.dim))
             for i in range(700)
         }
         idx = index_of(tree=tree, ids=list(vlads), vlads=vlads)
@@ -458,7 +446,7 @@ class TestBuildIndex:
             row = index.row(image_id)
             s = index.bow.span(row)
             assert dict(zip(index.bow.words[s].tolist(), index.bow.counts[s].tolist())) == bow.counts
-            assert np.array_equal(index._vlad_matrix[row], vlad.flattened())
+            assert np.array_equal(index._vlad_matrix[row], vlad.reshape(-1))
             assert np.array_equal(index._codes[row], encode(model, vlad).packed)
 
     def test_mapping_order_does_not_matter(self, small_index):
@@ -535,7 +523,7 @@ class TestBuildIndex:
             row = index.row(image_id)
             s = index.bow.span(row)
             assert dict(zip(index.bow.words[s].tolist(), index.bow.counts[s].tolist())) == bow.counts
-            assert np.array_equal(index._vlad_matrix[row], vlad.flattened())
+            assert np.array_equal(index._vlad_matrix[row], vlad.reshape(-1))
             assert np.array_equal(index._codes[row], encode(model, vlad).packed)
 
     @pytest.mark.parametrize("pass_rows", [1, 7, aggregate.PASS_ROWS])
@@ -571,7 +559,7 @@ class TestScanErrors:
             rank_gps(idx, (40.0, -74.0))
 
     def test_vlad_scans_reject_other_shapes(self, small_index):
-        n, d = small_index.vlads[small_index.ids[0]].subvectors.shape
+        n, d = small_index.vlads[small_index.ids[0]].shape
         with_pq = index_of(
             tree=small_index.tree, ids=small_index.ids, vlads=dict(small_index.vlads)
         )
@@ -579,7 +567,7 @@ class TestScanErrors:
         # (1, 1) would broadcast, (d, n) has the stored flat length but other
         # sub-vectors, and (n + 1, d) fails to broadcast.
         for shape in ((1, 1), (d, n), (n + 1, d)):
-            query = VladVector(np.ones(shape))
+            query = np.ones(shape)
             for rank in (rank_vlad, rank_adc):
                 with pytest.raises(ValueError) as err:
                     rank(with_pq, query)

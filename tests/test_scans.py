@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scan_reference as ref
 from index_columns import bow_matrix, histogram_of
-from dehash.aggregate import VladVector, normalize_vlad
+from dehash.aggregate import RANK_NORMALIZATION, normalize_vlad
 from dehash.retrieval import DatabaseIndex, rank_bow, rank_vlad
 
 from test_retrieval import small_index  # noqa: F401  (a fixture)
@@ -17,7 +17,6 @@ from test_retrieval import small_index  # noqa: F401  (a fixture)
 # (N, D) shapes whose N*D is below 8, leaves a remainder after the groups of
 # 8, fills exactly one 128-term block, or splits above 128 (136 and 264).
 VLAD_SHAPES = [(1, 4), (2, 2), (3, 4), (2, 6), (8, 16), (16, 8), (1, 128), (8, 17), (17, 8), (8, 33), (24, 11)]
-MODES = ["none", "global-l2", "intra-then-global-l2"]
 
 
 def ids_of(n):
@@ -36,25 +35,21 @@ class TestVladScan:
     @given(
         shape=st.sampled_from(VLAD_SHAPES),
         n=st.integers(1, 40),
-        mode=st.sampled_from(MODES),
         query_row=st.one_of(st.none(), st.integers(0, 39)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_scores_equal_row_major_scan(self, shape, n, mode, query_row, seed):
+    def test_scores_equal_row_major_scan(self, shape, n, query_row, seed):
         rng = np.random.default_rng(seed)
         stack = rng.standard_normal((n, *shape)) * 10.0 ** rng.integers(-3, 4, size=(n, *shape))
         stack[rng.random((n, shape[0])) < 0.2] = 0  # zero sub-vectors
         stack[rng.random(n) < 0.3] = stack[0]  # repeated rows: tied distances
-        if query_row is None:
-            query = VladVector(rng.standard_normal(shape))
-        else:
-            query = VladVector(stack[query_row % n])
+        query = rng.standard_normal(shape) if query_row is None else stack[query_row % n]
         ids = ids_of(n)
-        index = DatabaseIndex(None, ids, vlads=stack, rank_normalization=mode)
-        matrix = np.array([normalize_vlad(VladVector(row), mode).flattened() for row in stack])
+        index = DatabaseIndex(None, ids, vlads=stack)
+        matrix = np.array([normalize_vlad(row, RANK_NORMALIZATION).flattened() for row in stack])
         assert index.ranking_vlad_matrix().tobytes() == matrix.tobytes()
         assert index.ranking_vlad_matrix().flags.c_contiguous
-        q = normalize_vlad(query, mode).flattened()
+        q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
         assert_ranked_as(rank_vlad(index, query), ids, ref.vlad_distances(matrix, q))
 
 
