@@ -7,6 +7,7 @@ by sparse recovery over per-center difference dictionaries.
 """
 
 from .aggregate import BowHistogram, VladVector, compute_bow, compute_vlad, normalize_vlad
+from .formats import ContextTag
 from .hashing import (
     BinaryCode,
     HashingModel,
@@ -16,7 +17,6 @@ from .hashing import (
 )
 from .reconstruct import (
     CandidateVWs,
-    ContextTag,
     build_dictionary,
     combine_candidates,
     pseudo_bow,

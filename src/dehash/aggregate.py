@@ -10,15 +10,12 @@ intra-normalization, then a global L2.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .vocab import VocabularyTree, assign_descriptors, cluster_sums, read_header
-
-DESC_MAGIC = b"DHDESC01"
+from .vocab import VocabularyTree, assign_descriptors, cluster_sums
 
 # Most descriptor rows one pass of ``aggregate_images`` quantizes together.
 # It bounds the pass's temporaries (rows, residuals, sum keys: a few MiB), so
@@ -30,8 +27,10 @@ RANK_NORMALIZATION = "intra-then-global-l2"
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    """A read-only view of ``array``; the array itself stays as writeable as it was."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_rows(indptr: np.ndarray, words: np.ndarray, values: np.ndarray, vocab_size: int) -> None:
@@ -49,8 +48,8 @@ class BowHistogram:
     ``words[k]`` has weight ``values[k]``.
 
     ``words`` (int64) ascend strictly inside ``[0, vocab_size)`` and every
-    value (float64) is positive, else ``ValueError``; both arrays are made
-    read-only, so a histogram is passed from stage to stage without copies.
+    value (float64) is positive, else ``ValueError``; both are kept as
+    read-only views, so a histogram is passed from stage to stage without copies.
     ``counts`` is the same histogram as a new ``{word: value}`` dict.
     """
 
@@ -273,20 +272,3 @@ def normalize_vlads(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     whole = np.sqrt(np.sum(sub * sub, axis=(1, 2)))
     np.divide(sub, np.where(whole > 0, whole, 1.0)[:, None, None], out=out)
     return out
-
-
-def save_descriptors(path, descriptors: np.ndarray) -> None:
-    """Write one image's descriptors (little-endian binary)."""
-    X = np.atleast_2d(np.asarray(descriptors, dtype="<f4"))
-    with open(path, "wb") as f:
-        f.write(DESC_MAGIC)
-        f.write(struct.pack("<2I", X.shape[1], X.shape[0]))
-        f.write(np.ascontiguousarray(X).tobytes())
-
-
-def load_descriptors(path) -> np.ndarray:
-    data, (dim, count), off = read_header(path, DESC_MAGIC, "<2I", "descriptor")
-    need = off + dim * count * 4
-    if len(data) != need:
-        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=off).reshape(count, dim).copy()

@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages: ``synth`` generates a benchmark
 dataset, ``train-tree`` / ``train-hash`` fit and persist the models,
-``index`` encodes a database, ``query`` ranks one query, ``benchmark`` runs
-the full evaluation, and ``sweep-lambda`` traces reconstructed-word counts
-against the sparsity weight.
+``index`` writes each database image's code as a payload file
+(``<id>.code``: the query payload, without context), ``query`` ranks one
+query, ``benchmark`` runs the full evaluation, and ``sweep-lambda`` traces
+reconstructed-word counts against the sparsity weight.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import aggregate_images, load_descriptors
+from .aggregate import aggregate_images
 from .dataset import SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
-from .hashing import load_model, save_code, save_model, train_hashing
+from .formats import load_descriptors, load_model, load_tree, save_model, save_tree, wire_encode
+from .hashing import train_hashing
 from .pipeline import (
     DEFAULT_LAMBDA_SWEEP,
     ExperimentConfig,
@@ -31,7 +33,7 @@ from .pipeline import (
     summarize_report,
 )
 from .retrieval import build_index, ranking_dump_lines
-from .vocab import load_tree, save_tree, train_vocabulary
+from .vocab import train_vocabulary
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -102,7 +104,7 @@ def _cmd_index(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for image_id in index.ids:
-        save_code(index.codes[image_id], out / f"{image_id}.code")
+        (out / f"{image_id}.code").write_bytes(wire_encode(index.codes[image_id]))
     print(f"indexed {len(index.ids)} images -> {out}")
     return 0
 
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotate", action="store_true")
     p.set_defaults(func=_cmd_train_hash)
 
-    p = sub.add_parser("index", help="encode a database into code files")
+    p = sub.add_parser("index", help="encode a database into payload files")
     p.add_argument("--manifest", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--model", required=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import load_descriptors, save_descriptors
+from .formats import check_gps, load_descriptors, save_descriptors
 from .retrieval import simulate_gps
 from .vocab import VocabularyTree
 
@@ -45,10 +45,10 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 def read_manifest(path) -> list[ManifestEntry]:
     """The entries of a manifest that ``write_manifest`` wrote.
 
-    ``ValueError``, naming ``path:line``, on a malformed line, a repeated id,
-    or a relevant id that is the image itself or names no image of the
-    manifest: neither could ever be retrieved, so its query's AP would drop
-    without an error.
+    ``ValueError``, naming ``path:line``, on a malformed line, a GPS fix
+    ``check_gps`` rejects, a repeated id, or a relevant id that is the image
+    itself or names no image of the manifest: neither could ever be
+    retrieved, so its query's AP would drop without an error.
     """
     entries = []
     line_of: dict[str, int] = {}
@@ -63,7 +63,10 @@ def read_manifest(path) -> list[ManifestEntry]:
         if image_id in line_of:
             raise ValueError(f"{path}:{lineno}: image id {image_id!r} listed twice")
         line_of[image_id] = lineno
-        gps = None if lat == "-" or lon == "-" else (float(lat), float(lon))
+        try:
+            gps = None if lat == "-" or lon == "-" else check_gps(lat, lon)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         category = None if cat == "-" else int(cat)
         relevant = tuple(r for r in rel.split(",") if r) if rel != "-" else ()
         if image_id in relevant:

@@ -20,30 +20,22 @@ seen in training; re-encoding an approximated VLAD reproduces its code.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .aggregate import vlad_rows
-from .vocab import read_header
-
-MODEL_MAGIC = b"DHHASH01"
-CODE_MAGIC = b"DHCODE01"
 
 VARIANTS = ("joint", "independent", "shared", "sign", "rp")
-_VARIANT_CODES = {"joint": 0, "independent": 1, "shared": 2, "sign": 3, "rp": 4, "joint-rr": 5}
-_CODE_VARIANTS = {v: k for k, v in _VARIANT_CODES.items()}
-
-GPS_PAYLOAD_BYTES = 16  # two float64 coordinates
 
 _SCALE_FLOOR = 1e-12
 
 
 @dataclass(eq=False)
 class BinaryCode:
-    """Bit-packed hash of one image (little-endian bit order)."""
+    """Bit-packed hash of one image (little-endian bit order); the bits of
+    the last byte past ``nbits`` are zero, so equal codes pack equal bytes."""
 
     packed: np.ndarray  # uint8
     nbits: int
@@ -52,6 +44,8 @@ class BinaryCode:
         self.packed = np.asarray(self.packed, dtype=np.uint8)
         if self.packed.shape != ((self.nbits + 7) // 8,):
             raise ValueError("packed length does not match bit count")
+        if self.nbits % 8 and self.packed[-1] >> (self.nbits % 8):
+            raise ValueError(f"packed code sets bits past its {self.nbits} bits")
 
     def bits(self) -> np.ndarray:
         return np.unpackbits(self.packed, bitorder="little")[: self.nbits]
@@ -346,86 +340,3 @@ def mobile_memory_bytes(
     return projection_bytes(variant, dim, num_centers, nbits) + quantizer_bytes(
         dim, branch, vlad_level
     )
-
-
-def save_model(model: HashingModel, path) -> None:
-    variant_key = "joint-rr" if (model.variant == "joint" and model.rotation is not None) else model.variant
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<B3I", _VARIANT_CODES[variant_key], model.dim, model.num_centers, model.nbits))
-        f.write(np.ascontiguousarray(model.mean, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(model.projections, dtype="<f4").tobytes())
-        if model.rotation is not None:
-            f.write(np.ascontiguousarray(model.rotation, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(model.reversal_scales, dtype="<f4").tobytes())
-
-
-def _model_shapes(variant: str, dim: int, n_centers: int, nbits: int):
-    total = dim * n_centers
-    if variant in ("joint", "joint-rr", "rp"):
-        return (total,), (total, nbits)
-    if variant == "independent":
-        return (total,), (n_centers, dim, nbits // n_centers)
-    if variant == "shared":
-        return (dim,), (dim, nbits // n_centers)
-    return (0,), (0, 0)  # sign
-
-
-def load_model(path) -> HashingModel:
-    data, (variant_code, dim, n_centers, nbits), off = read_header(
-        path, MODEL_MAGIC, "<B3I", "hashing model"
-    )
-    if variant_code not in _CODE_VARIANTS:
-        raise ValueError(f"{path}: unknown variant byte {variant_code}")
-    if n_centers == 0:
-        raise ValueError(f"{path}: model has no VLAD centers")
-    variant_key = _CODE_VARIANTS[variant_code]
-    # A header train_hashing cannot write would fail, or code wrongly, later.
-    split = variant_key in ("independent", "shared")
-    if (split and (nbits % n_centers or nbits // n_centers > dim)) or (
-        variant_key == "sign" and nbits != dim * n_centers
-    ):
-        raise ValueError(f"{path}: no {variant_key} model has {nbits} bits over N={n_centers}, D={dim}")
-    mean_shape, proj_shape = _model_shapes(variant_key, dim, n_centers, nbits)
-    rotation_shape = (nbits, nbits) if variant_key == "joint-rr" else (0,)
-    shapes = (mean_shape, proj_shape, rotation_shape, (nbits,))
-    need = off + 4 * sum(int(np.prod(shape)) for shape in shapes)
-    if len(data) != need:
-        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(shape).copy()
-        off += count * 4
-        return arr
-
-    mean = take(mean_shape)
-    projections = take(proj_shape)
-    rotation = take(rotation_shape) if variant_key == "joint-rr" else None
-    scales = take((nbits,))
-    return HashingModel(
-        variant="joint" if variant_key == "joint-rr" else variant_key,
-        dim=int(dim),
-        num_centers=int(n_centers),
-        nbits=int(nbits),
-        mean=mean,
-        projections=projections,
-        reversal_scales=scales,
-        rotation=rotation,
-    )
-
-
-def save_code(code: BinaryCode, path) -> None:
-    with open(path, "wb") as f:
-        f.write(CODE_MAGIC)
-        f.write(struct.pack("<I", code.nbits))
-        f.write(code.packed.tobytes())
-
-
-def load_code(path) -> BinaryCode:
-    data, (nbits,), off = read_header(path, CODE_MAGIC, "<I", "code")
-    need = off + (nbits + 7) // 8
-    if len(data) != need:
-        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-    return BinaryCode(np.frombuffer(data, dtype=np.uint8, offset=off).copy(), int(nbits))

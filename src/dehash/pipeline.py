@@ -27,6 +27,7 @@ import numpy as np
 from . import hashing
 from .aggregate import BowMatrix, aggregate_images
 from .dataset import Dataset, SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
+from .formats import GPS_PAYLOAD_BYTES
 from .hashing import HashingModel, approximate_vlad, encode, encode_stack, train_hashing
 from .reconstruct import (
     COMBINE_MODES,
@@ -396,7 +397,7 @@ def memory_table(config: ExperimentConfig) -> list[dict]:
                     variant, d, n, bits, config.tree.branch, config.tree.vlad_level
                 ),
                 "transmission_bytes": (bits + 7) // 8,
-                "transmission_with_gps_bytes": (bits + 7) // 8 + hashing.GPS_PAYLOAD_BYTES,
+                "transmission_with_gps_bytes": (bits + 7) // 8 + GPS_PAYLOAD_BYTES,
             }
         )
     return rows

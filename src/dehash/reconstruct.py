@@ -31,14 +31,6 @@ COMBINE_MODES = ("union", "intersection", "intersection-fallback-union")
 
 
 @dataclass(frozen=True)
-class ContextTag:
-    """Contextual cues accompanying a transmitted code."""
-
-    gps: tuple[float, float] | None = None  # (lat, lon) degrees
-    category: int | None = None
-
-
-@dataclass(frozen=True)
 class CandidateVWs:
     """Admissible leaf ids per coarse center; an empty set skips that center."""
 

@@ -239,9 +239,9 @@ class DatabaseIndex:
     (``encode_stack``).  ``gps`` may miss images and becomes an ``(n, 2)``
     radians matrix, NaN where an image has no fix, plus each latitude's
     cosine; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
-    column that breaks these rules raises ``ValueError``.  The arrays are made
-    read-only, and ``bows``, ``vlads`` (raw ``(N, D)`` row views), ``codes``,
-    ``pq_codes`` and ``gps`` are by-id views over them.
+    column that breaks these rules raises ``ValueError``.  The arrays are kept
+    as read-only views, not copies, and ``bows``, ``vlads`` (raw ``(N, D)``
+    row views), ``codes``, ``pq_codes`` and ``gps`` are by-id views over them.
     """
 
     rank_normalization = RANK_NORMALIZATION
@@ -302,6 +302,8 @@ class DatabaseIndex:
                 raise ValueError(f"codes of shape {codes.shape} do not pack {nbits} bits per row")
             _check_rows("code", len(codes), n)
             self._codes = _readonly(np.asarray(codes, dtype=np.uint8))
+            if nbits % 8 and np.any(self._codes[:, -1] >> nbits % 8):
+                raise ValueError(f"codes set bits past their {nbits} bits")
             self.codes = self._view(lambda r: BinaryCode(self._codes[r], nbits))
         if gps:
             unknown = [i for i in gps if i not in self._row]

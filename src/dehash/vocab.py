@@ -8,7 +8,6 @@ leaf below a VLAD center forms that center's candidate visual-word pool.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -17,8 +16,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .reconstruct import ReconstructionContext
-
-TREE_MAGIC = b"DHTREE01"
 
 # Lloyd's iteration defaults: stop when no center moves more than this, or
 # after the sweep cap.
@@ -451,66 +448,3 @@ def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
 def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray) -> int:
     """Nearest leaf under the nearest coarse center (lowest id on exact ties)."""
     return int(assign_descriptors(tree, descriptor)[2][0])
-
-
-def save_tree(tree: VocabularyTree, path) -> None:
-    """Write the two persisted levels of the tree (little-endian binary)."""
-    tree.validate()
-    with open(path, "wb") as f:
-        f.write(TREE_MAGIC)
-        f.write(
-            struct.pack(
-                "<6I",
-                tree.dim,
-                tree.num_vlad_centers,
-                tree.num_leaves,
-                tree.branch,
-                tree.levels,
-                tree.vlad_level,
-            )
-        )
-        f.write(np.ascontiguousarray(tree.vlad_centers, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(tree.leaf_centers, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(tree.parent_of_leaf, dtype="<u4").tobytes())
-
-
-def read_header(path, magic: bytes, header: str, what: str) -> tuple[bytes, tuple, int]:
-    """The bytes of ``path``, its ``struct`` ``header`` fields after ``magic``,
-    and the offset where the payload starts.
-
-    A wrong magic or a file that ends inside the header raises ``ValueError``
-    naming ``path``; the caller checks that the payload fills the rest exactly.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[: len(magic)] != magic:
-        raise ValueError(f"{path}: bad magic, not a {what} file")
-    off = len(magic) + struct.calcsize(header)
-    if len(data) < off:
-        raise ValueError(f"{path}: truncated header at byte {len(data)}, expected {off}")
-    return data, struct.unpack_from(header, data, len(magic)), off
-
-
-def load_tree(path) -> VocabularyTree:
-    data, (dim, n, m, branch, levels, vlad_level), off = read_header(
-        path, TREE_MAGIC, "<6I", "vocabulary tree"
-    )
-    need = off + (n + m) * dim * 4 + m * 4
-    if len(data) != need:
-        raise ValueError(f"{path}: payload ends at byte {len(data)}, expected {need}")
-    vlad_centers = np.frombuffer(data, dtype="<f4", count=n * dim, offset=off).reshape(n, dim)
-    off += n * dim * 4
-    leaf_centers = np.frombuffer(data, dtype="<f4", count=m * dim, offset=off).reshape(m, dim)
-    off += m * dim * 4
-    parents = np.frombuffer(data, dtype="<u4", count=m, offset=off)
-    tree = VocabularyTree(
-        dim=int(dim),
-        branch=int(branch),
-        levels=int(levels),
-        vlad_level=int(vlad_level),
-        vlad_centers=vlad_centers.copy(),
-        leaf_centers=leaf_centers.copy(),
-        parent_of_leaf=parents.copy(),
-    )
-    tree.validate()
-    return tree

@@ -13,11 +13,10 @@ from dehash.aggregate import (
     aggregate_images,
     compute_bow,
     compute_vlad,
-    load_descriptors,
     normalize_vlad,
     normalize_vlads,
-    save_descriptors,
 )
+from dehash.formats import load_descriptors, save_descriptors
 from dehash.reconstruct import build_dictionary
 from dehash.vocab import train_vocabulary
 
@@ -131,6 +130,17 @@ class TestAggregateImages:
 
 
 class TestBowMatrix:
+    def test_callers_arrays_stay_writeable(self):
+        words, values = np.array([1, 4]), np.array([2.0, 6.0])
+        indptr, counts = np.array([0, 2, 3]), np.array([2.0, 6.0, 1.0])
+        histogram = BowHistogram(words, values, 5)
+        bow = BowMatrix(indptr, [1, 4, 0], counts, 5)
+        for given in (words, values, indptr, counts):
+            assert given.flags.writeable
+        for stored in (histogram.words, histogram.values, bow.indptr, bow.counts):
+            assert not stored.flags.writeable
+        assert np.shares_memory(histogram.words, words) and np.shares_memory(bow.counts, counts)
+
     def test_rows_read_back(self):
         bow = BowMatrix([0, 2, 3], [1, 4, 0], [2.0, 6.0, 1.0], 5)
         assert bow.histogram(0).counts == {1: 2.0, 4: 6.0}

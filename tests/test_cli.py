@@ -3,13 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dehash.aggregate import save_descriptors, load_descriptors
 from dehash.cli import main
 from dehash.dataset import ingest_dataset
-from dehash.hashing import load_code, load_model
+from dehash.formats import ContextTag, load_descriptors, load_model, load_payload, load_tree
 from dehash.pipeline import ExperimentConfig, ReconParams, rank_query
 from dehash.retrieval import build_index, ranking_dump_lines
-from dehash.vocab import load_tree
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +65,8 @@ class TestIndexAndQuery:
         ]) == 0
         codes = sorted(out.glob("*.code"))
         assert len(codes) == 60
-        assert load_code(codes[0]).nbits == 8
+        code, context = load_payload(codes[0])
+        assert code.nbits == 8 and context == ContextTag()
 
     def test_query_prints_ranking(self, workspace, capsys):
         dataset = ingest_dataset(workspace / "data" / "manifest.tsv")

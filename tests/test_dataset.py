@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dehash.aggregate import compute_bow, save_descriptors
+from dehash.aggregate import compute_bow
 from dehash.dataset import (
     ManifestEntry,
     SyntheticSpec,
@@ -13,6 +13,7 @@ from dehash.dataset import (
     training_blob,
     write_manifest,
 )
+from dehash.formats import save_descriptors
 from dehash.vocab import train_vocabulary
 
 
@@ -51,6 +52,17 @@ class TestManifest:
         (tmp_path / "m.tsv").write_text("\n")
         with pytest.raises(ValueError, match="empty"):
             read_manifest(tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("lat, lon", [("nan", "2.0"), ("95.0", "400"), ("45", "inf"),
+                                          ("-90.5", "7"), ("45", "-180.25"), ("north", "7")])
+    def test_gps_outside_the_globe_rejected(self, tmp_path, lat, lon):
+        (tmp_path / "m.tsv").write_text(f"a\ta.desc\t45\t7\t-\t-\nb\tb.desc\t{lat}\t{lon}\t-\t-\n")
+        with pytest.raises(ValueError, match="m.tsv:2: "):
+            read_manifest(tmp_path / "m.tsv")
+
+    def test_gps_on_the_edges_accepted(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("a\ta.desc\t90\t-180\t-\t-\nb\tb.desc\t-90\t180\t-\t-\n")
+        assert [e.gps for e in read_manifest(tmp_path / "m.tsv")] == [(90.0, -180.0), (-90.0, 180.0)]
 
     def test_malformed_line_reports_position(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a\tb\n")

@@ -1,65 +1,157 @@
-"""Every on-disk loader rejects a truncated or padded file with a ValueError naming it."""
+"""Every file and payload layout: pinned bytes, byte round trips, and a
+ValueError naming the file (or the payload) for a bad magic, every
+truncation and a trailing byte."""
 
+import hashlib
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from dehash.aggregate import compute_vlad, load_descriptors, save_descriptors
-from dehash.hashing import (
+from dehash.formats import (
     MODEL_MAGIC,
-    encode,
-    load_code,
+    ContextTag,
+    load_descriptors,
     load_model,
-    save_code,
+    load_payload,
+    load_tree,
+    save_descriptors,
     save_model,
-    train_hashing,
+    save_tree,
+    wire_decode,
+    wire_encode,
 )
-from dehash.vocab import load_tree, save_tree, train_vocabulary
-
-from test_vocab import gaussian_mixture
-
-
-@pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    out = tmp_path_factory.mktemp("formats")
-    X = gaussian_mixture(400, 4, 4, seed=211)
-    tree = train_vocabulary(X, branch=2, levels=2, vlad_level=1, seed=211)
-    rng = np.random.default_rng(211)
-    vlads = [compute_vlad(tree, X[rng.integers(0, len(X), size=30)]) for _ in range(12)]
-    files = {}
-    files["tree"] = out / "tree.bin"
-    save_tree(tree, files["tree"])
-    for name, rotate in (("model", False), ("rotated-model", True)):
-        files[name] = out / f"{name}.bin"
-        save_model(train_hashing(vlads, "joint", 4, seed=211, rotate=rotate), files[name])
-    files["code"] = out / "q.code"
-    save_code(encode(load_model(files["model"]), vlads[0]), files["code"])
-    files["descriptors"] = out / "q.desc"
-    save_descriptors(files["descriptors"], X[:3])
-    return {name: path.read_bytes() for name, path in files.items()}
+from dehash.hashing import BinaryCode, HashingModel
+from dehash.vocab import VocabularyTree
 
 
-LOADERS = {
-    "tree": load_tree,
-    "model": load_model,
-    "rotated-model": load_model,
-    "code": load_code,
-    "descriptors": load_descriptors,
+def ramp(*shape):
+    """Fixed float32 values, exact in binary, so the pins hold on any host."""
+    return ((np.arange(int(np.prod(shape))) % 7 - 3) / 4).astype(np.float32).reshape(shape)
+
+
+# Per model kind: variant, rotated, mean shape, projection shape, bits; D = 3, N = 2.
+MODELS = {
+    "model": ("joint", False, (6,), (6, 4), 4),
+    "rotated-model": ("joint", True, (6,), (6, 4), 4),
+    "independent-model": ("independent", False, (6,), (2, 3, 2), 4),
+    "shared-model": ("shared", False, (3,), (3, 2), 4),
+    "sign-model": ("sign", False, (0,), (0, 0), 6),
+    "rp-model": ("rp", False, (6,), (6, 5), 5),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LOADERS))
-def test_truncated_or_padded_file_raises_value_error(kind, valid_files, tmp_path):
-    load, good = LOADERS[kind], valid_files[kind]
-    path = tmp_path / f"bad-{kind}.bin"
-    path.write_bytes(good)
+def fixed_model(kind):
+    variant, rotated, mean, projections, nbits = MODELS[kind]
+    return HashingModel(
+        variant=variant, dim=3, num_centers=2, nbits=nbits, mean=ramp(*mean),
+        projections=ramp(*projections), reversal_scales=ramp(nbits) + 1,
+        rotation=ramp(nbits, nbits) if rotated else None,
+    )
+
+
+CODE = BinaryCode.from_bits(np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1]))
+CONTEXTS = {
+    "none": None,
+    "gps": ContextTag(gps=(45.0625, 7.125)),
+    "category": ContextTag(category=3),
+    "gps-category": ContextTag(gps=(-33.5, 151.25), category=2),
+}
+
+# Per format: save(value, path), load(path).
+FORMATS = {
+    "tree": (save_tree, load_tree),
+    "model": (save_model, load_model),
+    "descriptors": (lambda X, path: save_descriptors(path, X), load_descriptors),
+    "payload": (lambda payload, path: path.write_bytes(wire_encode(*payload)), load_payload),
+}
+
+# Per kind of file: its format and the value written.  "code" is the file
+# ``dehash index`` writes per image: a payload without context.
+KINDS = {
+    "tree": ("tree", VocabularyTree(
+        dim=3, branch=2, levels=2, vlad_level=1, vlad_centers=ramp(2, 3),
+        leaf_centers=ramp(4, 3) / 2, parent_of_leaf=np.array([0, 0, 1, 1], dtype=np.uint32),
+    )),
+    **{kind: ("model", fixed_model(kind)) for kind in MODELS},
+    "descriptors": ("descriptors", ramp(5, 3)),
+    "code": ("payload", (CODE, None)),
+    **{f"{name}-payload": ("payload", (CODE, ctx)) for name, ctx in CONTEXTS.items() if ctx},
+}
+
+# sha256 of each writer's output on the values above; a layout change fails here.
+PINS = {
+    "tree": "3fc40ce4ed9735b3b1a4dcb265c3fe787351d4b85aeb8f1728b2e5cf17ac39a2",
+    "model": "2d964f73520dc33d3830a4adb6d0d19a34273fbc8dc7fe9a5ffcfc71371528b0",
+    "rotated-model": "cf1b749a5a0592e7a368e8af26d19cd2369271de85503903257beae5094eaee2",
+    "independent-model": "72b7898990f28923b362dd273157635fb37dcda418bac4fcedad615ed6e694f3",
+    "shared-model": "28954971698a238312af7237f322f18e4ba446fb9ab1d7f76afc2e91a953b5b2",
+    "sign-model": "2d3b4a2a7b9474a684f7a0acd1c73187f4c37e18f637cb85ffb10ffd7d129fa4",
+    "rp-model": "bb4058ebd93e4cd6974365dae55b4723f0b2ffa05fd70a7f2fd06b6335663892",
+    "descriptors": "7788aecbfd4ba6520fe82512991aa108ddbd7a822ab36048c5cb5b4d50d2a485",
+    "code": "e0bca3adf3707f017325fae57f22d6f0ddba617a038c7d45edebba5b40561a3f",
+    "gps-payload": "a5e5a81934bca2f1847fa2610768428d172c62f4f5bf31801e04f517f68db13b",
+    "category-payload": "a1ef060415807260fb8d525abb614da305f33ba278131aea391357f297bf67df",
+    "gps-category-payload": "6129035ef624435a47408f308b971bff7c60d1d3c392622c4123f9354ac80c54",
+}
+
+
+def written(kind, path):
+    fmt, value = KINDS[kind]
+    FORMATS[fmt][0](value, path)
+    return path.read_bytes()
+
+
+def loader(kind):
+    return FORMATS[KINDS[kind][0]][1]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_writer_output_is_pinned(kind, tmp_path):
+    assert hashlib.sha256(written(kind, tmp_path / kind)).hexdigest() == PINS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_save_load_save_is_byte_identical(kind, tmp_path):
+    first = written(kind, tmp_path / "first")
+    FORMATS[KINDS[kind][0]][0](loader(kind)(tmp_path / "first"), tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == first
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_truncated_or_padded_file_raises_value_error(kind, tmp_path):
+    load, path = loader(kind), tmp_path / f"bad-{kind}.bin"
+    good = written(kind, path)
     load(path)  # the untouched file loads
     for payload in [good[:end] for end in range(len(good))] + [good + b"\0"]:
         path.write_bytes(payload)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_bad_magic_raises_value_error(kind, tmp_path):
+    path = tmp_path / f"bad-{kind}.bin"
+    path.write_bytes(b"XXXXXXXX" + written(kind, path)[8:])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*magic"):
+        loader(kind)(path)
+
+
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+def test_truncated_or_padded_payload_raises_value_error(context):
+    good = wire_encode(CODE, CONTEXTS[context])
+    assert wire_decode(good) == (CODE, CONTEXTS[context] or ContextTag())
+    for payload in [good[:end] for end in range(len(good))] + [good + b"\0", b"XXXXXXXX" + good[8:]]:
+        with pytest.raises(ValueError, match="^payload: "):
+            wire_decode(payload)
+
+
+def test_descriptor_header_without_rows_rejected(tmp_path):
+    path = tmp_path / "empty.desc"
+    path.write_bytes(written("descriptors", path)[:12] + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*nonempty"):
+        load_descriptors(path)
 
 
 def test_model_without_centers_raises_value_error(tmp_path):

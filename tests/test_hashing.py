@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from dehash.formats import load_model, save_model
 from dehash.hashing import (
     BinaryCode,
     approximate_vlad,
     encode,
-    load_code,
-    load_model,
     mobile_memory_bytes,
     projection_bytes,
     quantizer_bytes,
-    save_code,
-    save_model,
     train_hashing,
 )
 
@@ -105,6 +102,14 @@ class TestTraining:
 
 
 class TestEncode:
+    def test_padding_bits_rejected(self):
+        # Bits 10-15 of a 10-bit code are padding; from_bits leaves them zero.
+        assert BinaryCode(np.array([0xFF, 0x03], dtype=np.uint8), 10) == BinaryCode.from_bits(np.ones(10))
+        for last in (0x04, 0x80, 0xFC):
+            with pytest.raises(ValueError, match="bits past"):
+                BinaryCode(np.array([0xFF, last], dtype=np.uint8), 10)
+        BinaryCode(np.array([0xFF, 0xFF], dtype=np.uint8), 16)  # no padding to check
+
     def test_sign_convention(self, rng):
         vlads = random_vlads(rng, 50, 1, 2)
         model = train_hashing(vlads, "sign", nbits=2)
@@ -221,18 +226,3 @@ class TestSerialization:
         code_a = encode(model, vlads[0])
         code_b = encode(loaded, vlads[0])
         assert code_a == code_b
-
-    def test_code_round_trip(self, rng, tmp_path):
-        code = BinaryCode.from_bits(rng.integers(0, 2, size=37))
-        save_code(code, tmp_path / "c.bin")
-        loaded = load_code(tmp_path / "c.bin")
-        assert loaded == code
-        save_code(loaded, tmp_path / "again.bin")
-        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "again.bin").read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        (tmp_path / "bad.bin").write_bytes(b"XXXXXXXX" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            load_model(tmp_path / "bad.bin")
-        with pytest.raises(ValueError, match="magic"):
-            load_code(tmp_path / "bad.bin")

@@ -17,7 +17,8 @@ from dehash.hashing import approximate_vlad, encode
 from dehash.pipeline import ReconParams, _query_candidates, run_pipeline
 from dehash.reconstruct import pseudo_bow, reconstruct_bow, reconstruct_bow_with_prior
 from dehash.retrieval import DatabaseIndex, Ranking, rank_bow, rank_hamming
-from dehash.vocab import VocabularyTree, load_tree, save_tree
+from dehash.formats import load_tree, save_tree
+from dehash.vocab import VocabularyTree
 
 from index_columns import bow_matrix, histogram_of
 from test_pipeline import tiny_config

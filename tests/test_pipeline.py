@@ -9,7 +9,8 @@ import pytest
 from dehash import aggregate, pipeline
 from dehash.aggregate import aggregate_images, compute_bow, compute_vlad
 from dehash.dataset import SyntheticSpec, ingest_dataset
-from dehash.hashing import approximate_vlad, encode, save_model, train_hashing
+from dehash.formats import save_model
+from dehash.hashing import approximate_vlad, encode, train_hashing
 from dehash.pipeline import (
     ALL_MODES,
     ExperimentConfig,

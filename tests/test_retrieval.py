@@ -372,6 +372,16 @@ class TestColumnarIndex:
         with pytest.raises(ValueError):
             small_index.codes[small_index.ids[0]].packed[0] = 0
 
+    def test_callers_arrays_stay_writeable(self, small_index):
+        # The index keeps read-only views of the caller's arrays, not copies.
+        n, tree = len(small_index.ids), small_index.tree
+        vlads = small_index._vlad_matrix.reshape(n, tree.num_vlad_centers, tree.dim).copy()
+        codes = small_index._codes.copy()
+        idx = DatabaseIndex(tree, small_index.ids, vlads=vlads, codes=codes, nbits=small_index.nbits)
+        assert vlads.flags.writeable and codes.flags.writeable
+        assert not idx._vlad_matrix.flags.writeable and not idx._codes.flags.writeable
+        assert np.shares_memory(idx._vlad_matrix, vlads) and np.shares_memory(idx._codes, codes)
+
     def test_partial_coverage_rejected(self, small_index):
         # Each column holds one row per id, or is left out.
         tree, first = small_index.tree, small_index.ids[0]
@@ -400,6 +410,10 @@ class TestColumnarIndex:
             DatabaseIndex(tree, ids, codes=small_index._codes, nbits=small_index.nbits + 8)
         with pytest.raises(ValueError, match="bits"):
             DatabaseIndex(tree, ids, codes=small_index._codes)
+        padded = small_index._codes.copy()  # 12 bits: the top 4 bits of byte 1 pad
+        padded[0, -1] |= 0x80
+        with pytest.raises(ValueError, match="bits past"):
+            DatabaseIndex(tree, ids, codes=padded, nbits=small_index.nbits)
 
     @pytest.mark.parametrize("bits", [3, 9])
     def test_attach_pq_matches_per_row_encode(self, small_index, bits):

@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dehash.formats import load_tree, save_tree
 from dehash.vocab import (
     VocabularyTree,
     assign_descriptors,
-    load_tree,
     quantize_leaf,
     quantize_vlad,
-    save_tree,
     subtree_leaves,
     train_vocabulary,
 )

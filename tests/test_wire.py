@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from dehash.formats import ContextTag, wire_decode, wire_encode
 from dehash.hashing import BinaryCode
-from dehash.reconstruct import ContextTag
-from dehash.wire import WireFormatError, wire_decode, wire_encode
 
 
 def random_code(rng, nbits):
@@ -60,26 +59,49 @@ class TestSizes:
 
 
 class TestErrors:
-    def test_truncation_at_every_byte(self):
-        rng = np.random.default_rng(407)
-        payload = wire_encode(random_code(rng, 64), ContextTag(gps=(1.0, 2.0), category=3))
-        for cut in range(len(payload)):
-            with pytest.raises(WireFormatError):
-                wire_decode(payload[:cut])
-
+    # Truncation is checked for every payload in test_formats.py.
     def test_unknown_flags(self):
         rng = np.random.default_rng(409)
         payload = bytearray(wire_encode(random_code(rng, 8)))
         payload[-1] = 0x80
-        with pytest.raises(WireFormatError, match="flags"):
+        with pytest.raises(ValueError, match="^payload: .*flags"):
             wire_decode(bytes(payload))
 
     def test_trailing_garbage(self):
         rng = np.random.default_rng(411)
         payload = wire_encode(random_code(rng, 8)) + b"\x00"
-        with pytest.raises(WireFormatError, match="trailing"):
+        with pytest.raises(ValueError, match="^payload: .*trailing"):
             wire_decode(payload)
 
     def test_bad_magic(self):
-        with pytest.raises(WireFormatError, match="magic"):
+        with pytest.raises(ValueError, match="^payload: .*magic"):
             wire_decode(b"NOTMAGIC" + b"\x00" * 8)
+
+    @pytest.mark.parametrize("gps", [(float("nan"), 7.0), (45.0, float("inf")), (95.0, 400.0),
+                                     (-90.5, 0.0), (0.0, -180.25)])
+    def test_gps_outside_the_globe_rejected(self, gps):
+        payload = wire_encode(random_code(np.random.default_rng(413), 8), ContextTag(gps=(0.0, 0.0)))
+        with pytest.raises(ValueError, match="^payload: GPS"):
+            wire_decode(payload[:-16] + np.array(gps, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="^GPS"):
+            wire_encode(random_code(np.random.default_rng(413), 8), ContextTag(gps=gps))
+
+    @pytest.mark.parametrize("context", [ContextTag(gps=(1.0, 2.0, 3.0)), ContextTag(category=-1),
+                                         ContextTag(category=np.int64(-1)), ContextTag(category=2**32),
+                                         ContextTag(category=3.5)])
+    def test_context_a_payload_cannot_carry_rejected(self, context):
+        with pytest.raises((TypeError, OverflowError)):
+            wire_encode(random_code(np.random.default_rng(419), 8), context)
+
+    def test_gps_on_the_edges_accepted(self):
+        for gps in [(90.0, 180.0), (-90.0, -180.0), (0.0, 0.0)]:
+            code = random_code(np.random.default_rng(417), 8)
+            assert wire_decode(wire_encode(code, ContextTag(gps=gps)))[1].gps == gps
+
+    def test_padding_bits_rejected(self):
+        # A 10-bit code whose last byte also sets its six unused bits would
+        # compare unequal to the same code and sit 6 bits away from it.
+        payload = bytearray(wire_encode(BinaryCode(np.array([0x5A, 0x03], dtype=np.uint8), 10)))
+        payload[13] |= 0xFC
+        with pytest.raises(ValueError, match="^payload: .*bits past"):
+            wire_decode(bytes(payload))
