@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptors", required=True, help="query descriptor file")
     p.add_argument("--query-id", default="query")
     p.add_argument("--mode", default="bow", choices=["bow", "vlad", "hamming", "recon"])
-    p.add_argument("--lam", type=float, default=0.02)
+    p.add_argument("--lam", type=float, default=ReconParams.lam)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=_cmd_query)
 

@@ -180,8 +180,10 @@ def load_model(path) -> HashingModel:
 
 
 def save_descriptors(path, descriptors: np.ndarray) -> None:
-    """Write one image's descriptors."""
+    """Write one image's descriptors; an empty set raises, as ``load_descriptors`` would."""
     X = np.atleast_2d(np.asarray(descriptors, dtype="<f4"))
+    if not len(X):
+        raise ValueError(f"{path}: descriptor set must be nonempty")
     Path(path).write_bytes(_pack(DESC_MAGIC, "<2I", (X.shape[1], X.shape[0]), ("<f4", X)))
 
 

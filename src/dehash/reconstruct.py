@@ -3,10 +3,12 @@
 Each coarse center owns a difference dictionary whose columns are its
 sub-tree leaves minus the center itself; solving a non-negative sparse
 recovery per sub-vector yields word counts.  Contextual cues (a binary
-ranking, GPS, a category label) shrink each dictionary to the visual words
-that plausibly occur near the query, which both speeds up the solve and
-filters out impossible words.  A Tikhonov refinement can additionally pull
-the solution toward a pseudo-histogram pooled from top-ranked results.
+ranking, GPS, a category label) each give a boolean mask over the leaves:
+the visual words that plausibly occur near the query.  The merged mask
+shrinks each dictionary to its center's admitted words, which both speeds
+up the solve and filters out impossible words.  A Tikhonov refinement can
+additionally pull the solution toward a pseudo-histogram pooled from
+top-ranked results.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import BowHistogram, vlad_rows
+from .aggregate import BowHistogram, _readonly, vlad_rows
 from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov
 from .vocab import VocabularyTree, subtree_leaves
 
@@ -32,37 +34,34 @@ COMBINE_MODES = ("union", "intersection", "intersection-fallback-union")
 
 @dataclass(frozen=True)
 class CandidateVWs:
-    """Admissible leaf ids per coarse center; an empty set skips that center."""
+    """The admissible words as one read-only ``(M,)`` boolean mask over the
+    tree's leaves, with the tree's ``parent_of_leaf`` to split it by center;
+    a center with no admissible leaf is skipped."""
 
-    per_center: dict[int, frozenset[int]]
+    mask: np.ndarray  # (M,) bool
+    parent_of_leaf: np.ndarray  # (M,)
     num_centers: int
 
     def __post_init__(self) -> None:
-        for center in self.per_center:
-            if not 0 <= center < self.num_centers:
-                raise ValueError(f"center id {center} out of range")
+        object.__setattr__(self, "mask", _readonly(np.asarray(self.mask, dtype=bool)))
 
-    def allowed(self, center: int) -> frozenset[int]:
-        return self.per_center.get(center, frozenset())
+    def allowed(self, center: int) -> np.ndarray:
+        """The center's admissible leaf ids, ascending."""
+        return np.flatnonzero(self.mask & (self.parent_of_leaf == center))
 
     def total_width(self) -> int:
-        return sum(len(s) for s in self.per_center.values())
+        return int(np.count_nonzero(self.mask))
 
     @classmethod
     def from_leaf_ids(cls, tree: VocabularyTree, leaf_ids: Iterable[int]) -> "CandidateVWs":
-        """Group distinct leaf ids by coarse center, with array sorts rather than a per-leaf loop."""
-        if not isinstance(leaf_ids, np.ndarray):
-            leaf_ids = np.fromiter(leaf_ids, dtype=np.int64)
-        leaves = np.unique(leaf_ids.astype(np.int64, copy=False))
-        parents = tree.parent_of_leaf[leaves]
-        order = np.argsort(parents, kind="stable")
-        grouped = leaves[order].tolist()
-        centers, starts = np.unique(parents[order], return_index=True)
-        bounds = starts.tolist() + [len(grouped)]
-        return cls(
-            {c: frozenset(grouped[b:e]) for c, b, e in zip(centers.tolist(), bounds, bounds[1:])},
-            tree.num_vlad_centers,
-        )
+        """The mask of ``leaf_ids``, given as any iterable, repeats allowed;
+        an id outside ``[0, M)`` raises ``ValueError``."""
+        ids = leaf_ids if isinstance(leaf_ids, np.ndarray) else np.fromiter(leaf_ids, dtype=np.int64)
+        mask = np.zeros(tree.num_leaves, dtype=bool)
+        if ids.size and not (0 <= ids.min() and ids.max() < mask.size):
+            raise ValueError(f"leaf ids must lie in [0, {mask.size})")
+        mask[ids] = True
+        return cls(mask, tree.parent_of_leaf, tree.num_vlad_centers)
 
 
 def build_dictionary(
@@ -124,7 +123,8 @@ class ReconstructionContext:
     def restricted(self, vlad_id: int, restrict: Iterable[int]) -> Dictionary:
         """``build_dictionary(tree, vlad_id, restrict)``, sliced from the cache."""
         full, _ = self.full(vlad_id)
-        wanted = np.fromiter(sorted(set(restrict)), dtype=np.int64)
+        ids = restrict if isinstance(restrict, np.ndarray) else list(restrict)
+        wanted = np.unique(np.asarray(ids, dtype=np.int64))
         pos = np.searchsorted(full.column_ids, wanted)
         # Both ascend, so the last position bounds them all.
         if wanted.size and (pos[-1] >= full.width or not np.all(full.column_ids[pos] == wanted)):
@@ -136,7 +136,7 @@ class ReconstructionContext:
 
 
 def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarray:
-    """Distinct words of the stored histograms of ``image_ids``, read from the CSR rows."""
+    """Words of the stored histograms of ``image_ids``, read from the CSR rows, repeats kept."""
     bow = index.bow
     spans = [np.empty(0, dtype=np.int32)]
     for image_id in image_ids:
@@ -147,7 +147,7 @@ def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarra
         if bow is None or row is None:
             raise ValueError(f"index has no stored histogram for {image_id!r}")
         spans.append(bow.words[bow.span(row)])
-    return np.unique(np.concatenate(spans))
+    return np.concatenate(spans)
 
 
 def candidates_from_binary(index: "DatabaseIndex", binary_ranking: "Ranking", top_r: int) -> CandidateVWs:
@@ -184,7 +184,8 @@ def candidates_from_category(index: "DatabaseIndex", category: int) -> Candidate
 
 
 def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> CandidateVWs:
-    """Merge cue candidate sets per center.
+    """Merge the cues' masks: ``union`` keeps a word any cue admits and
+    ``intersection`` one that every cue admits.
 
     ``intersection-fallback-union`` intersects but falls back to the union for
     centers where the cues have no common word, so a disagreement between cues
@@ -194,23 +195,16 @@ def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> Can
         raise ValueError("at least one cue required")
     if mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {mode!r}")
-    num_centers = cues[0].num_centers
-    if any(c.num_centers != num_centers for c in cues):
+    first = cues[0]
+    if any(c.num_centers != first.num_centers for c in cues):
         raise ValueError("cues disagree on the number of centers")
-    centers = set().union(*(c.per_center.keys() for c in cues))
-    merged: dict[int, frozenset[int]] = {}
-    for center in centers:
-        sets = [c.allowed(center) for c in cues]
-        union = frozenset().union(*sets)
-        if mode == "union":
-            out = union
-        else:
-            out = frozenset(sets[0]).intersection(*sets[1:])
-            if mode == "intersection-fallback-union" and not out:
-                out = union
-        if out:
-            merged[center] = frozenset(out)
-    return CandidateVWs(merged, num_centers)
+    masks = np.stack([c.mask for c in cues])
+    merged = masks.any(axis=0) if mode == "union" else masks.all(axis=0)
+    if mode == "intersection-fallback-union":
+        parent = first.parent_of_leaf
+        empty = np.bincount(parent[merged], minlength=first.num_centers) == 0
+        merged |= masks.any(axis=0) & empty[parent]
+    return CandidateVWs(merged, first.parent_of_leaf, first.num_centers)
 
 
 @dataclass
@@ -253,27 +247,23 @@ def reconstruct_bow(
 
     One non-negative sparse solve per active sub-vector (sub-vectors with
     negligible norm received no features and are skipped).  ``candidates``
-    restricts each center's dictionary; centers with an empty candidate set
-    are skipped.  Coefficients below a small drop tolerance are discarded.
-    The histogram's words ascend whichever way the tree numbers its leaves.
+    restricts each center's dictionary to its admissible leaves; a center
+    with none is skipped.  Coefficients below a small drop tolerance are
+    discarded.  The histogram's words ascend whichever way the tree numbers
+    its leaves.
     """
     v = vlad_rows(v, (tree.num_vlad_centers, tree.dim))
     context = tree.reconstruction_context
     solved: list[tuple[int, Dictionary | None]] = []
     problems = []
     for center in _active_centers(v).tolist():
-        allowed = None if candidates is None else candidates.allowed(center)
-        if allowed is None:
+        if candidates is None:
             dictionary, gram = context.full(center)
-        elif allowed:
-            dictionary, gram = context.restricted(center, allowed), None
         else:
-            dictionary = None
-        if dictionary is None or dictionary.width == 0:
-            solved.append((center, None))
-            continue
-        solved.append((center, dictionary))
-        problems.append((dictionary, v[center], gram))
+            dictionary, gram = context.restricted(center, candidates.allowed(center)), None
+        solved.append((center, dictionary if dictionary.width else None))
+        if dictionary.width:
+            problems.append((dictionary, v[center], gram))
     results = iter(solve_nn_lasso_batch(problems, lam, tol=tol, max_iter=max_iter))
 
     words, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
@@ -328,8 +318,8 @@ def reconstruct_bow_with_prior(
     The prior is first rescaled to ``mass`` (the estimated feature count,
     defaulting to ``||h0||_1``) so the blend mixes quantities on the count
     scale regardless of how the prior was normalized; each center reads its
-    part of the prior from that one dense vector.  The candidate set of each
-    active center is widened by the prior's support there, the per-center
+    part of the prior from that one dense vector.  The candidate mask (every
+    leaf when there is none) is widened by the prior's support, the per-center
     systems share the global normalizers ``||v||^2`` and ``||h0||^2`` (the
     centers partition one joint problem; ``||h0||^2`` is summed in ascending
     word order), negative coefficients are clipped, and the result is
@@ -350,21 +340,18 @@ def reconstruct_bow_with_prior(
     n2 = float(sum((scaled * scaled).tolist()))
     prior = np.zeros(tree.num_leaves)
     prior[h0.words] = scaled
-    prior_parent = tree.parent_of_leaf[h0.words]
+    mask = np.ones(tree.num_leaves, dtype=bool) if candidates is None else candidates.mask.copy()
+    mask[h0.words] = True
+    admissible = CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers)
 
     words, raw = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     reports: list[SubvectorReport] = []
     context = tree.reconstruction_context
     for center in _active_centers(v).tolist():
-        if candidates is not None:
-            allowed = set(candidates.allowed(center))
-        else:
-            allowed = set(subtree_leaves(tree, center).tolist())
-        allowed.update(h0.words[prior_parent == center].tolist())
-        if not allowed:
+        dictionary = context.restricted(center, admissible.allowed(center))
+        if dictionary.width == 0:
             reports.append(SubvectorReport(center, 0, 0, True, True))
             continue
-        dictionary = context.restricted(center, allowed)
         coeffs = solve_tikhonov(
             dictionary, v[center], prior[dictionary.column_ids], alpha, n1=n1, n2=n2
         )

@@ -305,10 +305,11 @@ class DatabaseIndex:
             if nbits % 8 and np.any(self._codes[:, -1] >> nbits % 8):
                 raise ValueError(f"codes set bits past their {nbits} bits")
             self.codes = self._view(lambda r: BinaryCode(self._codes[r], nbits))
-        if gps:
-            unknown = [i for i in gps if i not in self._row]
+        for what, given in (("GPS", gps), ("categories", categories)):
+            unknown = [i for i in given or () if i not in self._row]
             if unknown:
-                raise ValueError(f"GPS given for unknown images: {unknown[:3]}")
+                raise ValueError(f"{what} given for unknown images: {unknown[:3]}")
+        if gps:
             table = np.empty((n, 2))
             table.fill(np.nan)
             for image_id, (lat, lon) in gps.items():

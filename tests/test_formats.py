@@ -148,7 +148,12 @@ def test_truncated_or_padded_payload_raises_value_error(context):
 
 
 def test_descriptor_header_without_rows_rejected(tmp_path):
+    # The writer refuses an empty set and leaves no file; the reader rejects one.
     path = tmp_path / "empty.desc"
+    for empty in (np.empty((0, 4)), np.empty((0, 4), dtype=np.float32)):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*nonempty"):
+            save_descriptors(path, empty)
+    assert not path.exists()
     path.write_bytes(written("descriptors", path)[:12] + struct.pack("<I", 0))
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*nonempty"):
         load_descriptors(path)

@@ -8,6 +8,7 @@ import pytest
 from dehash.aggregate import compute_bow, compute_vlad
 from dehash.hashing import train_hashing
 from dehash.reconstruct import (
+    COMBINE_MODES,
     CandidateVWs,
     build_dictionary,
     candidates_from_binary,
@@ -22,6 +23,7 @@ from dehash.sparse import LassoResult, solve_nn_lasso
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
+import candidates_reference
 from index_columns import histogram_of, index_of
 from pair_reference import l1_normalized
 from test_sparse import assert_same_walk, coherent_tree
@@ -85,6 +87,11 @@ class TestBuildDictionary:
             build_dictionary(tree, 0, restrict=[int(subtree_leaves(tree, 1)[0])])
 
 
+def words_of(cand):
+    """Every admissible word of ``cand``, read center by center."""
+    return set().union(*(cand.allowed(c).tolist() for c in range(cand.num_centers)))
+
+
 class TestCandidates:
     def test_from_binary_top1(self, index):
         ranking = Ranking(tuple((i, 0.0) for i in index.ids))
@@ -98,14 +105,12 @@ class TestCandidates:
         everything = set()
         for bow in index.bows.values():
             everything |= set(bow.counts)
-        got = set()
-        for center in cand.per_center:
-            got |= set(cand.allowed(center))
-        assert got == everything
+        assert words_of(cand) == everything
+        assert set(np.flatnonzero(cand.mask).tolist()) == everything
 
     def test_from_gps_zero_distance_neighbor(self, index):
         cand = candidates_from_gps(index, index.gps["db_0"], top_r=1)
-        assert set().union(*cand.per_center.values()) == set(index.bows["db_0"].counts)
+        assert words_of(cand) == set(index.bows["db_0"].counts)
 
     @pytest.mark.parametrize("top_r", [0, -1])
     def test_top_r_below_one_rejected(self, index, top_r):
@@ -116,10 +121,8 @@ class TestCandidates:
             candidates_from_gps(index, index.gps["db_0"], top_r=top_r)
 
     def test_from_category_disjoint_pools(self, index):
-        c0 = candidates_from_category(index, 0)
-        c1 = candidates_from_category(index, 1)
-        words0 = set().union(*c0.per_center.values()) if c0.per_center else set()
-        words1 = set().union(*c1.per_center.values()) if c1.per_center else set()
+        words0 = words_of(candidates_from_category(index, 0))
+        words1 = words_of(candidates_from_category(index, 1))
         assert words0 and words1
         assert not words0 & words1
 
@@ -135,7 +138,7 @@ class TestCandidates:
             grouped = {}
             for leaf in leaf_ids:
                 grouped.setdefault(int(grouping_tree.parent_of_leaf[leaf]), set()).add(int(leaf))
-            return {c: frozenset(s) for c, s in grouped.items()}
+            return grouped
 
         rng = np.random.default_rng(137)
         for size in (0, 1, 5, 40, 160, grouping_tree.num_leaves):
@@ -143,23 +146,66 @@ class TestCandidates:
             want = per_leaf(ids)
             for form in (ids, ids.tolist(), set(ids.tolist()), np.unique(ids).astype(np.int32)):
                 got = CandidateVWs.from_leaf_ids(grouping_tree, form)
-                assert got.per_center == want
-                assert all(type(c) is int and all(type(t) is int for t in s) for c, s in got.per_center.items())
+                for center in range(grouping_tree.num_vlad_centers):
+                    allowed = got.allowed(center)
+                    assert allowed.dtype == np.int64 and np.all(np.diff(allowed) > 0)
+                    assert set(allowed.tolist()) == want.get(center, set())
+                assert not got.mask.flags.writeable
+
+    @pytest.mark.parametrize("bad", [-1, "M"])
+    def test_from_leaf_ids_rejects_ids_outside_the_leaves(self, tree, bad):
+        bad = tree.num_leaves if bad == "M" else bad
+        for form in ([0, bad], {bad}, np.array([bad, 1], dtype=np.int32)):
+            with pytest.raises(ValueError, match=r"leaf ids must lie in \[0, %d\)" % tree.num_leaves):
+                CandidateVWs.from_leaf_ids(tree, form)
 
     def test_combine_union_and_intersection(self, tree):
-        a = CandidateVWs({0: frozenset({1, 2})}, tree.num_vlad_centers)
-        b = CandidateVWs({0: frozenset({2, 3}), 1: frozenset({9})}, tree.num_vlad_centers)
+        l0, l1 = subtree_leaves(tree, 0).tolist(), subtree_leaves(tree, 1).tolist()
+        a = CandidateVWs.from_leaf_ids(tree, [l0[1], l0[2]])
+        b = CandidateVWs.from_leaf_ids(tree, [l0[2], l0[3], l1[0]])
         union = combine_candidates([a, b], "union")
-        assert union.allowed(0) == {1, 2, 3} and union.allowed(1) == {9}
+        assert union.allowed(0).tolist() == l0[1:4] and union.allowed(1).tolist() == [l1[0]]
         inter = combine_candidates([a, b], "intersection")
-        assert inter.allowed(0) == {2} and inter.allowed(1) == frozenset()
-        assert combine_candidates([a, a], "union").allowed(0) == a.allowed(0)
+        assert inter.allowed(0).tolist() == [l0[2]] and inter.allowed(1).size == 0
+        assert combine_candidates([a, a], "union").allowed(0).tolist() == a.allowed(0).tolist()
 
     def test_combine_fallback(self, tree):
-        a = CandidateVWs({0: frozenset({1})}, tree.num_vlad_centers)
-        b = CandidateVWs({0: frozenset({2})}, tree.num_vlad_centers)
+        l0 = subtree_leaves(tree, 0).tolist()
+        a = CandidateVWs.from_leaf_ids(tree, [l0[1]])
+        b = CandidateVWs.from_leaf_ids(tree, [l0[2]])
         merged = combine_candidates([a, b], "intersection-fallback-union")
-        assert merged.allowed(0) == {1, 2}
+        assert merged.allowed(0).tolist() == [l0[1], l0[2]]
+
+    @pytest.mark.parametrize("which", ["small", "coherent"])
+    def test_masks_admit_what_the_frozen_sets_admit(self, tree, which):
+        # Random cue sets, merged under every mode, admit the same words per
+        # center as the frozen dict-of-frozensets candidates.
+        grouping_tree = tree if which == "small" else coherent_tree()
+        m = grouping_tree.num_leaves
+        rng = np.random.default_rng(163)
+        empty = np.empty(0, dtype=np.int64)
+        halves = np.array_split(rng.permutation(m), 2)
+        cue_sets = [
+            [empty],
+            [empty, rng.integers(0, m, 5)],
+            halves,  # disjoint cues
+            [halves[0][: m // 8], halves[1][: m // 8], rng.integers(0, m, m // 4)],
+        ]
+        # One to three cues of up to 2M ids each, drawn with repeats.
+        for _ in range(30):
+            cue_sets.append([rng.integers(0, m, rng.integers(0, 2 * m)) for _ in range(rng.integers(1, 4))])
+        forms = (list, set, lambda ids: np.asarray(ids, dtype=np.int32))
+        for k, ids_of_cues in enumerate(cue_sets):
+            # Each cue's ids as a list, a set or an int32 array, in turn.
+            given = [forms[(k + j) % 3](ids.tolist()) for j, ids in enumerate(ids_of_cues)]
+            cues = [CandidateVWs.from_leaf_ids(grouping_tree, ids) for ids in given]
+            frozen = [candidates_reference.CandidateVWs.from_leaf_ids(grouping_tree, ids) for ids in given]
+            for mode in COMBINE_MODES:
+                got = combine_candidates(cues, mode)
+                want = candidates_reference.combine_candidates(frozen, mode)
+                for center in range(grouping_tree.num_vlad_centers):
+                    assert got.allowed(center).tolist() == sorted(want.allowed(center))
+                assert got.total_width() == want.total_width()
 
 
 def fresh_tree(seed=101):

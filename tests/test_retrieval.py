@@ -395,6 +395,15 @@ class TestColumnarIndex:
             with pytest.raises(ValueError, match="1 rows for 2 image ids"):
                 DatabaseIndex(tree, [first, "other"], **column)
 
+    def test_cues_for_unknown_images_rejected(self, small_index):
+        # Caught when the index is built, not at query time as a missing histogram.
+        tree, ids = small_index.tree, small_index.ids
+        with pytest.raises(ValueError, match=r"GPS given for unknown images: \['zz'\]"):
+            DatabaseIndex(tree, ids, gps={"zz": (1.0, 2.0)})
+        with pytest.raises(ValueError, match=r"categories given for unknown images: \['zz'\]"):
+            DatabaseIndex(tree, ids, categories={ids[0]: 0, "zz": 1})
+        assert DatabaseIndex(tree, ids, categories={ids[0]: 0}).categories == {ids[0]: 0}
+
     def test_ids_must_ascend(self, small_index):
         for ids in (["b", "a"], ["a", "a"], ["a", "c", "b"]):
             with pytest.raises(ValueError, match="strictly ascending"):
