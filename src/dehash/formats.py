@@ -18,7 +18,7 @@ rejects a short or a trailing byte with a ``ValueError`` naming the file (or
   mean and projections are ``(D*N,)`` and ``(D*N, K)`` for joint and rp,
   ``(D*N,)`` and ``(N, D, K/N)`` for independent, ``(D,)`` and
   ``(D, K/N)`` for shared, ``(0,)`` and ``(0, 0)`` for sign.
-* Descriptors of one image, ``DHDESC01``; header ``<2I``: ``D``, rows
+* Descriptors of one image, ``DHDESC01``; header ``<2I``: ``D >= 1``, rows
   ``n >= 1``.  Array: the descriptors ``(n, D)`` float32.
 * Query payload, ``DHWIRE01``; header ``<I``: bits ``K``.  Arrays: the
   packed code, ``ceil(K / 8)`` uint8 with bit ``k`` at bit ``k % 8`` of byte
@@ -180,10 +180,13 @@ def load_model(path) -> HashingModel:
 
 
 def save_descriptors(path, descriptors: np.ndarray) -> None:
-    """Write one image's descriptors; an empty set raises, as ``load_descriptors`` would."""
+    """Write one image's descriptors; an empty set or dimension 0 raises, as
+    ``load_descriptors`` would."""
     X = np.atleast_2d(np.asarray(descriptors, dtype="<f4"))
     if not len(X):
         raise ValueError(f"{path}: descriptor set must be nonempty")
+    if not X.shape[1]:
+        raise ValueError(f"{path}: descriptor dimension must be positive")
     Path(path).write_bytes(_pack(DESC_MAGIC, "<2I", (X.shape[1], X.shape[0]), ("<f4", X)))
 
 
@@ -192,6 +195,8 @@ def load_descriptors(path) -> np.ndarray:
     dim, count = r.fields
     if count == 0:
         raise ValueError(f"{path}: descriptor set must be nonempty")
+    if dim == 0:
+        raise ValueError(f"{path}: descriptor dimension must be positive")
     X = r.take("<f4", count, dim)
     r.done()
     return X

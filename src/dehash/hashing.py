@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import vlad_rows
+from .vocab import _TINY, _U
 
 VARIANTS = ("joint", "independent", "shared", "sign", "rp")
 
@@ -270,13 +271,84 @@ def encode(model: HashingModel, v: np.ndarray) -> BinaryCode:
     return BinaryCode.from_bits(bits)
 
 
+def _project_stack(model: HashingModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_project`` of every ``(N*D,)`` row of ``X`` by matrix products, as an
+    ``(n, K)`` array, and per entry a radius: where the product lies farther
+    than its radius from 0, ``_project`` of the row alone has the same sign.
+    A radius is ``inf`` where the proof below does not hold.
+
+    Both ways subtract the mean element by element, bit for bit alike, so
+    they differ only in how they sum the ``T``-term dot products with each
+    column ``w`` (``T = N*D`` for joint and rp, ``D`` per sub-vector for the
+    split variants).  For any summation order, with ``g = T u / (1 - T u)``,
+    each sum lies within ``g sum_t |y_t w_t| + T tiny`` of the exact value
+    (the last term covers products that underflow), and
+    ``sum_t |y_t w_t| <= max_t |y_t| * sum_t |w_t| =: S``.  So the two differ
+    by at most ``2 e``, ``e = g S + T tiny``.  A rotation then applies ``R``
+    to either result ``q`` (within ``e`` of the exact ``p``, the row's
+    within ``2 e`` of the product's): each rotated value lies within
+    ``|R| e + g_K |R| |q| + K tiny`` of ``R p``, which for both ways is at
+    most ``e' = (1 + 2 g_K) |R| e + g_K |R| |P| + K tiny`` with ``P`` the
+    product's.  The radius is twice the bound on the difference, ``4 e`` (or
+    ``4 e'``): the factor two covers the rounding of the bound itself.  No
+    partial sum can overflow while ``4 S`` (and ``4 |R| (|P| + 2 e)`` after
+    a rotation) is finite; an entry where it is not, or whose row is not
+    finite, gets radius ``inf``.
+    """
+    n = len(X)
+    mean = np.asarray(model.mean, dtype=np.float64)
+    w = np.asarray(model.projections, dtype=np.float64)
+    if model.variant in ("joint", "rp"):
+        y = X - mean
+        proj = y @ w
+        span = np.abs(y).max(axis=1)[:, None] * np.abs(w).sum(axis=0)
+        terms = y.shape[1]
+    else:
+        blocks = X.reshape(n, model.num_centers, model.dim)
+        if model.variant == "independent":
+            y = blocks - mean.reshape(model.num_centers, model.dim)
+            proj = np.matmul(y.transpose(1, 0, 2), w).transpose(1, 0, 2)
+            column_sums = np.abs(w).sum(axis=1)  # (N, K/N)
+        else:  # shared
+            y = blocks - mean
+            proj = y @ w
+            column_sums = np.abs(w).sum(axis=0)  # (K/N,)
+        span = (np.abs(y).max(axis=2)[:, :, None] * column_sums).reshape(n, model.nbits)
+        proj = proj.reshape(n, model.nbits)
+        terms = model.dim
+    limit = np.finfo(np.float64).max / 4
+    g = terms * _U / (1 - terms * _U)
+    err = g * span + terms * _TINY
+    safe = span < limit  # false for NaN
+    if model.rotation is not None:
+        r = np.asarray(model.rotation, dtype=np.float64)
+        g_k = model.nbits * _U / (1 - model.nbits * _U)
+        abs_rt = np.abs(r).T
+        reach = np.abs(proj) @ abs_rt
+        spread = err @ abs_rt
+        safe = safe.all(axis=1)[:, None] & (reach + 2 * spread < limit)
+        err = (1 + 2 * g_k) * spread + g_k * reach + model.nbits * _TINY
+        proj = proj @ r.T
+    return proj, np.where(safe, 4 * err, np.inf)
+
+
 def encode_stack(model: HashingModel, vlads: np.ndarray) -> np.ndarray:
     """The packed codes of an ``(n, N, D)`` stack of raw VLADs, one row each
-    as ``encode`` makes it, in an ``(n, ceil(K / 8))`` uint8 matrix."""
-    packed = np.empty((len(vlads), (model.nbits + 7) // 8), dtype=np.uint8)
-    for r, v in enumerate(vlads):
-        packed[r] = encode(model, v).packed
-    return packed
+    as ``encode`` makes it, in an ``(n, ceil(K / 8))`` uint8 matrix.
+
+    The projections come from one product per variant (``_project_stack``);
+    a row with any projection within its radius of 0 is projected again on
+    its own by ``_project``, so every bit is the one ``encode`` gives.
+    """
+    n = len(vlads)
+    X = vlad_rows(vlads, (n, model.num_centers, model.dim)).reshape(n, model.total_dim)
+    if model.variant == "sign":
+        proj = X
+    else:
+        proj, radius = _project_stack(model, X)
+        for r in np.flatnonzero(~(np.abs(proj) > radius).all(axis=1)):
+            proj[r] = _project(model, X[r])
+    return np.packbits(proj >= 0.0, axis=1, bitorder="little")
 
 
 def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:

@@ -238,6 +238,36 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def _reassign(
+    points: np.ndarray, centers: np.ndarray, new_centers: np.ndarray, assign: np.ndarray
+) -> np.ndarray:
+    """``nearest_center(points, new_centers)``, given that ``assign`` is
+    ``nearest_center(points, centers)``: only what moved is scored again
+    (see ``lloyd``)."""
+    n, d = points.shape
+    k = new_centers.shape[0]
+    if n * k * d <= _SCAN_MAX_ELEMENTS or 3 * d >= k or not np.isfinite(new_centers).all():
+        return nearest_center(points, new_centers)
+    moved = (new_centers.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
+    movers = np.flatnonzero(moved)
+    if len(movers) + 3 * d >= k:
+        return nearest_center(points, new_centers)
+    full = moved[assign] | ~np.isfinite(points).all(axis=1)
+    stay = np.flatnonzero(~full)
+    full = np.flatnonzero(full)
+    assign = assign.copy()
+    assign[full] = nearest_center(points[full], new_centers)
+    if len(movers):
+        X = points[stay]
+        own = assign[stay]
+        best = movers[nearest_center(X, new_centers[movers])]
+        diff = X[:, None, :] - new_centers[np.stack((own, best), axis=1)]
+        dist = np.einsum("ijk,ijk->ij", diff, diff)
+        wins = (dist[:, 1] < dist[:, 0]) | ((dist[:, 1] == dist[:, 0]) & (best < own))
+        assign[stay[wins]] = best[wins]
+    return assign
+
+
 def lloyd(
     points: np.ndarray,
     centers: np.ndarray,
@@ -250,13 +280,46 @@ def lloyd(
     center takes that cluster's farthest point from its center, the next
     empty center the second-farthest, and so on.
 
-    Returns (centers, assignments).
+    Returns (centers, assignments), the assignments being
+    ``nearest_center(points, centers)`` of the returned centers.
+
+    After the first sweep, the assignment step scores only what the last
+    center update changed, and gives exactly what a full ``nearest_center``
+    call would:
+
+    * A center whose new coordinates equal its old ones bit for bit gives
+      every row the same difference-form distance as before.  So a row whose
+      own center stayed keeps, among the centers that stayed, its first
+      minimum: every lower-index center that stayed is still strictly
+      farther, every other one no nearer.
+    * The only rival left is the first minimum over the centers that moved,
+      one ``nearest_center(X, centers[moved])`` call (the subset keeps the
+      index order, so its first minimum is the lowest index).  It takes the
+      row when its difference-form distance is smaller, or equal at a lower
+      index, which is ``nearest_center``'s tie rule.  With finite points and
+      centers no distance is NaN, so this comparison is a total order.
+    * Rows whose own center moved, and rows with a non-finite point, are
+      scored against all centers.
+    * Every row is, in one call, when ``m + 3 d >= k`` for ``m`` moved
+      centers.  A row whose center stayed costs the step about ``m + 4 d``
+      floats read (it is gathered, scored against the moved centers and
+      differenced with its own center and the winner), against ``k + d``
+      in a full call (its scores and its coordinates); a row whose center
+      moved costs the same both ways.  So the step never runs where it
+      would score as many (row, center) entries as a full call
+      (``m >= k``), nor on tree nodes with ``k <= 3 d``.  Every row is also
+      scored in one call when ``n k d <= _SCAN_MAX_ELEMENTS`` (the
+      difference scan is cheaper than any bookkeeping there) or when a
+      center is not finite.
+
+    The assignments equal a full call's, so ``cluster_sums`` adds the same
+    rows in the same order and every sweep's centers are bit-identical.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.array(centers, dtype=np.float64)
     k = centers.shape[0]
+    assign = nearest_center(points, centers)
     for _ in range(max_iter):
-        assign = nearest_center(points, centers)
         counts = np.bincount(assign, minlength=k)
         sums = cluster_sums(assign, points, k)
         new_centers = centers.copy()
@@ -272,10 +335,11 @@ def lloyd(
             for rank, j in enumerate(empties):
                 new_centers[j] = points[members[far[rank % members.size]]]
         shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
+        assign = _reassign(points, centers, new_centers, assign)
         centers = new_centers
         if shift < tol:
             break
-    return centers, nearest_center(points, centers)
+    return centers, assign
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,19 @@ def test_descriptor_header_without_rows_rejected(tmp_path):
         load_descriptors(path)
 
 
+def test_descriptors_of_dimension_zero_rejected(tmp_path):
+    # np.atleast_2d makes one row of width 0 from np.empty(0).
+    path = tmp_path / "flat.desc"
+    for flat in (np.empty(0), np.empty((3, 0)), np.empty((1, 0), dtype=np.float32)):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dimension"):
+            save_descriptors(path, flat)
+    assert not path.exists()
+    for rows in (1, 3):
+        path.write_bytes(written("descriptors", path)[:8] + struct.pack("<2I", 0, rows))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dimension"):
+            load_descriptors(path)
+
+
 def test_model_without_centers_raises_value_error(tmp_path):
     # A shared-projection header with zero centers would divide by zero.
     path = tmp_path / "empty.bin"

@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from dehash import hashing
 from dehash.formats import load_model, save_model
 from dehash.hashing import (
     BinaryCode,
     approximate_vlad,
     encode,
+    encode_stack,
     mobile_memory_bytes,
     projection_bytes,
     quantizer_bytes,
@@ -150,6 +156,105 @@ class TestEncode:
         for shape in ((2, 5), (4, 2), (8,)):
             with pytest.raises(ValueError, match=r"expected \(2, 4\)"):
                 encode(model, np.zeros(shape))
+
+
+def projection_columns(model):
+    """``(A, c)`` with ``_project(model, x) = A.T @ (x - c)`` in exact
+    arithmetic, for every variant but sign."""
+    n_c, d, per = model.num_centers, model.dim, model.bits_per_center
+    w = np.asarray(model.projections, dtype=np.float64)
+    mean = np.asarray(model.mean, dtype=np.float64)
+    if model.variant in ("joint", "rp"):
+        if model.rotation is not None:
+            w = w @ np.asarray(model.rotation, dtype=np.float64).T
+        return w, mean
+    cols = np.zeros((n_c * d, model.nbits))
+    for i in range(n_c):
+        block = w[i] if model.variant == "independent" else w
+        cols[i * d : (i + 1) * d, i * per : (i + 1) * per] = block
+    return cols, mean if model.variant == "independent" else np.tile(mean, n_c)
+
+
+STACK_VARIANTS = [
+    ("joint", False), ("joint", True), ("independent", False), ("shared", False), ("sign", False), ("rp", False)
+]
+
+
+@st.composite
+def stacked_vlads(draw):
+    """A model of every variant and a stack of rows to encode: free rows,
+    rows on a projection hyperplane (``x - mean`` orthogonal to one bit's
+    column up to rounding, so the product cannot decide that bit), rows at
+    the mean (every projection an exact zero), rows with NaN or inf, all at
+    scales 1e-150 to 1e150."""
+    variant, rotate = draw(st.sampled_from(STACK_VARIANTS))
+    n_c, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if variant == "sign":
+        nbits = n_c * d
+    elif variant in ("joint", "rp"):
+        nbits = draw(st.integers(1, n_c * d))
+    else:
+        nbits = n_c * draw(st.integers(1, d))
+    model = train_hashing(random_vlads(rng, 40, n_c, d), variant, nbits, seed=3, rotate=rotate)
+    kinds = draw(st.lists(st.sampled_from(["free", "plane", "mean", "non-finite"]), max_size=12))
+    rows = []
+    for kind in kinds:
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        z = rng.standard_normal(n_c * d)
+        if kind == "free":
+            rows.append(z * scale)
+        elif kind == "non-finite":
+            z[rng.integers(z.size)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            rows.append(z * scale)
+        elif variant == "sign":
+            rows.append(np.where(rng.random(z.size) < 0.5, 0.0, z * scale))
+        else:
+            cols, center = projection_columns(model)
+            if kind == "plane":
+                u = cols[:, rng.integers(nbits)]
+                z -= u * (u @ z) / (u @ u)
+            rows.append(center + z * scale if kind == "plane" else center.copy())
+    return model, np.array(rows).reshape(len(rows), n_c, d)
+
+
+class TestEncodeStack:
+    @settings(max_examples=300, deadline=None)
+    @given(data=stacked_vlads())
+    def test_equals_per_row_encode(self, data):
+        model, vlads = data
+        with np.errstate(all="ignore"):
+            want = np.array([encode(model, v).packed for v in vlads], dtype=np.uint8)
+            got = encode_stack(model, vlads)
+        assert got.dtype == np.uint8
+        assert got.shape == (len(vlads), (model.nbits + 7) // 8)
+        assert np.array_equal(got, want.reshape(got.shape))
+
+    @pytest.mark.parametrize("variant,rotate", STACK_VARIANTS[:-1])
+    def test_product_decides_all_but_the_plane_rows(self, rng, variant, rotate):
+        nbits = 32
+        model = train_hashing(random_vlads(rng, 120, 4, 8), variant, nbits, rotate=rotate)
+        vlads = np.array(random_vlads(rng, 50, 4, 8))
+        if variant != "sign":
+            cols, center = projection_columns(model)
+            for r in (7, 30):
+                u = cols[:, r % nbits]
+                y = vlads[r].reshape(-1) - center
+                vlads[r] = (center + y - u * (u @ y) / (u @ u)).reshape(4, 8)
+        with mock.patch.object(hashing, "_project", wraps=hashing._project) as spy:
+            got = encode_stack(model, vlads)
+        redone = [
+            int(np.flatnonzero((vlads == call.args[1].reshape(4, 8)).all(axis=(1, 2)))[0])
+            for call in spy.call_args_list
+        ]
+        assert redone == ([] if variant == "sign" else [7, 30])
+        assert np.array_equal(got, np.array([encode(model, v).packed for v in vlads]))
+
+    def test_shape_mismatch(self, rng):
+        model = train_hashing(random_vlads(rng, 50, 2, 4), "joint", nbits=8)
+        for shape in ((3, 2, 5), (3, 4, 2), (3, 8)):
+            with pytest.raises(ValueError, match="expected"):
+                encode_stack(model, np.zeros(shape))
 
 
 class TestReversal:

@@ -94,24 +94,64 @@ class TestParity:
         assert np.array_equal(nearest_center(points, centers), nearest_center_reference(points, centers))
 
 
+@st.composite
+def lloyd_inputs(draw):
+    """Points and initial centers for Lloyd, up to 3000 x 16 with k up to 256
+    (at most 2^20 point-center-dim entries, so the frozen scan stays fast):
+    values on a coarse grid (exact ties between centers), duplicated points,
+    scales 1e-150 to 1e150, initial centers drawn with repeats (so clusters
+    empty and get re-seeded), and sweep caps of 1-3 besides the default.
+    Half the draws take ``k > 3 d + 1``, where the moved-center step can run."""
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 256) | st.integers(3 * d + 2, 256))
+    n = draw(st.integers(1, max(1, min(3000, 2**20 // (k * d)))))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(-2, 3, size=(n, d)) * 0.5 if grid else rng.standard_normal((n, d))
+    copies = draw(st.integers(0, n // 2))
+    points[rng.integers(0, n, size=copies)] = points[rng.integers(0, n, size=copies)]
+    init = points[rng.integers(0, n, size=k)]
+    return points * scale, init * scale, draw(st.sampled_from([1, 2, 3, vocab.KMEANS_MAX_ITER]))
+
+
 class TestTrainingParity:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 60),
-        d=st.integers(1, 6),
-        k=st.integers(1, 8),
-        grid=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_lloyd_equals_frozen(self, n, d, k, grid, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.integers(-2, 3, size=(n, d)) * 0.5 if grid else rng.standard_normal((n, d))
-        init = points[rng.integers(0, n, size=k)]
+    @settings(max_examples=60, deadline=None)
+    @given(data=lloyd_inputs())
+    def test_lloyd_equals_frozen(self, data):
+        # Small inputs take the moved-center step only under force_product.
+        points, init, max_iter = data
         with force_product(True):
-            got_centers, got_assign = lloyd(points, init)
-        want_centers, want_assign = lloyd_reference(points, init)
+            got_centers, got_assign = lloyd(points, init, max_iter=max_iter)
+        want_centers, want_assign = lloyd_reference(points, init, max_iter=max_iter)
         assert np.array_equal(got_centers, want_centers)
         assert np.array_equal(got_assign, want_assign)
+
+    def test_late_sweeps_score_only_moved_centers(self):
+        # Entries nearest_center scores for the first assignment (sweeps[0])
+        # and after each sweep's update; cluster_sums marks each sweep.
+        sweeps = [0]
+
+        def spy(X, centers):
+            sweeps[-1] += len(X) * len(centers)
+            return nearest_center(X, centers)
+
+        def mark(*args):
+            sweeps.append(0)
+            return cluster_sums(*args)
+
+        points = gaussian_mixture(2000, 8, 40, seed=11)
+        init = kmeans_pp_init(points, 64, np.random.default_rng(11))
+        with mock.patch.object(vocab, "nearest_center", spy), mock.patch.object(vocab, "cluster_sums", mark):
+            centers, assign = lloyd(points, init)
+        want_centers, want_assign = lloyd_reference(points, init)
+        assert np.array_equal(centers, want_centers)
+        assert np.array_equal(assign, want_assign)
+        full = 2000 * 64
+        late = sweeps[len(sweeps) // 2 :]
+        assert sweeps[0] == full and len(sweeps) > 6, sweeps
+        assert all(s < full for s in late), sweeps
+        assert sum(late) < full * len(late) / 2, sweeps
 
     @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
     def test_train_pq_equals_frozen(self, n):
@@ -120,6 +160,16 @@ class TestTrainingParity:
             got = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
         with mock.patch.object(retrieval, "lloyd", lloyd_reference):
             want = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+        assert np.array_equal(got.codebooks, want.codebooks)
+
+    def test_scan_5k_shaped_train_pq_equals_frozen(self):
+        # 5000 ranking-normalized rows, 8-dim sub-vectors, 256 centers each,
+        # as the 5k-image benchmark trains them; two sub-vectors of the 16.
+        vectors = gaussian_mixture(5000, 16, 60, seed=5).reshape(5000, 2, 8)
+        vectors /= np.linalg.norm(vectors, axis=2, keepdims=True) * np.sqrt(2)
+        got = train_pq(vectors.reshape(5000, 16), num_subvectors=2, bits=8, seed=3)
+        with frozen_training():
+            want = train_pq(vectors.reshape(5000, 16), num_subvectors=2, bits=8, seed=3)
         assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_train_vocabulary_equals_frozen(self):
