@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .aggregate import BowHistogram, _readonly, vlad_rows
-from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov
+from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov_batch
 from .vocab import VocabularyTree, subtree_leaves
 
 if TYPE_CHECKING:
@@ -36,14 +36,25 @@ COMBINE_MODES = ("union", "intersection", "intersection-fallback-union")
 class CandidateVWs:
     """The admissible words as one read-only ``(M,)`` boolean mask over the
     tree's leaves, with the tree's ``parent_of_leaf`` to split it by center;
-    a center with no admissible leaf is skipped."""
+    a center with no admissible leaf is skipped.  A mask of another shape
+    than ``parent_of_leaf``, or a parent id outside ``[0, num_centers)``,
+    raises ``ValueError``."""
 
     mask: np.ndarray  # (M,) bool
     parent_of_leaf: np.ndarray  # (M,)
     num_centers: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mask", _readonly(np.asarray(self.mask, dtype=bool)))
+        mask = np.asarray(self.mask, dtype=bool)
+        parent = np.asarray(self.parent_of_leaf)
+        if parent.ndim != 1 or mask.shape != parent.shape:
+            raise ValueError(f"mask must have one entry per leaf, shape {parent.shape}")
+        # A tree's parent ids are unsigned; only a signed array can go below 0.
+        if parent.size and (
+            parent.max() >= self.num_centers or (parent.dtype.kind == "i" and parent.min() < 0)
+        ):
+            raise ValueError(f"parent ids must lie in [0, num_centers={self.num_centers})")
+        object.__setattr__(self, "mask", _readonly(mask))
 
     def allowed(self, center: int) -> np.ndarray:
         """The center's admissible leaf ids, ascending."""
@@ -91,15 +102,20 @@ class ReconstructionContext:
 
     Reach it through ``VocabularyTree.reconstruction_context``, so the cache
     belongs to the tree it was computed from and is built on first use, per
-    center, not at index time.  A cached dictionary also keeps its mask of
-    repeated columns (``Dictionary.first_copies``) once the solver has asked
-    for it.  A restricted dictionary slices its columns from the cached full
-    one (the values equal ``build_dictionary``'s bit for bit) but gets no
-    cached Gram: the solver forms the sliced columns' own ``D.T @ D``, as it
-    would for a dictionary built afresh, rather than a slice of the full
-    Gram, which can differ from it in the last bits.  Cached arrays are
-    read-only and a center is built under a lock, so solver threads may
-    share the context.
+    center, not at index time.  A cached dictionary also keeps its classes
+    of bit-equal columns, compared once per center when first asked for.
+
+    A restricted dictionary is the slice of the cached full one at the
+    positions whose leaves a candidate mask admits (the values and memory
+    layout equal ``build_dictionary``'s bit for bit).  Its first copies
+    (``Dictionary.first_copies``) come from the full dictionary's classes:
+    where the full dictionary has no equal columns every column is a first
+    copy, else a column is one when its class occurs at no earlier position.
+    A slice gets no cached Gram: the solver forms the sliced columns' own
+    ``D.T @ D``, as it would for a dictionary built afresh, rather than a
+    slice of the full Gram, which can differ from it in the last bits.
+    Cached arrays are read-only and a center is built under a lock, so
+    solver threads may share the context.
     """
 
     def __init__(self, tree: VocabularyTree) -> None:
@@ -120,19 +136,12 @@ class ReconstructionContext:
                 entry = self._full[vlad_id] = (dictionary, gram)
         return entry
 
-    def restricted(self, vlad_id: int, restrict: Iterable[int]) -> Dictionary:
-        """``build_dictionary(tree, vlad_id, restrict)``, sliced from the cache."""
+    def restricted(self, vlad_id: int, candidates: CandidateVWs) -> Dictionary:
+        """The center's columns that ``candidates`` admits, sliced from the
+        cached full dictionary: ``build_dictionary(tree, vlad_id, ids)`` for
+        the admitted leaf ids, bit for bit."""
         full, _ = self.full(vlad_id)
-        ids = restrict if isinstance(restrict, np.ndarray) else list(restrict)
-        wanted = np.unique(np.asarray(ids, dtype=np.int64))
-        pos = np.searchsorted(full.column_ids, wanted)
-        # Both ascend, so the last position bounds them all.
-        if wanted.size and (pos[-1] >= full.width or not np.all(full.column_ids[pos] == wanted)):
-            raise ValueError(f"restriction contains leaves outside sub-tree of center {vlad_id}")
-        # Rows of the (T, dim) transpose, transposed back: the same memory
-        # layout as a freshly built dictionary, so products round the same.
-        rows = full.columns.T[pos]
-        return Dictionary(columns=rows.T, column_ids=wanted, vlad_id=vlad_id)
+        return full.take(candidates.mask[full.column_ids].nonzero()[0])
 
 
 def _stored_words(index: "DatabaseIndex", image_ids: Iterable[str]) -> np.ndarray:
@@ -198,7 +207,9 @@ def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> Can
     first = cues[0]
     if any(c.num_centers != first.num_centers for c in cues):
         raise ValueError("cues disagree on the number of centers")
-    masks = np.stack([c.mask for c in cues])
+    if any(c.mask.shape != first.mask.shape for c in cues):
+        raise ValueError("cues disagree on the number of leaves")
+    masks = np.array([c.mask for c in cues])
     merged = masks.any(axis=0) if mode == "union" else masks.all(axis=0)
     if mode == "intersection-fallback-union":
         parent = first.parent_of_leaf
@@ -223,14 +234,22 @@ class ReconstructionResult:
 
 
 def _active_centers(v: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(v * v, axis=1))
-    return np.flatnonzero(norms >= MIN_SUBVECTOR_NORM)
+    norms = np.sqrt((v * v).sum(axis=1))
+    return (norms >= MIN_SUBVECTOR_NORM).nonzero()[0]
 
 
-def _by_word(words: list[np.ndarray], values: list[np.ndarray], vocab_size: int) -> BowHistogram:
-    """One histogram from per-center pieces; centers own disjoint leaves, but
-    a tree may interleave them, so the pieces are sorted once by word."""
+def _kept(
+    words: list[np.ndarray], values: list[np.ndarray], floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-center pieces joined in center order, keeping values above ``floor``."""
     words, values = np.concatenate(words), np.concatenate(values)
+    kept = values > floor
+    return words[kept], values[kept]
+
+
+def _by_word(words: np.ndarray, values: np.ndarray, vocab_size: int) -> BowHistogram:
+    """One histogram from the joined pieces; centers own disjoint leaves, but
+    a tree may interleave them, so the pieces are sorted once by word."""
     order = np.argsort(words, kind="stable")
     return BowHistogram(words[order], values[order], vocab_size)
 
@@ -260,7 +279,7 @@ def reconstruct_bow(
         if candidates is None:
             dictionary, gram = context.full(center)
         else:
-            dictionary, gram = context.restricted(center, candidates.allowed(center)), None
+            dictionary, gram = context.restricted(center, candidates), None
         solved.append((center, dictionary if dictionary.width else None))
         if dictionary.width:
             problems.append((dictionary, v[center], gram))
@@ -276,10 +295,9 @@ def reconstruct_bow(
         reports.append(
             SubvectorReport(center, dictionary.width, result.sweeps, result.converged, False)
         )
-        kept = result.coeffs > DROP_TOL
-        words.append(dictionary.column_ids[kept])
-        values.append(result.coeffs[kept])
-    return ReconstructionResult(_by_word(words, values, tree.num_leaves), reports)
+        words.append(dictionary.column_ids)
+        values.append(result.coeffs)
+    return ReconstructionResult(_by_word(*_kept(words, values, DROP_TOL), tree.num_leaves), reports)
 
 
 def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> BowHistogram:
@@ -313,7 +331,8 @@ def reconstruct_bow_with_prior(
     candidates: CandidateVWs | None = None,
     mass: float | None = None,
 ) -> ReconstructionResult:
-    """Prior-anchored reconstruction via per-center closed-form solves.
+    """Prior-anchored reconstruction via per-center closed-form solves, whose
+    systems go through one stacked LAPACK call.
 
     The prior is first rescaled to ``mass`` (the estimated feature count,
     defaulting to ``||h0||_1``) so the blend mixes quantities on the count
@@ -344,24 +363,29 @@ def reconstruct_bow_with_prior(
     mask[h0.words] = True
     admissible = CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers)
 
+    context = tree.reconstruction_context
+    solved: list[tuple[int, Dictionary | None]] = []
+    problems = []
+    for center in _active_centers(v).tolist():
+        dictionary = context.restricted(center, admissible)
+        solved.append((center, dictionary if dictionary.width else None))
+        if dictionary.width:
+            problems.append((dictionary, v[center], prior[dictionary.column_ids]))
+    results = iter(solve_tikhonov_batch(problems, alpha, n1=n1, n2=n2))
+
     words, raw = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     reports: list[SubvectorReport] = []
-    context = tree.reconstruction_context
-    for center in _active_centers(v).tolist():
-        dictionary = context.restricted(center, admissible.allowed(center))
-        if dictionary.width == 0:
+    for center, dictionary in solved:
+        if dictionary is None:
             reports.append(SubvectorReport(center, 0, 0, True, True))
             continue
-        coeffs = solve_tikhonov(
-            dictionary, v[center], prior[dictionary.column_ids], alpha, n1=n1, n2=n2
-        )
         reports.append(SubvectorReport(center, dictionary.width, 1, True, False))
-        kept = coeffs > 0.0
-        words.append(dictionary.column_ids[kept])
-        raw.append(coeffs[kept])
+        words.append(dictionary.column_ids)
+        raw.append(next(results))
 
+    words, raw = _kept(words, raw, 0.0)
     histogram = _by_word(words, raw, tree.num_leaves)
-    total = sum(np.concatenate(raw).tolist())
+    total = sum(raw.tolist())
     if total > 0:  # else no coefficient was kept and the histogram is empty
         # The epsilon keeps count-valued solutions from flooring through an
         # exact integer on float roundoff.

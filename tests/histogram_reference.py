@@ -4,16 +4,17 @@
 These are the two functions as ``dehash.reconstruct`` shipped them while a
 histogram was a ``{word: value}`` dict, kept unchanged except that they take
 and return plain dicts (the prior's entries in the order ``pseudo_bow``
-first saw them) so the tests can compare with ``==``, and that the VLAD is
-a plain ``(N, D)`` array.  Do not edit them to
-follow the production code.
+first saw them) so the tests can compare with ``==``, that the VLAD is
+a plain ``(N, D)`` array, and that each restricted dictionary comes from
+``build_dictionary``, whose values equal the cached slice's.  Do not edit
+them to follow the production code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dehash.reconstruct import MIN_SUBVECTOR_NORM
+from dehash.reconstruct import MIN_SUBVECTOR_NORM, build_dictionary
 from dehash.sparse import solve_tikhonov
 from dehash.vocab import subtree_leaves
 
@@ -48,7 +49,6 @@ def reconstruct_bow_with_prior(v, tree, h0: dict[int, float], alpha, candidates=
         prior_by_center.setdefault(int(tree.parent_of_leaf[leaf]), set()).add(int(leaf))
 
     raw: dict[int, float] = {}
-    context = tree.reconstruction_context
     for center in active:
         center = int(center)
         allowed: set[int]
@@ -59,7 +59,7 @@ def reconstruct_bow_with_prior(v, tree, h0: dict[int, float], alpha, candidates=
         allowed |= prior_by_center.get(center, set())
         if not allowed:
             continue
-        dictionary = context.restricted(center, allowed)
+        dictionary = build_dictionary(tree, center, allowed)
         h0_local = np.array(
             [dense_prior.get(int(leaf), 0.0) for leaf in dictionary.column_ids], dtype=np.float64
         )

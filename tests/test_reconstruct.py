@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from dehash.reconstruct import (
     reconstruct_bow,
     reconstruct_bow_with_prior,
 )
-from dehash.sparse import LassoResult, solve_nn_lasso
+from dehash import reconstruct
+from dehash.sparse import LassoResult, solve_nn_lasso, solve_tikhonov_batch
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
 import candidates_reference
 from index_columns import histogram_of, index_of
 from pair_reference import l1_normalized
-from test_sparse import assert_same_walk, coherent_tree
+import test_sparse
+from test_sparse import assert_same_walk, coherent_tree, solve_tikhonov_one
 from test_vocab import gaussian_mixture
 
 
@@ -93,6 +96,24 @@ def words_of(cand):
 
 
 class TestCandidates:
+    def test_mask_of_another_shape_rejected(self, tree):
+        for mask in (np.array([True]), np.ones(tree.num_leaves + 1, dtype=bool), np.ones((2, 3), dtype=bool)):
+            with pytest.raises(ValueError, match="one entry per leaf"):
+                CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers)
+
+    def test_parent_id_beyond_the_centers_rejected(self, tree):
+        parent = tree.parent_of_leaf.copy()
+        parent[-1] = tree.num_vlad_centers
+        mask = np.ones(tree.num_leaves, dtype=bool)
+        with pytest.raises(ValueError, match="num_centers"):
+            CandidateVWs(mask, parent, tree.num_vlad_centers)
+        with pytest.raises(ValueError, match="num_centers"):
+            CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers - 1)
+        signed = tree.parent_of_leaf.astype(np.int64)
+        signed[0] = -1
+        with pytest.raises(ValueError, match="num_centers"):
+            CandidateVWs(mask, signed, tree.num_vlad_centers)
+
     def test_from_binary_top1(self, index):
         ranking = Ranking(tuple((i, 0.0) for i in index.ids))
         cand = candidates_from_binary(index, ranking, top_r=1)
@@ -231,17 +252,38 @@ class TestReconstructionContext:
             assert not dictionary.columns.flags.writeable and not gram.flags.writeable
 
     def test_restricted_equals_build_dictionary(self, tree):
+        # The masked slice of the cached dictionary is the dictionary built
+        # afresh from the admitted leaves: values, layout and first copies.
+        # On the default tree, masks that drop the first and then the second
+        # of center 4's three equal leaves move its first copy.
         rng = np.random.default_rng(139)
-        for center in range(tree.num_vlad_centers):
-            pool = subtree_leaves(tree, center)
-            for size in (1, 2, pool.size - 1, pool.size):
-                restrict = [int(t) for t in rng.choice(pool, size=size, replace=False)]
-                got = tree.reconstruction_context.restricted(center, restrict)
-                assert_same_dictionary(got, build_dictionary(tree, center, restrict))
-
-    def test_restriction_outside_subtree_rejected(self, tree):
-        with pytest.raises(ValueError, match="outside"):
-            tree.reconstruction_context.restricted(0, [int(subtree_leaves(tree, 1)[0])])
+        coherent = coherent_tree()
+        repeated = list(test_sparse.TestRepeatedLeaves.REPEATED)
+        cases = []
+        for t in (tree, coherent):
+            for center in range(t.num_vlad_centers):
+                pool = subtree_leaves(t, center)
+                for size in (0, 1, 2, pool.size - 1, pool.size):
+                    cases.append((t, center, rng.choice(pool, size=size, replace=False)))
+        pool = subtree_leaves(coherent, 4)
+        for dropped in (repeated[:1], repeated[:2], repeated[1:2], repeated):
+            cases.append((coherent, 4, np.setdiff1d(pool, dropped)))
+        for t, center, ids in cases:
+            # Leaves of other centers in the mask are not the center's columns.
+            other = subtree_leaves(t, (center + 1) % t.num_vlad_centers)[:3]
+            candidates = CandidateVWs.from_leaf_ids(t, np.concatenate([ids, other]).astype(np.int64))
+            got = t.reconstruction_context.restricted(center, candidates)
+            want = build_dictionary(t, center, ids.tolist())
+            assert_same_dictionary(got, want)
+            assert got.columns.strides == want.columns.strides
+            assert np.array_equal(got.first_copies, want.first_copies)
+        full = coherent.reconstruction_context.full(4)[0]
+        for dropped, first in ((repeated[:1], 318), (repeated[:2], 319)):
+            candidates = CandidateVWs.from_leaf_ids(coherent, np.setdiff1d(pool, dropped))
+            got = coherent.reconstruction_context.restricted(4, candidates)
+            assert got.column_ids[~got.first_copies].tolist() == [t for t in repeated if t > first]
+            assert got.first_copies[np.searchsorted(got.column_ids, first)]
+        assert np.count_nonzero(~full.first_copies) == 2
 
     def test_trees_never_share_the_cache(self):
         # Trees made and dropped in turn may reuse one another's memory
@@ -494,6 +536,36 @@ class TestPriorReconstruction:
         v = np.ones((tree.num_vlad_centers, tree.dim))
         with pytest.raises(ValueError):
             reconstruct_bow_with_prior(v, tree, histogram_of({}, tree.num_leaves), 0.5)
+
+    def test_stacked_solves_equal_per_center_solves(self):
+        # One stacked LAPACK call gives each center the coefficient bytes of
+        # its own solve_tikhonov over the dictionary built afresh.
+        tree = coherent_tree()
+        rng = np.random.default_rng(163)
+        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
+        solved = []
+
+        def record(*args, **kwargs):
+            solved.append((args, kwargs, solve_tikhonov_batch(*args, **kwargs)))
+            return solved[-1][2]
+
+        for cand in (None, CandidateVWs.from_leaf_ids(tree, rng.choice(tree.num_leaves, 150, replace=False))):
+            X = leafs[rng.integers(0, tree.num_leaves, size=120)] + rng.normal(0, 0.05, size=(120, tree.dim))
+            v = compute_vlad(tree, X)
+            prior = compute_bow(tree, leafs[rng.integers(0, tree.num_leaves, size=60)])
+            with mock.patch.object(reconstruct, "solve_tikhonov_batch", side_effect=record):
+                result = reconstruct_bow_with_prior(v, tree, prior, 0.8, cand, mass=100.0)
+            (problems, alpha), kwargs, coeffs = solved.pop()
+            assert [r.vlad_id for r in result.reports if not r.skipped] == [d.vlad_id for d, _, _ in problems]
+            dense = np.zeros(tree.num_leaves)
+            dense[prior.words] = prior.values * (100.0 / prior.total())
+            admitted = set(prior.words.tolist()) | (set(range(tree.num_leaves)) if cand is None else set(np.flatnonzero(cand.mask).tolist()))
+            for (d, sub, h0), got in zip(problems, coeffs):
+                want_d = build_dictionary(tree, d.vlad_id, [t for t in subtree_leaves(tree, d.vlad_id) if t in admitted])
+                assert np.array_equal(d.columns, want_d.columns) and np.array_equal(d.column_ids, want_d.column_ids)
+                assert np.array_equal(h0, dense[d.column_ids]) and np.array_equal(sub, v[d.vlad_id])
+                want = solve_tikhonov_one(want_d, v[d.vlad_id], dense[d.column_ids], alpha, kwargs["n1"], kwargs["n2"])
+                assert np.array_equal(got, want)
 
     def test_counts_are_integral(self, tree):
         rng = np.random.default_rng(157)

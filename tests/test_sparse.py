@@ -15,9 +15,11 @@ from dehash.sparse import (
     solve_nn_lasso,
     solve_nn_lasso_batch,
     solve_tikhonov,
+    solve_tikhonov_batch,
 )
 from dehash.vocab import train_vocabulary
 
+import lockstep_reference
 from homotopy_reference import homotopy_nn_lasso_reference
 
 
@@ -35,6 +37,18 @@ def solve_tikhonov_direct(dictionary, v, h0, alpha):
     cols = dictionary.columns
     system = a1 * (cols.T @ cols) + a2 * np.eye(dictionary.width)
     return np.linalg.solve(system, a1 * (cols.T @ v) + a2 * h0)
+
+
+def solve_tikhonov_one(dictionary, v, h0, alpha, n1=None, n2=None):
+    """One blend solve as ``solve_tikhonov`` computed it before its solves
+    were stacked: the (dim x dim) system and a one-vector ``np.linalg.solve``.
+    The stacked solve must return these bytes."""
+    n1 = float(v @ v) if n1 is None else n1
+    n2 = float(h0 @ h0) if n2 is None else n2
+    a1, a2 = alpha / n1, (1.0 - alpha) / n2
+    cols = dictionary.columns
+    z = np.linalg.solve(a1 * (cols @ cols.T) + a2 * np.eye(dictionary.dim), v - cols @ h0)
+    return a1 * (cols.T @ z) + h0
 
 
 def projected_gradient(dictionary, v, lam, iters=4000):
@@ -196,6 +210,34 @@ class TestTikhonov:
         h0 = rng.normal(size=20) * 0.1 + 1.0
         h = solve_tikhonov(d, v, h0, alpha=1.0 - 1e-9)
         assert np.linalg.norm(v - d.columns @ h) <= np.linalg.norm(v - d.columns @ h0) + 1e-9
+
+    def test_stacked_solves_equal_one_system_solves(self):
+        # Shared and per-problem normalizers, over tree and Gaussian columns.
+        rng = np.random.default_rng(37)
+        tree = coherent_tree()
+        for shared in (False, True):
+            problems = []
+            for center in range(tree.num_vlad_centers):
+                full = tree.reconstruction_context.full(center)[0]
+                d = full.take(np.flatnonzero(rng.random(full.width) < 0.4))
+                problems.append((d, rng.normal(size=d.dim), rng.uniform(0.0, 3.0, size=d.width)))
+            problems.append((random_dictionary(rng, tree.dim, 5), rng.normal(size=tree.dim), rng.normal(size=5)))
+            n1, n2 = (2.5, 7.0) if shared else (None, None)
+            got = solve_tikhonov_batch(problems, 0.8, n1, n2)
+            assert len(got) == len(problems)
+            for (d, v, h0), coeffs in zip(problems, got):
+                want = solve_tikhonov_one(d, v, h0, 0.8, n1, n2)
+                assert np.array_equal(coeffs, want)
+                assert np.array_equal(solve_tikhonov(d, v, h0, 0.8, n1, n2), want)
+        assert solve_tikhonov_batch([], 0.5) == []
+
+    def test_batch_rejects_mixed_dims_and_bad_items(self):
+        rng = np.random.default_rng(41)
+        a, b = random_dictionary(rng, 3, 4), random_dictionary(rng, 4, 4)
+        with pytest.raises(ValueError, match="dim"):
+            solve_tikhonov_batch([(a, np.ones(3), np.ones(4)), (b, np.ones(4), np.ones(4))], 0.5)
+        with pytest.raises(ValueError, match="h0"):
+            solve_tikhonov_batch([(a, np.ones(3), np.ones(4)), (a, np.ones(3), np.ones(3))], 0.5)
 
     def test_rejects_degenerate_inputs(self):
         d = Dictionary(np.eye(3), np.arange(3), 0)
@@ -396,6 +438,72 @@ class TestLockstepBatch:
             solve_nn_lasso_batch([(d, np.ones(4), None), (d, np.ones(3), None)], 0.1)
         with pytest.raises(ValueError, match="finite"):
             solve_nn_lasso_batch([(d, np.ones(4), None), (d, np.full(4, np.inf), None)], 0.1)
+
+
+def assert_frozen_walk(items, lam, max_iter):
+    """Every result byte-identical to the frozen lockstep walk's."""
+    got = solve_nn_lasso_batch(items, lam, max_iter=max_iter)
+    want = lockstep_reference.solve_nn_lasso_batch(items, lam, max_iter=max_iter)
+    assert len(got) == len(want) == len(items)
+    for g, w in zip(got, want):
+        assert_identical(g, w)
+
+
+def tree_batch(rng, masked):
+    """One problem per center of the default tree, each target a few words
+    plus noise, as a VLAD sub-vector is: the full dictionaries with their
+    cached Grams, or random masked slices without."""
+    items = []
+    for center in range(coherent_tree().num_vlad_centers):
+        full, gram = coherent_tree().reconstruction_context.full(center)
+        d = full
+        if masked:
+            keep = rng.random(full.width) < rng.uniform(0.05, 0.6)
+            if center == 4:  # two or three of the equal leaves
+                keep[np.searchsorted(full.column_ids, TestRepeatedLeaves.REPEATED[rng.integers(2):])] = True
+            d, gram = full.take(np.flatnonzero(keep)), None
+        counts = np.zeros(d.width)
+        support = rng.choice(d.width, size=min(d.width, int(rng.integers(1, 10))), replace=False)
+        counts[support] = rng.integers(1, 6, size=support.size)
+        items.append((d, d.columns @ counts + rng.normal(scale=0.05, size=d.dim), gram))
+    return items
+
+
+class TestFrozenWalk:
+    """The lockstep round does the frozen walk's floating-point operations:
+    coefficient bytes, event counts, flags and objectives all identical."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=lasso_batches())
+    def test_drawn_batches(self, batch):
+        assert_frozen_walk(*batch)
+
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_default_tree_batches_under_every_cap(self, masked):
+        rng = np.random.default_rng(59 + masked)
+        for lam in (1e-4, 0.02, 0.3):
+            items = tree_batch(rng, masked)
+            for max_iter in (*range(1, 9), 1000):
+                assert_frozen_walk(items, lam, max_iter)
+
+    def test_singular_fallback(self):
+        # LAPACK refuses every stacked solve of more than one block and every
+        # lone 3x3 block, so the walks go block by block and some blocks by
+        # least squares, in both implementations alike.
+        solve = np.linalg.solve
+
+        def refusing(a, b):
+            if (a.ndim == 3 and a.shape[0] > 1) or a.shape == (3, 3):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        items = tree_batch(np.random.default_rng(61), masked=True)
+        with (
+            mock.patch.object(np.linalg, "solve", side_effect=refusing),
+            mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq,
+        ):
+            assert_frozen_walk(items, 1e-4, 1000)
+        assert lstsq.called
 
 
 class TestRepeatedLeaves:
