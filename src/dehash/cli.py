@@ -20,7 +20,7 @@ import numpy as np
 from .aggregate import aggregate_images
 from .dataset import SyntheticSpec, ingest_dataset, synthesize_dataset, training_blob
 from .formats import load_descriptors, load_model, load_tree, save_model, save_tree, wire_encode
-from .hashing import train_hashing
+from .hashing import VARIANTS, train_hashing
 from .pipeline import (
     DEFAULT_LAMBDA_SWEEP,
     ExperimentConfig,
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", default="shared", choices=["joint", "independent", "shared", "sign", "rp"])
+    p.add_argument("--variant", default="shared", choices=VARIANTS)
     p.add_argument("--bits", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rotate", action="store_true")

@@ -10,14 +10,14 @@ reconstruction checks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .formats import check_gps, load_descriptors, save_descriptors
-from .retrieval import simulate_gps
+from .formats import EARTH_RADIUS_M, check_gps, load_descriptors, save_descriptors
 from .vocab import VocabularyTree
 
 
@@ -199,6 +199,22 @@ def _category_locations(spec: SyntheticSpec) -> list[tuple[float, float]]:
             (lat0 + radius_deg * float(np.sin(angle)), lon0 + radius_deg * float(np.cos(angle)))
         )
     return locations
+
+
+def simulate_gps(
+    true_location: tuple[float, float],
+    sigma_meters: float,
+    seed: int | np.random.Generator = 0,
+) -> tuple[float, float]:
+    """Perturb a location with independent Gaussian noise per tangent-plane axis."""
+    lat, lon = true_location
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} out of range")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    dy, dx = rng.normal(0.0, sigma_meters, size=2) if sigma_meters > 0 else (0.0, 0.0)
+    dlat = math.degrees(dy / EARTH_RADIUS_M)
+    dlon = math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
+    return (lat + dlat, lon + dlon)
 
 
 def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> SyntheticDataset:

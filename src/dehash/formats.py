@@ -12,12 +12,13 @@ rejects a short or a trailing byte with a ``ValueError`` naming the file (or
   centers ``(N, D)`` float32, the leaf centers ``(M, D)`` float32, each
   leaf's coarse center ``(M,)`` uint32.
 * Hashing model, ``DHHASH01``; header ``<B3I``: the variant byte (joint 0,
-  independent 1, shared 2, sign 3, rp 4, joint with a rotation 5), ``D``,
-  ``N``, bits ``K``.  Float32 arrays: the mean, the projections, the
-  ``(K, K)`` rotation (variant 5 only), the ``(K,)`` reversal scales.  The
-  mean and projections are ``(D*N,)`` and ``(D*N, K)`` for joint and rp,
-  ``(D*N,)`` and ``(N, D, K/N)`` for independent, ``(D,)`` and
-  ``(D, K/N)`` for shared, ``(0,)`` and ``(0, 0)`` for sign.
+  independent 1, shared 2, sign 3, joint with a rotation 5; byte 4, once
+  the irreversible random-projection variant, is retired and rejected like
+  any unknown byte), ``D``, ``N``, bits ``K``.  Float32 arrays: the mean,
+  the projections, the ``(K, K)`` rotation (variant 5 only), the ``(K,)``
+  reversal scales.  The mean and projections are ``(D*N,)`` and
+  ``(D*N, K)`` for joint, ``(D*N,)`` and ``(N, D, K/N)`` for independent,
+  ``(D,)`` and ``(D, K/N)`` for shared, ``(0,)`` and ``(0, 0)`` for sign.
 * Descriptors of one image, ``DHDESC01``; header ``<2I``: ``D >= 1``, rows
   ``n >= 1``.  Array: the descriptors ``(n, D)`` float32.
 * Query payload, ``DHWIRE01``; header ``<I``: bits ``K``.  Arrays: the
@@ -46,12 +47,13 @@ MODEL_MAGIC = b"DHHASH01"
 DESC_MAGIC = b"DHDESC01"
 WIRE_MAGIC = b"DHWIRE01"
 
-_VARIANT_CODES = {"joint": 0, "independent": 1, "shared": 2, "sign": 3, "rp": 4, "joint-rr": 5}
+_VARIANT_CODES = {"joint": 0, "independent": 1, "shared": 2, "sign": 3, "joint-rr": 5}
 _CODE_VARIANTS = {v: k for k, v in _VARIANT_CODES.items()}
 
 _FLAG_GPS = 0x01
 _FLAG_CATEGORY = 0x02
 GPS_PAYLOAD_BYTES = 16  # two float64 coordinates
+EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def load_model(path) -> HashingModel:
         "independent": ((total,), (n_centers, dim, per)),
         "shared": ((dim,), (dim, per)),
         "sign": ((0,), (0, 0)),
-    }.get(variant_key, ((total,), (total, nbits)))  # joint, joint-rr, rp
+    }.get(variant_key, ((total,), (total, nbits)))  # joint, joint-rr
     model = HashingModel(
         variant="joint" if variant_key == "joint-rr" else variant_key,
         dim=dim,

@@ -10,8 +10,6 @@ to bit 1.  Projection layouts:
 * ``shared``       - a single (D x K/N) basis, trained on all sub-vectors
                      pooled together and reused for each of them.
 * ``sign``         - component-wise sign of the raw vector (K = D*N).
-* ``rp``           - seeded Gaussian random projections; benchmarking only,
-                     codes are not reversible.
 
 Because PCA bases are orthonormal, a code reverses to ``mean + W * s`` where
 ``s`` carries per-bit signs scaled by the mean absolute projection magnitude
@@ -28,7 +26,7 @@ import numpy as np
 from .aggregate import vlad_rows
 from .vocab import _TINY, _U
 
-VARIANTS = ("joint", "independent", "shared", "sign", "rp")
+VARIANTS = ("joint", "independent", "shared", "sign")
 
 _SCALE_FLOOR = 1e-12
 
@@ -72,9 +70,9 @@ class HashingModel:
     dim: int  # D, per sub-vector
     num_centers: int  # N
     nbits: int  # K
-    mean: np.ndarray  # float32; (D*N,) for joint/independent/rp, (D,) shared, (0,) sign
+    mean: np.ndarray  # float32; (D*N,) for joint/independent, (D,) shared, (0,) sign
     projections: np.ndarray  # float32; see encode() for the per-variant shape
-    reversal_scales: np.ndarray  # (K,) float32; zeros for rp
+    reversal_scales: np.ndarray  # (K,) float32
     rotation: np.ndarray | None = None  # (K, K) float32, joint only
 
     @property
@@ -150,22 +148,6 @@ def train_hashing(
             mean=np.zeros(0, dtype=np.float32),
             projections=np.zeros((0, 0), dtype=np.float32),
             reversal_scales=scales.astype(np.float32),
-        )
-
-    if variant == "rp":
-        if nbits < 1:
-            raise ValueError("nbits must be >= 1")
-        mean = X.mean(axis=0)
-        rng = np.random.default_rng([seed, 0x5250])
-        w = rng.standard_normal((total, nbits))
-        return HashingModel(
-            variant="rp",
-            dim=dim,
-            num_centers=n_centers,
-            nbits=nbits,
-            mean=mean.astype(np.float32),
-            projections=w.astype(np.float32),
-            reversal_scales=np.zeros(nbits, dtype=np.float32),
         )
 
     if variant == "joint":
@@ -247,7 +229,7 @@ def _project(model: HashingModel, x: np.ndarray) -> np.ndarray:
     if model.variant == "sign":
         return x
     mean = np.asarray(model.mean, dtype=np.float64)
-    if model.variant in ("joint", "rp"):
+    if model.variant == "joint":
         proj = np.asarray(model.projections, dtype=np.float64).T @ (x - mean)
         if model.rotation is not None:
             proj = np.asarray(model.rotation, dtype=np.float64) @ proj
@@ -279,7 +261,7 @@ def _project_stack(model: HashingModel, X: np.ndarray) -> tuple[np.ndarray, np.n
 
     Both ways subtract the mean element by element, bit for bit alike, so
     they differ only in how they sum the ``T``-term dot products with each
-    column ``w`` (``T = N*D`` for joint and rp, ``D`` per sub-vector for the
+    column ``w`` (``T = N*D`` for joint, ``D`` per sub-vector for the
     split variants).  For any summation order, with ``g = T u / (1 - T u)``,
     each sum lies within ``g sum_t |y_t w_t| + T tiny`` of the exact value
     (the last term covers products that underflow), and
@@ -298,7 +280,7 @@ def _project_stack(model: HashingModel, X: np.ndarray) -> tuple[np.ndarray, np.n
     n = len(X)
     mean = np.asarray(model.mean, dtype=np.float64)
     w = np.asarray(model.projections, dtype=np.float64)
-    if model.variant in ("joint", "rp"):
+    if model.variant == "joint":
         y = X - mean
         proj = y @ w
         span = np.abs(y).max(axis=1)[:, None] * np.abs(w).sum(axis=0)
@@ -359,8 +341,6 @@ def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:
     """
     if code.nbits != model.nbits:
         raise ValueError(f"code length {code.nbits} != model bits {model.nbits}")
-    if model.variant == "rp":
-        raise ValueError("random-projection codes have no reversal path")
     signs = 2.0 * code.bits().astype(np.float64) - 1.0
     scaled = signs * np.asarray(model.reversal_scales, dtype=np.float64)
     if model.variant == "sign":
@@ -385,7 +365,7 @@ def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:
 
 def projection_bytes(variant: str, dim: int, num_centers: int, nbits: int) -> int:
     """Device-side float32 footprint of the projection matrices."""
-    if variant in ("joint", "rp"):
+    if variant == "joint":
         return dim * num_centers * nbits * 4
     if variant == "independent":
         return dim * nbits * 4

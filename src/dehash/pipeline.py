@@ -385,7 +385,7 @@ def memory_table(config: ExperimentConfig) -> list[dict]:
     d, n = config.dim, config.tree.branch**config.tree.vlad_level
     k = config.hash.nbits
     rows = []
-    for variant in ("joint", "independent", "shared", "sign"):
+    for variant in hashing.VARIANTS:
         bits = d * n if variant == "sign" else k
         rows.append(
             {

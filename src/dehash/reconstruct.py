@@ -60,9 +60,6 @@ class CandidateVWs:
         """The center's admissible leaf ids, ascending."""
         return np.flatnonzero(self.mask & (self.parent_of_leaf == center))
 
-    def total_width(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
     @classmethod
     def from_leaf_ids(cls, tree: VocabularyTree, leaf_ids: Iterable[int]) -> "CandidateVWs":
         """The mask of ``leaf_ids``, given as any iterable, repeats allowed;

@@ -54,10 +54,9 @@ import numpy as np
 from .aggregate import (
     RANK_NORMALIZATION, BowHistogram, BowMatrix, _readonly, aggregate_images, normalize_vlads, vlad_rows
 )
+from .formats import EARTH_RADIUS_M
 from .hashing import BinaryCode, HashingModel, encode_stack
 from .vocab import VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center
-
-EARTH_RADIUS_M = 6_371_000.0
 
 # Below this many scores numpy's stable sort costs less than the unstable
 # sort plus the tie repair (the two cross between about 500 and 2000 scores
@@ -178,14 +177,6 @@ class PQCodebooks:
 
     codebooks: np.ndarray
     bits: int
-
-    @property
-    def num_subvectors(self) -> int:
-        return self.codebooks.shape[0]
-
-    @property
-    def sub_dim(self) -> int:
-        return self.codebooks.shape[2]
 
 
 class _ByRow(Mapping):
@@ -481,20 +472,20 @@ def rank_hamming(index: DatabaseIndex, query: BinaryCode) -> Ranking:
 
 def train_pq(
     vectors: np.ndarray,
-    num_subvectors: int,
+    subvectors: int,
     bits: int,
     seed: int = 0,
 ) -> PQCodebooks:
     """Fit product-quantizer codebooks (k-means per sub-vector slice) to ``(n, dim)`` rows."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n, total = vectors.shape
-    if total % num_subvectors != 0:
-        raise ValueError(f"{num_subvectors} sub-vectors do not divide dim {total}")
+    if total % subvectors != 0:
+        raise ValueError(f"{subvectors} sub-vectors do not divide dim {total}")
     k = 2**bits
-    sub_dim = total // num_subvectors
-    books = np.empty((num_subvectors, k, sub_dim), dtype=np.float64)
-    for j in range(num_subvectors):
-        sub = vectors[:, j * sub_dim : (j + 1) * sub_dim]
+    width = total // subvectors
+    books = np.empty((subvectors, k, width), dtype=np.float64)
+    for j in range(subvectors):
+        sub = vectors[:, j * width : (j + 1) * width]
         rng = np.random.default_rng([seed, j])
         if n >= k:
             init = kmeans_pp_init(sub, k, rng)
@@ -518,12 +509,12 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
         raise ValueError("index stores no VLADs")
     columns = index._rank_columns
     books = codebooks.codebooks
-    m, k, sub_dim = books.shape
-    if m * sub_dim != len(columns):
-        raise ValueError(f"codebooks cover dim {m * sub_dim}, VLADs have {len(columns)}")
+    m, k, width = books.shape
+    if m * width != len(columns):
+        raise ValueError(f"codebooks cover dim {m * width}, VLADs have {len(columns)}")
     codes = np.empty((len(index.ids), m), dtype=np.uint8 if k <= 256 else np.uint16)
     for j in range(m):
-        codes[:, j] = nearest_center(columns[j * sub_dim : (j + 1) * sub_dim].T.copy(), books[j])
+        codes[:, j] = nearest_center(columns[j * width : (j + 1) * width].T.copy(), books[j])
     index.pq = codebooks
     index._pq_codes = _readonly(codes)
     index.pq_codes = index._view(codes.__getitem__)
@@ -535,28 +526,12 @@ def rank_adc(index: DatabaseIndex, query: np.ndarray) -> Ranking:
         raise ValueError("index has no trained product quantizer")
     q = _normalized_query(index, query)
     books = index.pq.codebooks
-    m, k, sub_dim = books.shape
+    m, k, width = books.shape
     # Lookup-table evaluation: table[j, c] = ||q_j - center_{j,c}||^2, gathered
     # for every image at once through the flat offsets j * k + code.
-    table = np.sum((books - q.reshape(m, 1, sub_dim)) ** 2, axis=2)
+    table = np.sum((books - q.reshape(m, 1, width)) ** 2, axis=2)
     gathered = table.ravel().take(index._pq_codes + np.arange(m) * k)
     return index._ranking(gathered.sum(axis=1))
-
-
-def simulate_gps(
-    true_location: tuple[float, float],
-    sigma_meters: float,
-    seed: int | np.random.Generator = 0,
-) -> tuple[float, float]:
-    """Perturb a location with independent Gaussian noise per tangent-plane axis."""
-    lat, lon = true_location
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"latitude {lat} out of range")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dy, dx = rng.normal(0.0, sigma_meters, size=2) if sigma_meters > 0 else (0.0, 0.0)
-    dlat = math.degrees(dy / EARTH_RADIUS_M)
-    dlon = math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
-    return (lat + dlat, lon + dlon)
 
 
 def rank_gps(index: DatabaseIndex, query_gps: tuple[float, float]) -> Ranking:

@@ -4,10 +4,10 @@ Two routes from a residual sub-vector back to word counts:
 
 * :func:`solve_nn_lasso_batch` - non-negative L1-regularized least squares,
   minimizing ``||v - D h||_2^2 + lam * ||h||_1`` over ``h >= 0`` for several
-  dictionaries and targets at once; :func:`solve_nn_lasso` is its
-  one-problem call.  Note the quadratic term carries no 1/2 factor, so the
-  per-coordinate threshold is ``lam / 2`` for a unit-norm column;
-  regularization weights are calibrated to this convention.  The solver
+  dictionaries and targets at once (a single problem is a batch of one).
+  Note the quadratic term carries no 1/2 factor, so the per-coordinate
+  threshold is ``lam / 2`` for a unit-norm column; regularization weights
+  are calibrated to this convention.  The solver
   follows the exact piecewise-linear solution path in ``lam`` (homotopy, as
   in LARS); vocabulary dictionaries are far too coherent for plain
   coordinate descent, which stalls swapping mass between near-parallel
@@ -322,24 +322,6 @@ def solve_nn_lasso_batch(
         LassoResult(h[i, : d.width].copy(), flags[i], sweeps[i], values[i])
         for i, (d, _, _) in enumerate(problems)
     ]
-
-
-def solve_nn_lasso(
-    dictionary: Dictionary,
-    v: np.ndarray,
-    lam: float,
-    tol: float = LASSO_TOL,
-    max_iter: int = LASSO_MAX_ITER,
-    gram: np.ndarray | None = None,
-) -> LassoResult:
-    """Minimize ``||v - D h||^2 + lam * sum(h)`` over ``h >= 0``.
-
-    The one-problem call of :func:`solve_nn_lasso_batch`: walks the exact
-    solution path; ``max_iter`` caps the path events, and the iterate at the
-    last event is returned with ``converged=False`` when the cap is hit
-    first.  ``gram`` may carry a precomputed ``D.T @ D``.
-    """
-    return solve_nn_lasso_batch([(dictionary, v, gram)], lam, tol, max_iter)[0]
 
 
 def lasso_kkt_residuals(

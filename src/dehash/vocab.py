@@ -497,18 +497,8 @@ def assign_descriptors(
     return X, vlad_ids, leaf_ids
 
 
-def quantize_vlad(tree: VocabularyTree, descriptor: np.ndarray) -> int:
-    """Nearest coarse center (lowest id on exact ties)."""
-    return int(assign_descriptors(tree, descriptor, leaves=False)[1][0])
-
-
 def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
     """All leaf ids under a coarse center, ascending."""
     if not 0 <= vlad_id < tree.num_vlad_centers:
         raise ValueError(f"vlad_id {vlad_id} out of range")
     return np.flatnonzero(tree.parent_of_leaf == vlad_id).astype(np.int64)
-
-
-def quantize_leaf(tree: VocabularyTree, descriptor: np.ndarray) -> int:
-    """Nearest leaf under the nearest coarse center (lowest id on exact ties)."""
-    return int(assign_descriptors(tree, descriptor)[2][0])

@@ -54,6 +54,18 @@ class TestTrainedArtifacts:
         assert model.variant == "joint"
         assert model.nbits == 8
 
+    def test_train_hash_refuses_rp(self, workspace, tmp_path, capsys):
+        # "rp" codes had no reversal; argparse refuses it before any training.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "train-hash", "--manifest", str(workspace / "data" / "manifest.tsv"),
+                "--tree", str(workspace / "tree.bin"), "--out", str(tmp_path / "rp.bin"),
+                "--variant", "rp", "--bits", "8",
+            ])
+        assert exit_info.value.code == 2
+        assert "--variant: invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "rp.bin").exists()
+
 
 class TestIndexAndQuery:
     def test_index_writes_codes(self, workspace, tmp_path):

@@ -38,7 +38,6 @@ MODELS = {
     "independent-model": ("independent", False, (6,), (2, 3, 2), 4),
     "shared-model": ("shared", False, (3,), (3, 2), 4),
     "sign-model": ("sign", False, (0,), (0, 0), 6),
-    "rp-model": ("rp", False, (6,), (6, 5), 5),
 }
 
 
@@ -88,7 +87,6 @@ PINS = {
     "independent-model": "72b7898990f28923b362dd273157635fb37dcda418bac4fcedad615ed6e694f3",
     "shared-model": "28954971698a238312af7237f322f18e4ba446fb9ab1d7f76afc2e91a953b5b2",
     "sign-model": "2d3b4a2a7b9474a684f7a0acd1c73187f4c37e18f637cb85ffb10ffd7d129fa4",
-    "rp-model": "bb4058ebd93e4cd6974365dae55b4723f0b2ffa05fd70a7f2fd06b6335663892",
     "descriptors": "7788aecbfd4ba6520fe82512991aa108ddbd7a822ab36048c5cb5b4d50d2a485",
     "code": "e0bca3adf3707f017325fae57f22d6f0ddba617a038c7d45edebba5b40561a3f",
     "gps-payload": "a5e5a81934bca2f1847fa2610768428d172c62f4f5bf31801e04f517f68db13b",
@@ -177,6 +175,18 @@ def test_model_without_centers_raises_value_error(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(MODEL_MAGIC + struct.pack("<B3I", 2, 4, 0, 8))
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_retired_variant_byte_raises_value_error(tmp_path):
+    # Byte 4 was the random-projection variant, which had no reversal: a file
+    # in its exact layout (mean (D*N,), projections (D*N, K), scales (K,)) is
+    # refused like any unknown byte.
+    dim, n_centers, nbits = 3, 2, 5
+    path = tmp_path / "rp-model.bin"
+    floats = dim * n_centers * (1 + nbits) + nbits
+    path.write_bytes(MODEL_MAGIC + struct.pack("<B3I", 4, dim, n_centers, nbits) + ramp(floats).tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": unknown variant byte 4"):
         load_model(path)
 
 

@@ -99,6 +99,13 @@ class TestTraining:
         r = np.asarray(model.rotation, dtype=np.float64)
         np.testing.assert_allclose(r.T @ r, np.eye(8), atol=1e-6)
 
+    def test_unknown_variant_rejected(self):
+        # "rp" (seeded random projections) had no reversal and is no variant.
+        with pytest.raises(ValueError, match="unknown variant 'rp'"):
+            train_hashing(np.ones((50, 2, 4)), "rp", nbits=8)
+        with pytest.raises(ValueError, match="unknown variant 'rp'"):
+            projection_bytes("rp", 4, 2, 8)
+
     def test_deterministic_per_seed(self, rng):
         vlads = random_vlads(rng, 60, 2, 4)
         a = train_hashing(vlads, "joint", nbits=8, seed=5, rotate=True)
@@ -164,7 +171,7 @@ def projection_columns(model):
     n_c, d, per = model.num_centers, model.dim, model.bits_per_center
     w = np.asarray(model.projections, dtype=np.float64)
     mean = np.asarray(model.mean, dtype=np.float64)
-    if model.variant in ("joint", "rp"):
+    if model.variant == "joint":
         if model.rotation is not None:
             w = w @ np.asarray(model.rotation, dtype=np.float64).T
         return w, mean
@@ -175,9 +182,7 @@ def projection_columns(model):
     return cols, mean if model.variant == "independent" else np.tile(mean, n_c)
 
 
-STACK_VARIANTS = [
-    ("joint", False), ("joint", True), ("independent", False), ("shared", False), ("sign", False), ("rp", False)
-]
+VARIANT_CASES = [("joint", False), ("joint", True), ("independent", False), ("shared", False), ("sign", False)]
 
 
 @st.composite
@@ -187,12 +192,12 @@ def stacked_vlads(draw):
     column up to rounding, so the product cannot decide that bit), rows at
     the mean (every projection an exact zero), rows with NaN or inf, all at
     scales 1e-150 to 1e150."""
-    variant, rotate = draw(st.sampled_from(STACK_VARIANTS))
+    variant, rotate = draw(st.sampled_from(VARIANT_CASES))
     n_c, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if variant == "sign":
         nbits = n_c * d
-    elif variant in ("joint", "rp"):
+    elif variant == "joint":
         nbits = draw(st.integers(1, n_c * d))
     else:
         nbits = n_c * draw(st.integers(1, d))
@@ -230,7 +235,7 @@ class TestEncodeStack:
         assert got.shape == (len(vlads), (model.nbits + 7) // 8)
         assert np.array_equal(got, want.reshape(got.shape))
 
-    @pytest.mark.parametrize("variant,rotate", STACK_VARIANTS[:-1])
+    @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
     def test_product_decides_all_but_the_plane_rows(self, rng, variant, rotate):
         nbits = 32
         model = train_hashing(random_vlads(rng, 120, 4, 8), variant, nbits, rotate=rotate)
@@ -258,9 +263,7 @@ class TestEncodeStack:
 
 
 class TestReversal:
-    @pytest.mark.parametrize("variant,rotate", [("joint", False), ("joint", True),
-                                                ("independent", False), ("shared", False),
-                                                ("sign", False)])
+    @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
     def test_reencode_fixed_point(self, rng, variant, rotate):
         vlads = random_vlads(rng, 120, 4, 8)
         nbits = 32 if variant != "sign" else 32
@@ -280,13 +283,6 @@ class TestReversal:
             xc = v.reshape(-1) - mean
             err = np.linalg.norm(w @ (w.T @ xc) - xc) / np.linalg.norm(xc)
             assert err <= 1e-5
-
-    def test_rp_has_no_reversal(self, rng):
-        vlads = random_vlads(rng, 50, 2, 4)
-        model = train_hashing(vlads, "rp", nbits=64)
-        code = encode(model, vlads[0])
-        with pytest.raises(ValueError, match="reversal"):
-            approximate_vlad(model, code)
 
     def test_code_length_mismatch(self, rng):
         vlads = random_vlads(rng, 50, 2, 4)
@@ -317,9 +313,7 @@ class TestAccounting:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("variant,rotate", [("joint", False), ("joint", True),
-                                                ("independent", False), ("shared", False),
-                                                ("sign", False), ("rp", False)])
+    @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
     def test_model_round_trip(self, rng, variant, rotate, tmp_path):
         vlads = random_vlads(rng, 80, 2, 8)
         model = train_hashing(vlads, variant, nbits=16, seed=3, rotate=rotate)

@@ -157,9 +157,9 @@ class TestTrainingParity:
     def test_train_pq_equals_frozen(self, n):
         vectors = gaussian_mixture(n, 12, 5, seed=n)
         with force_product(True):
-            got = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+            got = train_pq(vectors, subvectors=3, bits=4, seed=7)
         with mock.patch.object(retrieval, "lloyd", lloyd_reference):
-            want = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+            want = train_pq(vectors, subvectors=3, bits=4, seed=7)
         assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_scan_5k_shaped_train_pq_equals_frozen(self):
@@ -167,9 +167,9 @@ class TestTrainingParity:
         # as the 5k-image benchmark trains them; two sub-vectors of the 16.
         vectors = gaussian_mixture(5000, 16, 60, seed=5).reshape(5000, 2, 8)
         vectors /= np.linalg.norm(vectors, axis=2, keepdims=True) * np.sqrt(2)
-        got = train_pq(vectors.reshape(5000, 16), num_subvectors=2, bits=8, seed=3)
+        got = train_pq(vectors.reshape(5000, 16), subvectors=2, bits=8, seed=3)
         with frozen_training():
-            want = train_pq(vectors.reshape(5000, 16), num_subvectors=2, bits=8, seed=3)
+            want = train_pq(vectors.reshape(5000, 16), subvectors=2, bits=8, seed=3)
         assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_train_vocabulary_equals_frozen(self):
@@ -307,9 +307,9 @@ class TestSeedingParity:
     @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
     def test_train_pq_equals_frozen_training(self, n):
         vectors = gaussian_mixture(n, 12, 5, seed=n)
-        got = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+        got = train_pq(vectors, subvectors=3, bits=4, seed=7)
         with frozen_training():
-            want = train_pq(vectors, num_subvectors=3, bits=4, seed=7)
+            want = train_pq(vectors, subvectors=3, bits=4, seed=7)
         assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_train_vocabulary_equals_frozen_training(self):

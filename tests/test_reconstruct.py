@@ -21,7 +21,7 @@ from dehash.reconstruct import (
     reconstruct_bow_with_prior,
 )
 from dehash import reconstruct
-from dehash.sparse import LassoResult, solve_nn_lasso, solve_tikhonov_batch
+from dehash.sparse import LassoResult, solve_nn_lasso_batch, solve_tikhonov_batch
 from dehash.retrieval import Ranking, build_index, rank_hamming
 from dehash.vocab import subtree_leaves, train_vocabulary
 
@@ -118,7 +118,7 @@ class TestCandidates:
         ranking = Ranking(tuple((i, 0.0) for i in index.ids))
         cand = candidates_from_binary(index, ranking, top_r=1)
         first = index.ids[0]
-        assert cand.total_width() == len(index.bows[first].counts)
+        assert np.count_nonzero(cand.mask) == len(index.bows[first].counts)
 
     def test_from_binary_full_database(self, index):
         ranking = Ranking(tuple((i, 0.0) for i in index.ids))
@@ -226,7 +226,7 @@ class TestCandidates:
                 want = candidates_reference.combine_candidates(frozen, mode)
                 for center in range(grouping_tree.num_vlad_centers):
                     assert got.allowed(center).tolist() == sorted(want.allowed(center))
-                assert got.total_width() == want.total_width()
+                assert np.count_nonzero(got.mask) == want.total_width()
 
 
 def fresh_tree(seed=101):
@@ -323,7 +323,7 @@ class TestReconstructionContext:
                         continue
                     restrict = None if cand is None else cand.allowed(report.vlad_id)
                     d = build_dictionary(tree, report.vlad_id, restrict)
-                    solved = solve_nn_lasso(d, v[report.vlad_id], 0.02)
+                    solved = solve_nn_lasso_batch([(d, v[report.vlad_id], None)], 0.02)[0]
                     kept = np.array([counts.get(int(t), 0.0) for t in d.column_ids])
                     got = LassoResult(kept, report.converged, report.sweeps, 0.0)
                     want = np.where(solved.coeffs > 1e-6, solved.coeffs, 0.0)
@@ -462,7 +462,7 @@ class TestReconstructBow:
         ranking = rank_hamming(index, index.codes[qid])
         cand = candidates_from_binary(index, ranking, top_r=2)
         full_width = index.tree.num_leaves / index.tree.num_vlad_centers
-        mean_width = cand.total_width() / cand.num_centers
+        mean_width = np.count_nonzero(cand.mask) / cand.num_centers
         assert mean_width * 5 <= full_width * index.tree.num_vlad_centers
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from dehash.aggregate import RANK_NORMALIZATION, compute_bow, compute_vlad, normalize_vlad
+from dehash.dataset import simulate_gps
 from dehash.hashing import BinaryCode, encode, train_hashing
 from dehash.retrieval import (
     DatabaseIndex,
@@ -25,7 +26,6 @@ from dehash.retrieval import (
     rank_vlad,
     ranking_dump_lines,
     recall_at,
-    simulate_gps,
     train_pq,
 )
 from dehash import aggregate, vocab
@@ -158,7 +158,7 @@ class TestAdc:
         rng = np.random.default_rng(229)
         base = rng.normal(size=(4, 8))
         vectors = base[rng.integers(0, 4, size=30)]
-        books = train_pq(vectors, num_subvectors=2, bits=2, seed=1)
+        books = train_pq(vectors, subvectors=2, bits=2, seed=1)
         for row in vectors[:10]:
             codes = encode_pq(books, row)
             assert adc_distance(books, row, codes) == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +195,7 @@ class TestAdc:
         assert np.mean(rhos) > 0.8
 
     def test_wrong_length_vector_rejected(self):
-        books = train_pq(np.random.default_rng(1).normal(size=(40, 16)), num_subvectors=4, bits=2)
+        books = train_pq(np.random.default_rng(1).normal(size=(40, 16)), subvectors=4, bits=2)
         codes = encode_pq(books, np.ones(16))
         for length in (13, 15, 17, 20):
             with pytest.raises(ValueError, match="dim 16"):

@@ -1,3 +1,4 @@
+import sys
 from functools import cache
 from unittest import mock
 
@@ -8,19 +9,25 @@ from hypothesis import strategies as st
 
 from dehash.dataset import training_blob
 from dehash.sparse import (
+    LASSO_MAX_ITER,
     LASSO_TOL,
     Dictionary,
     lasso_kkt_residuals,
     lasso_objective,
-    solve_nn_lasso,
     solve_nn_lasso_batch,
     solve_tikhonov,
     solve_tikhonov_batch,
 )
 from dehash.vocab import train_vocabulary
 
+import homotopy_reference
 import lockstep_reference
 from homotopy_reference import homotopy_nn_lasso_reference
+
+
+def solve_one(d, v, lam, tol=LASSO_TOL, max_iter=LASSO_MAX_ITER, gram=None):
+    """One non-negative lasso problem, solved as a batch of one."""
+    return solve_nn_lasso_batch([(d, v, gram)], lam, tol, max_iter)[0]
 
 
 def random_dictionary(rng, dim, width, vlad_id=0):
@@ -72,7 +79,7 @@ class TestNonNegativeLasso:
         d = Dictionary(cols, np.array([0, 1]), 0)
         v = np.array([1.0, 0.0])
         lam = 0.1
-        result = solve_nn_lasso(d, v, lam, tol=1e-14)
+        result = solve_one(d, v, lam, tol=1e-14)
         np.testing.assert_allclose(result.coeffs, [0.95, 0.0], atol=1e-10)
 
         grid = np.arange(0.0, 2.0 + 1e-9, 1e-3)
@@ -89,7 +96,7 @@ class TestNonNegativeLasso:
         cols = rng.normal(size=(8, 5))  # linearly independent w.p. 1
         d = Dictionary(cols, np.arange(5), 0)
         h_true = rng.uniform(0.5, 2.0, size=5)
-        result = solve_nn_lasso(d, cols @ h_true, lam=0.0, tol=1e-16, max_iter=20000)
+        result = solve_one(d, cols @ h_true, lam=0.0, tol=1e-16, max_iter=20000)
         np.testing.assert_allclose(result.coeffs, h_true, atol=1e-6)
 
     def test_huge_lambda_kills_everything(self):
@@ -97,7 +104,7 @@ class TestNonNegativeLasso:
         d = random_dictionary(rng, 6, 10)
         v = rng.normal(size=6)
         lam = 2.0 * np.max(np.abs(d.columns.T @ v)) + 1.0
-        result = solve_nn_lasso(d, v, lam)
+        result = solve_one(d, v, lam)
         assert np.all(result.coeffs == 0.0)
         assert result.converged
 
@@ -108,7 +115,7 @@ class TestNonNegativeLasso:
         lam = 0.3
         prev = lasso_objective(d, v, lam, np.zeros(12))
         for sweeps in range(1, 15):
-            result = solve_nn_lasso(d, v, lam, tol=0.0, max_iter=sweeps)
+            result = solve_one(d, v, lam, tol=0.0, max_iter=sweeps)
             assert result.objective <= prev + 1e-12
             prev = result.objective
 
@@ -120,7 +127,7 @@ class TestNonNegativeLasso:
             d = random_dictionary(rng, dim, width)
             v = rng.normal(size=dim) * 2
             lam = float(rng.uniform(0.01, 1.0))
-            result = solve_nn_lasso(d, v, lam, tol=1e-14, max_iter=5000)
+            result = solve_one(d, v, lam, tol=1e-14, max_iter=5000)
             pg = projected_gradient(d, v, lam)
             assert result.objective <= lasso_objective(d, v, lam, pg) + 1e-6
             stat, viol = lasso_kkt_residuals(d, v, lam, result.coeffs)
@@ -130,7 +137,7 @@ class TestNonNegativeLasso:
     def test_nonnegativity_is_exact(self):
         rng = np.random.default_rng(11)
         d = random_dictionary(rng, 5, 15)
-        result = solve_nn_lasso(d, rng.normal(size=5), 0.05)
+        result = solve_one(d, rng.normal(size=5), 0.05)
         assert np.all(result.coeffs >= 0.0)
 
     def test_scaling_homogeneity(self):
@@ -139,32 +146,32 @@ class TestNonNegativeLasso:
         d = random_dictionary(rng, 6, 9)
         v = rng.normal(size=6)
         lam, c = 0.2, 3.5
-        base = solve_nn_lasso(d, v, lam, tol=1e-14, max_iter=5000)
-        scaled = solve_nn_lasso(d, c * v, c * lam, tol=1e-14, max_iter=5000)
+        base = solve_one(d, v, lam, tol=1e-14, max_iter=5000)
+        scaled = solve_one(d, c * v, c * lam, tol=1e-14, max_iter=5000)
         np.testing.assert_allclose(scaled.coeffs, c * base.coeffs, atol=1e-6)
 
     def test_zero_columns_stay_zero(self):
         cols = np.array([[1.0, 0.0], [0.5, 0.0]])
         d = Dictionary(cols, np.array([3, 7]), 0)
         assert (~np.any(d.columns != 0.0, axis=0)).tolist() == [False, True]
-        result = solve_nn_lasso(d, np.array([1.0, 0.5]), 0.01)
+        result = solve_one(d, np.array([1.0, 0.5]), 0.01)
         assert result.coeffs[1] == 0.0
 
     def test_max_iter_flag(self):
         rng = np.random.default_rng(17)
         d = random_dictionary(rng, 6, 12)
-        result = solve_nn_lasso(d, rng.normal(size=6) * 5, 0.01, tol=0.0, max_iter=3)
+        result = solve_one(d, rng.normal(size=6) * 5, 0.01, tol=0.0, max_iter=3)
         assert not result.converged
         assert result.sweeps == 3
 
     def test_rejects_bad_inputs(self):
         d = Dictionary(np.eye(2), np.array([0, 1]), 0)
         with pytest.raises(ValueError):
-            solve_nn_lasso(d, np.array([np.nan, 0.0]), 0.1)
+            solve_one(d, np.array([np.nan, 0.0]), 0.1)
         with pytest.raises(ValueError):
-            solve_nn_lasso(d, np.zeros(3), 0.1)
+            solve_one(d, np.zeros(3), 0.1)
         with pytest.raises(ValueError):
-            solve_nn_lasso(d, np.zeros(2), -0.1)
+            solve_one(d, np.zeros(2), -0.1)
 
 
 class TestTikhonov:
@@ -307,15 +314,30 @@ def lasso_instances(draw):
 def reference_walk(d, v, lam, max_iter):
     """The frozen scalar walk's result, and whether it met a singular active
     block: one that LAPACK refused, so that the walk fell back to least
-    squares, or one with more columns than the dictionary has rows, which is
-    singular in exact arithmetic however rounding hides it."""
+    squares, one with more columns than the dictionary has rows, or one it
+    made by inserting a column bit-equal to an active one.  The last two are
+    singular in exact arithmetic however rounding hides them.  A copy
+    inserted as a capped walk's last event meets no solve, so each event the
+    walk takes is read, with the active set it joins, from its ``max`` over
+    the candidate events."""
+    picks = []
+
+    def recording_max(*args, **kwargs):
+        best = max(*args, **kwargs)
+        if "key" in kwargs:  # (weight, kind, column) of the event taken
+            picks.append((best, list(sys._getframe(1).f_locals["active"])))
+        return best
+
     with (
         mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve,
         mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq,
+        mock.patch.object(homotopy_reference, "max", recording_max, create=True),
     ):
         want = homotopy_nn_lasso_reference(d, v, lam, LASSO_TOL, max_iter)
     widest = max((call.args[0].shape[0] for call in solve.call_args_list), default=0)
-    return want, lstsq.called or widest > d.dim
+    atom = atoms(d) if picks else None
+    copy_added = any(kind == "add" and atom[t] in atom[active] for (_, kind, t), active in picks)
+    return want, lstsq.called or widest > d.dim or copy_added
 
 
 def atoms(d):
@@ -351,9 +373,48 @@ class TestHomotopyParity:
     def test_matches_scalar_reference(self, instance):
         d, v, lam, max_iter, gram = instance
         want, singular = reference_walk(d, v, lam, max_iter)
-        got = solve_nn_lasso(d, v, lam, max_iter=max_iter, gram=gram)
+        got = solve_one(d, v, lam, max_iter=max_iter, gram=gram)
         if not singular:
             assert_same_walk(got, want, d)
+
+    @staticmethod
+    def repeated_leaf_instance(seed):
+        """Center 4 of the default tree over a random subset holding the
+        equal leaves 312 and 319 but not 318, and a target of a few words
+        plus noise."""
+        full = coherent_tree().reconstruction_context.full(4)[0]
+        rng = np.random.default_rng(seed)
+        keep = rng.random(full.width) < rng.uniform(0.05, 0.6)
+        keep[np.searchsorted(full.column_ids, TestRepeatedLeaves.REPEATED)] = (True, False, True)
+        d = full.take(np.flatnonzero(keep))
+        counts = np.zeros(d.width)
+        support = rng.choice(d.width, size=min(d.width, int(rng.integers(1, 8))), replace=False)
+        counts[support] = rng.integers(1, 6, size=support.size)
+        return d, d.columns @ counts + rng.normal(scale=0.05, size=d.dim)
+
+    def test_inserted_copy_is_not_comparable(self):
+        # At lam = 0 and a cap of 5 events the scalar walk can insert 319
+        # while 312 is active, at a spurious weight, and stop there: no solve
+        # follows and no block is wider than the dimension, so only the
+        # inserted copy marks the walk as no reference.  Which instance does
+        # this depends on how the BLAS kernels round: seed 10249 on
+        # OpenBLAS's SkylakeX kernels, 3519 on Haswell, 1371 on Sandybridge,
+        # 2166 on Nehalem and Prescott.  Each instance is flagged or walks as
+        # the scalar walk, and the lockstep walk, which lets only the first
+        # copy in, is the frozen one on all four.
+        flagged = 0
+        for seed in (10249, 3519, 1371, 2166):
+            d, v = self.repeated_leaf_instance(seed)
+            want, singular = reference_walk(d, v, 0.0, 5)
+            got = solve_one(d, v, 0.0, max_iter=5)
+            if singular:
+                flagged += 1
+                with pytest.raises(AssertionError):
+                    assert_same_walk(got, want, d)
+            else:
+                assert_same_walk(got, want, d)
+            assert_frozen_walk([(d, v, None)], 0.0, 5)
+        assert flagged
 
     def test_event_cap_returns_the_iterate_at_the_last_event(self):
         d = coherent_tree().reconstruction_context.full(3)[0]
@@ -361,7 +422,7 @@ class TestHomotopyParity:
         v = d.columns @ rng.integers(0, 3, size=d.width).astype(float)
         for cap in range(1, 12):
             want, singular = reference_walk(d, v, 1e-4, cap)
-            got = solve_nn_lasso(d, v, 1e-4, max_iter=cap)
+            got = solve_one(d, v, 1e-4, max_iter=cap)
             assert not singular
             assert got.sweeps == want.sweeps == cap
             assert not got.converged
@@ -370,7 +431,7 @@ class TestHomotopyParity:
     def test_gram_shape_checked(self):
         d = random_dictionary(np.random.default_rng(43), 4, 6)
         with pytest.raises(ValueError, match="gram"):
-            solve_nn_lasso(d, np.ones(4), 0.1, gram=np.eye(5))
+            solve_one(d, np.ones(4), 0.1, gram=np.eye(5))
 
 
 @st.composite
@@ -407,7 +468,7 @@ class TestLockstepBatch:
         results = solve_nn_lasso_batch(items, lam, max_iter=max_iter)
         assert len(results) == len(items)
         for (d, v, gram), got in zip(items, results):
-            alone = solve_nn_lasso(d, v, lam, max_iter=max_iter, gram=gram)
+            alone = solve_one(d, v, lam, max_iter=max_iter, gram=gram)
             if not reference_walk(d, v, lam, max_iter)[1]:
                 assert_same_walk(got, alone, d)
             assert got.coeffs.shape == (d.width,)
@@ -429,7 +490,7 @@ class TestLockstepBatch:
         results = solve_nn_lasso_batch(items, 1e-4, max_iter=6)
         assert all(r.sweeps == 6 and not r.converged for r in results)
         for (d, v, gram), got in zip(items, results):
-            assert_same_walk(got, solve_nn_lasso(d, v, 1e-4, max_iter=6, gram=gram), d)
+            assert_same_walk(got, solve_one(d, v, 1e-4, max_iter=6, gram=gram), d)
 
     def test_empty_batch_and_bad_items(self):
         assert solve_nn_lasso_batch([], 0.1) == []
@@ -548,7 +609,7 @@ class TestRepeatedLeaves:
         counts[rng.choice(d.width, size=min(d.width, int(rng.integers(1, 8))), replace=False)] = 1.0
         counts[np.searchsorted(d.column_ids, self.REPEATED[0])] += rng.integers(1, 6)
         v = d.columns @ counts + rng.normal(scale=0.05, size=d.dim)
-        got = solve_nn_lasso(d, v, lam, gram=gram)
+        got = solve_one(d, v, lam, gram=gram)
         assert np.all(np.isfinite(got.coeffs))
         scale = max(1.0, float(np.max(np.abs(d.columns.T @ v))))
         if got.converged:
@@ -581,7 +642,7 @@ class TestKKTProperty:
     @given(instance=nonnegative_targets())
     def test_converged_solutions_satisfy_kkt(self, instance):
         d, v, lam = instance
-        result = solve_nn_lasso(d, v, lam)
+        result = solve_one(d, v, lam)
         if result.converged:
             scale = max(1.0, float(np.max(np.abs(d.columns.T @ v))))
             bound = max(LASSO_TOL, 1e-7 * scale)

@@ -7,8 +7,6 @@ from dehash.formats import load_tree, save_tree
 from dehash.vocab import (
     VocabularyTree,
     assign_descriptors,
-    quantize_leaf,
-    quantize_vlad,
     subtree_leaves,
     train_vocabulary,
 )
@@ -140,7 +138,7 @@ def tree():
 
 class TestQuantization:
     def test_exact_center_hit(self, tree):
-        assert quantize_vlad(tree, tree.vlad_centers[3]) == 3
+        assert assign_descriptors(tree, tree.vlad_centers[3], leaves=False)[1].tolist() == [3]
 
     def test_tie_breaks_to_lowest_id(self):
         tree = VocabularyTree(
@@ -152,7 +150,7 @@ class TestQuantization:
             leaf_centers=np.array([[0.0], [2.0], [4.0]], dtype=np.float32),
             parent_of_leaf=np.arange(3, dtype=np.uint32),
         )
-        assert quantize_vlad(tree, np.array([3.0])) == 1  # equidistant to 1 and 2
+        assert assign_descriptors(tree, np.array([3.0]), leaves=False)[1].tolist() == [1]  # equidistant to 1 and 2
 
     def test_matches_linear_scan(self, tree):
         rng = np.random.default_rng(17)
@@ -160,11 +158,11 @@ class TestQuantization:
         centers = np.asarray(tree.vlad_centers, dtype=np.float64)
         for x in X:
             want = int(np.argmin([np.sum((x - c) ** 2) for c in centers]))
-            assert quantize_vlad(tree, x) == want
+            assert assign_descriptors(tree, x, leaves=False)[1].tolist() == [want]
 
     def test_leaf_exact_hit(self, tree):
         for t in [0, 5, tree.num_leaves - 1]:
-            assert quantize_leaf(tree, tree.leaf_centers[t]) == t
+            assert assign_descriptors(tree, tree.leaf_centers[t])[2].tolist() == [t]
 
     def test_exhaustive_equals_subtree_brute_force(self, tree):
         rng = np.random.default_rng(23)
@@ -195,9 +193,9 @@ class TestQuantization:
 
     def test_dimension_mismatch(self, tree):
         with pytest.raises(ValueError):
-            quantize_vlad(tree, np.zeros(tree.dim + 1))
+            assign_descriptors(tree, np.zeros(tree.dim + 1), leaves=False)
         with pytest.raises(ValueError):
-            quantize_leaf(tree, np.zeros(tree.dim + 1))
+            assign_descriptors(tree, np.zeros(tree.dim + 1))
 
 
 class TestSubtrees:
