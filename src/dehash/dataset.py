@@ -256,9 +256,12 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
         group_specs.append((category, np.sort(support)))
 
     width = len(str(spec.num_images - 1))
+    ids = [f"img_{i:0{width}d}" for i in range(spec.num_images)]
+    # Membership is fixed by index, before any draw: image i < num_grouped
+    # joins group i % num_groups, so each image's relevant ids are known upfront.
+    groups = [ids[g:num_grouped:num_groups] for g in range(num_groups)]
     entries: list[ManifestEntry] = []
     truth: dict[str, Counter] = {}
-    groups: list[list[str]] = [[] for _ in range(num_groups)]
     leaf_centers = np.asarray(tree.leaf_centers, dtype=np.float64)
     lo_d, hi_d = spec.descriptors_per_image
 
@@ -282,18 +285,16 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
         k = max(1, int(round(frac * pool.size)))
         return rng.choice(pool, size=k, replace=False)
 
-    group_of: dict[str, int] = {}
-    for i in range(spec.num_images):
-        image_id = f"img_{i:0{width}d}"
+    for i, image_id in enumerate(ids):
         noise_std = spec.noise_std
+        relevant: tuple[str, ...] = ()
         if i < num_grouped:
             group = i % num_groups
             category, pool = group_specs[group]
             support = member_support(pool)
-            if not groups[group]:  # first member doubles as the group's query
+            if i < num_groups:  # first member doubles as the group's query
                 noise_std += spec.query_noise_std
-            groups[group].append(image_id)
-            group_of[image_id] = group
+            relevant = tuple(m for m in groups[group] if m != image_id)
         else:
             category = int(rng.integers(0, spec.num_categories))
             pool = category_pools[category]
@@ -307,25 +308,15 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
                 descriptor_path=f"descriptors/{image_id}.desc",
                 gps=gps,
                 category=category,
-                relevant_ids=(),  # filled below once groups are complete
+                relevant_ids=relevant,
             )
         )
 
-    final_entries = []
-    for e in entries:
-        relevant: tuple[str, ...] = ()
-        group = group_of.get(e.image_id)
-        if group is not None and len(groups[group]) > 1:
-            relevant = tuple(m for m in groups[group] if m != e.image_id)
-        final_entries.append(
-            ManifestEntry(e.image_id, e.descriptor_path, e.gps, e.category, relevant)
-        )
-
     manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, final_entries)
+    write_manifest(manifest_path, entries)
     return SyntheticDataset(
         manifest_path=manifest_path,
-        entries=final_entries,
+        entries=entries,
         truth=truth,
         category_pools=category_pools,
         groups=[g for g in groups if len(g) > 1],

@@ -97,6 +97,10 @@ class HashParams:
     seed: int = 0
     rotate: bool = False
 
+    def __post_init__(self) -> None:
+        if self.variant not in hashing.VARIANTS:
+            raise ValueError(f"unknown hashing variant {self.variant!r}")
+
 
 @dataclass(frozen=True)
 class ReconParams:
@@ -152,7 +156,7 @@ class ExperimentConfig:
     num_queries: int = 50
     recall_ns: tuple[int, ...] = (1, 5, 10)
     manifest: str | None = None  # load this dataset ...
-    synthetic: SyntheticSpec | None = None  # ... or generate one (default when both unset)
+    synthetic: SyntheticSpec | None = None  # ... or generate one (``SyntheticSpec()`` when both unset)
     lambda_sweep: tuple[float, ...] = ()
     sweep_queries: int = 20
 
@@ -165,6 +169,8 @@ class ExperimentConfig:
         for name in ("num_queries", "sweep_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.manifest is not None and self.synthetic is not None:
+            raise ValueError("manifest and synthetic are exclusive: a run loads a manifest or synthesizes")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -183,12 +189,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     (also under ``X | None``) are rebuilt recursively and ``tuple``-typed
     fields are restored from JSON lists, so the result compares equal to, and
     hashes like, the config that was dumped.  Missing keys take their
-    defaults; an unknown key, at the top or in a section, raises ``TypeError``.
+    defaults; an unknown key, at the top or in a section, or a section that is
+    not a JSON object raises ``TypeError``.
     """
     return _dataclass_from_dict(ExperimentConfig, data)
 
 
 def _dataclass_from_dict(cls: type, data: dict):
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} needs a JSON object, got {data!r}")
     hints = get_type_hints(cls)
     # an unknown key has no hint and passes through, for ``cls`` to reject
     return cls(**{k: _from_json(hints.get(k), v) for k, v in data.items()})
@@ -196,11 +205,13 @@ def _dataclass_from_dict(cls: type, data: dict):
 
 def _from_json(tp, value):
     """``value`` as field type ``tp``: dicts become dataclasses, lists tuples."""
+    if value is None and type(None) in get_args(tp):
+        return None
     if get_origin(tp) in (Union, UnionType):
         inner = [a for a in get_args(tp) if a is not type(None)]
         if len(inner) == 1:
             tp = inner[0]
-    if dataclasses.is_dataclass(tp) and isinstance(value, dict):
+    if dataclasses.is_dataclass(tp):
         return _dataclass_from_dict(tp, value)
     if get_origin(tp) is tuple and isinstance(value, list):
         return tuple(value)
@@ -403,21 +414,27 @@ def memory_table(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def lambda_sweep_counts(
-    tree: VocabularyTree,
-    dataset: Dataset,
-    query_ids: list[str],
-    lambdas: tuple[float, ...],
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> list[dict]:
-    """Total reconstructed-word count per regularization weight (true-VLAD input)."""
+def train_tree(config: ExperimentConfig) -> VocabularyTree:
+    """The vocabulary of a run: ``config.tree`` fit on a training blob of ``config.dim``."""
+    t = config.tree
+    blob = training_blob(config.dim, t.training_points, t.training_blobs, t.seed)
+    return train_vocabulary(blob, t.branch, t.levels, t.vlad_level, t.seed)
+
+
+def lambda_sweep_counts(config: ExperimentConfig, tree: VocabularyTree, dataset: Dataset) -> list[dict]:
+    """Total reconstructed-word count per regularization weight (true-VLAD input).
+
+    Sweeps the first ``config.sweep_queries`` of the run's picked queries over
+    ``config.lambda_sweep`` (``DEFAULT_LAMBDA_SWEEP`` when empty), solving
+    with ``config.recon``'s ``tol`` and ``max_iter``.
+    """
+    query_ids = _pick_queries(dataset, config.num_queries)[: config.sweep_queries]
     _, vlads = aggregate_images(tree, [dataset.descriptors[q] for q in query_ids], bow=False)
     rows = []
-    for lam in lambdas:
+    for lam in config.lambda_sweep or DEFAULT_LAMBDA_SWEEP:
         total = 0
         for v in vlads:
-            result = reconstruct_bow(v, tree, lam, tol=tol, max_iter=max_iter)
+            result = reconstruct_bow(v, tree, lam, tol=config.recon.tol, max_iter=config.recon.max_iter)
             total += result.histogram.num_words
         rows.append({"lam": lam, "reconstructed_vws": total})
     return rows
@@ -432,21 +449,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     watch = _Stopwatch()
     workdir = Path(out_dir) if out_dir is not None else None
 
-    tree = watch.run(
-        "train-tree",
-        lambda: train_vocabulary(
-            training_blob(
-                config.dim,
-                config.tree.training_points,
-                config.tree.training_blobs,
-                config.tree.seed,
-            ),
-            config.tree.branch,
-            config.tree.levels,
-            config.tree.vlad_level,
-            config.tree.seed,
-        ),
-    )
+    tree = watch.run("train-tree", lambda: train_tree(config))
     dataset = watch.run("dataset", lambda: _resolve_dataset(config, tree, workdir))
 
     # The database is aggregated once, in the index's ascending-id row order;
@@ -525,17 +528,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
 
     sweep_rows = []
     if config.lambda_sweep:
-        sweep_rows = watch.run(
-            "sweep-lambda",
-            lambda: lambda_sweep_counts(
-                tree,
-                dataset,
-                query_ids[: config.sweep_queries],
-                config.lambda_sweep,
-                tol=config.recon.tol,
-                max_iter=config.recon.max_iter,
-            ),
-        )
+        sweep_rows = watch.run("sweep-lambda", lambda: lambda_sweep_counts(config, tree, dataset))
 
     report = {
         "config": config_to_dict(config),

@@ -1,33 +1,57 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from dehash.cli import main
+from dehash.cli import build_parser, main
 from dehash.dataset import ingest_dataset
-from dehash.formats import ContextTag, load_descriptors, load_model, load_payload, load_tree
-from dehash.pipeline import ExperimentConfig, ReconParams, rank_query
+from dehash.formats import (
+    ContextTag, load_descriptors, load_model, load_payload, load_tree, save_model, save_tree,
+)
+from dehash.pipeline import DEFAULT_LAMBDA_SWEEP, ReconParams, config_from_dict, rank_query, run_pipeline
 from dehash.retrieval import build_index, ranking_dump_lines
+
+# One tiny config for every subcommand: N = 4 coarse centers of D = 8, and
+# solver settings away from their defaults.
+CONFIG = {
+    "dim": 8,
+    "tree": {"branch": 4, "levels": 2, "vlad_level": 1, "seed": 9},
+    "hash": {"variant": "joint", "nbits": 8, "seed": 9},
+    "recon": {"lam": 0.05, "tol": 1e-5, "max_iter": 40},
+    "pq": {"subvectors": 8, "bits": 4},
+    "synthetic": {"num_images": 60, "seed": 9},
+    "num_queries": 5,
+    "lambda_sweep": [0.01, 0.05],
+    "sweep_queries": 4,
+}
+
+
+def subcommand_flags() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's flags, ``--help`` left out."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in commands.choices.items()
+    }
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """synth -> train-tree -> train-hash artifacts shared by CLI tests."""
+    """synth -> train-tree -> train-hash artifacts shared by CLI tests, all from CONFIG."""
     ws = tmp_path_factory.mktemp("cli")
     data = ws / "data"
+    config = ws / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
     assert main([
-        "synth", "--out", str(data), "--num-images", "60", "--dim", "8",
-        "--branch", "4", "--levels", "2", "--vlad-level", "1", "--seed", "9",
+        "train-tree", "--config", str(config), "--manifest", str(data / "manifest.tsv"),
+        "--out", str(ws / "tree.bin"),
     ]) == 0
     assert main([
-        "train-tree", "--manifest", str(data / "manifest.tsv"),
-        "--out", str(ws / "tree.bin"), "--branch", "4", "--levels", "2",
-        "--vlad-level", "1", "--seed", "9",
-    ]) == 0
-    assert main([
-        "train-hash", "--manifest", str(data / "manifest.tsv"),
+        "train-hash", "--config", str(config), "--manifest", str(data / "manifest.tsv"),
         "--tree", str(ws / "tree.bin"), "--out", str(ws / "model.bin"),
-        "--variant", "joint", "--bits", "8", "--seed", "9",
     ]) == 0
     return ws
 
@@ -55,15 +79,14 @@ class TestTrainedArtifacts:
         assert model.nbits == 8
 
     def test_train_hash_refuses_rp(self, workspace, tmp_path, capsys):
-        # "rp" codes had no reversal; argparse refuses it before any training.
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                "train-hash", "--manifest", str(workspace / "data" / "manifest.tsv"),
-                "--tree", str(workspace / "tree.bin"), "--out", str(tmp_path / "rp.bin"),
-                "--variant", "rp", "--bits", "8",
-            ])
-        assert exit_info.value.code == 2
-        assert "--variant: invalid choice" in capsys.readouterr().err
+        # "rp" codes had no reversal; loading the config refuses it before any training.
+        config = tmp_path / "rp.json"
+        config.write_text(json.dumps({"hash": {"variant": "rp", "nbits": 8}}))
+        assert main([
+            "train-hash", "--config", str(config), "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "--tree", str(workspace / "tree.bin"), "--out", str(tmp_path / "rp.bin"),
+        ]) == 1
+        assert f"error [train-hash] {config}: unknown hashing variant 'rp'" in capsys.readouterr().err
         assert not (tmp_path / "rp.bin").exists()
 
 
@@ -113,17 +136,18 @@ class TestIndexAndQuery:
         qid = dataset.ids[2]
         descriptors = workspace / "data" / "descriptors" / f"{qid}.desc"
         assert main([
-            "query", "--manifest", str(manifest),
+            "query", "--config", str(workspace / "config.json"), "--manifest", str(manifest),
             "--tree", str(workspace / "tree.bin"), "--model", str(workspace / "model.bin"),
-            "--descriptors", str(descriptors),
-            "--query-id", qid, "--mode", mode, "--lam", "0.05", "--top", "7",
+            "--descriptors", str(descriptors), "--query-id", qid, "--mode", mode, "--top", "7",
         ]) == 0
         tree, model = load_tree(workspace / "tree.bin"), load_model(workspace / "model.bin")
         index = build_index(
             tree, model, dataset.descriptors,
             gps=dataset.gps_by_id(), categories=dataset.categories_by_id(),
         )
-        config = ExperimentConfig(recon=ReconParams(lam=0.05), modes=(mode,))
+        recon = ReconParams(lam=0.05, tol=1e-5, max_iter=40)
+        config = dataclasses.replace(config_from_dict(CONFIG), modes=(mode,))
+        assert config.recon == recon != ReconParams()
         ranking, _ = rank_query(config, index, model, load_descriptors(descriptors), qid)[mode]
         want = ranking_dump_lines(qid, ranking)[:7]
         assert capsys.readouterr().out.splitlines() == want
@@ -141,12 +165,13 @@ class TestIndexAndQuery:
         monkeypatch.setattr(dehash.pipeline, "reconstruct_bow", spy)
         qid = ingest_dataset(workspace / "data" / "manifest.tsv").ids[0]
         assert main([
-            "query", "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "query", "--config", str(workspace / "config.json"),
+            "--manifest", str(workspace / "data" / "manifest.tsv"),
             "--tree", str(workspace / "tree.bin"), "--model", str(workspace / "model.bin"),
             "--descriptors", str(workspace / "data" / "descriptors" / f"{qid}.desc"),
-            "--mode", "recon", "--lam", "0.05",
+            "--mode", "recon",
         ]) == 0
-        assert seen == [(0.05, ReconParams.tol, ReconParams.max_iter)]
+        assert seen == [(0.05, 1e-5, 40)]
 
 
 class TestBenchmark:
@@ -172,13 +197,69 @@ class TestBenchmark:
 class TestSweepLambda:
     def test_counts_printed(self, workspace, capsys):
         assert main([
-            "sweep-lambda", "--manifest", str(workspace / "data" / "manifest.tsv"),
-            "--tree", str(workspace / "tree.bin"), "--queries", "4",
-            "--lambdas", "0.01,0.1",
+            "sweep-lambda", "--config", str(workspace / "config.json"),
+            "--manifest", str(workspace / "data" / "manifest.tsv"), "--tree", str(workspace / "tree.bin"),
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0.01\t")
+
+    def test_default_weights_when_config_sweeps_none(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, "lambda_sweep": []}))
+        assert main([
+            "sweep-lambda", "--config", str(config),
+            "--manifest", str(workspace / "data" / "manifest.tsv"), "--tree", str(workspace / "tree.bin"),
+        ]) == 0
+        lams = [float(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
+        assert lams == list(DEFAULT_LAMBDA_SWEEP)
+
+
+class TestParity:
+    """Each subcommand computes what the matching benchmark stage computes for CONFIG."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, workspace):
+        config = str(workspace / "config.json")
+        manifest = str(workspace / "data" / "manifest.tsv")
+        assert main(["benchmark", "--config", config, "--out", str(workspace / "bench")]) == 0
+        assert main([
+            "benchmark", "--config", config, "--manifest", manifest,
+            "--out", str(workspace / "bench-manifest"),
+        ]) == 0
+        (synthesized,) = (workspace / "bench").glob("report_*.json")
+        (loaded,) = (workspace / "bench-manifest").glob("report_*.json")
+        return json.loads(synthesized.read_text()), json.loads(loaded.read_text())
+
+    def test_synth_then_benchmark_manifest_equals_benchmark(self, runs):
+        synthesized, loaded = runs
+        assert loaded["config"]["manifest"] and loaded["config"]["synthetic"] is None
+        for key in ("metrics", "solver", "memory_table", "lambda_sweep"):
+            assert loaded[key] == synthesized[key], key
+        assert synthesized["solver"] and synthesized["lambda_sweep"]
+
+    def test_train_hash_gives_the_run_model(self, workspace, tmp_path):
+        run = run_pipeline(config_from_dict(CONFIG), out_dir=tmp_path)
+        save_tree(run.tree, tmp_path / "run-tree.bin")
+        save_model(run.model, tmp_path / "run-model.bin")
+        # synth saved the run's tree, and train-hash on it fits the run's model.
+        assert (tmp_path / "run-tree.bin").read_bytes() == (workspace / "data" / "tree.bin").read_bytes()
+        assert main([
+            "train-hash", "--config", str(workspace / "config.json"),
+            "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "--tree", str(workspace / "data" / "tree.bin"), "--out", str(tmp_path / "model.bin"),
+        ]) == 0
+        assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "run-model.bin").read_bytes()
+
+    def test_sweep_lambda_prints_the_report_rows(self, workspace, runs, capsys):
+        synthesized, _ = runs
+        assert main([
+            "sweep-lambda", "--config", str(workspace / "config.json"),
+            "--manifest", str(workspace / "data" / "manifest.tsv"),
+            "--tree", str(workspace / "data" / "tree.bin"),
+        ]) == 0
+        want = [f"{row['lam']:g}\t{row['reconstructed_vws']}" for row in synthesized["lambda_sweep"]]
+        assert capsys.readouterr().out.splitlines() == want
 
 
 class TestErrors:
@@ -202,3 +283,35 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "error" in err and str(short) in err
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "train-tree", "train-hash", "query", "benchmark", "sweep-lambda"]
+    )
+    def test_unknown_config_key_reports_error(self, workspace, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"num_querys": 3}))
+        data = workspace / "data"
+        files = {
+            "--manifest": data / "manifest.tsv",
+            "--tree": workspace / "tree.bin",
+            "--model": workspace / "model.bin",
+            "--descriptors": next((data / "descriptors").glob("*.desc")),
+            "--out": tmp_path / "out",
+        }
+        argv = [command, "--config", str(bad)]
+        for action in subcommand_flags()[command]:
+            if action.required:
+                argv += [action.option_strings[0], str(files[action.option_strings[0]])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}] {bad}: ") and "num_querys" in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+
+class TestParser:
+    def test_flags_name_files_but_three(self):
+        # Every model and data parameter comes from --config.
+        files = {"--config", "--manifest", "--tree", "--model", "--descriptors", "--out"}
+        flags = [a.option_strings[0] for actions in subcommand_flags().values() for a in actions]
+        assert len(flags) == 27
+        assert {f for f in flags if f not in files} == {"--query-id", "--mode", "--top"}

@@ -24,8 +24,9 @@ def random_vlads(rng, n, num_centers, dim, scale=1.0):
     return [rng.normal(size=(num_centers, dim)) * scale for _ in range(n)]
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def rng():
+    # Fresh per test, so each test sees the same data alone as in the full file.
     return np.random.default_rng(71)
 
 

@@ -64,6 +64,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="modes"):
             tiny_config(modes=("bow", "something",))
 
+    def test_manifest_and_synthetic_exclusive(self):
+        # A config that loads a manifest must not carry a spec it ignores
+        # into its report and config_hash.
+        with pytest.raises(ValueError, match="manifest and synthetic"):
+            tiny_config(manifest="data/manifest.tsv")
+        assert tiny_config(manifest="data/manifest.tsv", synthetic=None).synthetic is None
+
+    def test_unknown_hash_variant_rejected(self):
+        with pytest.raises(ValueError, match="'rp'"):
+            HashParams(variant="rp")
+
     def test_every_tuple_field_round_trips(self):
         config = ExperimentConfig(
             recon=ReconParams(cues=("category", "binary")),
@@ -107,6 +118,14 @@ class TestConfig:
             config_from_dict({"synthetic": {"bogus": 1}})
         with pytest.raises(TypeError, match="bogus"):
             config_from_dict({"bogus": 1})
+
+    def test_sections_must_be_objects(self):
+        for section in (5, None):
+            with pytest.raises(TypeError, match="TreeParams needs a JSON object"):
+                config_from_dict({"tree": section})
+        with pytest.raises(TypeError, match="ExperimentConfig needs a JSON object"):
+            config_from_dict([1])
+        assert config_from_dict({"synthetic": None}).synthetic is None
 
     def test_unknown_mode_rejected_on_load(self):
         with pytest.raises(ValueError, match="modes"):
@@ -255,7 +274,7 @@ class TestRunPipeline:
         lines = (data / "manifest.tsv").read_text().splitlines()
         # Ids out of ascending order, so the VLAD rows must be gathered back.
         (data / "reversed.tsv").write_text("\n".join(reversed(lines)) + "\n")
-        config = tiny_config(modes=("bow", "hamming"), manifest=str(data / "reversed.tsv"))
+        config = tiny_config(modes=("bow", "hamming"), manifest=str(data / "reversed.tsv"), synthetic=None)
         with mock.patch.object(pipeline, "aggregate_images", wraps=aggregate_images) as spy, \
                 mock.patch.object(pipeline, "train_hashing", wraps=train_hashing) as train:
             result = run_pipeline(config, out_dir=tmp_path)
