@@ -37,6 +37,7 @@ from .dataset import SyntheticSpec, ingest_dataset, synthesize_dataset
 from .formats import load_descriptors, load_model, load_tree, save_model, save_tree, wire_encode
 from .hashing import train_hashing
 from .pipeline import (
+    ALL_MODES,
     ExperimentConfig,
     StageError,
     config_from_dict,
@@ -170,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", "--tree", "--model", "--descriptors",
     )
     p.add_argument("--query-id", default="query")
-    p.add_argument("--mode", default="bow", choices=["bow", "vlad", "hamming", "recon"])
+    # query has no GPS fix, category or trained PQ: leave out the modes that
+    # can need one (CADS and BRPK through recon.cues).
+    query_modes = [m for m in ALL_MODES if m not in ("gps", "adc", "recon-cads", "recon-brpk")]
+    p.add_argument("--mode", default="bow", choices=query_modes)
     p.add_argument("--top", type=int, default=10)
     p = command("benchmark", "run the configured pipeline end to end", _cmd_benchmark, "all", "--out")
     p.add_argument("--manifest", help="load this dataset instead of the config's")

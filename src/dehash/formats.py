@@ -19,6 +19,9 @@ rejects a short or a trailing byte with a ``ValueError`` naming the file (or
   reversal scales.  The mean and projections are ``(D*N,)`` and
   ``(D*N, K)`` for joint, ``(D*N,)`` and ``(N, D, K/N)`` for independent,
   ``(D,)`` and ``(D, K/N)`` for shared, ``(0,)`` and ``(0, 0)`` for sign.
+  ``hashing.model_layout`` gives these shapes and checks the header: ``D``,
+  ``N`` and ``K`` are at least 1 and the variant can take ``K`` bits, so
+  ``save_model`` writes, and ``load_model`` reads, only models that exist.
 * Descriptors of one image, ``DHDESC01``; header ``<2I``: ``D >= 1``, rows
   ``n >= 1``.  Array: the descriptors ``(n, D)`` float32.
 * Query payload, ``DHWIRE01``; header ``<I``: bits ``K``.  Arrays: the
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import BinaryCode, HashingModel
+from .hashing import BinaryCode, HashingModel, model_layout
 from .vocab import VocabularyTree
 
 TREE_MAGIC = b"DHTREE01"
@@ -47,7 +50,11 @@ MODEL_MAGIC = b"DHHASH01"
 DESC_MAGIC = b"DHDESC01"
 WIRE_MAGIC = b"DHWIRE01"
 
-_VARIANT_CODES = {"joint": 0, "independent": 1, "shared": 2, "sign": 3, "joint-rr": 5}
+# (variant, rotated) per variant byte.
+_VARIANT_CODES = {
+    ("joint", False): 0, ("independent", False): 1, ("shared", False): 2, ("sign", False): 3,
+    ("joint", True): 5,
+}
 _CODE_VARIANTS = {v: k for k, v in _VARIANT_CODES.items()}
 
 _FLAG_GPS = 0x01
@@ -139,12 +146,31 @@ def load_tree(path) -> VocabularyTree:
     return tree
 
 
+def _model_layout(path, variant: str, dim: int, n_centers: int, nbits: int, rotate: bool):
+    """``model_layout``, its ``ValueError`` naming ``path``."""
+    try:
+        return model_layout(variant, dim, n_centers, nbits, rotate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def save_model(model: HashingModel, path) -> None:
-    variant_key = "joint-rr" if (model.variant == "joint" and model.rotation is not None) else model.variant
-    fields = (_VARIANT_CODES[variant_key], model.dim, model.num_centers, model.nbits)
-    rotation = () if model.rotation is None else (model.rotation,)
-    arrays = (model.mean, model.projections, *rotation, model.reversal_scales)
-    Path(path).write_bytes(_pack(MODEL_MAGIC, "<B3I", fields, *(("<f4", array) for array in arrays)))
+    """Write ``model``; one ``load_model`` would reject (no such layout, or an
+    array of another shape) raises ``ValueError`` and writes nothing."""
+    rotate = model.rotation is not None
+    mean_shape, proj_shape = _model_layout(
+        path, model.variant, model.dim, model.num_centers, model.nbits, rotate
+    )
+    k = model.nbits
+    arrays = {"mean": (model.mean, mean_shape), "projections": (model.projections, proj_shape)}
+    if rotate:
+        arrays["rotation"] = (model.rotation, (k, k))
+    arrays["reversal_scales"] = (model.reversal_scales, (k,))
+    for name, (array, shape) in arrays.items():
+        if np.shape(array) != shape:
+            raise ValueError(f"{path}: {name} is {np.shape(array)}, the layout needs {shape}")
+    fields = (_VARIANT_CODES[model.variant, rotate], model.dim, model.num_centers, k)
+    Path(path).write_bytes(_pack(MODEL_MAGIC, "<B3I", fields, *(("<f4", a) for a, _ in arrays.values())))
 
 
 def load_model(path) -> HashingModel:
@@ -152,29 +178,16 @@ def load_model(path) -> HashingModel:
     variant_code, dim, n_centers, nbits = r.fields
     if variant_code not in _CODE_VARIANTS:
         raise ValueError(f"{path}: unknown variant byte {variant_code}")
-    if n_centers == 0:
-        raise ValueError(f"{path}: model has no VLAD centers")
-    variant_key = _CODE_VARIANTS[variant_code]
-    # A header train_hashing cannot write would fail, or code wrongly, later.
-    split = variant_key in ("independent", "shared")
-    if (split and (nbits % n_centers or nbits // n_centers > dim)) or (
-        variant_key == "sign" and nbits != dim * n_centers
-    ):
-        raise ValueError(f"{path}: no {variant_key} model has {nbits} bits over N={n_centers}, D={dim}")
-    total, per = dim * n_centers, nbits // n_centers
-    mean_shape, proj_shape = {
-        "independent": ((total,), (n_centers, dim, per)),
-        "shared": ((dim,), (dim, per)),
-        "sign": ((0,), (0, 0)),
-    }.get(variant_key, ((total,), (total, nbits)))  # joint, joint-rr
+    variant, rotate = _CODE_VARIANTS[variant_code]
+    mean_shape, proj_shape = _model_layout(path, variant, dim, n_centers, nbits, rotate)
     model = HashingModel(
-        variant="joint" if variant_key == "joint-rr" else variant_key,
+        variant=variant,
         dim=dim,
         num_centers=n_centers,
         nbits=nbits,
         mean=r.take("<f4", *mean_shape),
         projections=r.take("<f4", *proj_shape),
-        rotation=r.take("<f4", nbits, nbits) if variant_key == "joint-rr" else None,
+        rotation=r.take("<f4", nbits, nbits) if rotate else None,
         reversal_scales=r.take("<f4", nbits),
     )
     r.done()

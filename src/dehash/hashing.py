@@ -11,6 +11,10 @@ to bit 1.  Projection layouts:
                      pooled together and reused for each of them.
 * ``sign``         - component-wise sign of the raw vector (K = D*N).
 
+``model_layout`` is the one rule for which ``(variant, D, N, K, rotate)``
+make a model and what shapes its arrays take; training, the model file and
+the report's memory accounting all ask it.
+
 Because PCA bases are orthonormal, a code reverses to ``mean + W * s`` where
 ``s`` carries per-bit signs scaled by the mean absolute projection magnitude
 seen in training; re-encoding an approximated VLAD reproduces its code.
@@ -109,6 +113,40 @@ def random_rotation(k: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def model_layout(
+    variant: str, dim: int, num_centers: int, nbits: int, rotate: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``(mean, projections)`` shapes of a ``variant`` model with ``K =
+    nbits`` bits over ``N = num_centers`` sub-vectors of ``D = dim``: the one
+    rule for which models exist.  ``ValueError`` unless the variant is known,
+    ``rotate`` goes with joint only, ``D, N, K >= 1``, and ``K <= D*N``
+    (joint), ``K`` is a multiple of ``N`` with at most ``D`` bits per
+    sub-vector (independent, shared), or ``K = D*N`` (sign)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if rotate and variant != "joint":
+        raise ValueError("rotation is only defined for the joint variant")
+    if min(dim, num_centers, nbits) < 1:
+        raise ValueError(f"a model needs D, N and K >= 1, got D={dim}, N={num_centers}, K={nbits}")
+    total = dim * num_centers
+    if variant == "joint":
+        if nbits > total:
+            raise ValueError(f"joint nbits={nbits} exceeds D*N={total}")
+        return (total,), (total, nbits)
+    if variant == "sign":
+        if nbits != total:
+            raise ValueError(f"sign variant emits exactly one bit per component: K={nbits}, D*N={total}")
+        return (0,), (0, 0)
+    if nbits % num_centers != 0:
+        raise ValueError("nbits must be divisible by the number of sub-vectors")
+    per = nbits // num_centers
+    if per > dim:
+        raise ValueError(f"per-sub-vector bits {per} exceed sub-vector dim {dim}")
+    if variant == "independent":
+        return (total,), (num_centers, dim, per)
+    return (dim,), (dim, per)  # shared
+
+
 def train_hashing(
     training_vlads: np.ndarray | Sequence[np.ndarray],
     variant: str,
@@ -119,108 +157,65 @@ def train_hashing(
     """Fit a hashing model on raw (unnormalized) training VLADs, given as
     ``(N, D)`` arrays or as their ``(n, N, D)`` stack.
 
-    PCA bases keep the top eigenvectors of the training covariance; the rank
-    bound ``K <= min(D*N, n-1)`` (or ``K/N <= D`` per sub-vector for the split
-    variants) is enforced rather than silently padded.
+    The model must be one ``model_layout`` allows.  PCA bases keep the top
+    eigenvectors of the training covariance, so each basis also needs more
+    samples than it has directions (``K <= n-1`` for joint, ``K/N <= n-1``
+    per sub-vector); that rank bound is enforced rather than silently padded.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if rotate and variant != "joint":
-        raise ValueError("rotation is only defined for the joint variant")
     if len(training_vlads) == 0:
         raise ValueError("training set must be nonempty")
     stack = np.array(training_vlads, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError("training VLADs disagree on their (N, D) shape")
     n, n_centers, dim = stack.shape
-    total = n_centers * dim
-    X = stack.reshape(n, total)
+    model_layout(variant, dim, n_centers, nbits, rotate)
+    X = stack.reshape(n, n_centers * dim)
+    per = nbits // n_centers
+    rotation = None
 
     if variant == "sign":
-        if nbits != total:
-            raise ValueError("sign variant emits exactly one bit per component")
-        scales = np.maximum(np.mean(np.abs(X), axis=0), _SCALE_FLOOR)
-        return HashingModel(
-            variant="sign",
-            dim=dim,
-            num_centers=n_centers,
-            nbits=nbits,
-            mean=np.zeros(0, dtype=np.float32),
-            projections=np.zeros((0, 0), dtype=np.float32),
-            reversal_scales=scales.astype(np.float32),
-        )
-
-    if variant == "joint":
-        if nbits > min(total, n - 1):
-            raise ValueError(
-                f"joint PCA rank bound: nbits={nbits} exceeds min(D*N={total}, n-1={n - 1})"
-            )
+        mean, w = np.zeros(0), np.zeros((0, 0))
+        scales = np.mean(np.abs(X), axis=0)
+    elif variant == "joint":
+        if nbits > n - 1:
+            raise ValueError(f"joint PCA rank bound: nbits={nbits} exceeds n-1={n - 1}")
         mean = X.mean(axis=0)
         Xc = X - mean
         w, _ = _pca(Xc, nbits)
-        rotation = random_rotation(nbits, seed) if rotate else None
         proj = Xc @ w
-        if rotation is not None:
+        if rotate:
+            rotation = random_rotation(nbits, seed)
             proj = proj @ rotation.T
-        scales = np.maximum(np.mean(np.abs(proj), axis=0), _SCALE_FLOOR)
-        return HashingModel(
-            variant="joint",
-            dim=dim,
-            num_centers=n_centers,
-            nbits=nbits,
-            mean=mean.astype(np.float32),
-            projections=w.astype(np.float32),
-            reversal_scales=scales.astype(np.float32),
-            rotation=None if rotation is None else rotation.astype(np.float32),
-        )
-
-    # Split variants share validation.
-    if nbits % n_centers != 0:
-        raise ValueError("nbits must be divisible by the number of sub-vectors")
-    per = nbits // n_centers
-    if per > dim:
-        raise ValueError(f"per-sub-vector bits {per} exceed sub-vector dim {dim}")
-    blocks = X.reshape(n, n_centers, dim)
-
-    if variant == "independent":
+        scales = np.mean(np.abs(proj), axis=0)
+    elif variant == "independent":
         if per > n - 1:
             raise ValueError(f"PCA rank bound: {per} bits need at least {per + 1} samples")
         mean = X.mean(axis=0)
-        centered = blocks - mean.reshape(n_centers, dim)
-        ws = np.empty((n_centers, dim, per), dtype=np.float64)
+        centered = X.reshape(n, n_centers, dim) - mean.reshape(n_centers, dim)
+        w = np.empty((n_centers, dim, per), dtype=np.float64)
         scales = np.empty(nbits, dtype=np.float64)
         for i in range(n_centers):
-            w, _ = _pca(centered[:, i, :], per)
-            ws[i] = w
-            scales[i * per : (i + 1) * per] = np.mean(np.abs(centered[:, i, :] @ w), axis=0)
-        return HashingModel(
-            variant="independent",
-            dim=dim,
-            num_centers=n_centers,
-            nbits=nbits,
-            mean=mean.astype(np.float32),
-            projections=ws.astype(np.float32),
-            reversal_scales=np.maximum(scales, _SCALE_FLOOR).astype(np.float32),
-        )
+            w[i], _ = _pca(centered[:, i, :], per)
+            scales[i * per : (i + 1) * per] = np.mean(np.abs(centered[:, i, :] @ w[i]), axis=0)
+    else:  # shared: pool every sub-vector of every training VLAD as one sample set
+        pooled = X.reshape(n * n_centers, dim)
+        if per > pooled.shape[0] - 1:
+            raise ValueError(f"PCA rank bound: {per} bits need at least {per + 1} pooled samples")
+        mean = pooled.mean(axis=0)
+        pooled_c = pooled - mean
+        w, _ = _pca(pooled_c, per)
+        proj = pooled_c @ w  # (n*N, per)
+        scales = np.mean(np.abs(proj).reshape(n, n_centers, per), axis=0).reshape(nbits)
 
-    # shared: pool every sub-vector of every training VLAD as one sample set
-    pooled = blocks.reshape(n * n_centers, dim)
-    if per > pooled.shape[0] - 1:
-        raise ValueError(f"PCA rank bound: {per} bits need at least {per + 1} pooled samples")
-    mean = pooled.mean(axis=0)
-    pooled_c = pooled - mean
-    w, _ = _pca(pooled_c, per)
-    proj = pooled_c @ w  # (n*N, per)
-    per_center = np.mean(np.abs(proj).reshape(n, n_centers, per), axis=0)
-    scales = np.maximum(per_center.reshape(nbits), _SCALE_FLOOR)
     return HashingModel(
-        variant="shared",
+        variant=variant,
         dim=dim,
         num_centers=n_centers,
         nbits=nbits,
         mean=mean.astype(np.float32),
         projections=w.astype(np.float32),
-        reversal_scales=scales.astype(np.float32),
+        reversal_scales=np.maximum(scales, _SCALE_FLOOR).astype(np.float32),
+        rotation=None if rotation is None else rotation.astype(np.float32),
     )
 
 
@@ -361,34 +356,3 @@ def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:
         blocks = scaled.reshape(model.num_centers, model.bits_per_center) @ w.T
         flat = (blocks + np.asarray(model.mean, dtype=np.float64)).reshape(-1)
     return flat.reshape(model.num_centers, -1)
-
-
-def projection_bytes(variant: str, dim: int, num_centers: int, nbits: int) -> int:
-    """Device-side float32 footprint of the projection matrices."""
-    if variant == "joint":
-        return dim * num_centers * nbits * 4
-    if variant == "independent":
-        return dim * nbits * 4
-    if variant == "shared":
-        if nbits % num_centers != 0:
-            raise ValueError("nbits must be divisible by the number of sub-vectors")
-        return dim * (nbits // num_centers) * 4
-    if variant == "sign":
-        return 0
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def quantizer_bytes(dim: int, branch: int, vlad_level: int) -> int:
-    """Device-side float32 footprint of the coarse quantization tree
-    (all levels down to and including the VLAD level)."""
-    nodes = sum(branch**level for level in range(1, vlad_level + 1))
-    return dim * nodes * 4
-
-
-def mobile_memory_bytes(
-    variant: str, dim: int, num_centers: int, nbits: int, branch: int, vlad_level: int
-) -> int:
-    """Total device-side footprint: projections plus quantization tree."""
-    return projection_bytes(variant, dim, num_centers, nbits) + quantizer_bytes(
-        dim, branch, vlad_level
-    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,10 +98,6 @@ class HashParams:
     seed: int = 0
     rotate: bool = False
 
-    def __post_init__(self) -> None:
-        if self.variant not in hashing.VARIANTS:
-            raise ValueError(f"unknown hashing variant {self.variant!r}")
-
 
 @dataclass(frozen=True)
 class ReconParams:
@@ -171,6 +168,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.manifest is not None and self.synthetic is not None:
             raise ValueError("manifest and synthetic are exclusive: a run loads a manifest or synthesizes")
+        # The model the run trains: one over the tree's N = branch**vlad_level coarse centers.
+        h = self.hash
+        hashing.model_layout(h.variant, self.dim, self.tree.branch**self.tree.vlad_level, h.nbits, h.rotate)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -392,21 +392,31 @@ def rank_query(
 
 
 def memory_table(config: ExperimentConfig) -> list[dict]:
-    """Closed-form device memory and transmission accounting per variant."""
-    d, n = config.dim, config.tree.branch**config.tree.vlad_level
-    k = config.hash.nbits
+    """Closed-form device memory and transmission accounting per variant.
+
+    A row prices the model ``hashing.model_layout`` gives a variant at the
+    configured bits (sign: its ``D*N``): its float32 projections plus the
+    coarse quantization tree (all levels down to and including the VLAD
+    level).  A variant that cannot take the configured bits has no row.
+    """
+    d, t = config.dim, config.tree
+    n = t.branch**t.vlad_level
+    tree_bytes = 4 * d * sum(t.branch**level for level in range(1, t.vlad_level + 1))
     rows = []
     for variant in hashing.VARIANTS:
-        bits = d * n if variant == "sign" else k
+        bits = d * n if variant == "sign" else config.hash.nbits
+        try:
+            _, projection_shape = hashing.model_layout(variant, d, n, bits)
+        except ValueError:
+            continue
+        projection = 4 * math.prod(projection_shape)
         rows.append(
             {
                 "variant": variant,
                 "bits": bits,
-                "projection_bytes": hashing.projection_bytes(variant, d, n, bits),
-                "quantizer_bytes": hashing.quantizer_bytes(d, config.tree.branch, config.tree.vlad_level),
-                "mobile_memory_bytes": hashing.mobile_memory_bytes(
-                    variant, d, n, bits, config.tree.branch, config.tree.vlad_level
-                ),
+                "projection_bytes": projection,
+                "quantizer_bytes": tree_bytes,
+                "mobile_memory_bytes": projection + tree_bytes,
                 "transmission_bytes": (bits + 7) // 8,
                 "transmission_with_gps_bytes": (bits + 7) // 8 + GPS_PAYLOAD_BYTES,
             }

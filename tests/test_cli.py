@@ -86,7 +86,7 @@ class TestTrainedArtifacts:
             "train-hash", "--config", str(config), "--manifest", str(workspace / "data" / "manifest.tsv"),
             "--tree", str(workspace / "tree.bin"), "--out", str(tmp_path / "rp.bin"),
         ]) == 1
-        assert f"error [train-hash] {config}: unknown hashing variant 'rp'" in capsys.readouterr().err
+        assert f"error [train-hash] {config}: unknown variant 'rp'" in capsys.readouterr().err
         assert not (tmp_path / "rp.bin").exists()
 
 
@@ -128,7 +128,7 @@ class TestIndexAndQuery:
         ]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
-    @pytest.mark.parametrize("mode", ["bow", "vlad", "hamming", "recon"])
+    @pytest.mark.parametrize("mode", ["bow", "vlad", "hamming", "recon", "approx-vlad", "vlad-to-bow"])
     def test_query_ranks_through_rank_query(self, workspace, capsys, mode):
         # The CLI and the pipeline share one query path, solver settings included.
         manifest = workspace / "data" / "manifest.tsv"
@@ -285,11 +285,21 @@ class TestErrors:
         assert "error" in err and str(short) in err
 
     @pytest.mark.parametrize(
-        "command", ["synth", "train-tree", "train-hash", "query", "benchmark", "sweep-lambda"]
+        "command, content, match",
+        [
+            *(
+                pytest.param(command, {"num_querys": 3}, "num_querys", id=command)
+                for command in ("synth", "train-tree", "train-hash", "query", "benchmark", "sweep-lambda")
+            ),
+            # Models that cannot exist over D = 16, N = 8: refused before any stage runs.
+            pytest.param("benchmark", {"hash": {"variant": "sign", "nbits": 32}}, "one bit", id="sign-32-bits"),
+            pytest.param("benchmark", {"hash": {"variant": "shared", "rotate": True}}, "rotation", id="rotate"),
+            pytest.param("benchmark", {"hash": {"nbits": 0}}, "K >= 1", id="0-bits"),
+        ],
     )
-    def test_unknown_config_key_reports_error(self, workspace, tmp_path, capsys, command):
+    def test_unknown_config_key_reports_error(self, workspace, tmp_path, capsys, command, content, match):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"num_querys": 3}))
+        bad.write_text(json.dumps(content))
         data = workspace / "data"
         files = {
             "--manifest": data / "manifest.tsv",
@@ -304,7 +314,7 @@ class TestErrors:
                 argv += [action.option_strings[0], str(files[action.option_strings[0]])]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error [{command}] {bad}: ") and "num_querys" in err
+        assert err.startswith(f"error [{command}] {bad}: ") and match in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [bad]
 
 

@@ -2,6 +2,7 @@
 ValueError naming the file (or the payload) for a bad magic, every
 truncation and a trailing byte."""
 
+import dataclasses
 import hashlib
 import re
 import struct
@@ -199,6 +200,10 @@ def test_retired_variant_byte_raises_value_error(tmp_path):
         (1, 2, 2, 6),  # independent, likewise
         (3, 4, 2, 5),  # sign: one bit per component, D*N = 8
         (3, 4, 2, 9),
+        (0, 4, 2, 9),  # joint: 9 bits exceed D*N = 8
+        (5, 4, 2, 9),  # joint with a rotation, likewise
+        (0, 4, 2, 0),  # no bits
+        (0, 0, 2, 1),  # sub-vectors of dimension 0
     ],
 )
 def test_model_header_train_hashing_cannot_write_rejected(variant, dim, n_centers, nbits, tmp_path):
@@ -206,9 +211,11 @@ def test_model_header_train_hashing_cannot_write_rejected(variant, dim, n_center
     # header itself can be at fault.
     total = dim * n_centers
     floats = {
+        0: total + total * nbits + nbits,
         1: total + dim * n_centers * (nbits // n_centers) + nbits,
         2: dim + dim * (nbits // n_centers) + nbits,
         3: nbits,
+        5: total + total * nbits + nbits * nbits + nbits,
     }[variant]
     path = tmp_path / "bad-header.bin"
     path.write_bytes(
@@ -216,3 +223,23 @@ def test_model_header_train_hashing_cannot_write_rejected(variant, dim, n_center
     )
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("model", {"projections": ramp(6, 3)}),  # a 4-bit joint model needs (6, 4)
+        ("shared-model", {"projections": ramp(2, 2)}),  # a shared one of D = 3 needs (3, 2)
+        ("rotated-model", {"rotation": ramp(3, 3)}),
+        ("sign-model", {"reversal_scales": ramp(5)}),
+        ("shared-model", {"nbits": 3, "reversal_scales": ramp(3)}),  # 3 bits do not split over N = 2
+        ("sign-model", {"nbits": 4, "reversal_scales": ramp(4)}),  # sign takes D*N = 6 bits
+        ("shared-model", {"rotation": ramp(4, 4)}),  # a rotation is joint only
+    ],
+)
+def test_save_model_refuses_what_load_model_rejects(kind, change, tmp_path):
+    model = dataclasses.replace(fixed_model(kind), **change)
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        save_model(model, path)
+    assert not path.exists()

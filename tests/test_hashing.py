@@ -13,11 +13,10 @@ from dehash.hashing import (
     approximate_vlad,
     encode,
     encode_stack,
-    mobile_memory_bytes,
-    projection_bytes,
-    quantizer_bytes,
+    model_layout,
     train_hashing,
 )
+from dehash.pipeline import ExperimentConfig, HashParams, TreeParams, memory_table
 
 
 def random_vlads(rng, n, num_centers, dim, scale=1.0):
@@ -105,7 +104,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="unknown variant 'rp'"):
             train_hashing(np.ones((50, 2, 4)), "rp", nbits=8)
         with pytest.raises(ValueError, match="unknown variant 'rp'"):
-            projection_bytes("rp", 4, 2, 8)
+            model_layout("rp", 4, 2, 8)
 
     def test_deterministic_per_seed(self, rng):
         vlads = random_vlads(rng, 60, 2, 4)
@@ -292,14 +291,22 @@ class TestReversal:
             approximate_vlad(model, BinaryCode.from_bits(np.ones(16, dtype=np.uint8)))
 
 
+def projection_bytes(variant, dim, num_centers, nbits):
+    return 4 * int(np.prod(model_layout(variant, dim, num_centers, nbits)[1]))
+
+
 class TestAccounting:
     def test_projection_bytes_formulas(self):
-        # 12,800-d signature at 1,024 bits: 50 MiB joint, 512 KiB independent.
+        # 12,800-d signature at 1,024 bits: 50 MiB joint.
         assert projection_bytes("joint", 128, 100, 1024) == 12800 * 1024 * 4 == 52428800
-        assert projection_bytes("independent", 128, 100, 1024) == 128 * 1024 * 4 == 524288
-        # Shared needs a whole number of bits per sub-vector.
+        # The split variants need a whole number of bits per sub-vector.
+        for variant in ("independent", "shared"):
+            with pytest.raises(ValueError, match="divisible"):
+                model_layout(variant, 128, 100, 1024)
+        assert projection_bytes("independent", 128, 100, 1000) == 128 * 1000 * 4 == 512000
         assert projection_bytes("shared", 128, 100, 1000) == 128 * 10 * 4 == 5120
         assert projection_bytes("shared", 128, 100, 12800) == 128 * 128 * 4
+        assert projection_bytes("sign", 128, 100, 12800) == 0
 
     def test_memory_ordering(self):
         shared = projection_bytes("shared", 128, 100, 1000)
@@ -309,8 +316,12 @@ class TestAccounting:
 
     def test_quantizer_bytes(self):
         # Two-level coarse tree with 10 branches: 10 + 100 nodes of 128 floats.
-        assert quantizer_bytes(128, 10, 2) == 128 * 110 * 4 == 56320
-        assert mobile_memory_bytes("shared", 128, 100, 12800, 10, 2) == 65536 + 56320 == 121856
+        config = ExperimentConfig(
+            dim=128, tree=TreeParams(branch=10, levels=3, vlad_level=2), hash=HashParams("shared", 12800)
+        )
+        rows = {row["variant"]: row for row in memory_table(config)}
+        assert rows["shared"]["quantizer_bytes"] == 128 * 110 * 4 == 56320
+        assert rows["shared"]["mobile_memory_bytes"] == 65536 + 56320 == 121856
 
 
 class TestSerialization:

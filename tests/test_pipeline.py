@@ -72,8 +72,10 @@ class TestConfig:
         assert tiny_config(manifest="data/manifest.tsv", synthetic=None).synthetic is None
 
     def test_unknown_hash_variant_rejected(self):
-        with pytest.raises(ValueError, match="'rp'"):
-            HashParams(variant="rp")
+        with pytest.raises(ValueError, match="unknown variant 'rp'"):
+            ExperimentConfig(hash=HashParams(variant="rp"))
+        with pytest.raises(ValueError, match="unknown variant 'rp'"):
+            config_from_dict({"hash": {"variant": "rp"}})
 
     def test_every_tuple_field_round_trips(self):
         config = ExperimentConfig(
@@ -164,6 +166,10 @@ class TestConfig:
             ({"pq": {"bits": 17}}, "bits"),
             ({"pq": {"bits": 0}}, "bits"),
             ({"pq": {"subvectors": 0}}, "subvectors"),
+            # No model of these exists over the default D = 16, N = 8.
+            ({"hash": {"variant": "sign", "nbits": 32}}, "one bit per component"),
+            ({"hash": {"variant": "shared", "rotate": True}}, "rotation"),
+            ({"hash": {"nbits": 0}}, "K >= 1"),
         ],
     )
     def test_bad_config_values_rejected(self, data, match):
@@ -172,6 +178,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             if "pq" in data:
                 PQParams(**data["pq"])
+            elif "hash" in data:
+                ExperimentConfig(hash=HashParams(**data["hash"]))
             else:
                 ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
@@ -188,18 +196,28 @@ class TestConfig:
 
 class TestMemoryTable:
     def test_matches_closed_forms(self):
-        from dehash import hashing
-
         config = tiny_config()
         rows = {r["variant"]: r for r in memory_table(config)}
         d = config.dim
         n = config.tree.branch**config.tree.vlad_level
         k = config.hash.nbits
-        assert rows["joint"]["projection_bytes"] == hashing.projection_bytes("joint", d, n, k)
-        assert rows["shared"]["projection_bytes"] == hashing.projection_bytes("shared", d, n, k)
+        tree_bytes = 4 * d * n  # the VLAD level is the first
+        assert rows["joint"]["projection_bytes"] == 4 * d * n * k
+        assert rows["independent"]["projection_bytes"] == 4 * d * k
+        assert rows["shared"]["projection_bytes"] == 4 * d * (k // n)
+        assert rows["sign"]["projection_bytes"] == 0 and rows["sign"]["bits"] == d * n
+        for row in rows.values():
+            assert row["quantizer_bytes"] == tree_bytes
+            assert row["mobile_memory_bytes"] == row["projection_bytes"] + tree_bytes
         assert rows["shared"]["mobile_memory_bytes"] < rows["independent"]["mobile_memory_bytes"]
         assert rows["independent"]["mobile_memory_bytes"] < rows["joint"]["mobile_memory_bytes"]
         assert rows["joint"]["transmission_bytes"] == (k + 7) // 8
+
+    def test_bits_the_split_variants_cannot_take_give_no_row(self, tmp_path):
+        # 12 bits do not split over N = 8 sub-vectors; the run must still report.
+        result = run_pipeline(tiny_config(hash=HashParams(nbits=12), modes=("hamming",)), out_dir=tmp_path)
+        assert result.model.nbits == 12
+        assert [row["variant"] for row in result.report["memory_table"]] == ["joint", "sign"]
 
 
 class TestRunPipeline:
