@@ -56,7 +56,7 @@ from .retrieval import (
     recall_at,
     train_pq,
 )
-from .vocab import VocabularyTree, train_vocabulary
+from .vocab import VocabularyTree, train_vocabulary, tree_shape
 
 ALL_MODES = (
     "bow",
@@ -168,9 +168,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.manifest is not None and self.synthetic is not None:
             raise ValueError("manifest and synthetic are exclusive: a run loads a manifest or synthesizes")
-        # The model the run trains: one over the tree's N = branch**vlad_level coarse centers.
-        h = self.hash
-        hashing.model_layout(h.variant, self.dim, self.tree.branch**self.tree.vlad_level, h.nbits, h.rotate)
+        # The tree the run trains, then the model over its N coarse centers.
+        t, h = self.tree, self.hash
+        num_centers, _ = tree_shape(t.branch, t.levels, t.vlad_level)
+        hashing.model_layout(h.variant, self.dim, num_centers, h.nbits, h.rotate)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -400,7 +401,7 @@ def memory_table(config: ExperimentConfig) -> list[dict]:
     level).  A variant that cannot take the configured bits has no row.
     """
     d, t = config.dim, config.tree
-    n = t.branch**t.vlad_level
+    n, _ = tree_shape(t.branch, t.levels, t.vlad_level)
     tree_bytes = 4 * d * sum(t.branch**level for level in range(1, t.vlad_level + 1))
     rows = []
     for variant in hashing.VARIANTS:

@@ -56,10 +56,6 @@ class CandidateVWs:
             raise ValueError(f"parent ids must lie in [0, num_centers={self.num_centers})")
         object.__setattr__(self, "mask", _readonly(mask))
 
-    def allowed(self, center: int) -> np.ndarray:
-        """The center's admissible leaf ids, ascending."""
-        return np.flatnonzero(self.mask & (self.parent_of_leaf == center))
-
     @classmethod
     def from_leaf_ids(cls, tree: VocabularyTree, leaf_ids: Iterable[int]) -> "CandidateVWs":
         """The mask of ``leaf_ids``, given as any iterable, repeats allowed;
@@ -72,23 +68,12 @@ class CandidateVWs:
         return cls(mask, tree.parent_of_leaf, tree.num_vlad_centers)
 
 
-def build_dictionary(
-    tree: VocabularyTree,
-    vlad_id: int,
-    restrict: Iterable[int] | None = None,
-) -> Dictionary:
-    """Difference dictionary for one coarse center.
-
-    ``restrict`` narrows the columns to the given leaf ids (all must belong to
-    the center's sub-tree).  Columns for leaves that coincide with the center
-    are kept; the solver leaves their coefficients at zero.
+def build_dictionary(tree: VocabularyTree, vlad_id: int) -> Dictionary:
+    """Difference dictionary for one coarse center: its sub-tree's leaves
+    minus the center.  Columns for leaves that coincide with the center are
+    kept; the solver leaves their coefficients at zero.
     """
     ids = subtree_leaves(tree, vlad_id)
-    if restrict is not None:
-        wanted = np.asarray(sorted(set(int(i) for i in restrict)), dtype=np.int64)
-        if wanted.size and not np.all(np.isin(wanted, ids)):
-            raise ValueError(f"restriction contains leaves outside sub-tree of center {vlad_id}")
-        ids = wanted
     center = np.asarray(tree.vlad_centers[vlad_id], dtype=np.float64)
     leaves = np.asarray(tree.leaf_centers, dtype=np.float64)[ids]
     return Dictionary(columns=(leaves - center).T, column_ids=ids, vlad_id=vlad_id)
@@ -104,10 +89,11 @@ class ReconstructionContext:
 
     A restricted dictionary is the slice of the cached full one at the
     positions whose leaves a candidate mask admits (the values and memory
-    layout equal ``build_dictionary``'s bit for bit).  Its first copies
-    (``Dictionary.first_copies``) come from the full dictionary's classes:
-    where the full dictionary has no equal columns every column is a first
-    copy, else a column is one when its class occurs at no earlier position.
+    layout equal those of a dictionary built from just those leaves, bit
+    for bit).  Its first copies (``Dictionary.first_copies``) come from the
+    full dictionary's classes: where the full dictionary has no equal
+    columns every column is a first copy, else a column is one when its
+    class occurs at no earlier position.
     A slice gets no cached Gram: the solver forms the sliced columns' own
     ``D.T @ D``, as it would for a dictionary built afresh, rather than a
     slice of the full Gram, which can differ from it in the last bits.
@@ -135,8 +121,8 @@ class ReconstructionContext:
 
     def restricted(self, vlad_id: int, candidates: CandidateVWs) -> Dictionary:
         """The center's columns that ``candidates`` admits, sliced from the
-        cached full dictionary: ``build_dictionary(tree, vlad_id, ids)`` for
-        the admitted leaf ids, bit for bit."""
+        cached full dictionary: bit for bit the dictionary built from the
+        admitted leaf ids alone."""
         full, _ = self.full(vlad_id)
         return full.take(candidates.mask[full.column_ids].nonzero()[0])
 

@@ -10,9 +10,11 @@ The index is columnar.  Each per-image representation is stored once, as an
 array with one row per image, which ``build_index`` aggregates straight from
 the descriptors, so each ``rank_*`` computes the whole score vector in one
 numpy pass.  Rows follow the ascending image ids, so the stable order of the
-scores is the (score, id) order; ``DatabaseIndex._ranking`` gets it from
-numpy's faster unstable sort and puts each run of equal scores back in row
-order (see :func:`_stable_argsort`):
+scores is the (score, id) order.  ``DatabaseIndex._ranking`` gets it from
+numpy's faster unstable sort for float scores, putting each run of equal
+scores back in row order (see :func:`_stable_argsort`); integer scores (the
+Hamming bit counts, as uint8 or uint16 keys) go through numpy's stable sort
+directly, a radix sort on such keys, and are kept as float64:
 
 * BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
   row's total, so a row's L1-normalized weights are its counts over its
@@ -21,7 +23,9 @@ order (see :func:`_stable_argsort`):
   L1-normalized ``a`` and ``b``, whose terms are non-zero only at the words
   the query holds, so only those words' postings are visited; evaluated on
   counts so that integer counts score exactly (see :func:`rank_bow`);
-* codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``;
+* codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``
+  in the widest words that tile a row, the counts added in the smallest
+  unsigned type that holds ``K``;
 * VLAD: the raw ``(n, N*D)`` matrix, and its copy under the one ranking
   normalization (``aggregate.RANK_NORMALIZATION``: intra-normalization, then
   a global L2) stored column-major as ``(N*D, n)``, written in one pass over
@@ -29,7 +33,11 @@ order (see :func:`_stable_argsort`):
   the squared differences in the order numpy's row sums use
   (:func:`dehash.vocab.column_sq_distances`); a query VLAD is a raw ``(N, D)``
   array of the stored shape;
-* PQ codes: an ``(n, m)`` matrix, scored by one look-up-table gather;
+* PQ codes: one column-major ``(m, n)`` matrix with each sub-vector's codes
+  offset by ``j * k`` (uint16 while ``m * k <= 2**16``), so it indexes the
+  flattened ``(m, k)`` look-up table directly; the table and each image's
+  sum over its ``m`` entries are added in ``np.sum``'s pairwise order
+  (:func:`dehash.vocab.pairwise_row_sums`), 8 code rows at a time;
 * GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none) and the
   cosine of each latitude, scored by a vectorized haversine.
 
@@ -56,7 +64,9 @@ from .aggregate import (
 )
 from .formats import EARTH_RADIUS_M
 from .hashing import BinaryCode, HashingModel, encode_stack
-from .vocab import VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center
+from .vocab import (
+    VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center, pairwise_row_sums
+)
 
 # Below this many scores numpy's stable sort costs less than the unstable
 # sort plus the tie repair (the two cross between about 500 and 2000 scores
@@ -229,7 +239,7 @@ class DatabaseIndex:
     ``codes``, the packed ``(n, ceil(nbits / 8))`` uint8 code matrix
     (``encode_stack``).  ``gps`` may miss images and becomes an ``(n, 2)``
     radians matrix, NaN where an image has no fix, plus each latitude's
-    cosine; ``attach_pq`` adds an ``(n, m)`` PQ code matrix.  A
+    cosine; ``attach_pq`` adds the ``(m, n)`` offset PQ code matrix.  A
     column that breaks these rules raises ``ValueError``.  The arrays are kept
     as read-only views, not copies, and ``bows``, ``vlads`` (raw ``(N, D)``
     row views), ``codes``, ``pq_codes`` and ``gps`` are by-id views over them.
@@ -292,7 +302,7 @@ class DatabaseIndex:
             if nbits is None or codes.shape[1:] != ((nbits + 7) // 8,):
                 raise ValueError(f"codes of shape {codes.shape} do not pack {nbits} bits per row")
             _check_rows("code", len(codes), n)
-            self._codes = _readonly(np.asarray(codes, dtype=np.uint8))
+            self._codes = _readonly(np.ascontiguousarray(codes, dtype=np.uint8))
             if nbits % 8 and np.any(self._codes[:, -1] >> nbits % 8):
                 raise ValueError(f"codes set bits past their {nbits} bits")
             self.codes = self._view(lambda r: BinaryCode(self._codes[r], nbits))
@@ -327,9 +337,18 @@ class DatabaseIndex:
         return self._rank_columns.T.copy()
 
     def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
-        """Order every image by (score, id): rows are in id order, so the stable order."""
-        order = _stable_argsort(scores)
-        return Ranking._of_rows(self._ids_array, self._row, order, scores[order], degenerate)
+        """Order every image by (score, id): rows are in id order, so the stable order.
+
+        Integer scores (bit counts) are sorted as they are, by numpy's stable
+        sort, a radix sort on 8- and 16-bit keys, and kept as float64.
+        """
+        if scores.dtype.kind in "iu":
+            order = np.argsort(scores, kind="stable")
+            ordered = scores[order].astype(np.float64)
+        else:
+            order = _stable_argsort(scores)
+            ordered = scores[order]
+        return Ranking._of_rows(self._ids_array, self._row, order, ordered, degenerate)
 
 
 def _stable_argsort(scores: np.ndarray) -> np.ndarray:
@@ -466,8 +485,16 @@ def rank_hamming(index: DatabaseIndex, query: BinaryCode) -> Ranking:
         raise ValueError("index stores no binary codes")
     if query.nbits != index.nbits:
         raise ValueError(f"query code has {query.nbits} bits, index codes {index.nbits}")
-    differing = np.bitwise_count(index._codes ^ query.packed).sum(axis=1, dtype=np.int64)
-    return index._ranking(differing.astype(np.float64))
+    # XOR and count in the widest words that tile a code; the counts of a
+    # row's words add up to its distance, exactly, in the smallest key type.
+    size = next(size for size in (8, 4, 2, 1) if index._codes.shape[1] % size == 0)
+    word = np.dtype(f"u{size}")
+    query_words = np.ascontiguousarray(query.packed).view(word)
+    counts = np.bitwise_count(index._codes.view(word) ^ query_words)
+    differing = counts[:, 0].astype(np.min_scalar_type(index.nbits))
+    for j in range(1, counts.shape[1]):
+        differing += counts[:, j]
+    return index._ranking(differing)
 
 
 def train_pq(
@@ -503,7 +530,11 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
 
     One ``nearest_center`` call per sub-vector over all rows, on a C-ordered
     copy of that sub-vector's columns, so each row's code equals that of the
-    row's sub-vector quantized alone.
+    row's sub-vector quantized alone.  The codes are stored column-major,
+    ``(m, n)``, each row ``j`` offset by ``j * k`` so that it indexes the
+    flattened ``(m, k)`` look-up table directly, in the smallest unsigned
+    type that holds ``m * k - 1`` (uint16 while ``m * k <= 2**16``).
+    ``pq_codes`` gives each image's raw codes.
     """
     if index._rank_columns is None:
         raise ValueError("index stores no VLADs")
@@ -512,26 +543,45 @@ def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:
     m, k, width = books.shape
     if m * width != len(columns):
         raise ValueError(f"codebooks cover dim {m * width}, VLADs have {len(columns)}")
-    codes = np.empty((len(index.ids), m), dtype=np.uint8 if k <= 256 else np.uint16)
+    codes = np.empty((m, len(index.ids)), dtype=np.min_scalar_type(m * k - 1))
     for j in range(m):
-        codes[:, j] = nearest_center(columns[j * width : (j + 1) * width].T.copy(), books[j])
+        codes[j] = nearest_center(columns[j * width : (j + 1) * width].T.copy(), books[j])
+    offsets = (np.arange(m) * k).astype(codes.dtype)
+    codes += offsets[:, None]
+    raw = np.uint8 if k <= 256 else np.uint16
     index.pq = codebooks
     index._pq_codes = _readonly(codes)
-    index.pq_codes = index._view(codes.__getitem__)
+    index.pq_codes = index._view(lambda r: (codes[:, r] - offsets).astype(raw))
 
 
 def rank_adc(index: DatabaseIndex, query: np.ndarray) -> Ranking:
-    """Asymmetric ranking: exact (normalized) query vs quantized database."""
+    """Asymmetric ranking: exact (normalized) query vs quantized database.
+
+    The look-up table ``table[j, c] = ||q_j - center_{j,c}||^2`` is summed
+    over the ``width`` dimensions of whole ``(m, k)`` planes, and each image's
+    score over its ``m`` gathered entries, 8 stored code rows at a time;
+    both sums run in the pairwise order of :func:`dehash.vocab.pairwise_row_sums`,
+    so the scores equal ``np.sum((books - q_j) ** 2, axis=2)`` gathered and
+    summed with ``.sum(axis=1)``, bit for bit.
+    """
     if index.pq is None or index._pq_codes is None:
         raise ValueError("index has no trained product quantizer")
     q = _normalized_query(index, query)
     books = index.pq.codebooks
     m, k, width = books.shape
-    # Lookup-table evaluation: table[j, c] = ||q_j - center_{j,c}||^2, gathered
-    # for every image at once through the flat offsets j * k + code.
-    table = np.sum((books - q.reshape(m, 1, width)) ** 2, axis=2)
-    gathered = table.ravel().take(index._pq_codes + np.arange(m) * k)
-    return index._ranking(gathered.sum(axis=1))
+    by_dim = books.transpose(2, 0, 1)  # (width, m, k)
+    q_by_dim = q.reshape(m, width).T[:, :, None]
+    codes = index._pq_codes
+
+    def squares(lo: int, hi: int, out: np.ndarray) -> None:
+        np.subtract(by_dim[lo:hi], q_by_dim[lo:hi], out=out.reshape(hi - lo, m, k))
+        np.square(out, out=out)
+
+    def entries(lo: int, hi: int, out: np.ndarray) -> None:
+        np.take(table, codes[lo:hi], out=out, mode="clip")  # the offsets are in range
+
+    table = pairwise_row_sums(squares, width, m * k)
+    return index._ranking(pairwise_row_sums(entries, m, codes.shape[1]))
 
 
 def rank_gps(index: DatabaseIndex, query_gps: tuple[float, float]) -> Ranking:

@@ -20,8 +20,7 @@ Two routes from a residual sub-vector back to word counts:
 * :func:`solve_tikhonov_batch` - closed-form L2-regularized solves against a
   prior, each evaluated through a (dim x dim) system rather than the (T x T)
   normal equations, so cost scales with the feature dimension and not the
-  vocabulary width; the systems share one stacked LAPACK call, and
-  :func:`solve_tikhonov` is the one-problem call.
+  vocabulary width; the systems share one stacked LAPACK call.
 """
 
 from __future__ import annotations
@@ -109,11 +108,6 @@ class LassoResult:
     converged: bool
     sweeps: int
     objective: float
-
-
-def lasso_objective(dictionary: Dictionary, v: np.ndarray, lam: float, h: np.ndarray) -> float:
-    r = v - dictionary.columns @ h
-    return float(r @ r + lam * np.sum(h))
 
 
 def _solve_blocks(blocks: np.ndarray, rhs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -324,21 +318,6 @@ def solve_nn_lasso_batch(
     ]
 
 
-def lasso_kkt_residuals(
-    dictionary: Dictionary, v: np.ndarray, lam: float, h: np.ndarray
-) -> tuple[float, float]:
-    """Optimality residuals at h: (max |gradient| on the support,
-    max violation of gradient >= 0 off the support).  Both are 0 at the optimum.
-    """
-    cols = dictionary.columns
-    grad = -2.0 * (cols.T @ (np.asarray(v, dtype=np.float64) - cols @ h)) + lam
-    active = h > 0
-    stationarity = float(np.max(np.abs(grad[active]))) if active.any() else 0.0
-    inactive = ~active
-    violation = float(max(0.0, -np.min(grad[inactive]))) if inactive.any() else 0.0
-    return stationarity, violation
-
-
 def solve_tikhonov_batch(
     problems: Sequence[tuple[Dictionary, np.ndarray, np.ndarray]],
     alpha: float,
@@ -391,14 +370,3 @@ def solve_tikhonov_batch(
     z = np.linalg.solve(np.stack(systems), np.stack(rhs)[:, :, None])[:, :, 0]
     return [a1 * (cols.T @ zi) + h0 for (a1, cols, h0), zi in zip(backs, z)]
 
-
-def solve_tikhonov(
-    dictionary: Dictionary,
-    v: np.ndarray,
-    h0: np.ndarray,
-    alpha: float,
-    n1: float | None = None,
-    n2: float | None = None,
-) -> np.ndarray:
-    """The one-problem call of :func:`solve_tikhonov_batch`."""
-    return solve_tikhonov_batch([(dictionary, v, h0)], alpha, n1, n2)[0]

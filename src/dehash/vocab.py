@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -29,6 +29,11 @@ _SCORE_BLOCK_ELEMENTS = 2**18
 # less than setting up the matrix product (the two cross near 25k on a 2-CPU
 # Xeon with one BLAS thread).  Per-image quantization falls below it.
 _SCAN_MAX_ELEMENTS = 2**15
+# Up to this many (row, padded pool slot) scores, one product over every
+# leaf beats one ``nearest_center`` call per pool in ``assign_descriptors``
+# (on the default tree the two cross between 512 and 1024 rows); it also
+# bounds the product to about 2 MiB.
+_LEAF_PRODUCT_MAX_SCORES = 2**18
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _TINY = np.finfo(np.float64).smallest_subnormal
 
@@ -52,36 +57,14 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Scanning every difference costs an ``(n, k, d)`` tensor, so the kernel
     instead scores a block of rows with one matrix product,
     ``S_j = |c_j|^2 + x.(-2 c_j)`` (equal to ``D_j - |x|^2`` in exact
-    arithmetic), and re-scores with the difference form only where ``S``
-    cannot decide.
-
-    Why the candidates always hold the exact answer.  With unit roundoff
-    ``u = 2**-53`` and ``g = (d + 2) u / (1 - (d + 2) u)``, and
-    ``R = |x| + max_j |c_j|``, standard summation bounds hold for any order
-    of the sums, so for whatever summation order the BLAS uses:
-
-    * the difference form has ``d`` subtractions, ``d`` squarings and
-      ``d - 1`` additions of non-negative terms, so
-      ``|fl(D_j) - D_j| <= g D_j <= g R^2``;
-    * ``|c|^2`` and ``x.(-2c)`` are ``d``-term dot products (scaling by -2
-      is exact) with errors of at most ``g |c|^2`` and ``2 g |x||c|``
-      (Cauchy-Schwarz), and their sum rounds once more, so
-      ``|fl(S_j) - S_j| <= g (|c_j|^2 + 2 |x||c_j|) <= g R^2``.
-
-    Let ``j*`` be the answer and ``m`` the index of the smallest ``fl(S)``.
-    ``fl(D_j*) <= fl(D_m)`` gives ``S_j* <= S_m + 2 g R^2``, hence
-    ``fl(S_j*) <= fl(S_m) + 4 g R^2``.  Every center scoring within
-    ``tau = 8 g R^2`` of the row minimum is therefore kept: the factor two
-    over the proof covers the rounding of ``R``, of ``tau`` itself and of the
-    comparison, and ``8 (d + 2)`` smallest subnormals are added for products
-    that underflow.  A row with one candidate is decided (it is ``m``); a row
-    with several re-scores them with the difference form and takes the
-    lowest index among the smallest values, which is ``j*`` because ``j*`` is
-    the first minimum over all centers.  A row whose point is not finite,
-    and every row when a center is not finite, or when ``4 R^2`` overflows,
-    falls back to the full difference scan, so NaN and overflow select what
-    that scan selects.  So does a call with at most ``_SCAN_MAX_ELEMENTS``
-    differences in all, where setting up the product costs more than the scan.
+    arithmetic), and lets :func:`_certified_argmin` re-score with the
+    difference form only where ``S`` cannot decide; the same certification
+    decides ``assign_descriptors``' one-product leaf search.  A row whose point is
+    not finite, and every row when a center is not finite, or when ``4 R^2``
+    overflows, falls back to the full difference scan, so NaN and overflow
+    select what that scan selects.  So does a call with at most
+    ``_SCAN_MAX_ELEMENTS`` differences in all, where setting up the product
+    costs more than the scan.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -92,37 +75,87 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     idx = np.empty(n, dtype=np.int64)
     sq_norms = np.einsum("ij,ij->i", centers, centers)
     c_max = np.sqrt(sq_norms.max())
-    g = (d + 2) * _U / (1 - (d + 2) * _U)
-    floor = 8 * (d + 2) * _TINY
     scaled = -2.0 * centers.T
     block = max(1, _SCORE_BLOCK_ELEMENTS // k)
     for start in range(0, n, block):
         X = points[start : start + block]
         scores = X @ scaled
         scores += sq_norms
-        best = np.argmin(scores, axis=1)
-        r2 = np.sqrt(np.einsum("ij,ij->i", X, X))
-        r2 += c_max
-        r2 *= r2  # R^2
-        exact = np.isfinite(4 * r2)  # false for a NaN or inf in x or a center
-        limit = scores[np.arange(len(best)), best]
-        limit += (8 * g) * r2 + floor
-        near = scores <= limit[:, None]
-        # A finite row always keeps its own minimum, so as many candidates as
-        # rows, all finite, means every row is decided: the usual case.
-        if not exact.all() or np.count_nonzero(near) > len(best):
-            tied = np.flatnonzero(exact & (np.count_nonzero(near, axis=1) > 1))
-            rows, cols = np.nonzero(near[tied])
-            diff = X[tied[rows]] - centers[cols]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            # Pairs arrive by row, then ascending center: a stable sort on
-            # (row, d2) puts each row's lowest-index minimum first.
-            order = np.lexsort((d2, rows))
-            best[tied] = cols[order[np.flatnonzero(np.diff(rows[order], prepend=-1))]]
+        best, exact = _certified_argmin(X, scores, c_max, lambda rows, cols: centers[cols])
+        if not exact.all():
             scan = np.flatnonzero(~exact)
             best[scan] = _difference_scan(X[scan], centers)
         idx[start : start + block] = best
     return idx
+
+
+def _certified_argmin(
+    X: np.ndarray,
+    scores: np.ndarray,
+    c_max: float | np.ndarray,
+    centers_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first minimum of the difference form over its candidate
+    centers, from their product-form scores, and which rows it decided.
+
+    Column ``j`` of ``scores`` is ``fl(S_j) = |c_j|^2 + x.(-2 c_j)`` for row
+    ``x`` of ``X``, or ``+inf`` for a column that is not the row's candidate;
+    candidates ascend by center index along a row.  ``c_max`` bounds the
+    norm of every candidate center of a row (one bound, or one per row), and
+    ``centers_of(rows, cols)`` gives the center at each (row, column).
+    Returns the column of each row's answer, and ``exact``: false for a row
+    whose answer is left to the caller's difference scan.
+
+    Why the candidates always hold the exact answer.  With unit roundoff
+    ``u = 2**-53`` and ``g = (d + 2) u / (1 - (d + 2) u)``, and
+    ``R = |x| + c_max``, standard summation bounds hold for any order of the
+    sums, so for whatever summation order the BLAS uses:
+
+    * the difference form has ``d`` subtractions, ``d`` squarings and
+      ``d - 1`` additions of non-negative terms, so
+      ``|fl(D_j) - D_j| <= g D_j <= g R^2``;
+    * ``|c|^2`` and ``x.(-2c)`` are ``d``-term dot products (scaling by -2
+      is exact) with errors of at most ``g |c|^2`` and ``2 g |x||c|``
+      (Cauchy-Schwarz), and their sum rounds once more, so
+      ``|fl(S_j) - S_j| <= g (|c_j|^2 + 2 |x||c_j|) <= g R^2``.
+
+    Let ``j*`` be the answer and ``m`` the column of the smallest ``fl(S)``.
+    ``fl(D_j*) <= fl(D_m)`` gives ``S_j* <= S_m + 2 g R^2``, hence
+    ``fl(S_j*) <= fl(S_m) + 4 g R^2``.  Every candidate scoring within
+    ``tau = 8 g R^2`` of the row minimum is therefore kept: the factor two
+    over the proof covers the rounding of ``R``, of ``tau`` itself and of the
+    comparison, and ``8 (d + 2)`` smallest subnormals are added for products
+    that underflow.  A row with one candidate kept is decided (it is ``m``);
+    a row with several re-scores them with the difference form and takes the
+    lowest column among the smallest values, which is ``j*`` because ``j*``
+    is the first minimum over all candidates.  ``+inf`` columns are never
+    kept.  A row whose ``4 R^2`` is not finite (a NaN or inf in ``x`` or a
+    candidate, or overflow) is not decided.
+    """
+    n, d = X.shape
+    g = (d + 2) * _U / (1 - (d + 2) * _U)
+    floor = 8 * (d + 2) * _TINY
+    best = np.argmin(scores, axis=1)
+    r2 = np.sqrt(np.einsum("ij,ij->i", X, X))
+    r2 += c_max
+    r2 *= r2  # R^2
+    exact = np.isfinite(4 * r2)
+    limit = scores[np.arange(n), best]
+    limit += (8 * g) * r2 + floor
+    near = scores <= limit[:, None]
+    # A decided row always keeps its own minimum, so as many candidates as
+    # rows, all exact, means every row is decided: the usual case.
+    if not exact.all() or np.count_nonzero(near) > n:
+        tied = np.flatnonzero(exact & (np.count_nonzero(near, axis=1) > 1))
+        rows, cols = np.nonzero(near[tied])
+        rows = tied[rows]
+        diff = X[rows] - centers_of(rows, cols)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        # Pairs arrive by row, then ascending column: a stable sort on
+        # (row, d2) puts each row's lowest-column minimum first.
+        order = np.lexsort((d2, rows))
+        best[tied] = cols[order[np.flatnonzero(np.diff(rows[order], prepend=-1))]]
+    return best, exact
 
 
 def cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -143,43 +176,61 @@ def column_sq_distances(
     """Squared L2 distances from ``point`` to every column of a ``(d, n)``
     array: ``np.sum((columns.T - point) ** 2, axis=1)`` bit for bit.
 
+    The squared differences are streamed 8 rows at a time into
+    :func:`pairwise_row_sums`, so nothing of size ``(d, n)`` is built.  A
+    caller that scans many times passes one ``(16, n)`` float64 ``scratch``
+    array, so the pages are not mapped afresh for every call.
+    """
+
+    def squares(lo: int, hi: int, out: np.ndarray) -> None:
+        np.subtract(columns[lo:hi], point[lo:hi, None], out=out)
+        np.square(out, out=out)
+
+    return pairwise_row_sums(squares, len(columns), columns.shape[1], scratch)
+
+
+def pairwise_row_sums(
+    load: Callable[[int, int, np.ndarray], None], d: int, n: int, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """The sum of ``d`` length-``n`` rows, added as ``np.sum(a, axis=1)``
+    adds the rows of a C-ordered ``(n, d)`` array ``a``, bit for bit.
+    ``load(lo, hi, out)`` writes rows ``lo:hi`` into ``out``, an
+    ``(hi - lo, n)`` float64 array.
+
     ``np.sum(x, axis=1)`` on a C-contiguous ``(n, d)`` array sums each row by
     numpy's pairwise scheme: below 8 terms one running sum from 0; up to 128
     terms eight running sums over strides of 8, combined as
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
     remainder added one by one; above 128 terms the two halves split at the
     multiple of 8 at or below ``d // 2``, each summed the same way.  Here the
-    same additions run on whole length-``n`` rows of the column-major data,
-    streamed 8 rows at a time: each group's differences are squared in an
-    ``(8, n)`` buffer and added into eight running sums, so nothing of size
-    ``(d, n)`` is built.  The squares are non-negative, so starting a sum
-    from ``+0.0`` changes nothing.  ``scratch``, a ``(16, n)`` float64 array,
-    holds the running sums and the group; a caller that scans many times
-    passes one, so the pages are not mapped afresh for every call.
+    same additions run on whole length-``n`` rows, loaded 8 at a time and
+    added into eight running sums, so the terms are never all held at once.
+    Sums start from ``+0.0``, which changes nothing for terms that are not
+    ``-0.0``, such as squares and sums of squares.  ``scratch``, a
+    ``(16, n)`` float64 array, holds the running sums and the group; a new
+    one is made when it is not given.
     """
     if scratch is None:
-        scratch = np.empty((16, columns.shape[1]))
-    return _pairwise_sq_rows(columns, point, 0, len(columns), scratch[:8], scratch[8:])
+        scratch = np.empty((16, n))
+    return _pairwise_rows(load, 0, d, scratch[:8], scratch[8:])
 
 
-def _pairwise_sq_rows(
-    columns: np.ndarray, point: np.ndarray, lo: int, hi: int, sums: np.ndarray, group: np.ndarray
+def _pairwise_rows(
+    load: Callable[[int, int, np.ndarray], None], lo: int, hi: int, sums: np.ndarray, group: np.ndarray
 ) -> np.ndarray:
-    """Rows ``lo:hi`` of :func:`column_sq_distances`, in a new array."""
+    """Rows ``lo:hi`` of :func:`pairwise_row_sums`, summed into a new array."""
     d = hi - lo
     if d > 128:
         half = d // 2
         half -= half % 8
-        total = _pairwise_sq_rows(columns, point, lo, lo + half, sums, group)
-        total += _pairwise_sq_rows(columns, point, lo + half, hi, sums, group)
+        total = _pairwise_rows(load, lo, lo + half, sums, group)
+        total += _pairwise_rows(load, lo + half, hi, sums, group)
         return total
     stop = hi - d % 8
     if d >= 8:
-        np.subtract(columns[lo : lo + 8], point[lo : lo + 8, None], out=sums)
-        np.square(sums, out=sums)
+        load(lo, lo + 8, sums)
         for i in range(lo + 8, stop, 8):
-            np.subtract(columns[i : i + 8], point[i : i + 8, None], out=group)
-            np.square(group, out=group)
+            load(i, i + 8, group)
             sums += group
         pairs = sums[0::2]
         pairs += sums[1::2]  # rows 0, 2, 4, 6: r0 + r1, r2 + r3, r4 + r5, r6 + r7
@@ -187,12 +238,11 @@ def _pairwise_sq_rows(
         quads += pairs[1::2]  # rows 0, 4: (r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)
         total = quads[0] + quads[1]
     else:
-        total = np.zeros(columns.shape[1])
-    row = group[0]
+        total = np.zeros(sums.shape[1])
+    row = group[:1]
     for i in range(stop, hi):
-        np.subtract(columns[i], point[i], out=row)
-        np.square(row, out=row)
-        total += row
+        load(i, i + 1, row)
+        total += row[0]
     return total
 
 
@@ -378,6 +428,13 @@ class VocabularyTree:
 
         return ReconstructionContext(self)
 
+    @cached_property
+    def leaf_pools(self) -> "LeafPools":
+        """The float64 leaves grouped by coarse center, for the one-product
+        leaf search; built on first access and kept on the instance, like
+        ``reconstruction_context``."""
+        return LeafPools.of(self)
+
     def validate(self) -> None:
         if self.vlad_centers.shape[1] != self.dim or self.leaf_centers.shape[1] != self.dim:
             raise ValueError("center dimensionality does not match tree dim")
@@ -389,6 +446,20 @@ class VocabularyTree:
             raise ValueError("parent id out of range")
         if not (np.all(np.isfinite(self.vlad_centers)) and np.all(np.isfinite(self.leaf_centers))):
             raise ValueError("tree centers must be finite")
+
+
+def tree_shape(branch: int, levels: int, vlad_level: int) -> tuple[int, int]:
+    """``(N, M)``, the coarse centers and leaves of a tree with ``branch``
+    children per node, ``levels`` deep, aggregating at ``vlad_level``: the
+    one rule for which trees exist.  ``ValueError``, naming the field,
+    unless ``branch >= 2`` and ``1 <= vlad_level < levels``."""
+    if branch < 2:
+        raise ValueError(f"branch must be >= 2, got branch={branch}")
+    if not 1 <= vlad_level < levels:
+        raise ValueError(
+            f"vlad_level must satisfy 1 <= vlad_level < levels, got vlad_level={vlad_level}, levels={levels}"
+        )
+    return branch**vlad_level, branch**levels
 
 
 def train_vocabulary(
@@ -411,15 +482,12 @@ def train_vocabulary(
     iteration.  Nodes that receive no descriptors pass their center down to
     all children.
     """
+    tree_shape(branch, levels, vlad_level)
     X = np.asarray(descriptors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("descriptor set must be a nonempty (n, D) array")
     if not np.all(np.isfinite(X)):
         raise ValueError("descriptors must be finite")
-    if branch < 2:
-        raise ValueError("branch must be >= 2")
-    if not (1 <= vlad_level < levels):
-        raise ValueError("vlad_level must satisfy 1 <= vlad_level < levels")
 
     n, dim = X.shape
     node_of = np.zeros(n, dtype=np.int64)
@@ -470,23 +538,104 @@ def _descriptor_rows(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarra
     return X
 
 
+@dataclass(frozen=True)
+class LeafPools:
+    """A tree's leaves as float64 arrays, laid out by coarse center for the
+    one-product leaf search; every array read-only.
+
+    Each center's pool (its leaf ids, ascending) is padded to the largest
+    pool with the pool's last id (0 for an empty pool): ``table`` is the
+    ``(N, P)`` result.  ``scaled`` is ``-2 c.T`` for the leaves ``c`` of
+    ``table`` in row-major order, so the product ``X @ scaled`` holds pool
+    ``v``'s scores at columns ``v*P`` to ``v*P + P``; ``sq_norms[v]`` holds
+    ``|c|^2`` of each, ``+inf`` on the padding, so a padded column never
+    scores.  ``c_max[v]`` is the largest norm in the pool and ``sizes[v]``
+    its length; ``centers`` are all leaves in leaf order.
+    """
+
+    centers: np.ndarray  # (M, d)
+    scaled: np.ndarray  # (d, N*P)
+    table: np.ndarray  # (N, P) int64
+    sq_norms: np.ndarray  # (N, P)
+    c_max: np.ndarray  # (N,)
+    sizes: np.ndarray  # (N,)
+
+    @classmethod
+    def of(cls, tree: VocabularyTree) -> "LeafPools":
+        centers = np.array(tree.leaf_centers, dtype=np.float64)  # a copy: frozen below
+        pools = [subtree_leaves(tree, v) for v in range(tree.num_vlad_centers)]
+        sizes = np.array([len(pool) for pool in pools])
+        table = np.zeros((len(pools), max(1, sizes.max())), dtype=np.int64)
+        for row, pool in zip(table, pools):
+            if len(pool):
+                row[:] = pool[-1]
+                row[: len(pool)] = pool
+        leaf_sq = np.einsum("ij,ij->i", centers, centers)[table]
+        real = np.arange(table.shape[1]) < sizes[:, None]
+        sq_norms = np.where(real, leaf_sq, np.inf)
+        c_max = np.sqrt(np.max(leaf_sq * real, axis=1))
+        scaled = np.ascontiguousarray(-2.0 * centers[table.ravel()].T)
+        for array in (centers, scaled, table, sq_norms, c_max, sizes):
+            array.flags.writeable = False
+        return cls(centers, scaled, table, sq_norms, c_max, sizes)
+
+
 def assign_descriptors(
     tree: VocabularyTree, descriptors: np.ndarray, leaves: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The descriptors as float64 rows, each row's coarse-center id and, when
     ``leaves``, its leaf id (lowest id on exact ties at either level).
 
-    The coarse centers are searched once for all rows; a row's leaf is the
-    nearest leaf under its coarse center, found with the rows grouped by
-    coarse center, one ``nearest_center`` call per subtree.  Every id is an
-    exact argmin of that row alone, so it does not depend on which other
-    rows share the call.  Non-finite rows or a wrong dimension raise
-    ``ValueError``.
+    The coarse centers are searched once for all rows.  A row's leaf is the
+    nearest leaf among its coarse center's leaves (its pool), found one of
+    two ways, routed by size:
+
+    * up to ``_LEAF_PRODUCT_MAX_SCORES`` (row, padded pool slot) scores, as
+      one image's descriptors give: one product scores every row against
+      every leaf (``tree.leaf_pools``), each row's own pool is gathered from
+      it, and :func:`_certified_argmin`, the proof ``nearest_center`` rests
+      on, decides the row, re-scoring near ties in the difference form;
+    * otherwise the rows are grouped by coarse center, one
+      ``nearest_center`` call per pool: the product scores every row
+      against all ``N`` pools to use one, and past about 600 rows on the
+      default tree that costs more than the per-pool calls, so the 16k-row
+      passes of ``aggregate_images`` take this route.
+
+    Both give every row the exact argmin of its difference-form distances
+    over its pool, whatever ``parent_of_leaf`` makes the pools, so an id does
+    not depend on the route or on which other rows share the call.
+    Non-finite rows or a wrong dimension raise ``ValueError``.
     """
     X = _descriptor_rows(tree, descriptors)
     vlad_ids = nearest_center(X, tree.vlad_centers)
     if not leaves:
         return X, vlad_ids, None
+    if X.shape[0] * tree.leaf_pools.scaled.shape[1] > _LEAF_PRODUCT_MAX_SCORES:
+        return X, vlad_ids, _leaves_by_pool(tree, X, vlad_ids)
+    return X, vlad_ids, _leaves_by_product(tree, X, vlad_ids)
+
+
+def _leaves_by_product(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -> np.ndarray:
+    """Each row's leaf from one product over all leaves (see ``assign_descriptors``)."""
+    pools = tree.leaf_pools
+    if not pools.sizes[vlad_ids].all():  # an empty pool: the pool search raises
+        return _leaves_by_pool(tree, X, vlad_ids)
+    rows = np.arange(X.shape[0])
+    scores = (X @ pools.scaled).reshape(len(rows), *pools.table.shape)[rows, vlad_ids]
+    scores += pools.sq_norms[vlad_ids]
+    table = pools.table[vlad_ids]
+    best, exact = _certified_argmin(
+        X, scores, pools.c_max[vlad_ids], lambda r, cols: pools.centers[table[r, cols]]
+    )
+    leaf_ids = table[rows, best]
+    if not exact.all():
+        scan = np.flatnonzero(~exact)
+        leaf_ids[scan] = _leaves_by_pool(tree, X[scan], vlad_ids[scan])
+    return leaf_ids
+
+
+def _leaves_by_pool(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -> np.ndarray:
+    """Each row's leaf from one ``nearest_center`` call per pool."""
     leaf_ids = np.empty(X.shape[0], dtype=np.int64)
     order = np.argsort(vlad_ids, kind="stable")
     bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
@@ -494,7 +643,7 @@ def assign_descriptors(
         rows = order[bounds[v] : bounds[v + 1]]
         pool = subtree_leaves(tree, int(v))
         leaf_ids[rows] = pool[nearest_center(X[rows], tree.leaf_centers[pool])]
-    return X, vlad_ids, leaf_ids
+    return leaf_ids
 
 
 def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:

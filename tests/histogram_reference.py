@@ -6,17 +6,18 @@ histogram was a ``{word: value}`` dict, kept unchanged except that they take
 and return plain dicts (the prior's entries in the order ``pseudo_bow``
 first saw them) so the tests can compare with ``==``, that the VLAD is
 a plain ``(N, D)`` array, and that each restricted dictionary comes from
-``build_dictionary``, whose values equal the cached slice's.  Do not edit
-them to follow the production code.
+the frozen ``build_dictionary`` (``solver_reference``), whose values equal
+the cached slice's.  Do not edit them to follow the production code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dehash.reconstruct import MIN_SUBVECTOR_NORM, build_dictionary
-from dehash.sparse import solve_tikhonov
+from dehash.reconstruct import MIN_SUBVECTOR_NORM
 from dehash.vocab import subtree_leaves
+
+from solver_reference import admitted_leaves, build_dictionary, solve_tikhonov
 
 
 def pseudo_bow(index, ranking, top_r: int = 5) -> dict[int, float]:
@@ -53,7 +54,7 @@ def reconstruct_bow_with_prior(v, tree, h0: dict[int, float], alpha, candidates=
         center = int(center)
         allowed: set[int]
         if candidates is not None:
-            allowed = set(candidates.allowed(center))
+            allowed = set(admitted_leaves(candidates, center).tolist())
         else:
             allowed = set(int(t) for t in subtree_leaves(tree, center))
         allowed |= prior_by_center.get(center, set())

@@ -8,7 +8,9 @@ to follow the production solver.
 
 import numpy as np
 
-from dehash.sparse import Dictionary, LassoResult, lasso_kkt_residuals, lasso_objective
+from dehash.sparse import Dictionary, LassoResult
+
+from solver_reference import lasso_kkt_residuals, lasso_objective
 
 
 def _segment_solution(gram, corr, active):

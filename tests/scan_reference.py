@@ -4,8 +4,10 @@ posting-list BoW scan must match.
 ``vlad_distances`` is the row-major L2 scan and ``bow_scores`` the
 dense-gather CSR sum-of-min scan that ``dehash.retrieval`` shipped before the
 ranking-normalized VLADs were stored column-major and ``BowMatrix`` kept
-posting lists, kept unchanged so the tests can require identical score
-floats.  Do not edit it to follow the production code.
+posting lists; ``adc_scores`` is the row-major look-up-table scan it shipped
+before the PQ codes were stored column-major with their offsets.  All are
+kept unchanged so the tests can require identical score floats.  Do not
+edit them to follow the production code.
 """
 
 from __future__ import annotations
@@ -31,3 +33,13 @@ def bow_scores(bow, query) -> np.ndarray:
     np.minimum(scaled, bow.counts * mass, out=scaled)
     joint = mass * bow.mass
     return 2.0 * (joint - np.add.reduceat(scaled, bow.indptr[:-1])) / joint
+
+
+def adc_scores(books: np.ndarray, codes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``rank_adc``'s score per row of the raw ``(n, m)`` codes: the
+    ``(m, k)`` table of squared distances from each query sub-vector to its
+    codebook, gathered through the offsets ``j * k + code`` and summed per row."""
+    m, k, width = books.shape
+    table = np.sum((books - q.reshape(m, 1, width)) ** 2, axis=2)
+    gathered = table.ravel().take(codes.astype(np.int64) + np.arange(m) * k)
+    return gathered.sum(axis=1)

@@ -1,7 +1,8 @@
-"""The matrix-product nearest-center kernel and the column-major k-means++
-seeder against their frozen references."""
+"""The matrix-product nearest-center kernel, the one-product leaf search and
+the column-major k-means++ seeder against their frozen references."""
 
 import contextlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dehash import retrieval, vocab
+from dehash.dataset import training_blob
 from dehash.retrieval import train_pq
 from dehash.vocab import (
+    VocabularyTree,
     _weighted_pick,
+    assign_descriptors,
     cluster_sums,
     column_sq_distances,
     kmeans_pp_init,
@@ -22,6 +26,8 @@ from dehash.vocab import (
 )
 
 from nearest_center_reference import kmeans_pp_init_reference, lloyd_reference, nearest_center_reference
+import test_sparse
+from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
 
 
@@ -92,6 +98,203 @@ class TestParity:
         centers = rng.integers(-3, 4, size=(300, 4)) * 0.5
         points = rng.integers(-6, 7, size=(2000, 4)) * 0.25
         assert np.array_equal(nearest_center(points, centers), nearest_center_reference(points, centers))
+
+
+def force_leaf_route(product: bool):
+    """Send every leaf search of ``assign_descriptors`` through the one
+    product over all leaves (``product``) or one call per pool."""
+    return mock.patch.object(vocab, "_LEAF_PRODUCT_MAX_SCORES", 2**62 if product else -1)
+
+
+def leaves_reference(tree, descriptors):
+    """Each row's coarse center and leaf, one frozen scan per row: the leaf
+    is the first minimum over the leaves whose parent is the row's center."""
+    X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
+    vlad_ids = nearest_center_reference(X, tree.vlad_centers)
+    leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
+    leaf_ids = np.empty(len(X), dtype=np.int64)
+    for i, (x, v) in enumerate(zip(X, vlad_ids)):
+        pool = np.flatnonzero(tree.parent_of_leaf == v)
+        leaf_ids[i] = pool[nearest_center_reference(x[None], leaves[pool])[0]]
+    return vlad_ids, leaf_ids
+
+
+def assert_leaves_as_reference(tree, descriptors):
+    want_vlad, want = leaves_reference(tree, descriptors)
+    for product in (True, False):
+        with force_leaf_route(product):
+            _, vlad_ids, got = assign_descriptors(tree, descriptors)
+        assert np.array_equal(vlad_ids, want_vlad)
+        assert got.dtype == np.int64 and np.array_equal(got, want), product
+
+
+@st.composite
+def hand_built_trees(draw):
+    """Trees with pools of any sizes over non-contiguous leaf ids (every
+    pool non-empty), leaves on a coarse grid (exact ties) or Gaussian,
+    repeated leaves, float32 scales 1e-30 to 1e30, and rows on leaves, on
+    midpoints of two leaves and free, as float64 or float32."""
+    d = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 48))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(rows):
+        if grid:
+            return rng.integers(-2, 3, size=(rows, d)) * 0.5
+        return rng.standard_normal((rows, d))
+
+    leaves = values(m)
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=4)):
+        leaves[dst] = leaves[src]
+    parent = rng.integers(0, n, size=m)
+    parent[rng.permutation(m)[:n]] = np.arange(n)
+    tree = VocabularyTree(
+        dim=d,
+        branch=2,
+        levels=2,
+        vlad_level=1,
+        vlad_centers=(values(n) * scale).astype(np.float32),
+        leaf_centers=(leaves * scale).astype(np.float32),
+        parent_of_leaf=parent.astype(np.uint32),
+    )
+    rows = values(draw(st.integers(1, 40)))
+    kinds = draw(st.lists(st.sampled_from(["free", "leaf", "midpoint"]), min_size=len(rows), max_size=len(rows)))
+    for i, kind in enumerate(kinds):
+        a, b = rng.integers(0, m, size=2)
+        if kind == "leaf":
+            rows[i] = leaves[a]
+        elif kind == "midpoint":
+            rows[i] = (leaves[a] + leaves[b]) / 2
+    rows = rows * scale
+    return tree, rows.astype(np.float32) if draw(st.booleans()) else rows
+
+
+class TestLeafRoutes:
+    """Both leaf searches of ``assign_descriptors`` against a frozen scan of
+    each row's pool, whichever route the row count picks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=hand_built_trees())
+    def test_hand_built_pools(self, data):
+        tree, rows = data
+        assert_leaves_as_reference(tree, rows)
+
+    def test_default_tree_coinciding_leaves(self):
+        # Leaves 312, 318 and 319 of the default tree are one point: rows on
+        # it tie exactly, and the lowest id wins on both routes.
+        tree = coherent_tree()
+        leaves = np.asarray(tree.leaf_centers, dtype=np.float64)
+        repeated = list(test_sparse.TestRepeatedLeaves.REPEATED)
+        assert np.array_equal(leaves[repeated], leaves[repeated[:1]].repeat(3, axis=0))
+        rng = np.random.default_rng(3)
+        rows = [
+            leaves,  # every leaf exactly
+            leaves[repeated] + rng.normal(0, 1e-9, size=(3, tree.dim)),
+            (leaves[rng.integers(0, 512, 100)] + leaves[rng.integers(0, 512, 100)]) / 2,
+            training_blob(16, 200, 8, 1),
+        ]
+        for X in rows:
+            assert_leaves_as_reference(tree, X)
+            assert_leaves_as_reference(tree, X.astype(np.float32))
+        for x in (leaves[312], leaves[318], leaves[7] * 0.5, rows[3][0]):
+            assert_leaves_as_reference(tree, x)  # a single row
+        _, _, got = assign_descriptors(tree, leaves[repeated])
+        assert got.tolist() == [312, 312, 312]
+
+    def test_near_ties_need_the_whole_band(self):
+        # Leaves of one norm (the sign patterns of one vector) far from rows
+        # near the origin: product scores differ from the difference form by
+        # an ulp or so in either direction, so the answer is found only
+        # when the band is as wide as the leaves' norms make it.
+        rng = np.random.default_rng(2)
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=6)))
+        leaves = (signs * rng.uniform(0.5, 1.5, size=6) * 1e3).astype(np.float32)
+        tree = VocabularyTree(
+            dim=6,
+            branch=2,
+            levels=2,
+            vlad_level=1,
+            vlad_centers=np.zeros((1, 6), dtype=np.float32),
+            leaf_centers=leaves,
+            parent_of_leaf=np.zeros(len(leaves), dtype=np.uint32),
+        )
+        for exponent in range(-14, -8):
+            X = rng.normal(size=(200, 6)) * 10.0**exponent
+            assert_leaves_as_reference(tree, X)
+            with force_product(True):
+                assert np.array_equal(nearest_center(X, leaves), nearest_center_reference(X, leaves))
+
+    def test_exact_ties_on_a_grid(self):
+        # Leaves on the unit square's corners and a point equidistant from
+        # all four: every score ties, in the product form and the
+        # difference form alike.
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        tree = VocabularyTree(
+            dim=2,
+            branch=4,
+            levels=2,
+            vlad_level=1,
+            vlad_centers=np.array([[0.5, 0.5], [9.0, 9.0]], dtype=np.float32),
+            leaf_centers=np.concatenate([corners[::-1], [[9.0, 9.0]]]).astype(np.float32),
+            parent_of_leaf=np.array([0, 0, 0, 0, 1], dtype=np.uint32),
+        )
+        for x in ([0.5, 0.5], [0.5, 0.0], [1.0, 0.5], [0.0, 0.0]):
+            assert_leaves_as_reference(tree, np.array(x))
+        assert assign_descriptors(tree, np.array([0.5, 0.5]))[2].tolist() == [0]
+
+    def test_non_contiguous_ragged_pools(self):
+        # Pools of 5, 1 and 3 leaves interleaved over the ids.
+        rng = np.random.default_rng(11)
+        parent = np.array([2, 0, 0, 1, 2, 0, 0, 2, 0], dtype=np.uint32)
+        tree = VocabularyTree(
+            dim=3,
+            branch=3,
+            levels=2,
+            vlad_level=1,
+            vlad_centers=rng.normal(size=(3, 3)).astype(np.float32),
+            leaf_centers=rng.normal(size=(9, 3)).astype(np.float32),
+            parent_of_leaf=parent,
+        )
+        rows = rng.normal(size=(300, 3))
+        assert_leaves_as_reference(tree, rows)
+        assert tree.leaf_pools.table.tolist() == [[1, 2, 5, 6, 8], [3, 3, 3, 3, 3], [0, 4, 7, 7, 7]]
+
+    def test_empty_pool_raises_on_both_routes(self):
+        tree = VocabularyTree(
+            dim=1,
+            branch=2,
+            levels=2,
+            vlad_level=1,
+            vlad_centers=np.array([[0.0], [10.0]], dtype=np.float32),
+            leaf_centers=np.array([[-1.0], [1.0]], dtype=np.float32),
+            parent_of_leaf=np.array([0, 0], dtype=np.uint32),
+        )
+        assert_leaves_as_reference(tree, np.array([[0.5], [-3.0]]))
+        for product in (True, False):
+            with force_leaf_route(product), pytest.raises(ValueError):
+                assign_descriptors(tree, np.array([[0.5], [10.0]]))
+
+    def test_overflowing_rows_fall_back_to_the_pool_scan(self):
+        # 4 R^2 overflows, so the product cannot certify: the row is scanned.
+        tree = coherent_tree()
+        X = np.asarray(tree.leaf_centers[:4], dtype=np.float64)
+        X[1] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_leaves_as_reference(tree, X)
+
+    def test_size_routes(self):
+        # One image's rows take the product, a 16k-row pass the pool calls.
+        tree = coherent_tree()
+        X = training_blob(16, 1024, 8, 2)
+        calls = []
+        for rows in (1, 180, 512, 513, 1024):
+            with mock.patch.object(vocab, "_leaves_by_product", wraps=vocab._leaves_by_product) as spy:
+                assign_descriptors(tree, X[:rows])
+            calls.append(spy.call_count)
+        assert calls == [1, 1, 1, 0, 0]
 
 
 @st.composite

@@ -183,6 +183,23 @@ class TestConfig:
             else:
                 ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
+    @pytest.mark.parametrize(
+        "tree, match",
+        [
+            ({"vlad_level": 4, "levels": 3}, "vlad_level must satisfy"),
+            ({"vlad_level": 0}, "vlad_level must satisfy"),
+            ({"vlad_level": -1}, "vlad_level must satisfy"),
+            ({"branch": 0}, "branch must be >= 2"),
+            ({"branch": 1}, "branch must be >= 2"),
+        ],
+    )
+    def test_bad_tree_shape_rejected(self, tree, match):
+        # The tree's own rule names the tree field, before any model check.
+        with pytest.raises(ValueError, match=match):
+            config_from_dict({"tree": tree})
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(tree=TreeParams(**tree))
+
     def test_recall_at_rejects_n_below_one(self):
         ranking = Ranking((("a", 0.0), ("b", 1.0)))
         for n in (0, -1):
@@ -280,7 +297,9 @@ class TestRunPipeline:
         assert a.report_path.read_bytes() == b.report_path.read_bytes()
 
     def test_stage_error_names_stage(self, tmp_path):
-        bad = tiny_config(tree=TreeParams(branch=1))
+        # A tree of a shape no tree has is refused when the config loads, so
+        # the stage fails here on an empty training set instead.
+        bad = tiny_config(tree=TreeParams(training_points=0))
         with pytest.raises(StageError, match=r"\[train-tree\]"):
             run_pipeline(bad, out_dir=tmp_path)
 

@@ -31,6 +31,7 @@ from pair_reference import l1_normalized
 import test_sparse
 from test_sparse import assert_same_walk, coherent_tree, solve_tikhonov_one
 from test_vocab import gaussian_mixture
+from solver_reference import admitted_leaves, build_dictionary as frozen_dictionary
 
 
 @pytest.fixture(scope="module")
@@ -83,16 +84,18 @@ class TestBuildDictionary:
         assert any(m.any() for m in masks)
 
     def test_restriction_subset_and_order(self, tree):
+        # Leaves given out of order, and another center's leaf, narrow the
+        # center's dictionary to its own admitted leaves, ascending.
         ids = subtree_leaves(tree, 0)
-        d = build_dictionary(tree, 0, restrict=[int(ids[2]), int(ids[0])])
+        other = int(subtree_leaves(tree, 1)[0])
+        candidates = CandidateVWs.from_leaf_ids(tree, [int(ids[2]), other, int(ids[0])])
+        d = tree.reconstruction_context.restricted(0, candidates)
         assert d.column_ids.tolist() == sorted([int(ids[0]), int(ids[2])])
-        with pytest.raises(ValueError, match="outside"):
-            build_dictionary(tree, 0, restrict=[int(subtree_leaves(tree, 1)[0])])
 
 
 def words_of(cand):
     """Every admissible word of ``cand``, read center by center."""
-    return set().union(*(cand.allowed(c).tolist() for c in range(cand.num_centers)))
+    return set().union(*(admitted_leaves(cand, c).tolist() for c in range(cand.num_centers)))
 
 
 class TestCandidates:
@@ -168,7 +171,7 @@ class TestCandidates:
             for form in (ids, ids.tolist(), set(ids.tolist()), np.unique(ids).astype(np.int32)):
                 got = CandidateVWs.from_leaf_ids(grouping_tree, form)
                 for center in range(grouping_tree.num_vlad_centers):
-                    allowed = got.allowed(center)
+                    allowed = admitted_leaves(got, center)
                     assert allowed.dtype == np.int64 and np.all(np.diff(allowed) > 0)
                     assert set(allowed.tolist()) == want.get(center, set())
                 assert not got.mask.flags.writeable
@@ -185,17 +188,17 @@ class TestCandidates:
         a = CandidateVWs.from_leaf_ids(tree, [l0[1], l0[2]])
         b = CandidateVWs.from_leaf_ids(tree, [l0[2], l0[3], l1[0]])
         union = combine_candidates([a, b], "union")
-        assert union.allowed(0).tolist() == l0[1:4] and union.allowed(1).tolist() == [l1[0]]
+        assert admitted_leaves(union, 0).tolist() == l0[1:4] and admitted_leaves(union, 1).tolist() == [l1[0]]
         inter = combine_candidates([a, b], "intersection")
-        assert inter.allowed(0).tolist() == [l0[2]] and inter.allowed(1).size == 0
-        assert combine_candidates([a, a], "union").allowed(0).tolist() == a.allowed(0).tolist()
+        assert admitted_leaves(inter, 0).tolist() == [l0[2]] and admitted_leaves(inter, 1).size == 0
+        assert admitted_leaves(combine_candidates([a, a], "union"), 0).tolist() == admitted_leaves(a, 0).tolist()
 
     def test_combine_fallback(self, tree):
         l0 = subtree_leaves(tree, 0).tolist()
         a = CandidateVWs.from_leaf_ids(tree, [l0[1]])
         b = CandidateVWs.from_leaf_ids(tree, [l0[2]])
         merged = combine_candidates([a, b], "intersection-fallback-union")
-        assert merged.allowed(0).tolist() == [l0[1], l0[2]]
+        assert admitted_leaves(merged, 0).tolist() == [l0[1], l0[2]]
 
     @pytest.mark.parametrize("which", ["small", "coherent"])
     def test_masks_admit_what_the_frozen_sets_admit(self, tree, which):
@@ -225,7 +228,7 @@ class TestCandidates:
                 got = combine_candidates(cues, mode)
                 want = candidates_reference.combine_candidates(frozen, mode)
                 for center in range(grouping_tree.num_vlad_centers):
-                    assert got.allowed(center).tolist() == sorted(want.allowed(center))
+                    assert admitted_leaves(got, center).tolist() == sorted(want.allowed(center))
                 assert np.count_nonzero(got.mask) == want.total_width()
 
 
@@ -273,7 +276,7 @@ class TestReconstructionContext:
             other = subtree_leaves(t, (center + 1) % t.num_vlad_centers)[:3]
             candidates = CandidateVWs.from_leaf_ids(t, np.concatenate([ids, other]).astype(np.int64))
             got = t.reconstruction_context.restricted(center, candidates)
-            want = build_dictionary(t, center, ids.tolist())
+            want = frozen_dictionary(t, center, ids.tolist())
             assert_same_dictionary(got, want)
             assert got.columns.strides == want.columns.strides
             assert np.array_equal(got.first_copies, want.first_copies)
@@ -321,8 +324,8 @@ class TestReconstructionContext:
                 for report in result.reports:
                     if report.skipped:
                         continue
-                    restrict = None if cand is None else cand.allowed(report.vlad_id)
-                    d = build_dictionary(tree, report.vlad_id, restrict)
+                    restrict = None if cand is None else admitted_leaves(cand, report.vlad_id)
+                    d = frozen_dictionary(tree, report.vlad_id, restrict)
                     solved = solve_nn_lasso_batch([(d, v[report.vlad_id], None)], 0.02)[0]
                     kept = np.array([counts.get(int(t), 0.0) for t in d.column_ids])
                     got = LassoResult(kept, report.converged, report.sweeps, 0.0)
@@ -561,7 +564,7 @@ class TestPriorReconstruction:
             dense[prior.words] = prior.values * (100.0 / prior.total())
             admitted = set(prior.words.tolist()) | (set(range(tree.num_leaves)) if cand is None else set(np.flatnonzero(cand.mask).tolist()))
             for (d, sub, h0), got in zip(problems, coeffs):
-                want_d = build_dictionary(tree, d.vlad_id, [t for t in subtree_leaves(tree, d.vlad_id) if t in admitted])
+                want_d = frozen_dictionary(tree, d.vlad_id, [t for t in subtree_leaves(tree, d.vlad_id) if t in admitted])
                 assert np.array_equal(d.columns, want_d.columns) and np.array_equal(d.column_ids, want_d.column_ids)
                 assert np.array_equal(h0, dense[d.column_ids]) and np.array_equal(sub, v[d.vlad_id])
                 want = solve_tikhonov_one(want_d, v[d.vlad_id], dense[d.column_ids], alpha, kwargs["n1"], kwargs["n2"])

@@ -1,16 +1,21 @@
-"""The column-major VLAD scan and the posting-list BoW scan against the frozen
-row-major scans (scan_reference.py): identical score floats and orders."""
+"""The column-major VLAD and ADC scans, the posting-list BoW scan and the
+integer Hamming ranking against the frozen row-major scans
+(scan_reference.py) and the stable float sort: identical score floats and
+orders."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_reference as ref
 from index_columns import bow_matrix, histogram_of
 from dehash.aggregate import RANK_NORMALIZATION, normalize_vlad
-from dehash.retrieval import DatabaseIndex, rank_bow, rank_vlad
+from dehash.hashing import BinaryCode
+from dehash.retrieval import DatabaseIndex, PQCodebooks, attach_pq, rank_adc, rank_bow, rank_hamming, rank_vlad
+from pair_reference import encode_pq
 
 from test_retrieval import small_index  # noqa: F401  (a fixture)
 
@@ -103,3 +108,87 @@ class TestBowScan:
             histogram = histogram_of(dict(zip(words.tolist(), counts.tolist())), m)
             want = ref.bow_scores(small_index.bow, histogram)
             assert_ranked_as(rank_bow(small_index, histogram), list(small_index.ids), want)
+
+
+# Sub-vector widths below 8, at 8, between 9 and 16 and above 128 (the
+# halving branch of the pairwise sum), and sub-vector counts on either side
+# of one group of 8 rows.
+ADC_WIDTHS = [1, 3, 7, 8, 9, 12, 16, 136]
+ADC_SUBVECTORS = [4, 8, 16, 17]
+
+
+class TestAdcScan:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.sampled_from(ADC_WIDTHS),
+        m=st.sampled_from(ADC_SUBVECTORS),
+        bits=st.sampled_from([1, 2, 4, 8, 9]),
+        n=st.integers(1, 60),
+        query_row=st.one_of(st.none(), st.integers(0, 59)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_equal_row_major_scan(self, width, m, bits, n, query_row, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((n, m, width)) * 10.0 ** rng.integers(-3, 4, size=(n, m, 1))
+        stack[rng.random(n) < 0.3] = stack[0]  # repeated rows: tied scores
+        ids = ids_of(n)
+        index = DatabaseIndex(None, ids, vlads=stack)
+        matrix = index.ranking_vlad_matrix()
+        # Codebooks drawn from the rows themselves, so codes repeat and tie.
+        k = 2**bits
+        books = matrix.reshape(n, m, width)[rng.integers(0, n, size=k)].transpose(1, 0, 2).copy()
+        books += rng.standard_normal(books.shape) * (rng.random((m, k, 1)) < 0.5) * 0.1
+        attach_pq(index, PQCodebooks(books, bits))
+        raw = np.stack([index.pq_codes[i] for i in ids])
+        assert raw.dtype == (np.uint8 if bits <= 8 else np.uint16)
+        for row, code in zip(matrix, raw):
+            assert np.array_equal(code, encode_pq(index.pq, row))
+        query = rng.standard_normal((m, width)) if query_row is None else stack[query_row % n]
+        q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
+        assert_ranked_as(rank_adc(index, query), ids, ref.adc_scores(books, raw, q))
+
+    @pytest.mark.parametrize(
+        "m, bits, stored", [(1, 8, np.uint8), (4, 6, np.uint8), (16, 8, np.uint16), (17, 12, np.uint32)]
+    )
+    def test_stored_offsets_and_raw_codes(self, m, bits, stored):
+        # The (m, n) offset codes fit the smallest unsigned type holding m*k - 1.
+        rng = np.random.default_rng(m)
+        n, width = 50, 2
+        index = DatabaseIndex(None, ids_of(n), vlads=rng.standard_normal((n, m, width)))
+        books = rng.standard_normal((m, 2**bits, width))
+        attach_pq(index, PQCodebooks(books, bits))
+        raw = np.stack([index.pq_codes[i] for i in index.ids])
+        assert index._pq_codes.dtype == stored and index._pq_codes.shape == (m, n)
+        assert np.array_equal(index._pq_codes, raw.T + (np.arange(m) * 2**bits)[:, None])
+        q = rng.standard_normal((m, width))
+        qn = normalize_vlad(q, RANK_NORMALIZATION).flattened()
+        assert_ranked_as(rank_adc(index, q), list(index.ids), ref.adc_scores(books, raw, qn))
+
+
+class TestHammingRanking:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        nbits=st.integers(1, 40),
+        n=st.one_of(st.integers(1, 50), st.integers(2000, 2600)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_is_the_stable_float_sort(self, nbits, n, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((n, nbits)) < rng.uniform(0.05, 0.95)
+        bits[rng.random(n) < 0.2] = bits[0]  # repeated codes
+        codes = np.packbits(bits, axis=1, bitorder="little")
+        ids = ids_of(n)
+        index = DatabaseIndex(None, ids, codes=codes, nbits=nbits)
+        query = np.packbits(rng.random(nbits) < 0.5, bitorder="little")
+        want = np.unpackbits(codes ^ query, axis=1).sum(axis=1).astype(np.float64)
+        assert_ranked_as(rank_hamming(index, BinaryCode(query, nbits)), ids, want)
+
+    def test_strided_codes(self):
+        # Codes given as a column slice of a wider array still count right.
+        rng = np.random.default_rng(5)
+        wide = rng.integers(0, 256, size=(40, 9), dtype=np.uint8)
+        codes = wide[:, 1:5]
+        index = DatabaseIndex(None, ids_of(40), codes=codes, nbits=32)
+        query = wide[7, 3:7]
+        want = np.unpackbits(codes ^ query, axis=1).sum(axis=1).astype(np.float64)
+        assert_ranked_as(rank_hamming(index, BinaryCode(query, 32)), ids_of(40), want)

@@ -12,10 +12,7 @@ from dehash.sparse import (
     LASSO_MAX_ITER,
     LASSO_TOL,
     Dictionary,
-    lasso_kkt_residuals,
-    lasso_objective,
     solve_nn_lasso_batch,
-    solve_tikhonov,
     solve_tikhonov_batch,
 )
 from dehash.vocab import train_vocabulary
@@ -23,6 +20,7 @@ from dehash.vocab import train_vocabulary
 import homotopy_reference
 import lockstep_reference
 from homotopy_reference import homotopy_nn_lasso_reference
+from solver_reference import lasso_kkt_residuals, lasso_objective, solve_tikhonov
 
 
 def solve_one(d, v, lam, tol=LASSO_TOL, max_iter=LASSO_MAX_ITER, gram=None):

@@ -9,6 +9,7 @@ from dehash.vocab import (
     assign_descriptors,
     subtree_leaves,
     train_vocabulary,
+    tree_shape,
 )
 
 
@@ -128,6 +129,22 @@ class TestTraining:
             train_vocabulary(X, 1, 2, 1)
         with pytest.raises(ValueError):
             train_vocabulary(X, 2, 2, 2)  # vlad_level must sit above the leaves
+
+    @pytest.mark.parametrize("branch, levels, vlad_level", [(2, 2, 1), (3, 3, 1), (4, 3, 2)])
+    def test_shape_rule_gives_the_trained_shape(self, branch, levels, vlad_level):
+        X = gaussian_mixture(200, 3, 4, seed=branch)
+        tree = train_vocabulary(X, branch, levels, vlad_level, seed=1)
+        assert tree_shape(branch, levels, vlad_level) == (tree.num_vlad_centers, tree.num_leaves)
+
+    @pytest.mark.parametrize(
+        "branch, levels, vlad_level, match",
+        [(1, 3, 1, "branch"), (0, 3, 1, "branch"), (2, 3, 3, "vlad_level"), (2, 3, 0, "vlad_level"), (2, 1, 1, "vlad_level")],
+    )
+    def test_shape_rule_rejects(self, branch, levels, vlad_level, match):
+        with pytest.raises(ValueError, match=match):
+            tree_shape(branch, levels, vlad_level)
+        with pytest.raises(ValueError, match=match):
+            train_vocabulary(gaussian_mixture(50, 3, 2, seed=0), branch, levels, vlad_level)
 
 
 @pytest.fixture(scope="module")
