@@ -11,10 +11,10 @@ array with one row per image, which ``build_index`` aggregates straight from
 the descriptors, so each ``rank_*`` computes the whole score vector in one
 numpy pass.  Rows follow the ascending image ids, so the stable order of the
 scores is the (score, id) order.  ``DatabaseIndex._ranking`` gets it from
-numpy's faster unstable sort for float scores, putting each run of equal
-scores back in row order (see :func:`_stable_argsort`); integer scores (the
-Hamming bit counts, as uint8 or uint16 keys) go through numpy's stable sort
-directly, a radix sort on such keys, and are kept as float64:
+one sort of distinct (score bits, row) keys for long float rankings (see
+:func:`_packed_argsort`), and from numpy's stable sort for short ones and
+integer scores (the Hamming bit counts, as uint8 or uint16 keys: a radix
+sort), kept as float64:
 
 * BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
   row's total, so a row's L1-normalized weights are its counts over its
@@ -68,10 +68,9 @@ from .vocab import (
     VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center, pairwise_row_sums
 )
 
-# Below this many scores numpy's stable sort costs less than the unstable
-# sort plus the tie repair (the two cross between about 500 and 2000 scores
-# on a 2-CPU Xeon with AVX-512, depending on how many scores tie).
-_STABLE_SORT_MAX = 2048
+# Below this many scores numpy's stable sort beats the packed keys (they
+# cross between 300 and 500 scores on a 2-CPU Xeon with AVX-512).
+_PACKED_SORT_MIN = 512
 
 
 class Ranking:
@@ -339,47 +338,47 @@ class DatabaseIndex:
     def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
         """Order every image by (score, id): rows are in id order, so the stable order.
 
-        Integer scores (bit counts) are sorted as they are, by numpy's stable
-        sort, a radix sort on 8- and 16-bit keys, and kept as float64.
+        Integer scores (bit counts) and short rankings take numpy's stable
+        sort (a radix sort on 8- and 16-bit keys) and are kept as float64.
+        Other scores take :func:`_packed_argsort`, whose ties are in row
+        order; if the scores come out of order, a stable sort of them in
+        that order keeps those ties and fixes the rest, in about one pass
+        where only a few close pairs were swapped.
         """
-        if scores.dtype.kind in "iu":
+        if scores.dtype.kind in "iu" or len(scores) < _PACKED_SORT_MIN:
             order = np.argsort(scores, kind="stable")
-            ordered = scores[order].astype(np.float64)
+            ordered = scores[order].astype(np.float64, copy=False)
         else:
-            order = _stable_argsort(scores)
+            order = _packed_argsort(scores)
             ordered = scores[order]
+            if not np.all(ordered[1:] >= ordered[:-1]):
+                again = np.argsort(ordered, kind="stable")
+                order, ordered = order[again], ordered[again]
         return Ranking._of_rows(self._ids_array, self._row, order, ordered, degenerate)
 
 
-def _stable_argsort(scores: np.ndarray) -> np.ndarray:
-    """``np.argsort(scores, kind="stable")``, from numpy's unstable sort when
-    there are at least ``_STABLE_SORT_MAX`` scores.
+def _packed_argsort(scores: np.ndarray) -> np.ndarray:
+    """The rows of float ``scores`` sorted by ``(bits of score, row)`` keys.
 
-    The unstable sort (a SIMD sort where numpy has one for the host) puts
-    unequal scores in order; only rows of equal scores can come out of row
-    order.  Numbering the runs of equal sorted scores, one integer sort of
-    ``run * n + row`` keeps every run in place and puts its rows ascending.
-    ``-0.0`` and ``+0.0`` compare equal, so they share a run, as they do in
-    the stable sort.  NaN equals nothing, and the sort puts NaN last, so a
-    NaN score falls back to the stable sort.
+    A key is the uint64 bits of ``fmax(score, 0.0) + 0.0`` (negative and
+    NaN scores of any sign or payload key as ``+0.0``) with its low
+    ``(n - 1).bit_length()`` bits replaced by the row.  The keys are
+    distinct, so every sort gives this order, and equal scores (all NaNs
+    among them, as the stable sort has it) come out in row order.  Where
+    the sorted scores are non-decreasing it is ``np.argsort(scores,
+    kind="stable")``; a negative or NaN score, or unequal scores that share
+    their high bits in reverse row order, leave them out of order.
     """
     n = len(scores)
-    if n < max(_STABLE_SORT_MAX, 2):  # the repair reads a last score
-        return np.argsort(scores, kind="stable")
-    order = np.argsort(scores)
-    ordered = scores[order]
-    if np.isnan(ordered[-1]):
-        return np.argsort(scores, kind="stable")
-    tied = ordered[1:] == ordered[:-1]
-    if not tied.any():
-        return order
-    base = np.zeros(n, dtype=np.int64)
-    np.cumsum(~tied, out=base[1:])  # the run number of each sorted position
-    base *= n
-    keys = base + order
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = np.fmax(scores, 0.0, dtype=np.float64)
+    keys += 0.0  # -0.0, which np.fmax may return, to +0.0
+    keys = keys.view(np.uint64)
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
     keys.sort()
-    keys -= base  # the runs kept their positions, so this leaves each row
-    return keys
+    keys &= low
+    return keys.view(np.intp)
 
 
 def _check_rows(column: str, rows: int, ids: int) -> None:
@@ -423,11 +422,12 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     reads without conversion.
 
     A term is zero unless the query holds the word, so ``min(a_w*B, b_w*A)``
-    is computed only for the postings of the query's words and scattered
-    into a zero array at their CSR positions.  That array equals, value for
-    value, the one a dense gather over every stored entry builds, for
-    integer and fractional counts alike, and one ``np.add.reduceat`` sums
-    each row of it, so the scores are the same floats.
+    is computed only for the postings of the query's words and binned by
+    ``np.bincount`` at their CSR positions (the words are distinct, so each
+    bin is ``0.0 + hit``, the positive hit itself).  That array equals,
+    value for value, the one a dense gather over every stored entry builds,
+    for integer and fractional counts alike, and one ``np.add.reduceat``
+    sums each row of it, so the scores are the same floats.
     """
     if not index.ids:
         raise ValueError("index is empty")
@@ -453,8 +453,7 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     entries = bow.posting_entries[at]
     hits = values.repeat(sizes) * bow.mass[bow.posting_rows[at]]
     np.minimum(hits, bow.counts[entries] * mass, out=hits)
-    terms = np.zeros(len(bow.counts))
-    terms[entries] = hits
+    terms = np.bincount(entries, hits, minlength=len(bow.counts))
     joint = mass * bow.mass
     return index._ranking(2.0 * (joint - np.add.reduceat(terms, bow.indptr[:-1])) / joint)
 

@@ -111,15 +111,29 @@ def test_drop_keeps_the_shared_id_table():
     assert ranking.entries == (("b", 0.0), ("a", 1.0), ("c", 1.0))
 
 
-# Values the tie repair must order as the stable sort does: zeros of both
-# signs (one run), infinities, NaN (the stable-sort fallback), and integers,
-# as Hamming distances are.
-SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+# Values the packed-key sort must order as the stable sort does: zeros of
+# both signs (equal keys once ``+ 0.0`` folds them), infinities, NaNs of
+# both signs and of another payload (equal to the stable sort, so they must
+# stay in row order), negative scores, and integers, as Hamming distances
+# and BoW scores over integer counts are.
+NAN_PAYLOAD = np.array([0x7FF8000001000000], dtype=np.uint64).view(np.float64)[0]
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, NAN_PAYLOAD]
 PALETTE = st.lists(
     st.one_of(st.sampled_from(SPECIAL), st.integers(0, 32).map(float), st.floats(-1e3, 1e3)),
     min_size=1,
     max_size=6,
 )
+
+
+def ranked(scores):
+    return index_of(tree=None, ids=[f"im{i:04d}" for i in range(len(scores))])._ranking(scores)
+
+
+def assert_stable(got, scores):
+    want = np.argsort(scores, kind="stable")
+    assert got._order.dtype == want.dtype == np.intp
+    assert np.array_equal(got._order, want)
+    assert got._scores.tobytes() == scores[want].tobytes()  # -0.0 and +0.0 where they were
 
 
 class TestTieBreakOrder:
@@ -128,21 +142,46 @@ class TestTieBreakOrder:
         n=st.one_of(st.integers(0, 2), st.integers(0, 6000)),
         palette=PALETTE,
         distinct=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
-        repair_all=st.booleans(),
+        magnitudes=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_order_is_the_stable_sort(self, n, palette, distinct, repair_all, seed):
+    def test_order_is_the_stable_sort(self, n, palette, distinct, magnitudes, seed):
         # Scores drawn from a few values, a share of them replaced by
         # distinct ones, so rankings mix long tie runs with single scores.
-        # ``repair_all`` takes the unstable sort and tie repair at every size.
+        # ``magnitudes`` drops the signs (not of -0.0 or NaN), as distances
+        # are, so the packed keys decide the order without a finishing sort.
         rng = np.random.default_rng(seed)
         scores = rng.choice(np.array(palette), size=n)
         spread = rng.random(n) < distinct
         scores[spread] = rng.standard_normal(int(spread.sum()))
-        index = index_of(tree=None, ids=[f"im{i:04d}" for i in range(n)])
-        cutoff = 0 if repair_all else retrieval._STABLE_SORT_MAX
-        with mock.patch.object(retrieval, "_STABLE_SORT_MAX", cutoff):
-            got = index._ranking(scores)
-        want = np.argsort(scores, kind="stable")
-        assert got._order.dtype == want.dtype and np.array_equal(got._order, want)
-        assert got._scores.tobytes() == scores[want].tobytes()  # -0.0 and +0.0 where they were
+        if magnitudes:
+            scores = np.where(scores < 0, -scores, scores)
+        assert_stable(ranked(scores), scores)
+
+    def test_keys_decide_or_the_stable_sort_does(self):
+        # 5000 rows keep 13 low key bits for the row, so 0.75 and the next
+        # float share a key above them; held in reverse row order, they come
+        # out of the key sort out of order, and a stable sort of the sorted
+        # scores must put them right.  Without that pair the keys decide
+        # alone, signed zeros included: they tie, so they must share a key.
+        # So must NaNs of any sign and payload, which the stable sort keeps
+        # in row order after every number.
+        rng = np.random.default_rng(22)
+        runs = rng.integers(0, 40, size=5000) / 8.0  # long tie runs
+        spread = rng.random(5000) < 0.3
+        runs[spread] = rng.random(int(spread.sum())) * 5.0
+        close = runs.copy()
+        close[[1234, 4321]] = np.nextafter(0.75, 1.0), 0.75
+        zeros = np.where(rng.random(5000) < 0.5, 0.0, -0.0)
+        nans = runs.copy()
+        missing = rng.random(5000) < 0.2
+        nans[missing] = rng.choice(np.array([np.nan, -np.nan, NAN_PAYLOAD]), size=int(missing.sum()))
+        for scores, finished in ((runs, False), (zeros, False), (close, True), (nans, True)):
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+                got = ranked(scores)
+            assert argsort.call_count == finished
+            if finished:
+                assert argsort.call_args.kwargs == {"kind": "stable"}
+            assert_stable(got, scores)
+        # Short of its vector loop np.fmax can return -0.0 for -0.0 and 0.0.
+        assert retrieval._packed_argsort(np.array([-0.0, 0.0, -0.0])).tolist() == [0, 1, 2]

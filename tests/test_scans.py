@@ -1,8 +1,9 @@
-"""The column-major VLAD and ADC scans, the posting-list BoW scan and the
-integer Hamming ranking against the frozen row-major scans
+"""The column-major VLAD and ADC scans, the posting-list BoW scan, the GPS
+scan and the integer Hamming ranking against the frozen row-major scans
 (scan_reference.py) and the stable float sort: identical score floats and
-orders."""
+orders, on small drawn indexes and on one of the benchmark's 5000 rows."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,14 +15,22 @@ import scan_reference as ref
 from index_columns import bow_matrix, histogram_of
 from dehash.aggregate import RANK_NORMALIZATION, normalize_vlad
 from dehash.hashing import BinaryCode
-from dehash.retrieval import DatabaseIndex, PQCodebooks, attach_pq, rank_adc, rank_bow, rank_hamming, rank_vlad
-from pair_reference import encode_pq
+from dehash.formats import EARTH_RADIUS_M
+from dehash.retrieval import (
+    DatabaseIndex, PQCodebooks, attach_pq, rank_adc, rank_bow, rank_gps, rank_hamming, rank_vlad
+)
+from pair_reference import encode_pq, haversine_m
 
 from test_retrieval import small_index  # noqa: F401  (a fixture)
 
 # (N, D) shapes whose N*D is below 8, leaves a remainder after the groups of
 # 8, fills exactly one 128-term block, or splits above 128 (136 and 264).
 VLAD_SHAPES = [(1, 4), (2, 2), (3, 4), (2, 6), (8, 16), (16, 8), (1, 128), (8, 17), (17, 8), (8, 33), (24, 11)]
+
+
+# The number of images ``perfbench``'s scan-5k workload indexes: rankings
+# this long take the packed-key sort, at the size the benchmark times.
+BENCH_ROWS = 5000
 
 
 def ids_of(n):
@@ -56,6 +65,17 @@ class TestVladScan:
         assert index.ranking_vlad_matrix().flags.c_contiguous
         q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
         assert_ranked_as(rank_vlad(index, query), ids, ref.vlad_distances(matrix, q))
+
+    def test_benchmark_sized_index(self):
+        rng = np.random.default_rng(5000)
+        stack = rng.standard_normal((BENCH_ROWS, 8, 16))
+        stack[rng.random(BENCH_ROWS) < 0.1] = stack[7]  # one long run of tied distances
+        ids = ids_of(BENCH_ROWS)
+        index = DatabaseIndex(None, ids, vlads=stack)
+        matrix = np.array([normalize_vlad(row, RANK_NORMALIZATION).flattened() for row in stack])
+        for query in (rng.standard_normal((8, 16)), stack[7]):
+            q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
+            assert_ranked_as(rank_vlad(index, query), ids, ref.vlad_distances(matrix, q))
 
 
 def bow_index(rows, vocab_size):
@@ -109,6 +129,22 @@ class TestBowScan:
             want = ref.bow_scores(small_index.bow, histogram)
             assert_ranked_as(rank_bow(small_index, histogram), list(small_index.ids), want)
 
+    def test_benchmark_sized_index(self):
+        # Integer counts over 64 words: most rows hold none of a query's
+        # words and tie at 2.0, and the rest tie in long runs below it.
+        rng = np.random.default_rng(5001)
+
+        def counts(size, top):
+            words = rng.choice(64, size=size, replace=False)
+            return dict(zip(words.tolist(), rng.integers(1, top, size=size).astype(float).tolist()))
+
+        index, ids = bow_index([counts(int(rng.integers(1, 5)), 4) for _ in range(BENCH_ROWS)], 64)
+        for size in (1, 3, 8):
+            histogram = histogram_of(counts(size, 6), 64)
+            want = ref.bow_scores(index.bow, histogram)
+            assert np.sum(want == 2.0) > 1000 and len(np.unique(want)) < BENCH_ROWS // 10
+            assert_ranked_as(rank_bow(index, histogram), ids, want)
+
 
 # Sub-vector widths below 8, at 8, between 9 and 16 and above 128 (the
 # halving branch of the pairwise sum), and sub-vector counts on either side
@@ -146,6 +182,22 @@ class TestAdcScan:
         query = rng.standard_normal((m, width)) if query_row is None else stack[query_row % n]
         q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
         assert_ranked_as(rank_adc(index, query), ids, ref.adc_scores(books, raw, q))
+
+    def test_benchmark_sized_index(self):
+        # scan-5k's product quantizer: 16 sub-vectors of 8 dimensions, 8 bits.
+        rng = np.random.default_rng(5002)
+        m, width, bits = 16, 8, 8
+        stack = rng.standard_normal((BENCH_ROWS, m, width))
+        stack[rng.random(BENCH_ROWS) < 0.1] = stack[3]  # repeated rows: tied scores
+        ids = ids_of(BENCH_ROWS)
+        index = DatabaseIndex(None, ids, vlads=stack)
+        rows = index.ranking_vlad_matrix().reshape(BENCH_ROWS, m, width)
+        books = rows[rng.integers(0, BENCH_ROWS, size=2**bits)].transpose(1, 0, 2).copy()
+        attach_pq(index, PQCodebooks(books, bits))
+        raw = np.stack([index.pq_codes[i] for i in ids])
+        for query in (rng.standard_normal((m, width)), stack[3]):
+            q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
+            assert_ranked_as(rank_adc(index, query), ids, ref.adc_scores(books, raw, q))
 
     @pytest.mark.parametrize(
         "m, bits, stored", [(1, 8, np.uint8), (4, 6, np.uint8), (16, 8, np.uint16), (17, 12, np.uint32)]
@@ -192,3 +244,29 @@ class TestHammingRanking:
         query = wide[7, 3:7]
         want = np.unpackbits(codes ^ query, axis=1).sum(axis=1).astype(np.float64)
         assert_ranked_as(rank_hamming(index, BinaryCode(query, 32)), ids_of(40), want)
+
+
+def haversine_scan(lat_lon: np.ndarray, query: tuple[float, float]) -> np.ndarray:
+    """Great-circle metres from ``query`` to every ``(lat, lon)`` row, in
+    degrees: the haversine of ``pair_reference.haversine_m`` in numpy."""
+    lat1, lon1 = math.radians(query[0]), math.radians(query[1])
+    lat2, lon2 = np.radians(lat_lon[:, 0]), np.radians(lat_lon[:, 1])
+    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+class TestGpsScan:
+    def test_benchmark_sized_index(self):
+        # Fixes on a grid of 0.01 degrees, so images share places and tie.
+        rng = np.random.default_rng(5003)
+        lat_lon = np.column_stack(
+            [40.0 + 0.01 * rng.integers(0, 30, BENCH_ROWS), -74.0 + 0.01 * rng.integers(0, 30, BENCH_ROWS)]
+        )
+        ids = ids_of(BENCH_ROWS)
+        index = DatabaseIndex(None, ids, gps={i: (lat, lon) for i, (lat, lon) in zip(ids, lat_lon.tolist())})
+        for query in ((40.123, -73.911), tuple(lat_lon[11].tolist())):
+            want = haversine_scan(lat_lon, query)
+            assert len(np.unique(want)) < 1000
+            assert_ranked_as(rank_gps(index, query), ids, want)
+            for r in range(0, BENCH_ROWS, 97):
+                assert want[r] == pytest.approx(haversine_m(query, tuple(lat_lon[r])), rel=1e-12, abs=1e-6)
