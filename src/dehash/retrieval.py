@@ -11,10 +11,10 @@ array with one row per image, which ``build_index`` aggregates straight from
 the descriptors, so each ``rank_*`` computes the whole score vector in one
 numpy pass.  Rows follow the ascending image ids, so the stable order of the
 scores is the (score, id) order.  ``DatabaseIndex._ranking`` gets it from
-one sort of distinct (score bits, row) keys for long float rankings (see
-:func:`_packed_argsort`), and from numpy's stable sort for short ones and
-integer scores (the Hamming bit counts, as uint8 or uint16 keys: a radix
-sort), kept as float64:
+one sort of distinct (score bits, row) keys for float rankings (see
+:func:`_packed_argsort`), and from numpy's stable sort for integer scores
+(the Hamming bit counts, as uint8 or uint16 keys: a radix sort), kept as
+float64:
 
 * BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
   row's total, so a row's L1-normalized weights are its counts over its
@@ -67,10 +67,6 @@ from .hashing import BinaryCode, HashingModel, encode_stack
 from .vocab import (
     VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center, pairwise_row_sums
 )
-
-# Below this many scores numpy's stable sort beats the packed keys (they
-# cross between 300 and 500 scores on a 2-CPU Xeon with AVX-512).
-_PACKED_SORT_MIN = 512
 
 
 class Ranking:
@@ -338,14 +334,14 @@ class DatabaseIndex:
     def _ranking(self, scores: np.ndarray, degenerate: bool = False) -> Ranking:
         """Order every image by (score, id): rows are in id order, so the stable order.
 
-        Integer scores (bit counts) and short rankings take numpy's stable
-        sort (a radix sort on 8- and 16-bit keys) and are kept as float64.
-        Other scores take :func:`_packed_argsort`, whose ties are in row
-        order; if the scores come out of order, a stable sort of them in
-        that order keeps those ties and fixes the rest, in about one pass
-        where only a few close pairs were swapped.
+        Integer scores (bit counts) take numpy's stable sort (a radix sort
+        on 8- and 16-bit keys) and are kept as float64.  Float scores take
+        :func:`_packed_argsort`, whose ties are in row order; if the scores
+        come out of order, a stable sort of them in that order keeps those
+        ties and fixes the rest, in about one pass where only a few close
+        pairs were swapped.
         """
-        if scores.dtype.kind in "iu" or len(scores) < _PACKED_SORT_MIN:
+        if scores.dtype.kind in "iu":
             order = np.argsort(scores, kind="stable")
             ordered = scores[order].astype(np.float64, copy=False)
         else:

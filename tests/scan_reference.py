@@ -1,18 +1,24 @@
-"""Frozen row-major scans: the references the column-major VLAD scan and the
-posting-list BoW scan must match.
+"""Frozen scans: the references the column-major VLAD and ADC scans, the
+posting-list BoW scan and the vectorized GPS scan must match.
 
 ``vlad_distances`` is the row-major L2 scan and ``bow_scores`` the
 dense-gather CSR sum-of-min scan that ``dehash.retrieval`` shipped before the
 ranking-normalized VLADs were stored column-major and ``BowMatrix`` kept
 posting lists; ``adc_scores`` is the row-major look-up-table scan it shipped
-before the PQ codes were stored column-major with their offsets.  All are
+before the PQ codes were stored column-major with their offsets;
+``haversine_scan`` restates ``pair_reference.haversine_m`` over a whole
+``(lat, lon)`` matrix, the formula ``rank_gps`` vectorizes.  All are
 kept unchanged so the tests can require identical score floats.  Do not
 edit them to follow the production code.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from dehash.formats import EARTH_RADIUS_M
 
 
 def vlad_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -43,3 +49,12 @@ def adc_scores(books: np.ndarray, codes: np.ndarray, q: np.ndarray) -> np.ndarra
     table = np.sum((books - q.reshape(m, 1, width)) ** 2, axis=2)
     gathered = table.ravel().take(codes.astype(np.int64) + np.arange(m) * k)
     return gathered.sum(axis=1)
+
+
+def haversine_scan(lat_lon: np.ndarray, query: tuple[float, float]) -> np.ndarray:
+    """Great-circle metres from ``query`` to every ``(lat, lon)`` row, in
+    degrees: the haversine of ``pair_reference.haversine_m`` in numpy."""
+    lat1, lon1 = math.radians(query[0]), math.radians(query[1])
+    lat2, lon2 = np.radians(lat_lon[:, 0]), np.radians(lat_lon[:, 1])
+    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))

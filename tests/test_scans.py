@@ -3,7 +3,6 @@ scan and the integer Hamming ranking against the frozen row-major scans
 (scan_reference.py) and the stable float sort: identical score floats and
 orders, on small drawn indexes and on one of the benchmark's 5000 rows."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +14,6 @@ import scan_reference as ref
 from index_columns import bow_matrix, histogram_of
 from dehash.aggregate import RANK_NORMALIZATION, normalize_vlad
 from dehash.hashing import BinaryCode
-from dehash.formats import EARTH_RADIUS_M
 from dehash.retrieval import (
     DatabaseIndex, PQCodebooks, attach_pq, rank_adc, rank_bow, rank_gps, rank_hamming, rank_vlad
 )
@@ -29,7 +27,7 @@ VLAD_SHAPES = [(1, 4), (2, 2), (3, 4), (2, 6), (8, 16), (16, 8), (1, 128), (8, 1
 
 
 # The number of images ``perfbench``'s scan-5k workload indexes: rankings
-# this long take the packed-key sort, at the size the benchmark times.
+# this long are sorted at the size the benchmark times.
 BENCH_ROWS = 5000
 
 
@@ -246,15 +244,6 @@ class TestHammingRanking:
         assert_ranked_as(rank_hamming(index, BinaryCode(query, 32)), ids_of(40), want)
 
 
-def haversine_scan(lat_lon: np.ndarray, query: tuple[float, float]) -> np.ndarray:
-    """Great-circle metres from ``query`` to every ``(lat, lon)`` row, in
-    degrees: the haversine of ``pair_reference.haversine_m`` in numpy."""
-    lat1, lon1 = math.radians(query[0]), math.radians(query[1])
-    lat2, lon2 = np.radians(lat_lon[:, 0]), np.radians(lat_lon[:, 1])
-    s = np.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
 class TestGpsScan:
     def test_benchmark_sized_index(self):
         # Fixes on a grid of 0.01 degrees, so images share places and tie.
@@ -265,7 +254,7 @@ class TestGpsScan:
         ids = ids_of(BENCH_ROWS)
         index = DatabaseIndex(None, ids, gps={i: (lat, lon) for i, (lat, lon) in zip(ids, lat_lon.tolist())})
         for query in ((40.123, -73.911), tuple(lat_lon[11].tolist())):
-            want = haversine_scan(lat_lon, query)
+            want = ref.haversine_scan(lat_lon, query)
             assert len(np.unique(want)) < 1000
             assert_ranked_as(rank_gps(index, query), ids, want)
             for r in range(0, BENCH_ROWS, 97):
