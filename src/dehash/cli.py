@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands mirror the pipeline stages: ``synth`` generates a benchmark
-dataset, ``train-tree`` / ``train-hash`` fit and persist the models,
-``index`` writes each database image's code as a payload file
-(``<id>.code``: the query payload, without context), ``query`` ranks one
-query, ``benchmark`` runs the full evaluation, and ``sweep-lambda`` traces
-reconstructed-word counts against the sparsity weight.
+Subcommands mirror the pipeline stages: ``synth`` writes a benchmark dataset
+(the only subcommand that does), ``train-tree`` / ``train-hash`` fit and
+persist the models, ``index`` writes each database image's code as a payload
+file (``<id>.code``: the query payload, without context), ``query`` ranks one
+query, ``benchmark`` runs the full evaluation (its ``--out`` gets the report
+and timing sidecar only), and ``sweep-lambda`` traces reconstructed-word
+counts against the sparsity weight.
 
 Every model and data parameter comes from one ``--config`` file: the
 ``ExperimentConfig`` JSON that ``benchmark`` runs (its defaults when no file
@@ -69,7 +70,7 @@ def _cmd_synth(args) -> int:
     dataset = synthesize_dataset(config.synthetic or SyntheticSpec(), tree, out)
     save_tree(tree, out / "tree.bin")
     print(f"wrote {len(dataset.entries)} images under {out}")
-    print(f"manifest: {dataset.manifest_path}")
+    print(f"manifest: {out / 'manifest.tsv'}")
     print(f"tree: {out / 'tree.bin'}")
     return 0
 

@@ -30,12 +30,14 @@ class ManifestEntry:
     relevant_ids: tuple[str, ...]
 
 
+_gps_text = "{:.12g}".format  # a GPS coordinate as the manifest writes it
+
+
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
     """Tab-separated manifest, one image per line, "-" for absent fields."""
     lines = []
     for e in entries:
-        lat = f"{e.gps[0]:.12g}" if e.gps else "-"
-        lon = f"{e.gps[1]:.12g}" if e.gps else "-"
+        lat, lon = map(_gps_text, e.gps) if e.gps else ("-", "-")
         cat = str(e.category) if e.category is not None else "-"
         rel = ",".join(e.relevant_ids) if e.relevant_ids else "-"
         lines.append("\t".join([e.image_id, e.descriptor_path, lat, lon, cat, rel]))
@@ -46,9 +48,11 @@ def read_manifest(path) -> list[ManifestEntry]:
     """The entries of a manifest that ``write_manifest`` wrote.
 
     ``ValueError``, naming ``path:line``, on a malformed line, a GPS fix
-    ``check_gps`` rejects, a repeated id, or a relevant id that is the image
-    itself or names no image of the manifest: neither could ever be
-    retrieved, so its query's AP would drop without an error.
+    ``check_gps`` rejects or that gives one coordinate only, a category that
+    is not an integer in uint32 (the query payload's type), a repeated id,
+    or a relevant id that is the image itself or names no image of the
+    manifest: neither could ever be retrieved, so its query's AP would drop
+    without an error.
     """
     entries = []
     line_of: dict[str, int] = {}
@@ -64,7 +68,11 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise ValueError(f"{path}:{lineno}: image id {image_id!r} listed twice")
         line_of[image_id] = lineno
         try:
-            gps = None if lat == "-" or lon == "-" else check_gps(lat, lon)
+            if (lat == "-") != (lon == "-"):
+                raise ValueError(f"GPS fix ({lat}, {lon}) gives one coordinate only")
+            gps = None if lat == "-" else check_gps(lat, lon)
+            if cat != "-" and not (cat.isascii() and cat.isdigit() and int(cat) < 2**32):
+                raise ValueError(f"category {cat!r} is not an integer in [0, 2**32)")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         category = None if cat == "-" else int(cat)
@@ -85,7 +93,7 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 @dataclass
 class Dataset:
-    """Loaded manifest plus per-image descriptors."""
+    """Manifest entries plus per-image descriptors."""
 
     entries: list[ManifestEntry]
     descriptors: dict[str, np.ndarray]
@@ -145,6 +153,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_images", "group_size", "num_categories"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("descriptors_per_image", "words_per_group"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must be a pair 1 <= lo <= hi, got {getattr(self, name)}")
+        lo, hi = self.support_fraction
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"support_fraction must be a pair 0 <= lo <= hi <= 1, got {(lo, hi)}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if not 0.0 <= self.distractor_fraction < 1.0:
@@ -152,9 +170,7 @@ class SyntheticSpec:
 
 
 @dataclass
-class SyntheticDataset:
-    manifest_path: Path
-    entries: list[ManifestEntry]
+class SyntheticDataset(Dataset):
     truth: dict[str, Counter]  # image id -> sampled word multiset
     category_pools: list[np.ndarray]  # disjoint leaf-id pools per category
     groups: list[list[str]]  # relevance groups (distractors excluded)
@@ -217,8 +233,9 @@ def simulate_gps(
     return (lat + dlat, lon + dlon)
 
 
-def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> SyntheticDataset:
-    """Generate descriptor files, a manifest, and ground truth under ``out_dir``.
+def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir=None) -> SyntheticDataset:
+    """Draw a dataset and its ground truth in memory, and write it to ``out_dir``
+    if given; the data equal what ``ingest_dataset`` reads back from the files.
 
     Non-distractor images come in groups of ``group_size`` sharing one word
     pool; each member draws its own subset of that pool (``support_fraction``
@@ -231,9 +248,6 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
     """
     if spec.num_categories > tree.num_leaves:
         raise ValueError("more categories than vocabulary words")
-    out_dir = Path(out_dir)
-    desc_dir = out_dir / "descriptors"
-    desc_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([spec.seed, 0x53594E])
 
     pool_perm = rng.permutation(tree.num_leaves)
@@ -261,6 +275,7 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
     # joins group i % num_groups, so each image's relevant ids are known upfront.
     groups = [ids[g:num_grouped:num_groups] for g in range(num_groups)]
     entries: list[ManifestEntry] = []
+    descriptors: dict[str, np.ndarray] = {}
     truth: dict[str, Counter] = {}
     leaf_centers = np.asarray(tree.leaf_centers, dtype=np.float64)
     lo_d, hi_d = spec.descriptors_per_image
@@ -276,9 +291,9 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
         X = leaf_centers[picks]
         if noise_std > 0:
             X = X + rng.normal(0.0, noise_std, size=X.shape)
-        save_descriptors(desc_dir / f"{image_id}.desc", X.astype(np.float32))
+        descriptors[image_id] = X.astype(np.float32)
         gps = simulate_gps(cat_locations[category], spec.gps_noise_m, rng)
-        return multiset, gps
+        return multiset, check_gps(*map(_gps_text, gps))  # the fix as the manifest reads back
 
     def member_support(pool: np.ndarray) -> np.ndarray:
         frac = float(rng.uniform(lo_f, hi_f))
@@ -312,12 +327,12 @@ def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir) -> Sy
             )
         )
 
-    manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, entries)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        (out_dir / "descriptors").mkdir(parents=True, exist_ok=True)
+        for e in entries:
+            save_descriptors(out_dir / e.descriptor_path, descriptors[e.image_id])
+        write_manifest(out_dir / "manifest.tsv", entries)
     return SyntheticDataset(
-        manifest_path=manifest_path,
-        entries=entries,
-        truth=truth,
-        category_pools=category_pools,
-        groups=[g for g in groups if len(g) > 1],
+        entries, descriptors, tree.dim, truth, category_pools, [g for g in groups if len(g) > 1]
     )

@@ -1,11 +1,12 @@
 """Configuration-driven end-to-end runs: train, index, query, evaluate, report.
 
-A run resolves its dataset (loaded from a manifest or synthesized), trains the
-vocabulary and hashing model, indexes the database, ranks every query under
-the requested modes, and emits a deterministic report: metric rows per mode,
-the device memory / transmission accounting, and an optional regularization
-sweep.  Wall-clock timings are kept out of the report payload so identical
-configs produce byte-identical reports; they are written to a sidecar file.
+A run loads its dataset from a manifest or synthesizes it in memory, trains
+the vocabulary and hashing model, indexes the database, ranks every query
+under the requested modes, and emits a deterministic report: metric rows per
+mode, the device memory / transmission accounting, and an optional
+regularization sweep.  Wall-clock timings stay out of the report, so identical
+configs give byte-identical reports; a timing sidecar is the only other file
+a run writes (only ``dehash synth`` writes a dataset's files).
 
 ``rank_query`` is the one query path: the pipeline and ``dehash query`` both
 rank through it, so each mode means the same thing in both.
@@ -253,6 +254,7 @@ class PipelineResult:
     report: dict
     timings: dict[str, float]
     report_path: Path | None
+    dataset: Dataset
     index: DatabaseIndex
     tree: VocabularyTree
     model: HashingModel
@@ -260,16 +262,10 @@ class PipelineResult:
     relevance: dict[str, set[str]]
 
 
-def _resolve_dataset(
-    config: ExperimentConfig, tree: VocabularyTree, workdir: Path | None
-) -> Dataset:
+def _resolve_dataset(config: ExperimentConfig, tree: VocabularyTree) -> Dataset:
     if config.manifest is not None:
         return ingest_dataset(config.manifest)
-    if workdir is None:
-        raise ValueError("synthesizing a dataset requires an out_dir")
-    spec = config.synthetic or SyntheticSpec()
-    synthesize_dataset(spec, tree, workdir / "data")
-    return ingest_dataset(workdir / "data" / "manifest.tsv")
+    return synthesize_dataset(config.synthetic or SyntheticSpec(), tree)
 
 
 def _pick_queries(dataset: Dataset, num_queries: int) -> list[str]:
@@ -455,13 +451,13 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
     """Execute the full pipeline described by ``config``.
 
     Returns the in-memory result; when ``out_dir`` is given, also writes
-    ``report_<confighash>.json`` (deterministic) plus a timing sidecar.
+    ``report_<confighash>.json`` (deterministic) plus a timing sidecar there,
+    and nothing else.
     """
     watch = _Stopwatch()
-    workdir = Path(out_dir) if out_dir is not None else None
 
     tree = watch.run("train-tree", lambda: train_tree(config))
-    dataset = watch.run("dataset", lambda: _resolve_dataset(config, tree, workdir))
+    dataset = watch.run("dataset", lambda: _resolve_dataset(config, tree))
 
     # The database is aggregated once, in the index's ascending-id row order;
     # hashing trains on the same VLAD rows gathered back into manifest order.
@@ -554,11 +550,10 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
 
     report_path = None
     if out_dir is not None:
-        workdir.mkdir(parents=True, exist_ok=True)
-        report_path = workdir / f"report_{report['config_hash']}.json"
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        report_path = Path(out_dir) / f"report_{report['config_hash']}.json"
         report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        timing_path = workdir / f"report_{report['config_hash']}.timings.txt"
-        timing_path.write_text(
+        report_path.with_suffix(".timings.txt").write_text(
             "".join(f"{stage}\t{seconds:.3f}s\n" for stage, seconds in watch.laps.items())
         )
 
@@ -566,6 +561,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | Path | None = None) ->
         report=report,
         timings=dict(watch.laps),
         report_path=report_path,
+        dataset=dataset,
         index=index,
         tree=tree,
         model=model,

@@ -1,7 +1,11 @@
 """Database indexing, ranking modes, and retrieval-quality metrics.
 
 Every ranking mode is a deterministic brute-force scan: ascending distance,
-ties broken by ascending image id.  Histograms compare under L1 after L1
+equal scores broken by ascending image id.  Equal distances give equal scores
+except where rounding separates them: a BoW query with fractional counts
+(every reconstructed histogram) can score images at exactly equal L1
+distance 1-2 ulps apart, and then the rounding, not the id, orders them
+(see :func:`rank_bow`).  Histograms compare under L1 after L1
 normalization, VLADs under L2 after the index's ranking normalization, codes
 under Hamming distance, and product-quantized entries under asymmetric
 distance (exact query against quantized database).
@@ -413,7 +417,10 @@ def rank_bow(index: DatabaseIndex, query: BowHistogram) -> Ranking:
     = 2 * (A*B - sum_i min(a_i*B, b_i*A)) / (A*B)``.  The last form sums over
     the words the row holds, and with integer counts every product and sum in
     it is exact, so images at equal distance score equal floats and fall back
-    to the id order.  ``A`` is ``np.sum`` of the query's ``values``, which
+    to the id order.  With fractional query counts (a reconstructed
+    histogram) the products round per row, so two images at exactly equal
+    distance can score 1-2 ulps apart and rank in that order, whatever their
+    ids.  ``A`` is ``np.sum`` of the query's ``values``, which
     the histogram already holds in ascending word order, as arrays the scan
     reads without conversion.
 

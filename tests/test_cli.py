@@ -233,8 +233,11 @@ class TestParity:
 
     def test_synth_then_benchmark_manifest_equals_benchmark(self, runs):
         synthesized, loaded = runs
+        # The dataset drawn in memory and the one read back from synth's files
+        # give every report key alike; only the config names its source.
         assert loaded["config"]["manifest"] and loaded["config"]["synthetic"] is None
-        for key in ("metrics", "solver", "memory_table", "lambda_sweep"):
+        assert set(loaded) == set(synthesized)
+        for key in sorted(set(synthesized) - {"config", "config_hash"}):
             assert loaded[key] == synthesized[key], key
         assert synthesized["solver"] and synthesized["lambda_sweep"]
 
@@ -295,6 +298,8 @@ class TestErrors:
             pytest.param("benchmark", {"hash": {"variant": "sign", "nbits": 32}}, "one bit", id="sign-32-bits"),
             pytest.param("benchmark", {"hash": {"variant": "shared", "rotate": True}}, "rotation", id="rotate"),
             pytest.param("benchmark", {"hash": {"nbits": 0}}, "K >= 1", id="0-bits"),
+            # A traceback (ZeroDivisionError) before the spec checked its fields.
+            pytest.param("synth", {"synthetic": {"group_size": 0}}, "group_size", id="group-size-0"),
         ],
     )
     def test_unknown_config_key_reports_error(self, workspace, tmp_path, capsys, command, content, match):

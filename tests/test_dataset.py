@@ -64,6 +64,30 @@ class TestManifest:
         (tmp_path / "m.tsv").write_text("a\ta.desc\t90\t-180\t-\t-\nb\tb.desc\t-90\t180\t-\t-\n")
         assert [e.gps for e in read_manifest(tmp_path / "m.tsv")] == [(90.0, -180.0), (-90.0, 180.0)]
 
+    @pytest.mark.parametrize("lat, lon", [("45", "-"), ("-", "7")])
+    def test_gps_with_one_coordinate_rejected(self, tmp_path, lat, lon):
+        # Read as "no GPS" before: a gps cue or mode would then drop the image.
+        (tmp_path / "m.tsv").write_text(f"a\ta.desc\t45\t7\t-\t-\nb\tb.desc\t{lat}\t{lon}\t-\t-\n")
+        with pytest.raises(ValueError, match="m.tsv:2: .*one coordinate"):
+            read_manifest(tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("cat", ["x", "1.5", "3e2", " 3", "+3"])
+    def test_non_integer_category_rejected(self, tmp_path, cat):
+        (tmp_path / "m.tsv").write_text(f"a\ta.desc\t-\t-\t0\t-\nb\tb.desc\t-\t-\t{cat}\t-\n")
+        with pytest.raises(ValueError, match="m.tsv:2: category"):
+            read_manifest(tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("cat", ["-1", "4294967296"])
+    def test_category_outside_uint32_rejected(self, tmp_path, cat):
+        # The query payload carries the category as uint32.
+        (tmp_path / "m.tsv").write_text(f"a\ta.desc\t-\t-\t0\t-\nb\tb.desc\t-\t-\t{cat}\t-\n")
+        with pytest.raises(ValueError, match="m.tsv:2: category"):
+            read_manifest(tmp_path / "m.tsv")
+
+    def test_category_edges_accepted(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("a\ta.desc\t-\t-\t0\t-\nb\tb.desc\t-\t-\t4294967295\t-\n")
+        assert [e.category for e in read_manifest(tmp_path / "m.tsv")] == [0, 2**32 - 1]
+
     def test_malformed_line_reports_position(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a\tb\n")
         with pytest.raises(ValueError, match="m.tsv:1"):
@@ -135,46 +159,44 @@ class TestIngest:
 
 
 class TestSynthesize:
-    def test_zero_noise_hits_leaf_centers(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
-        loaded = ingest_dataset(ds.manifest_path)
+    def test_zero_noise_hits_leaf_centers(self, tree):
+        ds = synthesize_dataset(small_spec(), tree)
         leafs = np.asarray(tree.leaf_centers)
-        for image_id in list(loaded.descriptors)[:5]:
-            X = loaded.descriptors[image_id]
+        for image_id in ds.ids[:5]:
+            X = ds.descriptors[image_id]
             d2 = ((X[:, None, :] - leafs[None, :, :]) ** 2).sum(axis=2)
             assert float(d2.min(axis=1).max()) == 0.0
 
-    def test_bow_matches_sampled_multiset(self, tree, tmp_path):
+    def test_bow_matches_sampled_multiset(self, tree):
         # Generator bookkeeping oracle: with zero noise, quantization returns
         # exactly the words the generator drew.
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
-        loaded = ingest_dataset(ds.manifest_path)
-        for image_id, X in loaded.descriptors.items():
+        ds = synthesize_dataset(small_spec(), tree)
+        for image_id, X in ds.descriptors.items():
             got = compute_bow(tree, X)
             want = ds.truth[image_id]
             assert Counter({t: int(c) for t, c in got.counts.items()}) == want
 
     def test_deterministic_files(self, tree, tmp_path):
         a = synthesize_dataset(small_spec(), tree, tmp_path / "a")
-        b = synthesize_dataset(small_spec(), tree, tmp_path / "b")
-        ma = a.manifest_path.read_text()
-        mb = b.manifest_path.read_text()
+        synthesize_dataset(small_spec(), tree, tmp_path / "b")
+        ma = (tmp_path / "a" / "manifest.tsv").read_text()
+        mb = (tmp_path / "b" / "manifest.tsv").read_text()
         assert ma == mb
         for entry in a.entries:
             pa = (tmp_path / "a" / entry.descriptor_path).read_bytes()
             pb = (tmp_path / "b" / entry.descriptor_path).read_bytes()
             assert pa == pb
 
-    def test_category_pools_disjoint(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(num_categories=3), tree, tmp_path)
+    def test_category_pools_disjoint(self, tree):
+        ds = synthesize_dataset(small_spec(num_categories=3), tree)
         seen = set()
         for pool in ds.category_pools:
             pool_set = set(pool.tolist())
             assert not pool_set & seen
             seen |= pool_set
 
-    def test_groups_share_word_support(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
+    def test_groups_share_word_support(self, tree):
+        ds = synthesize_dataset(small_spec(), tree)
         for members in ds.groups:
             supports = [frozenset(ds.truth[m]) for m in members]
             union = frozenset().union(*supports)
@@ -182,32 +204,81 @@ class TestSynthesize:
                 assert s <= union
             assert len(union) <= small_spec().words_per_group[1]
 
-    def test_relevance_is_symmetric_group_membership(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
+    def test_relevance_is_symmetric_group_membership(self, tree):
+        ds = synthesize_dataset(small_spec(), tree)
         rel = {e.image_id: set(e.relevant_ids) for e in ds.entries}
         for members in ds.groups:
             for m in members:
                 assert rel[m] == set(members) - {m}
 
-    def test_distractors_have_no_relevance(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
+    def test_distractors_have_no_relevance(self, tree):
+        ds = synthesize_dataset(small_spec(), tree)
         grouped = set().union(*map(set, ds.groups))
         lonely = [e for e in ds.entries if e.image_id not in grouped]
         assert lonely  # distractor_fraction 0.1 of 40 images
         for e in lonely:
             assert e.relevant_ids == ()
 
-    def test_all_images_carry_gps_and_category(self, tree, tmp_path):
-        ds = synthesize_dataset(small_spec(), tree, tmp_path)
+    def test_all_images_carry_gps_and_category(self, tree):
+        ds = synthesize_dataset(small_spec(), tree)
         for e in ds.entries:
             assert e.gps is not None
             assert e.category is not None
 
-    def test_more_categories_than_words_rejected(self, tree, tmp_path):
+    def test_more_categories_than_words_rejected(self, tree):
         with pytest.raises(ValueError):
-            synthesize_dataset(
-                small_spec(num_categories=tree.num_leaves + 1), tree, tmp_path
-            )
+            synthesize_dataset(small_spec(num_categories=tree.num_leaves + 1), tree)
+
+    @pytest.mark.parametrize(
+        "spec", [small_spec(), small_spec(noise_std=0.2, query_noise_std=0.1)], ids=["exact", "noisy"]
+    )
+    def test_in_memory_dataset_equals_its_files(self, tree, tmp_path, spec):
+        # A run draws its dataset in memory; it must be what ingest_dataset
+        # reads back from the files: the same entries, float32 descriptors,
+        # and each GPS fix bit for bit the value its 12-digit manifest text
+        # reads back as (an unrounded fix differs in its last bits).
+        ds = synthesize_dataset(spec, tree, tmp_path)
+        loaded = ingest_dataset(tmp_path / "manifest.tsv")
+        assert ds.entries == loaded.entries and ds.dim == loaded.dim
+        for mine, theirs in zip(ds.entries, loaded.entries):
+            assert np.array(mine.gps).tobytes() == np.array(theirs.gps).tobytes()
+        assert list(ds.descriptors) == list(loaded.descriptors)
+        for image_id, X in loaded.descriptors.items():
+            assert ds.descriptors[image_id].dtype == X.dtype == np.float32
+            assert np.array_equal(ds.descriptors[image_id], X)
+        # Writing the files draws nothing: without out_dir the data are the same.
+        memory = synthesize_dataset(spec, tree)
+        assert memory.entries == ds.entries and memory.truth == ds.truth
+        assert all(np.array_equal(memory.descriptors[i], X) for i, X in ds.descriptors.items())
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_images", 0),
+            ("group_size", 0),
+            ("num_categories", 0),
+            ("descriptors_per_image", (0, 0)),
+            ("descriptors_per_image", (9, 8)),
+            ("words_per_group", (0, 4)),
+            ("words_per_group", (5, 4)),
+            ("support_fraction", (-0.1, 0.5)),
+            ("support_fraction", (0.5, 1.5)),
+            ("support_fraction", (0.9, 0.8)),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SyntheticSpec(**{field: value})
+
+    def test_edge_values_accepted(self, tree):
+        spec = SyntheticSpec(
+            num_images=1, group_size=1, num_categories=1, descriptors_per_image=(1, 1),
+            words_per_group=(1, 1), support_fraction=(0.0, 1.0),
+        )
+        ds = synthesize_dataset(spec, tree)
+        assert ds.ids == ["img_0"] and len(ds.descriptors["img_0"]) == 1
 
 
 class TestTrainingBlob:

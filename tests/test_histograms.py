@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import histogram_reference as ref
 import scan_reference
 from dehash.aggregate import aggregate_images, compute_vlad
-from dehash.dataset import SyntheticSpec, ingest_dataset
+from dehash.dataset import SyntheticSpec
 from dehash.hashing import approximate_vlad, encode
 from dehash.pipeline import ReconParams, _query_candidates, run_pipeline
 from dehash.reconstruct import pseudo_bow, reconstruct_bow, reconstruct_bow_with_prior
@@ -83,13 +83,13 @@ class TestPriorReconstruction:
             ),
         ],
     )
-    def test_floored_histograms_equal_dict_stages(self, tmp_path, recon, spec):
+    def test_floored_histograms_equal_dict_stages(self, recon, spec):
         # The prior's total and ||h0||^2 are now summed in word order rather
         # than in the order pseudo_bow first saw each word, which can move
         # their last bits; the floored counts must not move.
         config = tiny_config(modes=("hamming", "recon-brpk"), recon=recon, synthetic=spec, num_queries=20)
-        result = run_pipeline(config, out_dir=tmp_path)
-        dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
+        result = run_pipeline(config)
+        dataset = result.dataset
         entries = {e.image_id: e for e in dataset.entries}
         for qid in result.relevance:
             got, want = brpk_chain(config, result, dataset.descriptors[qid], entries[qid])

@@ -8,7 +8,7 @@ import pytest
 
 from dehash import aggregate, pipeline
 from dehash.aggregate import aggregate_images, compute_bow, compute_vlad
-from dehash.dataset import SyntheticSpec, ingest_dataset
+from dehash.dataset import SyntheticSpec, ingest_dataset, synthesize_dataset
 from dehash.formats import save_model
 from dehash.hashing import approximate_vlad, encode, train_hashing
 from dehash.pipeline import (
@@ -26,6 +26,7 @@ from dehash.pipeline import (
     rank_query,
     run_pipeline,
     summarize_report,
+    train_tree,
 )
 from dehash.reconstruct import reconstruct_bow
 from dehash.retrieval import Ranking, rank_bow, recall_at
@@ -265,6 +266,17 @@ class TestRunPipeline:
         sidecar = result.report_path.with_suffix("").name + ".timings.txt"
         assert (result.report_path.parent / sidecar).exists()
 
+    def test_out_dir_holds_only_the_report_and_its_sidecar(self, result):
+        # The synthesized dataset stays in memory: no descriptor files, no manifest.
+        report = result.report_path
+        names = sorted(path.name for path in report.parent.iterdir())
+        assert names == [report.name, report.with_suffix(".timings.txt").name]
+
+    def test_run_without_out_dir_gives_the_same_report(self, result):
+        bare = run_pipeline(tiny_config(lambda_sweep=(0.01, 0.1)))
+        assert bare.report_path is None
+        assert json.dumps(bare.report, sort_keys=True, indent=2) + "\n" == result.report_path.read_text()
+
     def test_rankings_exclude_query(self, result):
         for mode_rankings in result.rankings.values():
             for qid, ranking in mode_rankings.items():
@@ -276,7 +288,7 @@ class TestRunPipeline:
 
     def test_lambda_sweep_counts_equal_per_query_solves(self, result):
         recon = tiny_config().recon
-        dataset = ingest_dataset(result.report_path.parent / "data" / "manifest.tsv")
+        dataset = result.dataset
         vlads = [compute_vlad(result.tree, dataset.descriptors[q]) for q in result.relevance]
         for row in result.report["lambda_sweep"]:
             words = sum(
@@ -306,8 +318,8 @@ class TestRunPipeline:
     def test_database_aggregated_once(self, tmp_path):
         # One aggregation pass feeds both the hashing model and the index; the
         # model is the one train_hashing fits on per-image VLADs in manifest order.
-        run_pipeline(tiny_config(modes=("hamming",)), out_dir=tmp_path / "synth")
-        data = tmp_path / "synth" / "data"
+        data = tmp_path / "synth"
+        synthesize_dataset(tiny_config().synthetic, train_tree(tiny_config()), data)
         lines = (data / "manifest.tsv").read_text().splitlines()
         # Ids out of ascending order, so the VLAD rows must be gathered back.
         (data / "reversed.tsv").write_text("\n".join(reversed(lines)) + "\n")
@@ -380,7 +392,7 @@ class TestSolverReport:
 
     def test_counts_match_the_solves_run(self, runs):
         config, a, _ = runs
-        dataset = ingest_dataset(a.report_path.parent / "data" / "manifest.tsv")
+        dataset = a.dataset
         for mode in ("vlad-to-bow", "recon"):
             want = {"solves": 0, "path_events": 0, "nonconverged": 0}
             for qid in a.rankings[mode]:
@@ -419,7 +431,7 @@ class TestRankQuery:
         # exactly as rank_query does, with the query image then dropped.
         config = tiny_config(modes=ALL_MODES)
         result = run_pipeline(config, out_dir=tmp_path)
-        dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
+        dataset = result.dataset
         entry_by_id = {e.image_id: e for e in dataset.entries}
         assert result.index.pq is not None
         # Ranking, dropping, the context cues, BRPK and the metrics all read
@@ -435,12 +447,12 @@ class TestRankQuery:
             for mode, (ranking, _) in ranked.items():
                 assert result.rankings[mode][qid] == ranking.drop(qid)
 
-    def test_one_aggregation_pass_per_query(self, tmp_path):
+    def test_one_aggregation_pass_per_query(self):
         # One coarse search serves the VLAD and, when bow is ranked, the
         # histogram: assign_descriptors runs once per query either way.
         config = tiny_config(modes=("bow", "vlad", "hamming", "recon-brpk"))
-        result = run_pipeline(config, out_dir=tmp_path)
-        dataset = ingest_dataset(tmp_path / "data" / "manifest.tsv")
+        result = run_pipeline(config)
+        dataset = result.dataset
         entry_by_id = {e.image_id: e for e in dataset.entries}
         for modes, leaves in ((config.modes, True), (config.modes[1:], False)):
             for qid in result.relevance:
