@@ -167,6 +167,10 @@ class SyntheticSpec:
             raise ValueError("noise_std must be >= 0")
         if not 0.0 <= self.distractor_fraction < 1.0:
             raise ValueError("distractor_fraction must lie in [0, 1)")
+        try:
+            check_gps(*self.gps_base)
+        except ValueError as exc:
+            raise ValueError(f"gps_base must be a valid GPS fix: {exc}") from None
 
 
 @dataclass
@@ -222,15 +226,18 @@ def simulate_gps(
     sigma_meters: float,
     seed: int | np.random.Generator = 0,
 ) -> tuple[float, float]:
-    """Perturb a location with independent Gaussian noise per tangent-plane axis."""
+    """Perturb a location with independent Gaussian noise per tangent-plane
+    axis; a longitude past +-180 is moved back by 360 degrees."""
     lat, lon = true_location
     if not -90.0 <= lat <= 90.0:
         raise ValueError(f"latitude {lat} out of range")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dy, dx = rng.normal(0.0, sigma_meters, size=2) if sigma_meters > 0 else (0.0, 0.0)
     dlat = math.degrees(dy / EARTH_RADIUS_M)
-    dlon = math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
-    return (lat + dlat, lon + dlon)
+    lon += math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
+    if abs(lon) > 180.0:
+        lon -= math.copysign(360.0, lon)
+    return (lat + dlat, lon)
 
 
 def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir=None) -> SyntheticDataset:

@@ -10,7 +10,9 @@ rejects a short or a trailing byte with a ``ValueError`` naming the file (or
 * Vocabulary tree, ``DHTREE01``; header ``<6I``: dim ``D``, coarse centers
   ``N``, leaves ``M``, branch, levels, vlad_level.  Arrays: the coarse
   centers ``(N, D)`` float32, the leaf centers ``(M, D)`` float32, each
-  leaf's coarse center ``(M,)`` uint32.
+  leaf's coarse center ``(M,)`` uint32.  ``(N, M)`` must be
+  ``vocab.tree_shape`` of the branch, levels and vlad_level, and leaf ``t``'s
+  coarse center must be ``t // (M / N)``; no other tree exists.
 * Hashing model, ``DHHASH01``; header ``<B3I``: the variant byte (joint 0,
   independent 1, shared 2, sign 3, joint with a rotation 5; byte 4, once
   the irreversible random-projection variant, is retired and rejected like
@@ -132,24 +134,19 @@ def save_tree(tree: VocabularyTree, path) -> None:
 def load_tree(path) -> VocabularyTree:
     r = _read(path, TREE_MAGIC, "<6I")
     dim, n, m, branch, levels, vlad_level = r.fields
-    tree = VocabularyTree(
-        dim=dim,
-        branch=branch,
-        levels=levels,
-        vlad_level=vlad_level,
-        vlad_centers=r.take("<f4", n, dim),
-        leaf_centers=r.take("<f4", m, dim),
-        parent_of_leaf=r.take("<u4", m),
-    )
+    vlad_centers, leaf_centers, parents = r.take("<f4", n, dim), r.take("<f4", m, dim), r.take("<u4", m)
     r.done()
-    tree.validate()
+    tree = _checked(path, VocabularyTree, dim, branch, levels, vlad_level, vlad_centers, leaf_centers)
+    _checked(path, tree.validate)
+    if not np.array_equal(parents, tree.parent_of_leaf):
+        raise ValueError(f"{path}: each leaf's coarse center must be leaf // {tree.pool_size}")
     return tree
 
 
-def _model_layout(path, variant: str, dim: int, n_centers: int, nbits: int, rotate: bool):
-    """``model_layout``, its ``ValueError`` naming ``path``."""
+def _checked(path, check, *args):
+    """``check(*args)``, its ``ValueError`` naming ``path``."""
     try:
-        return model_layout(variant, dim, n_centers, nbits, rotate)
+        return check(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -158,8 +155,8 @@ def save_model(model: HashingModel, path) -> None:
     """Write ``model``; one ``load_model`` would reject (no such layout, or an
     array of another shape) raises ``ValueError`` and writes nothing."""
     rotate = model.rotation is not None
-    mean_shape, proj_shape = _model_layout(
-        path, model.variant, model.dim, model.num_centers, model.nbits, rotate
+    mean_shape, proj_shape = _checked(
+        path, model_layout, model.variant, model.dim, model.num_centers, model.nbits, rotate
     )
     k = model.nbits
     arrays = {"mean": (model.mean, mean_shape), "projections": (model.projections, proj_shape)}
@@ -179,7 +176,7 @@ def load_model(path) -> HashingModel:
     if variant_code not in _CODE_VARIANTS:
         raise ValueError(f"{path}: unknown variant byte {variant_code}")
     variant, rotate = _CODE_VARIANTS[variant_code]
-    mean_shape, proj_shape = _model_layout(path, variant, dim, n_centers, nbits, rotate)
+    mean_shape, proj_shape = _checked(path, model_layout, variant, dim, n_centers, nbits, rotate)
     model = HashingModel(
         variant=variant,
         dim=dim,

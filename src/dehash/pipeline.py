@@ -128,6 +128,10 @@ class ReconParams:
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if self.prior_source not in PRIOR_SOURCES:
             raise ValueError(f"unknown prior source {self.prior_source!r}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,9 @@ class ExperimentConfig:
         t, h = self.tree, self.hash
         num_centers, _ = tree_shape(t.branch, t.levels, t.vlad_level)
         hashing.model_layout(h.variant, self.dim, num_centers, h.nbits, h.rotate)
+        width = self.dim * num_centers  # of the ranking VLADs that adc's codebooks split
+        if "adc" in self.modes and width % self.pq.subvectors:
+            raise ValueError(f"pq.subvectors={self.pq.subvectors} must divide the VLAD width {width} for adc")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

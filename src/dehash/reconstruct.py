@@ -35,25 +35,18 @@ COMBINE_MODES = ("union", "intersection", "intersection-fallback-union")
 @dataclass(frozen=True)
 class CandidateVWs:
     """The admissible words as one read-only ``(M,)`` boolean mask over the
-    tree's leaves, with the tree's ``parent_of_leaf`` to split it by center;
-    a center with no admissible leaf is skipped.  A mask of another shape
-    than ``parent_of_leaf``, or a parent id outside ``[0, num_centers)``,
-    raises ``ValueError``."""
+    tree's leaves; center ``v``'s words are row ``v`` of
+    ``mask.reshape(num_centers, -1)``, as the tree's pools are consecutive
+    and equal.  A center with no admissible leaf is skipped.  A mask that
+    does not split into ``num_centers`` equal pools raises ``ValueError``."""
 
     mask: np.ndarray  # (M,) bool
-    parent_of_leaf: np.ndarray  # (M,)
     num_centers: int
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask, dtype=bool)
-        parent = np.asarray(self.parent_of_leaf)
-        if parent.ndim != 1 or mask.shape != parent.shape:
-            raise ValueError(f"mask must have one entry per leaf, shape {parent.shape}")
-        # A tree's parent ids are unsigned; only a signed array can go below 0.
-        if parent.size and (
-            parent.max() >= self.num_centers or (parent.dtype.kind == "i" and parent.min() < 0)
-        ):
-            raise ValueError(f"parent ids must lie in [0, num_centers={self.num_centers})")
+        if mask.ndim != 1 or self.num_centers < 1 or mask.size % self.num_centers:
+            raise ValueError(f"mask must have one entry per leaf in {self.num_centers} equal pools, got {mask.shape}")
         object.__setattr__(self, "mask", _readonly(mask))
 
     @classmethod
@@ -65,7 +58,7 @@ class CandidateVWs:
         if ids.size and not (0 <= ids.min() and ids.max() < mask.size):
             raise ValueError(f"leaf ids must lie in [0, {mask.size})")
         mask[ids] = True
-        return cls(mask, tree.parent_of_leaf, tree.num_vlad_centers)
+        return cls(mask, tree.num_vlad_centers)
 
 
 def build_dictionary(tree: VocabularyTree, vlad_id: int) -> Dictionary:
@@ -195,10 +188,10 @@ def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> Can
     masks = np.array([c.mask for c in cues])
     merged = masks.any(axis=0) if mode == "union" else masks.all(axis=0)
     if mode == "intersection-fallback-union":
-        parent = first.parent_of_leaf
-        empty = np.bincount(parent[merged], minlength=first.num_centers) == 0
-        merged |= masks.any(axis=0) & empty[parent]
-    return CandidateVWs(merged, first.parent_of_leaf, first.num_centers)
+        pools = merged.reshape(first.num_centers, -1)  # a view: writes go to merged
+        empty = ~pools.any(axis=1)
+        pools[empty] = masks.any(axis=0).reshape(pools.shape)[empty]
+    return CandidateVWs(merged, first.num_centers)
 
 
 @dataclass
@@ -224,17 +217,12 @@ def _active_centers(v: np.ndarray) -> np.ndarray:
 def _kept(
     words: list[np.ndarray], values: list[np.ndarray], floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-center pieces joined in center order, keeping values above ``floor``."""
+    """The per-center pieces joined in center order, keeping values above
+    ``floor``.  Centers come in ascending order, each with an ascending slice
+    of its consecutive pool, so the words ascend."""
     words, values = np.concatenate(words), np.concatenate(values)
     kept = values > floor
     return words[kept], values[kept]
-
-
-def _by_word(words: np.ndarray, values: np.ndarray, vocab_size: int) -> BowHistogram:
-    """One histogram from the joined pieces; centers own disjoint leaves, but
-    a tree may interleave them, so the pieces are sorted once by word."""
-    order = np.argsort(words, kind="stable")
-    return BowHistogram(words[order], values[order], vocab_size)
 
 
 def reconstruct_bow(
@@ -251,8 +239,7 @@ def reconstruct_bow(
     negligible norm received no features and are skipped).  ``candidates``
     restricts each center's dictionary to its admissible leaves; a center
     with none is skipped.  Coefficients below a small drop tolerance are
-    discarded.  The histogram's words ascend whichever way the tree numbers
-    its leaves.
+    discarded.
     """
     v = vlad_rows(v, (tree.num_vlad_centers, tree.dim))
     context = tree.reconstruction_context
@@ -280,7 +267,7 @@ def reconstruct_bow(
         )
         words.append(dictionary.column_ids)
         values.append(result.coeffs)
-    return ReconstructionResult(_by_word(*_kept(words, values, DROP_TOL), tree.num_leaves), reports)
+    return ReconstructionResult(BowHistogram(*_kept(words, values, DROP_TOL), tree.num_leaves), reports)
 
 
 def pseudo_bow(index: "DatabaseIndex", ranking: "Ranking", top_r: int = 5) -> BowHistogram:
@@ -344,7 +331,7 @@ def reconstruct_bow_with_prior(
     prior[h0.words] = scaled
     mask = np.ones(tree.num_leaves, dtype=bool) if candidates is None else candidates.mask.copy()
     mask[h0.words] = True
-    admissible = CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers)
+    admissible = CandidateVWs(mask, tree.num_vlad_centers)
 
     context = tree.reconstruction_context
     solved: list[tuple[int, Dictionary | None]] = []
@@ -366,9 +353,8 @@ def reconstruct_bow_with_prior(
         words.append(dictionary.column_ids)
         raw.append(next(results))
 
-    words, raw = _kept(words, raw, 0.0)
-    histogram = _by_word(words, raw, tree.num_leaves)
-    total = sum(raw.tolist())
+    histogram = BowHistogram(*_kept(words, raw, 0.0), tree.num_leaves)
+    total = histogram.total()
     if total > 0:  # else no coefficient was kept and the histogram is empty
         # The epsilon keeps count-valued solutions from flooring through an
         # exact integer on float roundoff.

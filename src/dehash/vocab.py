@@ -4,6 +4,8 @@ A vocabulary tree is trained by recursive k-means (branch children per node,
 ``levels`` deep).  One intermediate level is designated the "VLAD level": its
 centers are the coarse quantizers used for residual aggregation, and every
 leaf below a VLAD center forms that center's candidate visual-word pool.
+With ``N`` coarse centers and ``M`` leaves, center ``v``'s pool is the
+``P = M / N`` consecutive leaves ``v*P`` to ``v*P + P - 1``.
 """
 
 from __future__ import annotations
@@ -25,14 +27,10 @@ KMEANS_MAX_ITER = 50
 
 # Score-matrix entries per block of rows in ``nearest_center``: about 2 MiB.
 _SCORE_BLOCK_ELEMENTS = 2**18
-# Up to this many (point, center, dim) differences, scanning them all costs
-# less than setting up the matrix product (the two cross near 25k on a 2-CPU
-# Xeon with one BLAS thread).  Per-image quantization falls below it.
-_SCAN_MAX_ELEMENTS = 2**15
-# Up to this many (row, padded pool slot) scores, one product over every
-# leaf beats one ``nearest_center`` call per pool in ``assign_descriptors``
-# (on the default tree the two cross between 512 and 1024 rows); it also
-# bounds the product to about 2 MiB.
+# Up to this many (row, leaf) scores, one product over every leaf beats one
+# ``nearest_center`` call per pool in ``assign_descriptors`` (on the default
+# tree the two cross between 512 and 1024 rows); it also bounds the product
+# to about 2 MiB.
 _LEAF_PRODUCT_MAX_SCORES = 2**18
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -62,16 +60,12 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     decides ``assign_descriptors``' one-product leaf search.  A row whose point is
     not finite, and every row when a center is not finite, or when ``4 R^2``
     overflows, falls back to the full difference scan, so NaN and overflow
-    select what that scan selects.  So does a call with at most
-    ``_SCAN_MAX_ELEMENTS`` differences in all, where setting up the product
-    costs more than the scan.
+    select what that scan selects.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    n, d = points.shape
+    n = points.shape[0]
     k = centers.shape[0]
-    if n * k * d <= _SCAN_MAX_ELEMENTS:
-        return _difference_scan(points, centers)
     idx = np.empty(n, dtype=np.int64)
     sq_norms = np.einsum("ij,ij->i", centers, centers)
     c_max = np.sqrt(sq_norms.max())
@@ -99,8 +93,8 @@ def _certified_argmin(
     centers, from their product-form scores, and which rows it decided.
 
     Column ``j`` of ``scores`` is ``fl(S_j) = |c_j|^2 + x.(-2 c_j)`` for row
-    ``x`` of ``X``, or ``+inf`` for a column that is not the row's candidate;
-    candidates ascend by center index along a row.  ``c_max`` bounds the
+    ``x`` of ``X`` and its candidate center ``c_j``; candidates ascend by
+    center index along a row.  ``c_max`` bounds the
     norm of every candidate center of a row (one bound, or one per row), and
     ``centers_of(rows, cols)`` gives the center at each (row, column).
     Returns the column of each row's answer, and ``exact``: false for a row
@@ -128,9 +122,9 @@ def _certified_argmin(
     that underflow.  A row with one candidate kept is decided (it is ``m``);
     a row with several re-scores them with the difference form and takes the
     lowest column among the smallest values, which is ``j*`` because ``j*``
-    is the first minimum over all candidates.  ``+inf`` columns are never
-    kept.  A row whose ``4 R^2`` is not finite (a NaN or inf in ``x`` or a
-    candidate, or overflow) is not decided.
+    is the first minimum over all candidates.  A row whose ``4 R^2`` is not
+    finite (a NaN or inf in ``x`` or a candidate, or overflow) is not
+    decided.
     """
     n, d = X.shape
     g = (d + 2) * _U / (1 - (d + 2) * _U)
@@ -294,9 +288,9 @@ def _reassign(
     """``nearest_center(points, new_centers)``, given that ``assign`` is
     ``nearest_center(points, centers)``: only what moved is scored again
     (see ``lloyd``)."""
-    n, d = points.shape
+    d = points.shape[1]
     k = new_centers.shape[0]
-    if n * k * d <= _SCAN_MAX_ELEMENTS or 3 * d >= k or not np.isfinite(new_centers).all():
+    if 3 * d >= k or not np.isfinite(new_centers).all():
         return nearest_center(points, new_centers)
     moved = (new_centers.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
     movers = np.flatnonzero(moved)
@@ -358,9 +352,7 @@ def lloyd(
       moved costs the same both ways.  So the step never runs where it
       would score as many (row, center) entries as a full call
       (``m >= k``), nor on tree nodes with ``k <= 3 d``.  Every row is also
-      scored in one call when ``n k d <= _SCAN_MAX_ELEMENTS`` (the
-      difference scan is cheaper than any bookkeeping there) or when a
-      center is not finite.
+      scored in one call when a center is not finite.
 
     The assignments equal a full call's, so ``cluster_sums`` adds the same
     rows in the same order and every sweep's centers are bit-identical.
@@ -397,8 +389,10 @@ class VocabularyTree:
     """Two-level view of a trained hierarchical vocabulary.
 
     ``vlad_centers`` are the coarse centers (level ``vlad_level``); the leaves
-    are the fine visual words; each leaf's parent is the coarse center above
-    it, and a descriptor's leaf is searched among its coarse center's leaves.
+    are the fine visual words.  Coarse center ``v`` is the parent of the
+    ``pool_size`` leaves from ``v * pool_size`` on, and a descriptor's leaf is
+    searched among its coarse center's leaves.  An ``M`` that is not a
+    multiple of ``N`` raises ``ValueError``.
     """
 
     dim: int
@@ -407,7 +401,11 @@ class VocabularyTree:
     vlad_level: int
     vlad_centers: np.ndarray  # (N, dim) float32
     leaf_centers: np.ndarray  # (M, dim) float32
-    parent_of_leaf: np.ndarray  # (M,) uint32
+
+    def __post_init__(self) -> None:
+        n, m = self.num_vlad_centers, self.num_leaves
+        if n < 1 or m % n:
+            raise ValueError(f"(N, M) = ({n}, {m}): the leaves must split into N >= 1 equal pools")
 
     @property
     def num_vlad_centers(self) -> int:
@@ -416,6 +414,18 @@ class VocabularyTree:
     @property
     def num_leaves(self) -> int:
         return self.leaf_centers.shape[0]
+
+    @property
+    def pool_size(self) -> int:
+        """``P = M // N``, the leaves under each coarse center."""
+        return self.num_leaves // self.num_vlad_centers
+
+    @cached_property
+    def parent_of_leaf(self) -> np.ndarray:
+        """Each leaf's coarse center, ``leaf // P``, as a read-only ``(M,)`` uint32 array."""
+        parents = (np.arange(self.num_leaves) // self.pool_size).astype(np.uint32)
+        parents.flags.writeable = False
+        return parents
 
     @cached_property
     def reconstruction_context(self) -> "ReconstructionContext":
@@ -438,12 +448,10 @@ class VocabularyTree:
     def validate(self) -> None:
         if self.vlad_centers.shape[1] != self.dim or self.leaf_centers.shape[1] != self.dim:
             raise ValueError("center dimensionality does not match tree dim")
-        if self.num_vlad_centers < 1 or self.num_leaves < self.num_vlad_centers:
-            raise ValueError("tree must satisfy 1 <= N <= M")
-        if self.parent_of_leaf.shape != (self.num_leaves,):
-            raise ValueError("parent_of_leaf must map every leaf")
-        if self.parent_of_leaf.max(initial=0) >= self.num_vlad_centers:
-            raise ValueError("parent id out of range")
+        shape = (self.num_vlad_centers, self.num_leaves)
+        want = tree_shape(self.branch, self.levels, self.vlad_level)
+        if shape != want:
+            raise ValueError(f"(N, M) = {shape}, but branch, levels and vlad_level make {want}")
         if not (np.all(np.isfinite(self.vlad_centers)) and np.all(np.isfinite(self.leaf_centers))):
             raise ValueError("tree centers must be finite")
 
@@ -513,8 +521,6 @@ def train_vocabulary(
         prev_centers = centers_l
         level_centers.append(centers_l)
 
-    num_leaves = branch**levels
-    spread = branch ** (levels - vlad_level)
     tree = VocabularyTree(
         dim=dim,
         branch=branch,
@@ -522,7 +528,6 @@ def train_vocabulary(
         vlad_level=vlad_level,
         vlad_centers=level_centers[vlad_level - 1].astype(np.float32),
         leaf_centers=level_centers[levels - 1].astype(np.float32),
-        parent_of_leaf=(np.arange(num_leaves, dtype=np.uint32) // spread).astype(np.uint32),
     )
     tree.validate()
     return tree
@@ -540,44 +545,29 @@ def _descriptor_rows(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class LeafPools:
-    """A tree's leaves as float64 arrays, laid out by coarse center for the
-    one-product leaf search; every array read-only.
+    """A tree's leaves as float64 arrays for the one-product leaf search;
+    every array read-only.
 
-    Each center's pool (its leaf ids, ascending) is padded to the largest
-    pool with the pool's last id (0 for an empty pool): ``table`` is the
-    ``(N, P)`` result.  ``scaled`` is ``-2 c.T`` for the leaves ``c`` of
-    ``table`` in row-major order, so the product ``X @ scaled`` holds pool
-    ``v``'s scores at columns ``v*P`` to ``v*P + P``; ``sq_norms[v]`` holds
-    ``|c|^2`` of each, ``+inf`` on the padding, so a padded column never
-    scores.  ``c_max[v]`` is the largest norm in the pool and ``sizes[v]``
-    its length; ``centers`` are all leaves in leaf order.
+    ``scaled`` is ``-2 c.T`` over the leaves ``c`` in leaf order, so the
+    product ``X @ scaled`` holds pool ``v``'s scores at columns ``v*P`` to
+    ``v*P + P``; ``sq_norms[v]`` holds ``|c|^2`` of pool ``v``'s leaves and
+    ``c_max[v]`` their largest norm; ``centers`` are all leaves.
     """
 
     centers: np.ndarray  # (M, d)
-    scaled: np.ndarray  # (d, N*P)
-    table: np.ndarray  # (N, P) int64
+    scaled: np.ndarray  # (d, M)
     sq_norms: np.ndarray  # (N, P)
     c_max: np.ndarray  # (N,)
-    sizes: np.ndarray  # (N,)
 
     @classmethod
     def of(cls, tree: VocabularyTree) -> "LeafPools":
         centers = np.array(tree.leaf_centers, dtype=np.float64)  # a copy: frozen below
-        pools = [subtree_leaves(tree, v) for v in range(tree.num_vlad_centers)]
-        sizes = np.array([len(pool) for pool in pools])
-        table = np.zeros((len(pools), max(1, sizes.max())), dtype=np.int64)
-        for row, pool in zip(table, pools):
-            if len(pool):
-                row[:] = pool[-1]
-                row[: len(pool)] = pool
-        leaf_sq = np.einsum("ij,ij->i", centers, centers)[table]
-        real = np.arange(table.shape[1]) < sizes[:, None]
-        sq_norms = np.where(real, leaf_sq, np.inf)
-        c_max = np.sqrt(np.max(leaf_sq * real, axis=1))
-        scaled = np.ascontiguousarray(-2.0 * centers[table.ravel()].T)
-        for array in (centers, scaled, table, sq_norms, c_max, sizes):
+        sq_norms = np.einsum("ij,ij->i", centers, centers).reshape(tree.num_vlad_centers, tree.pool_size)
+        c_max = np.sqrt(sq_norms.max(axis=1))
+        scaled = np.ascontiguousarray(-2.0 * centers.T)
+        for array in (centers, scaled, sq_norms, c_max):
             array.flags.writeable = False
-        return cls(centers, scaled, table, sq_norms, c_max, sizes)
+        return cls(centers, scaled, sq_norms, c_max)
 
 
 def assign_descriptors(
@@ -590,11 +580,11 @@ def assign_descriptors(
     nearest leaf among its coarse center's leaves (its pool), found one of
     two ways, routed by size:
 
-    * up to ``_LEAF_PRODUCT_MAX_SCORES`` (row, padded pool slot) scores, as
-      one image's descriptors give: one product scores every row against
-      every leaf (``tree.leaf_pools``), each row's own pool is gathered from
-      it, and :func:`_certified_argmin`, the proof ``nearest_center`` rests
-      on, decides the row, re-scoring near ties in the difference form;
+    * up to ``_LEAF_PRODUCT_MAX_SCORES`` (row, leaf) scores, as one image's
+      descriptors give: one product scores every row against every leaf
+      (``tree.leaf_pools``), each row's own pool is gathered from it, and
+      :func:`_certified_argmin`, the proof ``nearest_center`` rests on,
+      decides the row, re-scoring near ties in the difference form;
     * otherwise the rows are grouped by coarse center, one
       ``nearest_center`` call per pool: the product scores every row
       against all ``N`` pools to use one, and past about 600 rows on the
@@ -602,15 +592,15 @@ def assign_descriptors(
       passes of ``aggregate_images`` take this route.
 
     Both give every row the exact argmin of its difference-form distances
-    over its pool, whatever ``parent_of_leaf`` makes the pools, so an id does
-    not depend on the route or on which other rows share the call.
-    Non-finite rows or a wrong dimension raise ``ValueError``.
+    over its pool, so an id does not depend on the route or on which other
+    rows share the call.  Non-finite rows or a wrong dimension raise
+    ``ValueError``.
     """
     X = _descriptor_rows(tree, descriptors)
     vlad_ids = nearest_center(X, tree.vlad_centers)
     if not leaves:
         return X, vlad_ids, None
-    if X.shape[0] * tree.leaf_pools.scaled.shape[1] > _LEAF_PRODUCT_MAX_SCORES:
+    if X.shape[0] * tree.num_leaves > _LEAF_PRODUCT_MAX_SCORES:
         return X, vlad_ids, _leaves_by_pool(tree, X, vlad_ids)
     return X, vlad_ids, _leaves_by_product(tree, X, vlad_ids)
 
@@ -618,16 +608,14 @@ def assign_descriptors(
 def _leaves_by_product(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -> np.ndarray:
     """Each row's leaf from one product over all leaves (see ``assign_descriptors``)."""
     pools = tree.leaf_pools
-    if not pools.sizes[vlad_ids].all():  # an empty pool: the pool search raises
-        return _leaves_by_pool(tree, X, vlad_ids)
     rows = np.arange(X.shape[0])
-    scores = (X @ pools.scaled).reshape(len(rows), *pools.table.shape)[rows, vlad_ids]
+    scores = (X @ pools.scaled).reshape(len(rows), *pools.sq_norms.shape)[rows, vlad_ids]
     scores += pools.sq_norms[vlad_ids]
-    table = pools.table[vlad_ids]
+    first = vlad_ids * tree.pool_size
     best, exact = _certified_argmin(
-        X, scores, pools.c_max[vlad_ids], lambda r, cols: pools.centers[table[r, cols]]
+        X, scores, pools.c_max[vlad_ids], lambda r, cols: pools.centers[first[r] + cols]
     )
-    leaf_ids = table[rows, best]
+    leaf_ids = first + best
     if not exact.all():
         scan = np.flatnonzero(~exact)
         leaf_ids[scan] = _leaves_by_pool(tree, X[scan], vlad_ids[scan])
@@ -639,10 +627,10 @@ def _leaves_by_pool(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -
     leaf_ids = np.empty(X.shape[0], dtype=np.int64)
     order = np.argsort(vlad_ids, kind="stable")
     bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
+    p = tree.pool_size
     for v in np.flatnonzero(np.diff(bounds)):
         rows = order[bounds[v] : bounds[v + 1]]
-        pool = subtree_leaves(tree, int(v))
-        leaf_ids[rows] = pool[nearest_center(X[rows], tree.leaf_centers[pool])]
+        leaf_ids[rows] = v * p + nearest_center(X[rows], tree.leaf_centers[v * p : (v + 1) * p])
     return leaf_ids
 
 
@@ -650,4 +638,5 @@ def subtree_leaves(tree: VocabularyTree, vlad_id: int) -> np.ndarray:
     """All leaf ids under a coarse center, ascending."""
     if not 0 <= vlad_id < tree.num_vlad_centers:
         raise ValueError(f"vlad_id {vlad_id} out of range")
-    return np.flatnonzero(tree.parent_of_leaf == vlad_id).astype(np.int64)
+    p = tree.pool_size
+    return np.arange(vlad_id * p, (vlad_id + 1) * p, dtype=np.int64)

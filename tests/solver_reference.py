@@ -71,4 +71,5 @@ def build_dictionary(tree, vlad_id: int, restrict: Iterable[int] | None = None) 
 
 def admitted_leaves(candidates, center: int) -> np.ndarray:
     """The center's admissible leaf ids under a ``CandidateVWs``, ascending."""
-    return np.flatnonzero(candidates.mask & (candidates.parent_of_leaf == center))
+    parent = np.arange(candidates.mask.size) // (candidates.mask.size // candidates.num_centers)
+    return np.flatnonzero(candidates.mask & (parent == center))

@@ -252,6 +252,15 @@ class TestSynthesize:
         assert all(np.array_equal(memory.descriptors[i], X) for i, X in ds.descriptors.items())
 
 
+    def test_clusters_across_the_antimeridian_wrap(self, tree, tmp_path):
+        # The category clusters reach past longitude 180; their fixes wrap to
+        # -180 and on, and the manifest reads them back.
+        ds = synthesize_dataset(SyntheticSpec(gps_base=(0.0, 179.99), num_images=50), tree, tmp_path)
+        lons = [e.gps[1] for e in ds.entries]
+        assert min(lons) < -179.9 and max(lons) > 179.9
+        assert ingest_dataset(tmp_path / "manifest.tsv").entries == ds.entries
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "field, value",
@@ -266,6 +275,9 @@ class TestSpecValidation:
             ("support_fraction", (-0.1, 0.5)),
             ("support_fraction", (0.5, 1.5)),
             ("support_fraction", (0.9, 0.8)),
+            ("gps_base", (95.0, 7.0)),
+            ("gps_base", (45.0, -180.5)),
+            ("gps_base", (float("nan"), 7.0)),
         ],
     )
     def test_bad_value_rejected_naming_the_field(self, field, value):

@@ -12,6 +12,7 @@ import pytest
 
 from dehash.formats import (
     MODEL_MAGIC,
+    TREE_MAGIC,
     ContextTag,
     load_descriptors,
     load_model,
@@ -72,7 +73,7 @@ FORMATS = {
 KINDS = {
     "tree": ("tree", VocabularyTree(
         dim=3, branch=2, levels=2, vlad_level=1, vlad_centers=ramp(2, 3),
-        leaf_centers=ramp(4, 3) / 2, parent_of_leaf=np.array([0, 0, 1, 1], dtype=np.uint32),
+        leaf_centers=ramp(4, 3) / 2,
     )),
     **{kind: ("model", fixed_model(kind)) for kind in MODELS},
     "descriptors": ("descriptors", ramp(5, 3)),
@@ -169,6 +170,28 @@ def test_descriptors_of_dimension_zero_rejected(tmp_path):
         path.write_bytes(written("descriptors", path)[:8] + struct.pack("<2I", 0, rows))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dimension"):
             load_descriptors(path)
+
+
+@pytest.mark.parametrize(
+    "header, parents, fault",
+    [
+        ((3, 2, 4, 2, 2, 1), [1, 0, 1, 1], "leaf // 2"),  # ragged pools
+        ((3, 2, 4, 2, 2, 1), [0, 1, 0, 1], "leaf // 2"),  # interleaved pools
+        ((3, 3, 4, 2, 2, 1), [0, 0, 1, 1], r"\(N, M\) = \(3, 4\)"),  # branch 2 at level 1 makes N = 2
+        ((3, 2, 8, 2, 2, 1), [0] * 4 + [1] * 4, r"\(N, M\) = \(2, 8\)"),  # 2 levels make M = 4
+        ((3, 1, 1, 1, 1, 1), [0], "branch must be >= 2"),
+    ],
+    ids=["ragged", "interleaved", "N", "M", "branch"],
+)
+def test_tree_off_the_shape_rule_rejected(header, parents, fault, tmp_path):
+    # Every array has the length the header asks for, so only the layout is
+    # at fault.
+    dim, n, m = header[:3]
+    path = tmp_path / "bad-tree.bin"
+    arrays = ramp(n, dim).tobytes() + ramp(m, dim).tobytes() + np.array(parents, dtype="<u4").tobytes()
+    path.write_bytes(TREE_MAGIC + struct.pack("<6I", *header) + arrays)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*" + fault):
+        load_tree(path)
 
 
 def test_model_without_centers_raises_value_error(tmp_path):

@@ -1,6 +1,5 @@
 """The array-based histogram stages against the frozen dict-based ones
-(histogram_reference.py), and reconstruction on a tree whose centers
-interleave their leaves."""
+(histogram_reference.py)."""
 
 from types import SimpleNamespace
 
@@ -10,20 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import histogram_reference as ref
-import scan_reference
-from dehash.aggregate import aggregate_images, compute_vlad
+from dehash.aggregate import compute_vlad
 from dehash.dataset import SyntheticSpec
 from dehash.hashing import approximate_vlad, encode
 from dehash.pipeline import ReconParams, _query_candidates, run_pipeline
 from dehash.reconstruct import pseudo_bow, reconstruct_bow, reconstruct_bow_with_prior
 from dehash.retrieval import DatabaseIndex, Ranking, rank_bow, rank_hamming
-from dehash.formats import load_tree, save_tree
-from dehash.vocab import VocabularyTree
 
 from index_columns import bow_matrix, histogram_of
 from test_pipeline import tiny_config
-from test_scans import assert_ranked_as, ids_of
-from test_sparse import coherent_tree
+from test_scans import ids_of
 
 COUNT = st.one_of(st.integers(1, 9).map(float), st.floats(1e-3, 50.0))
 
@@ -96,45 +91,3 @@ class TestPriorReconstruction:
             assert got.counts == want
             assert list(got.counts) == sorted(want)
 
-
-def interleaved(tree: VocabularyTree, path) -> tuple[VocabularyTree, np.ndarray]:
-    """``tree`` with its leaves renumbered so that leaf ``j`` sits under
-    center ``j % N`` (read back through ``load_tree``), and the map from old
-    leaf ids to new ones; each center keeps its leaves in the same order."""
-    n, parents = tree.num_vlad_centers, tree.parent_of_leaf.astype(np.int64)
-    rank_in_center = np.zeros_like(parents)
-    for c in range(n):
-        rank_in_center[parents == c] = np.arange(np.count_nonzero(parents == c))
-    new_id = rank_in_center * n + parents
-    leaves = np.empty_like(tree.leaf_centers)
-    leaves[new_id] = tree.leaf_centers
-    save_tree(
-        VocabularyTree(tree.dim, tree.branch, tree.levels, tree.vlad_level, tree.vlad_centers, leaves,
-                       (np.arange(tree.num_leaves) % n).astype(np.uint32)),
-        path,
-    )
-    return load_tree(path), new_id
-
-
-class TestInterleavedTree:
-    def test_words_ascend_and_rank_as_before(self, tmp_path):
-        tree = coherent_tree()
-        itree, new_id = interleaved(tree, tmp_path / "tree.bin")
-        n = itree.num_vlad_centers
-        rng = np.random.default_rng(163)
-        leafs = np.asarray(tree.leaf_centers, dtype=np.float64)
-        sets = [leafs[rng.integers(0, tree.num_leaves, size=40)] + rng.normal(0, 0.05, (40, tree.dim))
-                for _ in range(12)]
-        bow, _ = aggregate_images(itree, sets)
-        ids = ids_of(len(sets))
-        index = DatabaseIndex(itree, ids, bow=bow)
-        for X in sets[:4]:
-            got = reconstruct_bow(compute_vlad(itree, X), itree, 0.02).histogram
-            plain = reconstruct_bow(compute_vlad(tree, X), tree, 0.02).histogram
-            assert got.words.tolist() == sorted(got.words.tolist())
-            assert got.counts == {int(new_id[w]): c for w, c in plain.counts.items()}
-            # The dict stages held the words center by center.
-            by_center = dict(sorted(got.counts.items(), key=lambda wc: (wc[0] % n, wc[0])))
-            assert list(by_center) != list(got.counts)
-            old_query = SimpleNamespace(counts=by_center)
-            assert_ranked_as(rank_bow(index, got), ids, scan_reference.bow_scores(index.bow, old_query))

@@ -31,10 +31,11 @@ from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
 
 
-def force_product(on: bool):
-    """Route every call through the matrix product (``on``) or keep the default
-    size cut-off, under which small calls take the difference scan."""
-    return mock.patch.object(vocab, "_SCAN_MAX_ELEMENTS", 0 if on else vocab._SCAN_MAX_ELEMENTS)
+def quantizer(product: bool):
+    """``nearest_center``, the product and its certification (``product``),
+    or the difference scan it falls back to for rows the certification
+    cannot decide."""
+    return nearest_center if product else vocab._difference_scan
 
 
 @st.composite
@@ -75,8 +76,7 @@ class TestParity:
     @given(data=quantizer_inputs())
     def test_equals_frozen_scan(self, product, data):
         points, centers = data
-        with force_product(product):
-            got = nearest_center(points, centers)
+        got = quantizer(product)(points, centers)
         want = nearest_center_reference(points, centers)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -86,8 +86,8 @@ class TestParity:
         points = np.array([[np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf], [3.0, 3.0], [1e200, 1e200]])
         for centers in ([[5.0, 5.0], [0.0, 0.0]], [[5.0, 5.0], [0.0, 0.0], [np.inf, 0.0]], [[1.0, np.nan], [2.0, 2.0]]):
             centers = np.array(centers)
-            with np.errstate(invalid="ignore", over="ignore"), force_product(product):
-                got = nearest_center(points, centers)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = quantizer(product)(points, centers)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = nearest_center_reference(points, centers)
             assert np.array_equal(got, want)
@@ -130,13 +130,13 @@ def assert_leaves_as_reference(tree, descriptors):
 
 @st.composite
 def hand_built_trees(draw):
-    """Trees with pools of any sizes over non-contiguous leaf ids (every
-    pool non-empty), leaves on a coarse grid (exact ties) or Gaussian,
-    repeated leaves, float32 scales 1e-30 to 1e30, and rows on leaves, on
-    midpoints of two leaves and free, as float64 or float32."""
+    """Trees of 1-6 coarse centers with equal pools of 1-8 leaves, leaves on
+    a coarse grid (exact ties) or Gaussian, repeated leaves (also across
+    pools), float32 scales 1e-30 to 1e30, and rows on leaves, on midpoints
+    of two leaves and free, as float64 or float32."""
     d = draw(st.integers(1, 20))
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(n, 48))
+    m = n * draw(st.integers(1, 8))
     scale = 10.0 ** draw(st.integers(-30, 30))
     grid = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -149,8 +149,6 @@ def hand_built_trees(draw):
     leaves = values(m)
     for dst, src in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=4)):
         leaves[dst] = leaves[src]
-    parent = rng.integers(0, n, size=m)
-    parent[rng.permutation(m)[:n]] = np.arange(n)
     tree = VocabularyTree(
         dim=d,
         branch=2,
@@ -158,7 +156,6 @@ def hand_built_trees(draw):
         vlad_level=1,
         vlad_centers=(values(n) * scale).astype(np.float32),
         leaf_centers=(leaves * scale).astype(np.float32),
-        parent_of_leaf=parent.astype(np.uint32),
     )
     rows = values(draw(st.integers(1, 40)))
     kinds = draw(st.lists(st.sampled_from(["free", "leaf", "midpoint"]), min_size=len(rows), max_size=len(rows)))
@@ -219,13 +216,11 @@ class TestLeafRoutes:
             vlad_level=1,
             vlad_centers=np.zeros((1, 6), dtype=np.float32),
             leaf_centers=leaves,
-            parent_of_leaf=np.zeros(len(leaves), dtype=np.uint32),
         )
         for exponent in range(-14, -8):
             X = rng.normal(size=(200, 6)) * 10.0**exponent
             assert_leaves_as_reference(tree, X)
-            with force_product(True):
-                assert np.array_equal(nearest_center(X, leaves), nearest_center_reference(X, leaves))
+            assert np.array_equal(nearest_center(X, leaves), nearest_center_reference(X, leaves))
 
     def test_exact_ties_on_a_grid(self):
         # Leaves on the unit square's corners and a point equidistant from
@@ -238,44 +233,11 @@ class TestLeafRoutes:
             levels=2,
             vlad_level=1,
             vlad_centers=np.array([[0.5, 0.5], [9.0, 9.0]], dtype=np.float32),
-            leaf_centers=np.concatenate([corners[::-1], [[9.0, 9.0]]]).astype(np.float32),
-            parent_of_leaf=np.array([0, 0, 0, 0, 1], dtype=np.uint32),
+            leaf_centers=np.concatenate([corners[::-1], corners + 9.0]).astype(np.float32),
         )
         for x in ([0.5, 0.5], [0.5, 0.0], [1.0, 0.5], [0.0, 0.0]):
             assert_leaves_as_reference(tree, np.array(x))
         assert assign_descriptors(tree, np.array([0.5, 0.5]))[2].tolist() == [0]
-
-    def test_non_contiguous_ragged_pools(self):
-        # Pools of 5, 1 and 3 leaves interleaved over the ids.
-        rng = np.random.default_rng(11)
-        parent = np.array([2, 0, 0, 1, 2, 0, 0, 2, 0], dtype=np.uint32)
-        tree = VocabularyTree(
-            dim=3,
-            branch=3,
-            levels=2,
-            vlad_level=1,
-            vlad_centers=rng.normal(size=(3, 3)).astype(np.float32),
-            leaf_centers=rng.normal(size=(9, 3)).astype(np.float32),
-            parent_of_leaf=parent,
-        )
-        rows = rng.normal(size=(300, 3))
-        assert_leaves_as_reference(tree, rows)
-        assert tree.leaf_pools.table.tolist() == [[1, 2, 5, 6, 8], [3, 3, 3, 3, 3], [0, 4, 7, 7, 7]]
-
-    def test_empty_pool_raises_on_both_routes(self):
-        tree = VocabularyTree(
-            dim=1,
-            branch=2,
-            levels=2,
-            vlad_level=1,
-            vlad_centers=np.array([[0.0], [10.0]], dtype=np.float32),
-            leaf_centers=np.array([[-1.0], [1.0]], dtype=np.float32),
-            parent_of_leaf=np.array([0, 0], dtype=np.uint32),
-        )
-        assert_leaves_as_reference(tree, np.array([[0.5], [-3.0]]))
-        for product in (True, False):
-            with force_leaf_route(product), pytest.raises(ValueError):
-                assign_descriptors(tree, np.array([[0.5], [10.0]]))
 
     def test_overflowing_rows_fall_back_to_the_pool_scan(self):
         # 4 R^2 overflows, so the product cannot certify: the row is scanned.
@@ -322,10 +284,8 @@ class TestTrainingParity:
     @settings(max_examples=60, deadline=None)
     @given(data=lloyd_inputs())
     def test_lloyd_equals_frozen(self, data):
-        # Small inputs take the moved-center step only under force_product.
         points, init, max_iter = data
-        with force_product(True):
-            got_centers, got_assign = lloyd(points, init, max_iter=max_iter)
+        got_centers, got_assign = lloyd(points, init, max_iter=max_iter)
         want_centers, want_assign = lloyd_reference(points, init, max_iter=max_iter)
         assert np.array_equal(got_centers, want_centers)
         assert np.array_equal(got_assign, want_assign)
@@ -359,8 +319,7 @@ class TestTrainingParity:
     @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
     def test_train_pq_equals_frozen(self, n):
         vectors = gaussian_mixture(n, 12, 5, seed=n)
-        with force_product(True):
-            got = train_pq(vectors, subvectors=3, bits=4, seed=7)
+        got = train_pq(vectors, subvectors=3, bits=4, seed=7)
         with mock.patch.object(retrieval, "lloyd", lloyd_reference):
             want = train_pq(vectors, subvectors=3, bits=4, seed=7)
         assert np.array_equal(got.codebooks, want.codebooks)
@@ -377,8 +336,7 @@ class TestTrainingParity:
 
     def test_train_vocabulary_equals_frozen(self):
         X = gaussian_mixture(800, 4, 6, seed=41)
-        with force_product(True):
-            got = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
+        got = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
         with mock.patch.object(vocab, "lloyd", lloyd_reference):
             want = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
         assert np.array_equal(got.vlad_centers, want.vlad_centers)

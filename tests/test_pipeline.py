@@ -149,6 +149,9 @@ class TestConfig:
             ("cues", (), "cues"),
             ("combine", "majority", "combine"),
             ("prior_source", "gps", "prior source"),
+            ("tol", float("nan"), "tol"),
+            ("tol", -1e-6, "tol"),
+            ("max_iter", 0, "max_iter"),
         ],
     )
     def test_bad_recon_params_rejected(self, field, value, match):
@@ -183,6 +186,13 @@ class TestConfig:
                 ExperimentConfig(hash=HashParams(**data["hash"]))
             else:
                 ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+    def test_pq_subvectors_must_divide_the_vlad_width_for_adc(self):
+        # D * N = 16 * 8 = 128 on the default tree, which 7 sub-vectors do not divide.
+        with pytest.raises(ValueError, match=r"pq\.subvectors=7 must divide the VLAD width 128"):
+            config_from_dict({"pq": {"subvectors": 7}})
+        # Without adc no codebooks are trained, so the split does not matter.
+        assert config_from_dict({"pq": {"subvectors": 7}, "modes": ["bow", "hamming"]}).pq.subvectors == 7
 
     @pytest.mark.parametrize(
         "tree, match",

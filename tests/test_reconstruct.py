@@ -102,20 +102,10 @@ class TestCandidates:
     def test_mask_of_another_shape_rejected(self, tree):
         for mask in (np.array([True]), np.ones(tree.num_leaves + 1, dtype=bool), np.ones((2, 3), dtype=bool)):
             with pytest.raises(ValueError, match="one entry per leaf"):
-                CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers)
-
-    def test_parent_id_beyond_the_centers_rejected(self, tree):
-        parent = tree.parent_of_leaf.copy()
-        parent[-1] = tree.num_vlad_centers
-        mask = np.ones(tree.num_leaves, dtype=bool)
-        with pytest.raises(ValueError, match="num_centers"):
-            CandidateVWs(mask, parent, tree.num_vlad_centers)
-        with pytest.raises(ValueError, match="num_centers"):
-            CandidateVWs(mask, tree.parent_of_leaf, tree.num_vlad_centers - 1)
-        signed = tree.parent_of_leaf.astype(np.int64)
-        signed[0] = -1
-        with pytest.raises(ValueError, match="num_centers"):
-            CandidateVWs(mask, signed, tree.num_vlad_centers)
+                CandidateVWs(mask, tree.num_vlad_centers)
+        for num_centers in (0, tree.num_vlad_centers - 1):  # no split into equal pools
+            with pytest.raises(ValueError, match="equal pools"):
+                CandidateVWs(np.ones(tree.num_leaves, dtype=bool), num_centers)
 
     def test_from_binary_top1(self, index):
         ranking = Ranking(tuple((i, 0.0) for i in index.ids))

@@ -459,9 +459,9 @@ class TestBuildIndex:
         }
         vlads = [compute_vlad(tree, X) for X in descriptors.values()]
         model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
-        # ``product``: every quantizer call takes the matrix-product route, not
-        # the difference scan that calls this small take by default.
-        with mock.patch.object(vocab, "_SCAN_MAX_ELEMENTS", 0 if product else vocab._SCAN_MAX_ELEMENTS):
+        # ``product``: the build's leaf search takes the one product over all
+        # leaves, as these few rows do by default, or one call per pool.
+        with mock.patch.object(vocab, "_LEAF_PRODUCT_MAX_SCORES", 2**62 if product else -1):
             index = build_index(tree, model, descriptors)
         for image_id, X in descriptors.items():
             bow = compute_bow(tree, X)

@@ -78,8 +78,14 @@ class TestTraining:
         X = gaussian_mixture(600, 4, 6, seed=1)
         tree = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=5)
         assert tree.num_vlad_centers == 3
-        assert tree.num_leaves == 27
+        assert tree.num_leaves == 27 and tree.pool_size == 9
         assert tree.parent_of_leaf.tolist() == [i // 9 for i in range(27)]
+        assert tree.parent_of_leaf.dtype == np.uint32 and not tree.parent_of_leaf.flags.writeable
+        # Pools must be equal to be built, and the shape the tree's fields make to validate.
+        with pytest.raises(ValueError, match="equal pools"):
+            dataclasses.replace(tree, leaf_centers=tree.leaf_centers[:-1])
+        with pytest.raises(ValueError, match=r"\(N, M\) = \(3, 27\), but .* make \(3, 9\)"):
+            dataclasses.replace(tree, levels=2).validate()
 
     def test_one_point_per_leaf_is_fixed_point(self):
         # With exactly branch**levels well-separated points, every leaf center
@@ -165,7 +171,6 @@ class TestQuantization:
             vlad_level=1,
             vlad_centers=np.array([[0.0], [2.0], [4.0]], dtype=np.float32),
             leaf_centers=np.array([[0.0], [2.0], [4.0]], dtype=np.float32),
-            parent_of_leaf=np.arange(3, dtype=np.uint32),
         )
         assert assign_descriptors(tree, np.array([3.0]), leaves=False)[1].tolist() == [1]  # equidistant to 1 and 2
 
