@@ -102,41 +102,54 @@ class VladVector:
 
 class BowMatrix:
     """Sparse histograms as CSR rows, one per image, plus their posting lists;
-    every array read-only.
+    every array read-only and in the narrowest type that holds its values
+    exactly.
 
     Row ``r`` holds ``words[indptr[r]:indptr[r + 1]]`` in ascending order with
-    their raw ``counts``; ``mass[r]`` is the row's total, so the row's
-    L1-normalized weights are ``counts / mass[r]``.  The posting lists are
-    the same entries ordered by word (the inverted file): word ``w``'s
+    their raw ``counts``; ``mass[r]`` is the row's float64 total, so the
+    row's L1-normalized weights are ``counts / mass[r]``.  The posting lists
+    are the same entries ordered by word (the inverted file): word ``w``'s
     entries sit at ``posting_entries[posting_ptr[w]:posting_ptr[w + 1]]``
     (positions in ``words`` and ``counts``, ascending) and belong to rows
     ``posting_rows`` at the same places.  ``ValueError`` unless every row
     holds at least one word, ascending and inside the vocabulary, with a
     positive count.
+
+    ``words`` are uint16 while ``vocab_size <= 2**16``, else int32;
+    ``posting_rows`` are uint16 while there are at most ``2**16`` rows, else
+    like ``posting_entries`` int32 (int64 past ``2**31 - 1`` entries).
+    Counts given in an integer type are kept in the smallest unsigned type
+    that holds the largest; other counts (fractional ones) are float64, a
+    view when given as float64.  ``mass`` is summed from the counts as
+    float64, and every reader converts them back to float64, which is exact
+    for integers, so the narrowing changes no score, weight or histogram.
     """
 
     def __init__(
         self, indptr: np.ndarray, words: np.ndarray, counts: np.ndarray, vocab_size: int
     ) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
-        words = np.asarray(words, dtype=np.int32)
-        counts = np.asarray(counts, dtype=np.float64)
+        words = np.asarray(words, dtype=np.int64)
+        given = np.asarray(counts)
+        counts = given.astype(np.float64, copy=False)
         sizes = np.diff(indptr)
         if indptr[0] != 0 or np.any(sizes < 1) or not indptr[-1] == len(words) == len(counts):
             raise ValueError("every BoW row needs at least one word, and one count per word")
         _check_rows(indptr, words, counts, vocab_size)
         self.indptr = _readonly(indptr)
-        self.words = _readonly(words)
-        self.counts = _readonly(counts)
         self.mass = _readonly(np.add.reduceat(counts, indptr[:-1]))
+        if given.dtype.kind in "iu":
+            counts = given.astype(np.min_scalar_type(given.max(initial=0)))
+        self.counts = _readonly(counts)
         self.vocab_size = vocab_size
         # A stable sort keeps each word's entries ascending; on 16-bit keys
         # numpy's stable sort is a radix sort.
-        keys = words.astype(np.uint16) if vocab_size <= 2**16 else words
+        words = words.astype(np.uint16 if vocab_size <= 2**16 else np.int32)
+        self.words = _readonly(words)
         position = np.int32 if len(words) <= np.iinfo(np.int32).max else np.int64
-        self.posting_entries = _readonly(keys.argsort(kind="stable").astype(position))
-        rows = np.arange(len(sizes), dtype=position).repeat(sizes)
-        self.posting_rows = _readonly(rows[self.posting_entries])
+        self.posting_entries = _readonly(words.argsort(kind="stable").astype(position))
+        rows = np.arange(len(sizes), dtype=np.uint16 if len(sizes) <= 2**16 else position)
+        self.posting_rows = _readonly(rows.repeat(sizes)[self.posting_entries])
         ptr = np.zeros(vocab_size + 1, dtype=np.int64)
         np.bincount(words, minlength=vocab_size).cumsum(out=ptr[1:])
         self.posting_ptr = _readonly(ptr)
@@ -236,9 +249,7 @@ def aggregate_images(
     if not bow:
         return None, vlads
     np.cumsum(indptr, out=indptr)
-    return BowMatrix(
-        indptr, np.concatenate(words, dtype=np.int32), np.concatenate(counts, dtype=np.float64), m
-    ), vlads
+    return BowMatrix(indptr, np.concatenate(words), np.concatenate(counts), m), vlads
 
 
 def normalize_vlad(v, mode: str) -> VladVector:

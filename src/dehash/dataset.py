@@ -171,6 +171,11 @@ class SyntheticSpec:
             check_gps(*self.gps_base)
         except ValueError as exc:
             raise ValueError(f"gps_base must be a valid GPS fix: {exc}") from None
+        if any(abs(lat) > 90.0 for lat, _ in _category_locations(self)):
+            raise ValueError(
+                f"gps_base must keep the category clusters within latitude +-90: {self.gps_base} "
+                f"lies within gps_cluster_km={self.gps_cluster_km:g} of a pole"
+            )
 
 
 @dataclass

@@ -161,11 +161,15 @@ def candidates_from_gps(
 
 
 def candidates_from_category(index: "DatabaseIndex", category: int) -> CandidateVWs:
-    """Words occurring anywhere in the given category."""
-    members = [i for i, c in index.categories.items() if c == category]
-    if not members:
+    """Words occurring anywhere in the given category: the stored entries of
+    the rows whose category column equals ``category``."""
+    members = index._categories == category if index._categories is not None else None
+    if members is None or not members.any():
         raise ValueError(f"no database image has category {category}")
-    return CandidateVWs.from_leaf_ids(index.tree, _stored_words(index, members))
+    bow = index.bow
+    if bow is None:
+        raise ValueError("index stores no BoW histograms")
+    return CandidateVWs.from_leaf_ids(index.tree, bow.words[members.repeat(np.diff(bow.indptr))])
 
 
 def combine_candidates(cues: Sequence[CandidateVWs], mode: str = "union") -> CandidateVWs:

@@ -20,13 +20,16 @@ one sort of distinct (score bits, row) keys for float rankings (see
 (the Hamming bit counts, as uint8 or uint16 keys: a radix sort), kept as
 float64:
 
-* BoW: a CSR matrix (row pointers, int32 word ids, float64 counts) with each
-  row's total, so a row's L1-normalized weights are its counts over its
-  total, and its posting lists (each word's entries); scored with the
+* BoW: a CSR matrix (row pointers, uint16 word ids while the vocabulary has
+  at most 2**16 words, counts in the smallest unsigned type that holds them)
+  with each row's float64 total, so a row's L1-normalized weights are its
+  counts over its total, and its posting lists (each word's entries, with
+  uint16 rows while the index has at most 2**16 images); scored with the
   sum-of-min identity ``|a - b|_1 = 2 - 2 * sum_i min(a_i, b_i)`` for
   L1-normalized ``a`` and ``b``, whose terms are non-zero only at the words
   the query holds, so only those words' postings are visited; evaluated on
-  counts so that integer counts score exactly (see :func:`rank_bow`);
+  counts converted to float64, so that integer counts score exactly (see
+  :func:`rank_bow`);
 * codes: an ``(n, K/8)`` uint8 matrix, scored by XOR and ``np.bitwise_count``
   in the widest words that tile a row, the counts added in the smallest
   unsigned type that holds ``K``;
@@ -43,7 +46,9 @@ float64:
   sum over its ``m`` entries are added in ``np.sum``'s pairwise order
   (:func:`dehash.vocab.pairwise_row_sums`), 8 code rows at a time;
 * GPS: an ``(n, 2)`` matrix in radians (NaN where an image has none) and the
-  cosine of each latitude, scored by a vectorized haversine.
+  cosine of each latitude, scored by a vectorized haversine;
+* categories: an ``(n,)`` column in the smallest signed type that holds
+  them, ``-1`` where an image has none.
 
 A :class:`Ranking` holds a scan's result as two arrays over the index's
 shared id table: the row order (the stable ``argsort`` of the scores) and
@@ -231,17 +236,21 @@ class DatabaseIndex:
     Row ``r`` of every column belongs to ``ids[r]``, and ``ids`` must be
     strictly ascending, so a stable sort of a score vector breaks ties by id.
     Each column is optional and, when given, has one row per id: ``bow``, a
-    :class:`BowMatrix` over the tree's leaves; ``vlads``, the ``(n, N, D)``
+    :class:`BowMatrix` over the tree's leaves, in its narrow types (uint16
+    words and posting rows, small unsigned counts); ``vlads``, the ``(n, N, D)``
     raw VLAD stack (both from ``aggregate_images``), kept as an ``(n, N*D)``
     matrix plus its copy under ``rank_normalization`` (always
     ``RANK_NORMALIZATION``), column-major ``(N*D, n)``;
     ``codes``, the packed ``(n, ceil(nbits / 8))`` uint8 code matrix
     (``encode_stack``).  ``gps`` may miss images and becomes an ``(n, 2)``
     radians matrix, NaN where an image has no fix, plus each latitude's
-    cosine; ``attach_pq`` adds the ``(m, n)`` offset PQ code matrix.  A
-    column that breaks these rules raises ``ValueError``.  The arrays are kept
-    as read-only views, not copies, and ``bows``, ``vlads`` (raw ``(N, D)``
-    row views), ``codes``, ``pq_codes`` and ``gps`` are by-id views over them.
+    cosine; ``categories`` may miss images too and becomes an ``(n,)``
+    column of non-negative integers, ``-1`` where an image has none.
+    ``attach_pq`` adds the ``(m, n)`` offset PQ code matrix.  A column that
+    breaks these rules raises ``ValueError``.  The arrays are kept as
+    read-only views, not copies, and ``bows``, ``vlads`` (raw ``(N, D)`` row
+    views), ``codes``, ``pq_codes``, ``gps`` and ``categories`` are by-id
+    views over them.
     """
 
     rank_normalization = RANK_NORMALIZATION
@@ -262,7 +271,6 @@ class DatabaseIndex:
         if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
             raise ValueError("image ids must be strictly ascending")
         n = len(self.ids)
-        self.categories = dict(categories or {})
         self.pq: PQCodebooks | None = None
         self._row = {image_id: r for r, image_id in enumerate(self.ids)}
         self._ids_array = np.array(self.ids, dtype=object)
@@ -276,11 +284,13 @@ class DatabaseIndex:
         self._pq_codes: np.ndarray | None = None
         self._gps: np.ndarray | None = None
         self._gps_cos: np.ndarray | None = None
+        self._categories: np.ndarray | None = None
         self.bows: Mapping[str, BowHistogram] = _EMPTY
         self.vlads: Mapping[str, np.ndarray] = _EMPTY
         self.codes: Mapping[str, BinaryCode] = _EMPTY
         self.pq_codes: Mapping[str, np.ndarray] = _EMPTY
         self.gps: Mapping[str, tuple[float, float]] = _EMPTY
+        self.categories: Mapping[str, int] = _EMPTY
 
         if bow is not None:
             _check_rows("BoW", len(bow.indptr) - 1, n)
@@ -320,6 +330,16 @@ class DatabaseIndex:
                 lambda r: (math.degrees(table[r, 0]), math.degrees(table[r, 1])),
                 present=_readonly(~np.isnan(table[:, 0])),
             )
+        if categories:
+            given = np.fromiter(categories.values(), dtype=np.int64, count=len(categories))
+            if given.min() < 0:
+                raise ValueError(f"categories must be non-negative, got {int(given.min())}")
+            # The smallest signed type that holds -1 and the largest category.
+            column = np.empty(n, dtype=np.min_scalar_type(-1 - int(given.max())))
+            column.fill(-1)
+            column[[self._row[i] for i in categories]] = given
+            self._categories = _readonly(column)
+            self.categories = self._view(lambda r: int(column[r]), present=_readonly(column >= 0))
 
     def _view(self, make: Callable[[int], object], present: np.ndarray | None = None) -> Mapping:
         return _ByRow(self.ids, self._row, make, present)

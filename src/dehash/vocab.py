@@ -168,7 +168,10 @@ def column_sq_distances(
     columns: np.ndarray, point: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared L2 distances from ``point`` to every column of a ``(d, n)``
-    array: ``np.sum((columns.T - point) ** 2, axis=1)`` bit for bit.
+    array: ``np.sum((np.ascontiguousarray(columns.T) - point) ** 2, axis=1)``
+    bit for bit.  (Without the copy, C-ordered ``columns`` give an F-ordered
+    difference whose row sums numpy adds sequentially, not pairwise, so they
+    can differ in the last bits.)
 
     The squared differences are streamed 8 rows at a time into
     :func:`pairwise_row_sums`, so nothing of size ``(d, n)`` is built.  A
@@ -625,7 +628,10 @@ def _leaves_by_product(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray
 def _leaves_by_pool(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -> np.ndarray:
     """Each row's leaf from one ``nearest_center`` call per pool."""
     leaf_ids = np.empty(X.shape[0], dtype=np.int64)
-    order = np.argsort(vlad_ids, kind="stable")
+    # The stable sort of the ids as the smallest unsigned type that holds
+    # them: on 8- and 16-bit keys numpy sorts by radix.
+    keys = vlad_ids.astype(np.min_scalar_type(tree.num_vlad_centers - 1))
+    order = np.argsort(keys, kind="stable")
     bounds = np.searchsorted(vlad_ids[order], np.arange(tree.num_vlad_centers + 1))
     p = tree.pool_size
     for v in np.flatnonzero(np.diff(bounds)):

@@ -1,6 +1,8 @@
 """Hand-built indexes for the tests: per-image mappings turned into the
 columns ``DatabaseIndex`` stores, rows in ascending-id order."""
 
+import copy
+
 import numpy as np
 
 from dehash.aggregate import BowHistogram, BowMatrix
@@ -36,3 +38,52 @@ def index_of(tree, ids, bows=None, vlads=None, codes=None, **kwargs):
         columns["codes"] = np.array([codes[i].packed for i in ids])
         columns["nbits"] = codes[ids[0]].nbits
     return DatabaseIndex(tree, ids, **columns, **kwargs)
+
+
+# Boundary cases of the narrow BowMatrix types, as (rows, vocab_size, largest
+# count): vocabularies on either side of 2**16 words (uint16 or int32 words),
+# largest integer counts on either side of 2**8 and 2**16 (uint8, uint16 or
+# uint32 counts), None for fractional counts (float64), and row counts on
+# either side of 2**16 (uint16 or int32 posting rows).
+NARROW_CASES = [
+    (40, 2**16, 9),
+    (40, 2**16 + 1, 9),
+    (40, 64, 255),
+    (40, 64, 256),
+    (40, 64, 65535),
+    (40, 64, 65536),
+    (40, 64, None),
+    (2**16, 64, 9),
+    (2**16 + 1, 64, 9),
+]
+
+
+def narrow_case(rows, vocab_size, top, seed=0):
+    """``(indptr, words, counts)`` of ``rows`` CSR rows of 1 to 3 words over
+    ``vocab_size``, drawn cheaply: words from a few low ids and the last id,
+    integer counts 1 to 4 with ``top`` at two entries, or fractional counts
+    when ``top`` is None."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, size=rows)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    pool = np.unique(np.concatenate([np.arange(min(vocab_size, 9)), [vocab_size - 1]]))
+    # Each row's words: distinct draws from the pool, ascending.
+    keys = rng.random((rows, len(pool))).argsort(axis=1)[:, :3]
+    keys.sort(axis=1)
+    words = pool[keys[np.arange(3) < sizes[:, None]]]
+    if top is None:
+        counts = rng.uniform(0.01, 5.0, size=len(words))
+    else:
+        counts = rng.integers(1, 5, size=len(words))
+        counts[[0, -1]] = top
+    return indptr, words, counts
+
+
+def widened(bow):
+    """``bow`` with its rows stored in the wide types: int32 words and posting
+    rows, float64 counts; every other array shared."""
+    wide = copy.copy(bow)
+    wide.words = bow.words.astype(np.int32)
+    wide.counts = bow.counts.astype(np.float64)
+    wide.posting_rows = bow.posting_rows.astype(np.int32)
+    return wide

@@ -20,7 +20,7 @@ from dehash.formats import load_descriptors, save_descriptors
 from dehash.reconstruct import build_dictionary
 from dehash.vocab import train_vocabulary
 
-from index_columns import histogram_of
+from index_columns import NARROW_CASES, histogram_of, narrow_case
 from pair_reference import l1_normalized
 from test_vocab import gaussian_mixture
 
@@ -115,7 +115,8 @@ class TestAggregateImages:
         sets = [rng.normal(size=(rows, tree.dim)) * 3 for rows in (4, 1, 6, 25, 3)]
         with mock.patch.object(aggregate, "PASS_ROWS", 10):
             bow, vlads = aggregate_images(tree, sets)
-        assert bow.indptr.dtype == np.int64 and bow.words.dtype == np.int32
+        assert bow.indptr.dtype == np.int64 and bow.words.dtype == np.uint16
+        assert bow.counts.dtype == np.uint8 and bow.mass.dtype == np.float64
         for r, X in enumerate(sets):
             s = bow.span(r)
             assert bow.histogram(r).counts == compute_bow(tree, X).counts
@@ -167,7 +168,8 @@ class TestBowMatrix:
         indptr = np.cumsum([0] + [len(r) for r in rows])
         words = np.concatenate([np.empty(0, dtype=np.int64), *rows])
         bow = BowMatrix(indptr, words, rng.uniform(0.5, 3.0, size=len(words)), vocab_size)
-        assert bow.posting_entries.dtype == bow.posting_rows.dtype == np.int32
+        assert bow.posting_entries.dtype == np.int32 and bow.posting_rows.dtype == np.uint16
+        assert bow.words.dtype == (np.uint16 if vocab_size <= 2**16 else np.int32)
         assert len(bow.posting_ptr) == vocab_size + 1
         for w in np.unique(np.concatenate([words, [0, vocab_size - 1]])):
             s = slice(bow.posting_ptr[w], bow.posting_ptr[w + 1])
@@ -188,11 +190,35 @@ class TestBowMatrix:
             ([0, 2], [1, 5], [2.0, 6.0]),  # outside the vocabulary
             ([0, 2], [-1, 4], [2.0, 6.0]),
             ([0, 2], [1, 4], [2.0, 0.0]),  # a zero count
+            ([0, 2], [1, 4], [2, 0]),  # integer counts are checked before they narrow
+            ([0, 2], [1, 4], [2, -1]),
         ],
     )
     def test_malformed_rows_rejected(self, indptr, words, counts):
         with pytest.raises(ValueError):
             BowMatrix(indptr, words, counts, 5)
+
+    @pytest.mark.parametrize("rows, vocab_size, top", NARROW_CASES)
+    def test_narrow_types_hold_the_rows_exactly(self, rows, vocab_size, top):
+        indptr, words, counts = narrow_case(rows, vocab_size, top)
+        bow = BowMatrix(indptr, words, counts, vocab_size)
+        assert bow.words.dtype == (np.uint16 if vocab_size <= 2**16 else np.int32)
+        narrowest = {9: np.uint8, 255: np.uint8, 256: np.uint16, 65535: np.uint16, 65536: np.uint32}
+        assert bow.counts.dtype == narrowest.get(top, np.float64)
+        assert bow.posting_entries.dtype == np.int32
+        assert bow.posting_rows.dtype == (np.uint16 if rows <= 2**16 else np.int32)
+        # The same rows with float64 counts: equal values, and the same mass
+        # and posting lists.
+        wide = BowMatrix(indptr, words, counts.astype(np.float64), vocab_size)
+        assert np.array_equal(bow.words, words) and np.array_equal(bow.counts, counts)
+        assert bow.mass.tobytes() == wide.mass.tobytes()
+        assert bow.posting_entries.tobytes() == wide.posting_entries.tobytes()
+        assert np.array_equal(bow.posting_rows, wide.posting_rows)
+        for row in sorted({0, 1, rows // 2, rows - 1}):
+            s = bow.span(row)
+            got, want = bow.histogram(row), BowHistogram(words[s], counts[s].astype(np.float64), vocab_size)
+            assert got.words.tobytes() == want.words.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestComputeVlad:

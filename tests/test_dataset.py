@@ -278,11 +278,20 @@ class TestSpecValidation:
             ("gps_base", (95.0, 7.0)),
             ("gps_base", (45.0, -180.5)),
             ("gps_base", (float("nan"), 7.0)),
+            ("gps_base", (89.99, 7.0)),  # the category clusters reach past a pole
+            ("gps_base", (-89.99, 7.0)),
         ],
     )
     def test_bad_value_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SyntheticSpec(**{field: value})
+
+    def test_clusters_near_a_pole_accepted(self, tree):
+        # Rings that end about 1 km short of either pole, 20 noise sigmas.
+        radius = SyntheticSpec().gps_cluster_km * 1000.0 / 111_320.0
+        for lat in (90.0 - radius - 0.01, -90.0 + radius + 0.01):
+            ds = synthesize_dataset(SyntheticSpec(gps_base=(lat, 7.0), num_images=20), tree)
+            assert all(abs(e.gps[0]) < 90.0 and abs(e.gps[1]) <= 180.0 for e in ds.entries)
 
     def test_edge_values_accepted(self, tree):
         spec = SyntheticSpec(

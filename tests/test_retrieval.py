@@ -402,7 +402,14 @@ class TestColumnarIndex:
             DatabaseIndex(tree, ids, gps={"zz": (1.0, 2.0)})
         with pytest.raises(ValueError, match=r"categories given for unknown images: \['zz'\]"):
             DatabaseIndex(tree, ids, categories={ids[0]: 0, "zz": 1})
-        assert DatabaseIndex(tree, ids, categories={ids[0]: 0}).categories == {ids[0]: 0}
+        with pytest.raises(ValueError, match="non-negative"):
+            DatabaseIndex(tree, ids, categories={ids[0]: -1})
+        # Stored as a column, -1 where an image has none, read back by id.
+        index = DatabaseIndex(tree, ids, categories={ids[-1]: 0, ids[0]: 127})
+        assert index._categories.dtype == np.int8
+        assert index._categories.tolist() == [127] + [-1] * (len(ids) - 2) + [0]
+        assert index.categories == {ids[0]: 127, ids[-1]: 0} and ids[0] in index.categories
+        assert DatabaseIndex(tree, ids, categories={ids[0]: 128})._categories.dtype == np.int16
 
     def test_ids_must_ascend(self, small_index):
         for ids in (["b", "a"], ["a", "a"], ["a", "c", "b"]):

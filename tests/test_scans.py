@@ -1,7 +1,8 @@
 """The column-major VLAD and ADC scans, the posting-list BoW scan, the GPS
 scan and the integer Hamming ranking against the frozen row-major scans
 (scan_reference.py) and the stable float sort: identical score floats and
-orders, on small drawn indexes and on one of the benchmark's 5000 rows."""
+orders, on small drawn indexes and on one of the benchmark's 5000 rows; and
+the BoW readers on the narrow index types against the same rows stored wide."""
 
 from types import SimpleNamespace
 
@@ -11,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_reference as ref
-from index_columns import bow_matrix, histogram_of
-from dehash.aggregate import RANK_NORMALIZATION, normalize_vlad
+from index_columns import NARROW_CASES, bow_matrix, histogram_of, narrow_case, widened
+from dehash.aggregate import RANK_NORMALIZATION, BowMatrix, normalize_vlad
 from dehash.hashing import BinaryCode
+from dehash.reconstruct import (
+    CandidateVWs, _stored_words, candidates_from_binary, candidates_from_category, pseudo_bow
+)
 from dehash.retrieval import (
     DatabaseIndex, PQCodebooks, attach_pq, rank_adc, rank_bow, rank_gps, rank_hamming, rank_vlad
 )
@@ -142,6 +146,46 @@ class TestBowScan:
             want = ref.bow_scores(index.bow, histogram)
             assert np.sum(want == 2.0) > 1000 and len(np.unique(want)) < BENCH_ROWS // 10
             assert_ranked_as(rank_bow(index, histogram), ids, want)
+
+
+class TestNarrowBowColumns:
+    """The narrow BowMatrix types read back as the same rows stored wide
+    (int32 words and posting rows, float64 counts): the same rankings,
+    pseudo-histograms and candidate words, byte for byte."""
+
+    @pytest.mark.parametrize("rows, vocab_size, top", NARROW_CASES)
+    def test_readers_equal_the_wide_rows(self, rows, vocab_size, top):
+        indptr, words, counts = narrow_case(rows, vocab_size, top, seed=rows + vocab_size)
+        ids = [f"im{i:06d}" for i in range(rows)]
+        tree = SimpleNamespace(num_leaves=vocab_size, num_vlad_centers=1)
+        categories = {image_id: r % 3 for r, image_id in enumerate(ids)}
+        bow = BowMatrix(indptr, words, counts, vocab_size)
+        narrow = DatabaseIndex(tree, ids, bow=bow, categories=categories)
+        wide = DatabaseIndex(tree, ids, bow=widened(narrow.bow), categories=categories)
+        assert np.array_equal(wide.bow.words, words) and np.array_equal(wide.bow.counts, counts)
+        last = vocab_size - 1
+        queries = (
+            histogram_of({0: 2.0, 3: 1.0, last: 5.0}, vocab_size),
+            histogram_of({1: 0.37, 4: 1.0, last: 2.9}, vocab_size),  # fractional
+        )
+        for query in queries:
+            got, want = rank_bow(narrow, query), rank_bow(wide, query)
+            assert got._order.tobytes() == want._order.tobytes()
+            assert got._scores.tobytes() == want._scores.tobytes()
+            assert_ranked_as(got, ids, ref.bow_scores(wide.bow, query))
+            got_h, want_h = pseudo_bow(narrow, got, 5), pseudo_bow(wide, want, 5)
+            assert got_h.words.tobytes() == want_h.words.tobytes()
+            assert got_h.values.tobytes() == want_h.values.tobytes()
+            top_ids = got.top_ids(5)
+            assert np.array_equal(_stored_words(narrow, top_ids), _stored_words(wide, top_ids))
+            got_c, want_c = candidates_from_binary(narrow, got, 5), candidates_from_binary(wide, want, 5)
+            assert got_c.mask.tobytes() == want_c.mask.tobytes()
+        for category in range(3):
+            got_c = candidates_from_category(narrow, category)
+            assert got_c.mask.tobytes() == candidates_from_category(wide, category).mask.tobytes()
+            members = [i for i in ids if categories[i] == category]  # the former per-member loop
+            want_c = CandidateVWs.from_leaf_ids(tree, _stored_words(wide, members))
+            assert got_c.mask.tobytes() == want_c.mask.tobytes()
 
 
 # Sub-vector widths below 8, at 8, between 9 and 16 and above 128 (the
