@@ -232,17 +232,20 @@ def simulate_gps(
     seed: int | np.random.Generator = 0,
 ) -> tuple[float, float]:
     """Perturb a location with independent Gaussian noise per tangent-plane
-    axis; a longitude past +-180 is moved back by 360 degrees."""
+    axis.  A fix pushed past a pole is reflected back over it, onto the
+    opposite meridian, and the longitude is wrapped into [-180, 180]."""
     lat, lon = true_location
     if not -90.0 <= lat <= 90.0:
         raise ValueError(f"latitude {lat} out of range")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dy, dx = rng.normal(0.0, sigma_meters, size=2) if sigma_meters > 0 else (0.0, 0.0)
-    dlat = math.degrees(dy / EARTH_RADIUS_M)
-    lon += math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
-    if abs(lon) > 180.0:
-        lon -= math.copysign(360.0, lon)
-    return (lat + dlat, lon)
+    if abs(lat) < 90.0:  # at a pole itself every longitude is the same place
+        lon += math.degrees(dx / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
+    lat += math.degrees(dy / EARTH_RADIUS_M)
+    if abs(lat) > 90.0:
+        lat = math.copysign(180.0, lat) - lat
+        lon += 180.0
+    return (lat, math.remainder(lon, 360.0))
 
 
 def synthesize_dataset(spec: SyntheticSpec, tree: VocabularyTree, out_dir=None) -> SyntheticDataset:

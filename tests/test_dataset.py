@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,11 +10,12 @@ from dehash.dataset import (
     SyntheticSpec,
     ingest_dataset,
     read_manifest,
+    simulate_gps,
     synthesize_dataset,
     training_blob,
     write_manifest,
 )
-from dehash.formats import save_descriptors
+from dehash.formats import EARTH_RADIUS_M, save_descriptors
 from dehash.vocab import train_vocabulary
 
 
@@ -293,6 +295,19 @@ class TestSpecValidation:
             ds = synthesize_dataset(SyntheticSpec(gps_base=(lat, 7.0), num_images=20), tree)
             assert all(abs(e.gps[0]) < 90.0 and abs(e.gps[1]) <= 180.0 for e in ds.entries)
 
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    def test_clusters_reaching_a_pole(self, tree, pole, tmp_path):
+        # The ring's outer cluster lies on the pole itself, so noise pushes
+        # fixes past it: they come back over the pole on the opposite
+        # meridian, and the manifest reads every fix back.
+        radius = SyntheticSpec().gps_cluster_km * 1000.0 / 111_320.0
+        base = (math.copysign(90.0 - radius, pole), 7.0)
+        ds = synthesize_dataset(SyntheticSpec(gps_base=base, num_images=50), tree, tmp_path)
+        fixes = [e.gps for e in ds.entries]
+        assert all(abs(lat) <= 90.0 and -180.0 <= lon <= 180.0 for lat, lon in fixes)
+        assert any(lon == -173.0 for _, lon in fixes)
+        assert ingest_dataset(tmp_path / "manifest.tsv").entries == ds.entries
+
     def test_edge_values_accepted(self, tree):
         spec = SyntheticSpec(
             num_images=1, group_size=1, num_categories=1, descriptors_per_image=(1, 1),
@@ -300,6 +315,27 @@ class TestSpecValidation:
         )
         ds = synthesize_dataset(spec, tree)
         assert ds.ids == ["img_0"] and len(ds.descriptors["img_0"]) == 1
+
+
+class TestSimulateGps:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fixes_at_a_pole(self, seed):
+        # No longitude step at the pole itself; a fix pushed past it is
+        # reflected onto the opposite meridian.
+        dy = np.random.default_rng(seed).normal(0.0, 50.0, size=2)[0]
+        for pole in (90.0, -90.0):
+            lat, lon = simulate_gps((pole, 7.0), 50.0, seed)
+            crossed = dy * pole > 0.0
+            assert lon == (-173.0 if crossed else 7.0)
+            assert math.copysign(1.0, lat) == math.copysign(1.0, pole)
+            assert abs(lat) == pytest.approx(90.0 - abs(math.degrees(dy / EARTH_RADIUS_M)), abs=1e-12)
+
+    @pytest.mark.parametrize("lon", [-180.0, 0.0, 179.5, 180.0])
+    def test_longitude_wraps_whole_turns(self, lon):
+        # Next to a pole the tangent-plane step spans many turns of longitude.
+        for seed in range(8):
+            lat, got = simulate_gps((90.0 - 1e-12, lon), 50.0, seed)
+            assert abs(lat) <= 90.0 and -180.0 <= got <= 180.0
 
 
 class TestTrainingBlob:

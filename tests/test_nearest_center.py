@@ -1,5 +1,6 @@
-"""The matrix-product nearest-center kernel, the one-product leaf search and
-the column-major k-means++ seeder against their frozen references."""
+"""The matrix-product nearest-center kernel, the one-product leaf search,
+the column-major k-means++ seeder and the level-synchronous vocabulary
+trainer against their frozen references."""
 
 import contextlib
 import itertools
@@ -25,7 +26,9 @@ from dehash.vocab import (
     train_vocabulary,
 )
 
+import nearest_center_reference as nearest_center_reference_module
 from nearest_center_reference import kmeans_pp_init_reference, lloyd_reference, nearest_center_reference
+from vocabulary_reference import train_vocabulary_reference
 import test_sparse
 from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
@@ -336,11 +339,7 @@ class TestTrainingParity:
 
     def test_train_vocabulary_equals_frozen(self):
         X = gaussian_mixture(800, 4, 6, seed=41)
-        got = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
-        with mock.patch.object(vocab, "lloyd", lloyd_reference):
-            want = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
-        assert np.array_equal(got.vlad_centers, want.vlad_centers)
-        assert np.array_equal(got.leaf_centers, want.leaf_centers)
+        assert_tree_equals_frozen(X, branch=3, levels=3, vlad_level=1, seed=41)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(0, 40), d=st.integers(1, 5), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -354,11 +353,9 @@ class TestTrainingParity:
 
 
 def frozen_training():
-    """Patch Lloyd and both imports of the seeder back to the frozen references."""
+    """Patch ``train_pq``'s Lloyd and seeder back to the frozen references."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(vocab, "lloyd", lloyd_reference))
     stack.enter_context(mock.patch.object(retrieval, "lloyd", lloyd_reference))
-    stack.enter_context(mock.patch.object(vocab, "kmeans_pp_init", kmeans_pp_init_reference))
     stack.enter_context(mock.patch.object(retrieval, "kmeans_pp_init", kmeans_pp_init_reference))
     return stack
 
@@ -474,9 +471,210 @@ class TestSeedingParity:
         assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_train_vocabulary_equals_frozen_training(self):
-        X = gaussian_mixture(800, 4, 6, seed=41)
-        got = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
-        with frozen_training():
-            want = train_vocabulary(X, branch=3, levels=3, vlad_level=1, seed=41)
-        assert np.array_equal(got.vlad_centers, want.vlad_centers)
-        assert np.array_equal(got.leaf_centers, want.leaf_centers)
+        # Grid values and repeated rows: nodes whose weights all vanish draw
+        # uniformly, and many draws fall on equal cumulative weights.
+        rng = np.random.default_rng(41)
+        X = rng.integers(-2, 3, size=(400, 3)) * 0.5
+        X[rng.integers(0, 400, size=150)] = X[rng.integers(0, 400, size=150)]
+        assert_tree_equals_frozen(X, branch=4, levels=3, vlad_level=2, seed=41)
+
+
+def assert_tree_equals_frozen(X, branch, levels, vlad_level, seed):
+    tree = train_vocabulary(X, branch=branch, levels=levels, vlad_level=vlad_level, seed=seed)
+    want_vlad, want_leaves = train_vocabulary_reference(X, branch, levels, vlad_level, seed)
+    assert np.array_equal(tree.vlad_centers, want_vlad)
+    assert np.array_equal(tree.leaf_centers, want_leaves)
+    return tree
+
+
+@st.composite
+def vocabulary_inputs(draw):
+    """Training sets and tree shapes for the level trainer: values on a
+    coarse grid (tied distances and equal cumulative weights), few distinct
+    rows (nodes whose weights all vanish, clusters that empty, nodes with
+    fewer rows than children or none), and scales from 1e-150 to 1e30 (a
+    tree stores float32 centers; ``test_nearest_in_node_equals_frozen_scan``
+    takes the scales where ``4 R^2`` overflows)."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 120))
+    branch = draw(st.integers(2, 5))
+    levels = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["normal", "grid", "few-distinct"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        X = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-150, 30))
+    elif kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)) * 0.5
+    else:
+        distinct = rng.standard_normal((draw(st.integers(1, 4)), d))
+        X = distinct[rng.integers(0, len(distinct), size=n)]
+    return X, branch, levels, draw(st.integers(1, levels - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def node_inputs(draw):
+    """Rows grouped by node (1-6 nodes of 1-200 rows, so some share a
+    product and some have one alone) and each node's own centers: grid
+    values (exact ties), points on centers, duplicate centers, scales from
+    1e-165 to 1e160, where ``4 R^2`` overflows and rows are scanned by
+    differences."""
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 8))
+    sizes = np.array(draw(st.lists(st.integers(1, 200), min_size=1, max_size=6)))
+    scale = 10.0 ** draw(st.integers(-165, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(sizes.sum(), d)) * 0.5
+        centers = rng.integers(-2, 3, size=(len(sizes) * k, d)) * 0.5
+    else:
+        points = rng.standard_normal((sizes.sum(), d))
+        centers = rng.standard_normal((len(sizes) * k, d))
+    centers[rng.integers(0, len(centers), size=2)] = centers[rng.integers(0, len(centers), size=2)]
+    hits = rng.integers(0, len(points), size=len(points) // 4)
+    points[hits] = centers[rng.integers(0, len(centers), size=len(hits))]
+    return points * scale, sizes, centers * scale
+
+
+class TestVocabularyParity:
+    """The level-synchronous ``train_vocabulary`` against the frozen
+    per-node trainer of ``vocabulary_reference``: every tree bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_tree(self, seed):
+        tree = assert_tree_equals_frozen(training_blob(16, 4000, 8, seed), branch=8, levels=3, vlad_level=1, seed=seed)
+        if seed == 0:
+            # Level-2 node 39 receives 6 points for its 8 children, so three
+            # leaves coincide.
+            leaves = tree.leaf_centers
+            assert np.array_equal(leaves[312], leaves[318]) and np.array_equal(leaves[312], leaves[319])
+
+    def test_four_levels(self):
+        assert_tree_equals_frozen(training_blob(16, 32000, 8, 0), branch=8, levels=4, vlad_level=1, seed=0)
+
+    def test_nodes_without_rows(self):
+        # 4 points cannot reach the 8 nodes of level 3: the empty ones pass
+        # their centers down to their children.
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 5.0]])
+        tree = assert_tree_equals_frozen(X, branch=2, levels=4, vlad_level=2, seed=3)
+        assert len(np.unique(tree.leaf_centers, axis=0)) == 4
+
+    def test_cluster_empties_mid_lloyd(self):
+        # Sweep of each re-seed within its level, and the node's first row.
+        state = {"sweep": 0}
+        reseeds = []
+
+        def level(*args):
+            state["sweep"] = 0
+            return lloyd_level(*args)
+
+        def sums(*args):
+            state["sweep"] += 1
+            return cluster_sums(*args)
+
+        def reseed(points, assign, counts, centers):
+            reseeds.append((state["sweep"], points[0].tobytes()))
+            return reseed_empties(points, assign, counts, centers)
+
+        lloyd_level, reseed_empties = vocab._lloyd_level, vocab._reseed_empties
+        with (
+            mock.patch.object(vocab, "_lloyd_level", level),
+            mock.patch.object(vocab, "cluster_sums", sums),
+            mock.patch.object(vocab, "_reseed_empties", reseed),
+        ):
+            assert_tree_equals_frozen(training_blob(8, 1000, 4, 39), branch=8, levels=2, vlad_level=1, seed=39)
+        # A node whose seeds held every cluster at the first sweep loses one later.
+        first = {node for sweep, node in reseeds if sweep == 1}
+        assert any(sweep >= 2 and node not in first for sweep, node in reseeds), reseeds
+
+    def test_batches_bound_the_padded_layout(self):
+        # Skewed node sizes: each batch's nodes times its largest node stay
+        # within the bound, or the batch is one node, and the batches tile
+        # the nodes and their rows in order.
+        sizes = np.random.default_rng(0).integers(1, 300, size=200)
+        sizes[::37] = 5000
+        batches = vocab._level_batches(sizes)
+        ends = np.cumsum(sizes)
+        assert [lo for lo, *_ in batches] == [0] + [hi for _, hi, *_ in batches[:-1]] and batches[-1][1] == 200
+        for lo, hi, a, b in batches:
+            assert hi - lo == 1 or (hi - lo) * sizes[lo:hi].max() <= vocab._LEVEL_BATCH_ENTRIES
+            assert (a, b) == (ends[lo] - sizes[lo], ends[hi - 1])
+        # Batches of a few nodes each train the same tree.
+        with mock.patch.object(vocab, "_LEVEL_BATCH_ENTRIES", 300):
+            assert_tree_equals_frozen(training_blob(16, 4000, 8, 1), branch=8, levels=3, vlad_level=1, seed=1)
+
+    def test_converged_nodes_leave_the_batch(self):
+        # Rows scored against centers: each node's rows once for its first
+        # assignment and once per sweep it runs, as many as the per-node
+        # trainer scores, so no node is scored past its last sweep.
+        X = training_blob(16, 4000, 8, 0)
+        scored = []
+
+        def frozen_scan(points, centers, *args):
+            scored.append(len(points))
+            return nearest_center_reference(points, centers, *args)
+
+        with mock.patch.object(nearest_center_reference_module, "nearest_center_reference", frozen_scan):
+            train_vocabulary_reference(X, 8, 3, 1, 0)
+        want, scored = sum(scored), []
+
+        def nearest_in_node(points, *args):
+            scored.append(len(points))
+            return batched(points, *args)
+
+        batched = vocab._nearest_in_node
+        with mock.patch.object(vocab, "_nearest_in_node", nearest_in_node):
+            train_vocabulary(X, branch=8, levels=3, vlad_level=1, seed=0)
+        assert sum(scored) == want
+
+    def test_draws_on_cumulative_weight_boundaries(self):
+        # One weighted draw per node (k = 2), put on, just below and just
+        # above every boundary of each node's cumulative weights, both as
+        # rng.choice renormalizes them and before; nodes of one and two
+        # equal rows draw uniformly.  Every node's seeds equal the frozen
+        # seeder's.
+        rng = np.random.default_rng(5)
+        sizes = np.array([1, 2, 7, 8, 9, 40, 130])
+        points = rng.standard_normal((sizes.sum(), 3)) * 10.0 ** rng.integers(-2, 3, size=(sizes.sum(), 3))
+        points[1:3] = points[1]
+        starts = np.cumsum(sizes) - sizes
+        nodes = [points[a : a + size] for a, size in zip(starts, sizes)]
+        draws = []
+        for pts in nodes:
+            d2 = np.sum((pts - pts[FixedDraws([]).integers(len(pts))]) ** 2, axis=1)
+            raw = (d2 / d2.sum()).cumsum() if d2.sum() > 0 else np.array([])
+            edges = [e for e in np.concatenate([raw, raw / raw[-1] if len(raw) else raw]) if e < 1.0]
+            near = [float(u) for e in edges for u in (e, np.nextafter(e, 0.0), np.nextafter(e, 1.0))]
+            draws.append([0.0] + [u for u in near if u < 1.0])
+        for t in range(max(map(len, draws))):
+            pick = [d[t % len(d)] for d in draws]
+            got = vocab._seed_level(points, vocab._NodeRows.of(sizes), 2, [FixedDraws([u]) for u in pick])
+            want = [kmeans_pp_init_reference(pts, 2, FixedDraws([u])) for pts, u in zip(nodes, pick)]
+            assert np.array_equal(got, np.concatenate(want)), (t, pick)
+
+    def test_overflowing_distances_rejected(self):
+        X = np.array([[0.0], [1e200], [2e200]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            train_vocabulary(X, branch=2, levels=2, vlad_level=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            train_vocabulary_reference(X, 2, 2, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=vocabulary_inputs())
+    def test_equals_frozen_trainer(self, data):
+        assert_tree_equals_frozen(*data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=node_inputs())
+    def test_nearest_in_node_equals_frozen_scan(self, data):
+        points, sizes, centers = data
+        k = len(centers) // len(sizes)
+        starts = np.cumsum(sizes) - sizes
+        want = np.concatenate(
+            [
+                nearest_center_reference(points[a : a + size], centers[v * k : (v + 1) * k])
+                for v, (a, size) in enumerate(zip(starts, sizes))
+            ]
+        )
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = vocab._nearest_in_node(points, vocab._NodeRows.of(sizes), centers)
+        assert np.array_equal(got, want)
