@@ -11,17 +11,11 @@ intra-normalization, then a global L2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .vocab import VocabularyTree, assign_descriptors, cluster_sums
-
-# Most descriptor rows one pass of ``aggregate_images`` quantizes together.
-# It bounds the pass's temporaries (rows, residuals, sum keys: a few MiB), so
-# indexing a large database does not fault in hundreds of MiB of fresh pages;
-# an image with more rows gets a pass of its own.
-PASS_ROWS = 2**14
+from .vocab import PASS_ROWS, VocabularyTree, _passes, assign_descriptors, cluster_sums
 
 RANK_NORMALIZATION = "intra-then-global-l2"
 
@@ -197,19 +191,6 @@ def compute_vlad(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
     return _residual_sums(tree, X, vlad_ids, 0, 1)[0]
 
 
-def _passes(sizes: Sequence[int]) -> Iterator[slice]:
-    """Runs of consecutive images holding at most ``PASS_ROWS`` rows in all,
-    except that an image with more rows forms a run of its own."""
-    start = rows = 0
-    for i, size in enumerate(sizes):
-        if rows and rows + size > PASS_ROWS:
-            yield slice(start, i)
-            start, rows = i, 0
-        rows += size
-    if rows:
-        yield slice(start, len(sizes))
-
-
 def aggregate_images(
     tree: VocabularyTree, descriptor_sets: Sequence[np.ndarray], bow: bool = True
 ) -> tuple[BowMatrix | None, np.ndarray]:
@@ -233,7 +214,7 @@ def aggregate_images(
     indptr = np.zeros(len(arrays) + 1, dtype=np.int64)  # words per image, then summed
     # Seeded with empty arrays so that no descriptor sets still concatenate.
     words, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for run in _passes([X.shape[0] for X in arrays]):
+    for run in _passes([X.shape[0] for X in arrays], PASS_ROWS):
         batch = arrays[run]
         X, vlad_ids, leaf_ids = assign_descriptors(
             tree, np.concatenate(batch, dtype=np.float64), leaves=bow

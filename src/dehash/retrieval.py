@@ -73,9 +73,7 @@ from .aggregate import (
 )
 from .formats import EARTH_RADIUS_M
 from .hashing import BinaryCode, HashingModel, encode_stack
-from .vocab import (
-    VocabularyTree, column_sq_distances, kmeans_pp_init, lloyd, nearest_center, pairwise_row_sums
-)
+from .vocab import VocabularyTree, column_sq_distances, kmeans, nearest_center, pairwise_row_sums
 
 
 class Ranking:
@@ -525,7 +523,12 @@ def train_pq(
     bits: int,
     seed: int = 0,
 ) -> PQCodebooks:
-    """Fit product-quantizer codebooks (k-means per sub-vector slice) to ``(n, dim)`` rows."""
+    """Fit product-quantizer codebooks to ``(n, dim)`` rows: one
+    ``vocab.kmeans`` group per sub-vector slice, seeded from its own
+    ``default_rng([seed, j])``.  With fewer rows than centers, every row is a
+    center and the rest repeat rows drawn from that generator.  Every
+    codebook equals that of the frozen trainer in ``tests/pq_reference.py``
+    bit for bit."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n, total = vectors.shape
     if total % subvectors != 0:
@@ -537,8 +540,7 @@ def train_pq(
         sub = vectors[:, j * width : (j + 1) * width]
         rng = np.random.default_rng([seed, j])
         if n >= k:
-            init = kmeans_pp_init(sub, k, rng)
-            centers, _ = lloyd(sub, init)
+            centers, _ = kmeans(sub, [n], k, [rng])
         else:
             # Fewer samples than centers: every sample is a center, rest repeat.
             centers = sub[rng.integers(0, n, size=k)]

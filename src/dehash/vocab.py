@@ -6,13 +6,16 @@ centers are the coarse quantizers used for residual aggregation, and every
 leaf below a VLAD center forms that center's candidate visual-word pool.
 With ``N`` coarse centers and ``M`` leaves, center ``v``'s pool is the
 ``P = M / N`` consecutive leaves ``v*P`` to ``v*P + P - 1``.
+
+:func:`kmeans` is the package's one k-means: it splits a level's tree nodes
+here and trains each product-quantizer codebook in ``retrieval.train_pq``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +26,14 @@ if TYPE_CHECKING:
 # after the sweep cap.
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 50
+# Most rows one pass holds: a pass of ``aggregate_images`` quantizes this
+# many descriptor rows together, and ``train_vocabulary`` splits a batch of
+# nodes of one level over this many.  It bounds a pass's temporaries (rows,
+# residuals, sum keys, distances: a few MiB), so a large database or
+# training set does not fault in hundreds of MiB of fresh pages; an image
+# or node with more rows gets a pass of its own.  Each level of the default
+# tree (4000 rows) is one batch.
+PASS_ROWS = 2**14
 
 
 # Score-matrix entries per block of rows in ``nearest_center``: about 2 MiB.
@@ -164,9 +175,7 @@ def cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
-def column_sq_distances(
-    columns: np.ndarray, point: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def column_sq_distances(columns: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared L2 distances from ``point`` to every column of a ``(d, n)``
     array: ``np.sum((np.ascontiguousarray(columns.T) - point) ** 2, axis=1)``
     bit for bit.  (Without the copy, C-ordered ``columns`` give an F-ordered
@@ -174,16 +183,14 @@ def column_sq_distances(
     can differ in the last bits.)
 
     The squared differences are streamed 8 rows at a time into
-    :func:`pairwise_row_sums`, so nothing of size ``(d, n)`` is built.  A
-    caller that scans many times passes one ``(16, n)`` float64 ``scratch``
-    array, so the pages are not mapped afresh for every call.
+    :func:`pairwise_row_sums`, so nothing of size ``(d, n)`` is built.
     """
 
     def squares(lo: int, hi: int, out: np.ndarray) -> None:
         np.subtract(columns[lo:hi], point[lo:hi, None], out=out)
         np.square(out, out=out)
 
-    return pairwise_row_sums(squares, len(columns), columns.shape[1], scratch)
+    return pairwise_row_sums(squares, len(columns), columns.shape[1])
 
 
 def pairwise_row_sums(
@@ -262,38 +269,39 @@ def _weighted_pick(d2: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed k centers with D^2-weighted sampling from the data points.
-
-    The points are kept column-major, so each seed's squared distances take
-    a few operations on whole length-``n`` rows; ``column_sq_distances``
-    adds them in the order of ``np.sum((points - c) ** 2, axis=1)`` on
-    C-ordered points, and ``_weighted_pick`` draws as ``rng.choice`` does, so
-    the centers equal those of that row-major loop bit for bit.  When every
-    point coincides with a chosen center, the next is drawn uniformly.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    columns = np.ascontiguousarray(points.T)
-    scratch = np.empty((16, n))
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(n))]
-    d2 = column_sq_distances(columns, centers[0], scratch)
-    for j in range(1, k):
-        centers[j] = points[_weighted_pick(d2, rng)]
-        np.minimum(d2, column_sq_distances(columns, centers[j], scratch), out=d2)
-    return centers
-
-
 def _reassign(
     points: np.ndarray, centers: np.ndarray, new_centers: np.ndarray, assign: np.ndarray
 ) -> np.ndarray:
     """``nearest_center(points, new_centers)``, given that ``assign`` is
-    ``nearest_center(points, centers)``: only what moved is scored again
-    (see ``lloyd``)."""
+    ``nearest_center(points, centers)``: only what moved is scored again.
+
+    * A center whose new coordinates equal its old ones bit for bit gives
+      every row the same difference-form distance as before.  So a row whose
+      own center stayed keeps, among the centers that stayed, its first
+      minimum: every lower-index center that stayed is still strictly
+      farther, every other one no nearer.
+    * The only rival left is the first minimum over the centers that moved,
+      one ``nearest_center(X, new_centers[moved])`` call (the subset keeps
+      the index order, so its first minimum is the lowest index).  It takes
+      the row when its difference-form distance is smaller, or equal at a
+      lower index, which is ``nearest_center``'s tie rule.  With finite
+      points and centers no distance is NaN, so this comparison is a total
+      order.
+    * Rows whose own center moved, and rows with a non-finite point, are
+      scored against all centers.
+    * Every row is, in one call, when ``m + 3 d >= k`` for ``m`` moved
+      centers.  A row whose center stayed costs the step about ``m + 4 d``
+      floats read (it is gathered, scored against the moved centers and
+      differenced with its own center and the winner), against ``k + d``
+      in a full call (its scores and its coordinates); a row whose center
+      moved costs the same both ways.  So the step never runs where it
+      would score as many (row, center) entries as a full call
+      (``m >= k``), nor for ``k <= 3 d``.  Every row is also scored in one
+      call when a center is not finite.
+    """
     d = points.shape[1]
     k = new_centers.shape[0]
-    if 3 * d >= k or not np.isfinite(new_centers).all():
+    if not np.isfinite(new_centers).all():
         return nearest_center(points, new_centers)
     moved = (new_centers.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
     movers = np.flatnonzero(moved)
@@ -313,71 +321,6 @@ def _reassign(
         wins = (dist[:, 1] < dist[:, 0]) | ((dist[:, 1] == dist[:, 0]) & (best < own))
         assign[stay[wins]] = best[wins]
     return assign
-
-
-def lloyd(
-    points: np.ndarray,
-    centers: np.ndarray,
-    max_iter: int = KMEANS_MAX_ITER,
-    tol: float = KMEANS_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's iteration from the given initial centers.
-
-    Empty clusters are re-seeded from the largest cluster: the first empty
-    center takes that cluster's farthest point from its center, the next
-    empty center the second-farthest, and so on.
-
-    Returns (centers, assignments), the assignments being
-    ``nearest_center(points, centers)`` of the returned centers.
-
-    After the first sweep, the assignment step scores only what the last
-    center update changed, and gives exactly what a full ``nearest_center``
-    call would:
-
-    * A center whose new coordinates equal its old ones bit for bit gives
-      every row the same difference-form distance as before.  So a row whose
-      own center stayed keeps, among the centers that stayed, its first
-      minimum: every lower-index center that stayed is still strictly
-      farther, every other one no nearer.
-    * The only rival left is the first minimum over the centers that moved,
-      one ``nearest_center(X, centers[moved])`` call (the subset keeps the
-      index order, so its first minimum is the lowest index).  It takes the
-      row when its difference-form distance is smaller, or equal at a lower
-      index, which is ``nearest_center``'s tie rule.  With finite points and
-      centers no distance is NaN, so this comparison is a total order.
-    * Rows whose own center moved, and rows with a non-finite point, are
-      scored against all centers.
-    * Every row is, in one call, when ``m + 3 d >= k`` for ``m`` moved
-      centers.  A row whose center stayed costs the step about ``m + 4 d``
-      floats read (it is gathered, scored against the moved centers and
-      differenced with its own center and the winner), against ``k + d``
-      in a full call (its scores and its coordinates); a row whose center
-      moved costs the same both ways.  So the step never runs where it
-      would score as many (row, center) entries as a full call
-      (``m >= k``), nor on tree nodes with ``k <= 3 d``.  Every row is also
-      scored in one call when a center is not finite.
-
-    The assignments equal a full call's, so ``cluster_sums`` adds the same
-    rows in the same order and every sweep's centers are bit-identical.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.array(centers, dtype=np.float64)
-    k = centers.shape[0]
-    assign = nearest_center(points, centers)
-    for _ in range(max_iter):
-        counts = np.bincount(assign, minlength=k)
-        sums = cluster_sums(assign, points, k)
-        new_centers = centers.copy()
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if not nonempty.all():
-            _reseed_empties(points, assign, counts, new_centers)
-        shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
-        assign = _reassign(points, centers, new_centers, assign)
-        centers = new_centers
-        if shift < tol:
-            break
-    return centers, assign
 
 
 def _reseed_empties(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray) -> None:
@@ -494,13 +437,12 @@ def train_vocabulary(
         seed: seeds every per-node k-means; identical inputs give identical trees.
 
     Node ``v`` of level ``l`` (its children are nodes ``v*branch`` to
-    ``v*branch + branch - 1`` of level ``l + 1``) is split by k-means over
-    the descriptors that reach it: ``kmeans_pp_init`` seeding from its own
-    ``default_rng([seed, l, v])``, then ``lloyd``.  A node that receives no
-    descriptors passes its center down to all children.  All nodes of a
-    level are split together (:func:`_split_level`), and each node's
-    centers equal those of its own ``kmeans_pp_init`` and ``lloyd`` calls
-    bit for bit.
+    ``v*branch + branch - 1`` of level ``l + 1``) is split by :func:`kmeans`
+    over the descriptors that reach it, seeded from its own
+    ``default_rng([seed, l, v])``.  A node that receives no descriptors
+    passes its center down to all children.  All nodes of a level are split
+    together (:func:`_split_level`), and every tree equals that of the
+    frozen per-node trainer in ``tests/vocabulary_reference.py`` bit for bit.
     """
     tree_shape(branch, levels, vlad_level)
     X = np.asarray(descriptors, dtype=np.float64)
@@ -536,9 +478,9 @@ def _split_level(
     children's ``(len(parents) * k, d)`` centers and each row's child.
 
     One stable sort groups the rows by node, each node's rows in row order
-    as ``X[node_of == v]`` gives them.  :func:`_seed_level` and
-    :func:`_lloyd_level` then run the k-means of many nodes at once, a
-    batch of consecutive nodes at a time (:func:`_level_batches`).
+    as ``X[node_of == v]`` gives them.  :func:`kmeans` then splits many
+    nodes at once, a batch of consecutive nodes of at most ``PASS_ROWS``
+    rows at a time (:func:`_passes`; a larger node is a batch of its own).
     """
     num_parents, dim = parents.shape
     # The node ids as the smallest unsigned type that holds them: on 8- and
@@ -551,10 +493,9 @@ def _split_level(
     rngs = [np.random.default_rng([seed, level, int(v)]) for v in nodes]
     centers = np.empty((len(nodes) * k, dim))
     assign = np.empty(len(points), dtype=np.int64)
-    for lo, hi, a, b in _level_batches(sizes):
-        groups = _NodeRows.of(sizes[lo:hi])
-        seeds = _seed_level(points[a:b], groups, k, rngs[lo:hi])
-        centers[lo * k : hi * k], assign[a:b] = _lloyd_level(points[a:b], groups, seeds)
+    batches = _node_runs(sizes, [run.start for run in _passes(sizes.tolist(), PASS_ROWS)])
+    for lo, hi, a, b in batches:
+        centers[lo * k : hi * k], assign[a:b] = kmeans(points[a:b], sizes[lo:hi], k, rngs[lo:hi])
     children = np.repeat(parents, k, axis=0)  # a node with no rows passes its center down
     children.reshape(num_parents, k, dim)[nodes] = centers.reshape(len(nodes), k, dim)
     child_of = np.empty_like(node_of)
@@ -562,31 +503,23 @@ def _split_level(
     return children, child_of
 
 
-# Entries of a batch's zero-padded ``(nodes, largest node)`` layout in
-# ``_seed_level``: the bound keeps that layout within this size, or that of
-# one node, however unequal the nodes are.  It also keeps a batch's arrays
-# in cache: on an 8-way tree over 32000 points, the eight 4000-row nodes of
-# level 2 trained in 50-56 ms raw one by one, against 62-65 ms as one batch
-# and 50 ms in the per-node loop.  Each level of the default tree is one
-# batch.
-_LEVEL_BATCH_ENTRIES = 2**14
+def _passes(sizes: Sequence[int], limit: int) -> Iterator[slice]:
+    """Runs of consecutive groups holding at most ``limit`` rows in all,
+    group ``i`` holding ``sizes[i]`` rows, except that a group with more
+    rows forms a run of its own."""
+    start = rows = 0
+    for i, size in enumerate(sizes):
+        if rows and rows + size > limit:
+            yield slice(start, i)
+            start, rows = i, 0
+        rows += size
+    if rows:
+        yield slice(start, len(sizes))
+
+
 # Rows per product in ``_nearest_in_node``: the nodes whose first rows lie
 # within one window of this many rows share a product.
 _NODE_PRODUCT_ROWS = 128
-
-
-def _level_batches(sizes: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """The batches of ``_split_level``, node ``v`` holding the next
-    ``sizes[v]`` rows: runs of consecutive nodes, each as long as its node
-    count times its largest node stays within ``_LEVEL_BATCH_ENTRIES``, or
-    one node (see :func:`_node_runs`)."""
-    firsts, widest = [0], 0
-    for v, size in enumerate(sizes.tolist()):
-        widest = max(widest, size)
-        if v > firsts[-1] and (v - firsts[-1] + 1) * widest > _LEVEL_BATCH_ENTRIES:
-            firsts.append(v)
-            widest = size
-    return _node_runs(sizes, firsts)
 
 
 def _node_runs(sizes: np.ndarray, firsts: list[int]) -> list[tuple[int, int, int, int]]:
@@ -618,27 +551,40 @@ class _NodeRows:
         return cls(sizes, starts, node, _node_runs(sizes, firsts))
 
 
-def _seed_level(
-    points: np.ndarray, groups: _NodeRows, k: int, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """``kmeans_pp_init`` of every node at once, bit for bit: node ``v``
-    holds its rows of ``points`` in ``groups`` and draws from ``rngs[v]``.
-    Returns the ``(len(rngs) * k, d)`` seeds, node by node.
+def kmeans(
+    points: np.ndarray, sizes: Sequence[int], k: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding, then Lloyd's iteration, on each group of
+    consecutive rows: group ``v`` holds the next ``sizes[v]`` rows of
+    ``points`` and draws from ``rngs[v]``.  Returns the groups' ``k``
+    centers each, ``(len(sizes) * k, d)`` group by group, and each row's
+    center within its group.
 
-    * A round's squared distances, every row to its node's latest seed, are
-      one column-major pass in ``column_sq_distances``' order.
-    * A node's weight total is ``np.sum`` of its own distances, as
-      ``_weighted_pick`` takes it.  A segmented ``np.add.reduceat`` would
-      group the terms differently, and its totals differ in the last bits.
-    * A node's cumulative weights are its row of one ``cumsum`` over a
-      layout that pads each node's weights with zeros after them, which
-      leaves its sequential sums unchanged.  The row does not decrease,
-      and after the renormalization its last value and every padded one
-      are exactly 1.0, above every draw ``u`` from ``[0, 1)``; so the
-      position of its first value above ``u`` is the
-      ``searchsorted(side="right")`` of ``_weighted_pick``.
-    * A node whose weights are all zero draws uniformly, and a total that
-      overflows raises ``ValueError``, as ``_weighted_pick`` does.
+    Every group's centers and assignments equal, bit for bit, those of
+    ``kmeans_pp_init_reference`` and then ``lloyd_reference`` on its rows
+    alone, the frozen per-group k-means in
+    ``tests/nearest_center_reference.py``: row-major seeding with
+    ``rng.choice``, and ``KMEANS_MAX_ITER`` Lloyd sweeps at most, stopping
+    once no center moves ``KMEANS_TOL`` or more.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    groups = _NodeRows.of(np.asarray(sizes))
+    return _lloyd_level(points, groups, _seed_level(points, groups, k, rngs))
+
+
+def _seed_level(
+    points: np.ndarray, groups: _NodeRows, k: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """k-means++ seeds of every node at once: node ``v`` holds its rows of
+    ``points`` in ``groups`` and draws from ``rngs[v]``.  Returns the
+    ``(len(rngs) * k, d)`` seeds, node by node.
+
+    A round's squared distances, every row to its node's latest seed, are
+    one column-major pass in ``column_sq_distances``' order, which is
+    ``np.sum((rows - seed) ** 2, axis=1)`` on a node's C-ordered rows.
+    Each node then draws its next seed by ``_weighted_pick`` on its own
+    slice of them, as ``rng.choice`` draws: uniformly when its weights are
+    all zero, and ``ValueError`` when their total overflows.
     """
     n, dim = points.shape
     sizes, starts = groups.sizes, groups.starts
@@ -656,47 +602,31 @@ def _seed_level(
 
         return pairwise_row_sums(squares, dim, n, scratch)
 
-    counts = sizes.tolist()
-    picks = np.empty((k, len(counts)), dtype=np.int64)  # each node's seeds, as rows of the node
-    picks[0] = [rng.integers(size) for rng, size in zip(rngs, counts)]
+    picks = np.empty((k, len(sizes)), dtype=np.int64)  # each node's seeds, as rows of the node
+    picks[0] = [rng.integers(size) for rng, size in zip(rngs, sizes.tolist())]
     d2 = sq_distances(starts + picks[0])
     parts = np.split(d2, starts[1:])  # each node's distances, as views of d2
-    width = max(counts)
-    slots = groups.node * width + np.arange(n) - starts[groups.node]
-    weights = np.zeros((len(counts), width))
     for j in range(1, k):
-        totals = np.array([np.add.reduce(part) for part in parts])  # np.sum of each
-        if (totals == np.inf).any():
-            raise ValueError("squared distances overflow float64")
-        live = totals > 0.0
-        # One call per node, in its generator's order: the uniform draw of
-        # its pick, or, when its weights are all zero, the pick itself.
-        draws = np.array(
-            [rng.random() if ok else rng.integers(size) for rng, ok, size in zip(rngs, live.tolist(), counts)]
-        )
-        np.put(weights, slots, d2 / np.where(live, totals, 1.0)[groups.node])
-        cdf = np.cumsum(weights if live.all() else weights[live], axis=1)
-        cdf /= cdf[:, -1:]
-        picks[j, ~live] = draws[~live]
-        picks[j, live] = np.argmax(cdf > draws[live, None], axis=1)
+        picks[j] = [_weighted_pick(part, rng) for part, rng in zip(parts, rngs)]
         if j + 1 < k:
             np.minimum(d2, sq_distances(starts + picks[j]), out=d2)
     return points[(starts + picks).T.ravel()]
 
 
 def _lloyd_level(points: np.ndarray, groups: _NodeRows, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lloyd`` of every node at once, bit for bit: node ``v`` holds its
-    rows of ``points`` in ``groups`` and starts from centers ``v*k`` to
+    """Lloyd's iteration of every node at once: node ``v`` holds its rows of
+    ``points`` in ``groups`` and starts from centers ``v*k`` to
     ``v*k + k - 1``.  Returns the centers and each row's center within its
     node.
 
     A sweep sums the clusters of all nodes in one ``cluster_sums`` call
-    keyed by (node, center), which adds each node's rows in row order, as
-    ``lloyd``'s own call does; a node's empty clusters are re-seeded within
-    the node by ``_reseed_empties``, and its shift is the largest of its
-    centers' shifts.  A node stops after the sweep whose shift falls below
-    ``KMEANS_TOL``, or after ``KMEANS_MAX_ITER`` sweeps; its rows and
-    centers then leave the arrays that later sweeps score.
+    keyed by (node, center), which adds each node's rows in row order; a
+    node's empty clusters are re-seeded within the node by
+    ``_reseed_empties``, and its shift is the largest of its centers'
+    shifts.  Rows are assigned by :func:`_assign_in_node`.  A node stops
+    after the sweep whose shift falls below ``KMEANS_TOL``, or after
+    ``KMEANS_MAX_ITER`` sweeps; its rows and centers then leave the arrays
+    that later sweeps score.
     """
     n, dim = points.shape
     m = len(groups.sizes)
@@ -705,7 +635,7 @@ def _lloyd_level(points: np.ndarray, groups: _NodeRows, centers: np.ndarray) -> 
     out_assign = np.empty(n, dtype=np.int64)
     ids = np.arange(m)  # the nodes still iterating, and their rows
     rows = np.arange(n)
-    assign = _nearest_in_node(points, groups, centers)
+    assign = _assign_in_node(points, groups, centers)
     for sweep in range(1, KMEANS_MAX_ITER + 1):
         labels = groups.node * k + assign
         counts = np.bincount(labels, minlength=len(centers))
@@ -719,7 +649,7 @@ def _lloyd_level(points: np.ndarray, groups: _NodeRows, centers: np.ndarray) -> 
                 mine = slice(v * k, (v + 1) * k)
                 _reseed_empties(points[own], assign[own], counts[mine], new_centers[mine])
         shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).reshape(-1, k).max(axis=1)
-        assign = _nearest_in_node(points, groups, new_centers)
+        assign = _assign_in_node(points, groups, new_centers, (centers, assign))
         centers = new_centers.reshape(-1, k, dim)
         done = (shift < KMEANS_TOL) | (sweep == KMEANS_MAX_ITER)
         if done.any():
@@ -734,6 +664,35 @@ def _lloyd_level(points: np.ndarray, groups: _NodeRows, centers: np.ndarray) -> 
             groups = _NodeRows.of(groups.sizes[keep])
         centers = centers.reshape(-1, dim)
     return out_centers.reshape(-1, dim), out_assign
+
+
+def _assign_in_node(
+    points: np.ndarray,
+    groups: _NodeRows,
+    centers: np.ndarray,
+    previous: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Each row's nearest center within its node, as :func:`_nearest_in_node`
+    defines it.  ``previous``, when given, holds the centers before the last
+    update and every row's nearest among them.
+
+    Nodes of ``k <= 3 d`` centers, every tree node, are scored together by
+    ``_nearest_in_node``.  Larger nodes, such as product-quantizer
+    codebooks, are scored one at a time: by ``nearest_center`` at first,
+    then by ``_reassign``, which re-scores only the centers that moved.
+    """
+    k = centers.shape[0] // len(groups.sizes)
+    if 3 * points.shape[1] >= k:
+        return _nearest_in_node(points, groups, centers)
+    assign = np.empty(len(points), dtype=np.int64)
+    for v, (a, size) in enumerate(zip(groups.starts.tolist(), groups.sizes.tolist())):
+        own, mine = slice(a, a + size), slice(v * k, (v + 1) * k)
+        if previous is None:
+            assign[own] = nearest_center(points[own], centers[mine])
+        else:
+            old_centers, old_assign = previous
+            assign[own] = _reassign(points[own], old_centers[mine], centers[mine], old_assign[own])
+    return assign
 
 
 def _nearest_in_node(points: np.ndarray, groups: _NodeRows, centers: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The matrix-product nearest-center kernel, the one-product leaf search,
-the column-major k-means++ seeder and the level-synchronous vocabulary
-trainer against their frozen references."""
+the grouped k-means (its column-major k-means++ seeder and its Lloyd
+iteration), the level-synchronous vocabulary trainer and the product
+quantizer against their frozen references."""
 
-import contextlib
 import itertools
 from unittest import mock
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dehash import retrieval, vocab
+from dehash import vocab
 from dehash.dataset import training_blob
 from dehash.retrieval import train_pq
 from dehash.vocab import (
@@ -20,18 +20,25 @@ from dehash.vocab import (
     assign_descriptors,
     cluster_sums,
     column_sq_distances,
-    kmeans_pp_init,
-    lloyd,
+    kmeans,
     nearest_center,
     train_vocabulary,
 )
 
 import nearest_center_reference as nearest_center_reference_module
 from nearest_center_reference import kmeans_pp_init_reference, lloyd_reference, nearest_center_reference
+from pq_reference import train_pq_reference
 from vocabulary_reference import train_vocabulary_reference
 import test_sparse
 from test_sparse import coherent_tree
 from test_vocab import gaussian_mixture
+
+
+def one_group(points):
+    """``points`` as the one group of a ``vocab._seed_level`` or
+    ``vocab._lloyd_level`` call, as ``kmeans`` passes a product-quantizer
+    sub-vector."""
+    return vocab._NodeRows.of(np.array([len(points)]))
 
 
 def quantizer(product: bool):
@@ -288,7 +295,8 @@ class TestTrainingParity:
     @given(data=lloyd_inputs())
     def test_lloyd_equals_frozen(self, data):
         points, init, max_iter = data
-        got_centers, got_assign = lloyd(points, init, max_iter=max_iter)
+        with mock.patch.object(vocab, "KMEANS_MAX_ITER", max_iter):
+            got_centers, got_assign = vocab._lloyd_level(points, one_group(points), init)
         want_centers, want_assign = lloyd_reference(points, init, max_iter=max_iter)
         assert np.array_equal(got_centers, want_centers)
         assert np.array_equal(got_assign, want_assign)
@@ -307,9 +315,9 @@ class TestTrainingParity:
             return cluster_sums(*args)
 
         points = gaussian_mixture(2000, 8, 40, seed=11)
-        init = kmeans_pp_init(points, 64, np.random.default_rng(11))
         with mock.patch.object(vocab, "nearest_center", spy), mock.patch.object(vocab, "cluster_sums", mark):
-            centers, assign = lloyd(points, init)
+            centers, assign = kmeans(points, [2000], 64, [np.random.default_rng(11)])
+        init = kmeans_pp_init_reference(points, 64, np.random.default_rng(11))
         want_centers, want_assign = lloyd_reference(points, init)
         assert np.array_equal(centers, want_centers)
         assert np.array_equal(assign, want_assign)
@@ -323,9 +331,7 @@ class TestTrainingParity:
     def test_train_pq_equals_frozen(self, n):
         vectors = gaussian_mixture(n, 12, 5, seed=n)
         got = train_pq(vectors, subvectors=3, bits=4, seed=7)
-        with mock.patch.object(retrieval, "lloyd", lloyd_reference):
-            want = train_pq(vectors, subvectors=3, bits=4, seed=7)
-        assert np.array_equal(got.codebooks, want.codebooks)
+        assert np.array_equal(got.codebooks, train_pq_reference(vectors, subvectors=3, bits=4, seed=7))
 
     def test_scan_5k_shaped_train_pq_equals_frozen(self):
         # 5000 ranking-normalized rows, 8-dim sub-vectors, 256 centers each,
@@ -333,9 +339,42 @@ class TestTrainingParity:
         vectors = gaussian_mixture(5000, 16, 60, seed=5).reshape(5000, 2, 8)
         vectors /= np.linalg.norm(vectors, axis=2, keepdims=True) * np.sqrt(2)
         got = train_pq(vectors.reshape(5000, 16), subvectors=2, bits=8, seed=3)
-        with frozen_training():
-            want = train_pq(vectors.reshape(5000, 16), subvectors=2, bits=8, seed=3)
-        assert np.array_equal(got.codebooks, want.codebooks)
+        want = train_pq_reference(vectors.reshape(5000, 16), subvectors=2, bits=8, seed=3)
+        assert np.array_equal(got.codebooks, want)
+
+    def test_groups_above_3d_equal_frozen(self):
+        # Several groups of k > 3 d centers, so each is assigned on its own,
+        # by nearest_center and then by re-scoring its moved centers; the
+        # groups stop at different sweeps, and the 10-row group has fewer
+        # rows than centers, so its clusters empty and are re-seeded.  Each
+        # group equals the frozen k-means of its rows alone.
+        sizes = [300, 40, 900, 10, 500]
+        points = np.concatenate([gaussian_mixture(n, 2, 5 + v, seed=v) for v, n in enumerate(sizes)])
+        widths = []
+
+        def spy(X, centers):
+            widths.append(len(centers))
+            return nearest_center(X, centers)
+
+        with mock.patch.object(vocab, "nearest_center", spy):
+            got_centers, got_assign = kmeans(points, sizes, 16, [np.random.default_rng([7, v]) for v in range(5)])
+        assert min(widths) < 16, widths  # some sweep scored only the moved centers
+        sweeps = []
+
+        def counted(X, centers, *args):
+            sweeps[-1] += 1
+            return nearest_center_reference(X, centers, *args)
+
+        starts = np.cumsum(sizes) - sizes
+        with mock.patch.object(nearest_center_reference_module, "nearest_center_reference", counted):
+            for v, (a, n) in enumerate(zip(starts, sizes)):
+                pts = points[a : a + n]
+                sweeps.append(0)
+                init = kmeans_pp_init_reference(pts, 16, np.random.default_rng([7, v]))
+                centers, assign = lloyd_reference(pts, init)
+                assert np.array_equal(got_centers[v * 16 : (v + 1) * 16], centers), v
+                assert np.array_equal(got_assign[a : a + n], assign), v
+        assert len(set(sweeps)) > 1, sweeps
 
     def test_train_vocabulary_equals_frozen(self):
         X = gaussian_mixture(800, 4, 6, seed=41)
@@ -350,14 +389,6 @@ class TestTrainingParity:
         want = np.zeros((k, d))
         np.add.at(want, assign, rows)
         assert np.array_equal(cluster_sums(assign, rows, k), want)
-
-
-def frozen_training():
-    """Patch ``train_pq``'s Lloyd and seeder back to the frozen references."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(retrieval, "lloyd", lloyd_reference))
-    stack.enter_context(mock.patch.object(retrieval, "kmeans_pp_init", kmeans_pp_init_reference))
-    return stack
 
 
 @st.composite
@@ -442,33 +473,28 @@ class TestSeedingParity:
     @given(data=seeding_inputs())
     def test_equals_frozen_seeder(self, data):
         points, k, seed = data
-        got = kmeans_pp_init(points, k, np.random.default_rng(seed))
+        got = vocab._seed_level(points, one_group(points), k, [np.random.default_rng(seed)])
         want = kmeans_pp_init_reference(points, k, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
     def test_strided_column_slices(self):
-        # train_pq seeds from column slices of one matrix, as here.
+        # train_pq trains on column slices of one matrix, as here; 32 centers
+        # take both assignment routes (3 d < 32 and 3 d >= 32).
         vectors = np.random.default_rng(3).standard_normal((500, 48))
         for sub_dim in (3, 8, 16):
             sub = vectors[:, :sub_dim]
-            got = kmeans_pp_init(sub, 32, np.random.default_rng(sub_dim))
-            want = kmeans_pp_init_reference(sub, 32, np.random.default_rng(sub_dim))
-            assert np.array_equal(got, want)
+            got_centers, got_assign = kmeans(sub, [500], 32, [np.random.default_rng(sub_dim)])
+            init = kmeans_pp_init_reference(sub, 32, np.random.default_rng(sub_dim))
+            want_centers, want_assign = lloyd_reference(sub, init)
+            assert np.array_equal(got_centers, want_centers)
+            assert np.array_equal(got_assign, want_assign)
 
     def test_overflowing_distances_rejected(self):
         points = np.array([[0.0], [1e200]])
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            kmeans_pp_init(points, 2, np.random.default_rng(0))
+            kmeans(points, [2], 2, [np.random.default_rng(0)])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
             kmeans_pp_init_reference(points, 2, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
-    def test_train_pq_equals_frozen_training(self, n):
-        vectors = gaussian_mixture(n, 12, 5, seed=n)
-        got = train_pq(vectors, subvectors=3, bits=4, seed=7)
-        with frozen_training():
-            want = train_pq(vectors, subvectors=3, bits=4, seed=7)
-        assert np.array_equal(got.codebooks, want.codebooks)
 
     def test_train_vocabulary_equals_frozen_training(self):
         # Grid values and repeated rows: nodes whose weights all vanish draw
@@ -586,21 +612,28 @@ class TestVocabularyParity:
         first = {node for sweep, node in reseeds if sweep == 1}
         assert any(sweep >= 2 and node not in first for sweep, node in reseeds), reseeds
 
-    def test_batches_bound_the_padded_layout(self):
-        # Skewed node sizes: each batch's nodes times its largest node stay
-        # within the bound, or the batch is one node, and the batches tile
-        # the nodes and their rows in order.
+    def test_batches_bound_the_rows(self):
+        # Skewed node sizes: each batch holds at most the bound's rows, or
+        # is one node, no batch could take the next node too, and the
+        # batches tile the nodes in order.
         sizes = np.random.default_rng(0).integers(1, 300, size=200)
         sizes[::37] = 5000
-        batches = vocab._level_batches(sizes)
-        ends = np.cumsum(sizes)
-        assert [lo for lo, *_ in batches] == [0] + [hi for _, hi, *_ in batches[:-1]] and batches[-1][1] == 200
-        for lo, hi, a, b in batches:
-            assert hi - lo == 1 or (hi - lo) * sizes[lo:hi].max() <= vocab._LEVEL_BATCH_ENTRIES
-            assert (a, b) == (ends[lo] - sizes[lo], ends[hi - 1])
+        batches = list(vocab._passes(sizes.tolist(), 2000))
+        assert [run.start for run in batches] == [0] + [run.stop for run in batches[:-1]]
+        assert batches[-1].stop == 200
+        for run, following in zip(batches, batches[1:] + [None]):
+            rows = sizes[run].sum()
+            assert run.stop - run.start == 1 or rows <= 2000
+            assert following is None or rows + sizes[following.start] > 2000
+        runs = [(run.start, run.stop) for run in vocab._passes([1000, 1000, 1, 2000, 2001, 3], 2000)]
+        assert runs == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]  # a full run holds the bound exactly
         # Batches of a few nodes each train the same tree.
-        with mock.patch.object(vocab, "_LEVEL_BATCH_ENTRIES", 300):
+        with (
+            mock.patch.object(vocab, "PASS_ROWS", 300),
+            mock.patch.object(vocab, "kmeans", wraps=vocab.kmeans) as spy,
+        ):
             assert_tree_equals_frozen(training_blob(16, 4000, 8, 1), branch=8, levels=3, vlad_level=1, seed=1)
+        assert spy.call_count > 3  # not one batch per level
 
     def test_converged_nodes_leave_the_batch(self):
         # Rows scored against centers: each node's rows once for its first
