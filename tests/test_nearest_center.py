@@ -496,6 +496,29 @@ class TestSeedingParity:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
             kmeans_pp_init_reference(points, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [6, 200])  # fewer and more samples than centers
+    def test_train_pq_equals_frozen_training(self, n):
+        # Each sub-vector's k-means++ seeds, before Lloyd moves them, are the
+        # frozen seeder's from default_rng([seed, j]); fewer rows than
+        # centers seed nothing.
+        seeds, seed_level = [], vocab._seed_level
+
+        def spy(points, groups, k, rngs):
+            seeds.append(seed_level(points, groups, k, rngs))
+            return seeds[-1]
+
+        vectors = gaussian_mixture(n, 12, 5, seed=n)
+        with mock.patch.object(vocab, "_seed_level", spy):
+            got = train_pq(vectors, subvectors=3, bits=4, seed=7)
+        want = [
+            kmeans_pp_init_reference(vectors[:, 4 * j : 4 * j + 4], 16, np.random.default_rng([7, j]))
+            for j in range(3)
+        ]
+        assert len(seeds) == (3 if n >= 16 else 0)
+        for got_seeds, want_seeds in zip(seeds, want):
+            assert np.array_equal(got_seeds, want_seeds)
+        assert np.array_equal(got.codebooks, train_pq_reference(vectors, subvectors=3, bits=4, seed=7))
+
     def test_train_vocabulary_equals_frozen_training(self):
         # Grid values and repeated rows: nodes whose weights all vanish draw
         # uniformly, and many draws fall on equal cumulative weights.
