@@ -1,4 +1,5 @@
-"""BoW histograms and VLAD vectors computed from descriptor sets.
+"""BoW histograms and VLAD vectors computed from descriptor sets, each set
+checked once by ``vocab.descriptor_rows`` with the tree's dimension.
 
 A VLAD is a float64 ``(N, D)`` array of per-center residual sums, raw and
 unnormalized from ``compute_vlad`` through hashing and reconstruction,
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import PASS_ROWS, VocabularyTree, _passes, assign_descriptors, cluster_sums
+from .vocab import PASS_ROWS, VocabularyTree, _assign_rows, _passes, assign_descriptors, cluster_sums, descriptor_rows
 
 RANK_NORMALIZATION = "intra-then-global-l2"
 
@@ -157,13 +158,6 @@ class BowMatrix:
         return BowHistogram(self.words[s], self.counts[s], self.vocab_size)
 
 
-def _descriptor_array(descriptors: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(descriptors))
-    if X.shape[0] == 0:
-        raise ValueError("descriptor set must be nonempty")
-    return X
-
-
 def _residual_sums(
     tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray, image: np.ndarray | int, images: int
 ) -> np.ndarray:
@@ -177,7 +171,7 @@ def _residual_sums(
 
 def compute_bow(tree: VocabularyTree, descriptors: np.ndarray) -> BowHistogram:
     """Count descriptors per leaf visual word."""
-    _, _, leaves = assign_descriptors(tree, _descriptor_array(descriptors))
+    _, _, leaves = assign_descriptors(tree, descriptors)
     counts = np.bincount(leaves, minlength=tree.num_leaves)
     words = np.flatnonzero(counts)
     return BowHistogram(words, counts[words], len(counts))
@@ -187,7 +181,7 @@ def compute_vlad(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
     """The raw ``(N, D)`` VLAD: descriptor residuals summed against their
     coarse centers.  Centers receiving no descriptor keep a zero sub-vector.
     """
-    X, vlad_ids, _ = assign_descriptors(tree, _descriptor_array(descriptors), leaves=False)
+    X, vlad_ids, _ = assign_descriptors(tree, descriptors, leaves=False)
     return _residual_sums(tree, X, vlad_ids, 0, 1)[0]
 
 
@@ -205,10 +199,11 @@ def aggregate_images(
     entries, read in row-major order, are its CSR rows, ascending by word; one
     residual sum keyed by (image, center) gives its VLAD rows, each image's
     rows added in their own order.  Row ``r`` therefore equals ``compute_bow``
-    and ``compute_vlad`` of set ``r`` alone, bit for bit.  An empty or
-    non-finite set raises ``ValueError``.
+    and ``compute_vlad`` of set ``r`` alone, bit for bit.  A set
+    ``descriptor_rows`` rejects raises ``ValueError``; the passes are not
+    checked again.
     """
-    arrays = [_descriptor_array(X) for X in descriptor_sets]
+    arrays = [descriptor_rows(X, tree.dim) for X in descriptor_sets]
     m = tree.num_leaves
     vlads = np.empty((len(arrays), tree.num_vlad_centers, tree.dim))
     indptr = np.zeros(len(arrays) + 1, dtype=np.int64)  # words per image, then summed
@@ -216,9 +211,8 @@ def aggregate_images(
     words, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for run in _passes([X.shape[0] for X in arrays], PASS_ROWS):
         batch = arrays[run]
-        X, vlad_ids, leaf_ids = assign_descriptors(
-            tree, np.concatenate(batch, dtype=np.float64), leaves=bow
-        )
+        X = np.concatenate(batch, dtype=np.float64)
+        vlad_ids, leaf_ids = _assign_rows(tree, X, leaves=bow)
         image = np.repeat(np.arange(len(batch)), [len(b) for b in batch])
         vlads[run] = _residual_sums(tree, X, vlad_ids, image, len(batch))
         if bow:

@@ -110,6 +110,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     config = dataclasses.replace(_load_config(args), modes=(args.mode,))
     tree = load_tree(args.tree)
     model = load_model(args.model)

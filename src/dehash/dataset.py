@@ -114,7 +114,7 @@ class Dataset:
 
 
 def ingest_dataset(manifest_path) -> Dataset:
-    """Load every descriptor file referenced by a manifest."""
+    """Load every descriptor file referenced by a manifest; all share one dimension."""
     manifest_path = Path(manifest_path)
     entries = read_manifest(manifest_path)
     descriptors: dict[str, np.ndarray] = {}
@@ -124,12 +124,9 @@ def ingest_dataset(manifest_path) -> Dataset:
         if not path.is_absolute():
             path = manifest_path.parent / path
         X = load_descriptors(path)
-        if dim is None:
-            dim = X.shape[1]
-        elif X.shape[1] != dim:
-            raise ValueError(
-                f"{path}: descriptor dim {X.shape[1]} differs from {dim} used elsewhere"
-            )
+        dim = X.shape[1] if dim is None else dim
+        if X.shape[1] != dim:
+            raise ValueError(f"{path}: descriptor dimension {X.shape[1]} differs from {dim} used elsewhere")
         descriptors[e.image_id] = X
     return Dataset(entries=entries, descriptors=descriptors, dim=int(dim))
 
@@ -185,28 +182,20 @@ class SyntheticDataset(Dataset):
     groups: list[list[str]]  # relevance groups (distractors excluded)
 
 
-def training_blob(
-    dim: int,
-    num_points: int,
-    num_blobs: int,
-    seed: int = 0,
-    levels: int = 3,
-    scales: tuple[float, ...] = (0.2, 0.1, 0.05),
-    noise: float = 0.0075,
-) -> np.ndarray:
+def training_blob(dim: int, num_points: int, num_blobs: int, seed: int = 0) -> np.ndarray:
     """Nested Gaussian-mixture descriptors for vocabulary training.
 
     Blob centers are laid out hierarchically (``num_blobs`` children per
-    level, ``levels`` deep) so the trained tree gets well-separated leaf
+    level, one level per scale) so the trained tree gets well-separated leaf
     centers; descriptor spaces with flat cluster structure produce leaf
-    dictionaries too coherent for sparse recovery.  The default scale keeps
+    dictionaries too coherent for sparse recovery.  The scales keep
     residual sums of order one, so sparsity weights in the conventional
     0.001-to-0.1 range behave the way they do on L2-normalized signatures.
     """
+    scales, noise = (0.2, 0.1, 0.05), 0.0075  # per level, then per point
     rng = np.random.default_rng([seed, 0x54424C])
     centers = rng.uniform(-scales[0], scales[0], size=(num_blobs, dim))
-    for level in range(1, levels):
-        spread = scales[level] if level < len(scales) else scales[-1] / 2**level
+    for spread in scales[1:]:
         offsets = rng.normal(0.0, spread, size=(centers.shape[0], num_blobs, dim))
         centers = (centers[:, None, :] + offsets).reshape(-1, dim)
     picks = rng.integers(0, centers.shape[0], size=num_points)

@@ -25,7 +25,8 @@ rejects a short or a trailing byte with a ``ValueError`` naming the file (or
   ``N`` and ``K`` are at least 1 and the variant can take ``K`` bits, so
   ``save_model`` writes, and ``load_model`` reads, only models that exist.
 * Descriptors of one image, ``DHDESC01``; header ``<2I``: ``D >= 1``, rows
-  ``n >= 1``.  Array: the descriptors ``(n, D)`` float32.
+  ``n >= 1``.  Array: the descriptors ``(n, D)``, finite float32 values;
+  both ends apply ``vocab.descriptor_rows``.
 * Query payload, ``DHWIRE01``; header ``<I``: bits ``K``.  Arrays: the
   packed code, ``ceil(K / 8)`` uint8 with bit ``k`` at bit ``k % 8`` of byte
   ``k // 8`` and every bit past ``K`` zero; a flags uint8 (0x01 GPS,
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .hashing import BinaryCode, HashingModel, model_layout
-from .vocab import VocabularyTree
+from .vocab import VocabularyTree, descriptor_rows
 
 TREE_MAGIC = b"DHTREE01"
 MODEL_MAGIC = b"DHHASH01"
@@ -192,26 +193,20 @@ def load_model(path) -> HashingModel:
 
 
 def save_descriptors(path, descriptors: np.ndarray) -> None:
-    """Write one image's descriptors; an empty set or dimension 0 raises, as
-    ``load_descriptors`` would."""
-    X = np.atleast_2d(np.asarray(descriptors, dtype="<f4"))
-    if not len(X):
-        raise ValueError(f"{path}: descriptor set must be nonempty")
-    if not X.shape[1]:
-        raise ValueError(f"{path}: descriptor dimension must be positive")
+    """Write one image's descriptors as float32; a set ``load_descriptors``
+    would reject (values past float32's range too) raises and writes nothing."""
+    with np.errstate(over="ignore"):  # an overflowing value becomes inf, rejected below
+        X = np.asarray(descriptors, dtype="<f4")
+    X = _checked(path, descriptor_rows, X)
     Path(path).write_bytes(_pack(DESC_MAGIC, "<2I", (X.shape[1], X.shape[0]), ("<f4", X)))
 
 
 def load_descriptors(path) -> np.ndarray:
     r = _read(path, DESC_MAGIC, "<2I")
     dim, count = r.fields
-    if count == 0:
-        raise ValueError(f"{path}: descriptor set must be nonempty")
-    if dim == 0:
-        raise ValueError(f"{path}: descriptor dimension must be positive")
     X = r.take("<f4", count, dim)
     r.done()
-    return X
+    return _checked(path, descriptor_rows, X)
 
 
 def wire_encode(code: BinaryCode, context: ContextTag | None = None) -> bytes:

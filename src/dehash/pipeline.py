@@ -57,6 +57,7 @@ from .retrieval import (
     recall_at,
     train_pq,
 )
+from .sparse import check_lam
 from .vocab import VocabularyTree, train_vocabulary, tree_shape
 
 ALL_MODES = (
@@ -114,8 +115,7 @@ class ReconParams:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        check_lam(self.lam)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         for name in ("top_r_binary", "top_r_gps", "top_r_pseudo"):
@@ -171,6 +171,8 @@ class ExperimentConfig:
         for name in ("num_queries", "sweep_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for lam in self.lambda_sweep:
+            check_lam(lam, "lambda_sweep entries")
         if self.manifest is not None and self.synthetic is not None:
             raise ValueError("manifest and synthetic are exclusive: a run loads a manifest or synthesizes")
         # The tree the run trains, then the model over its N coarse centers.

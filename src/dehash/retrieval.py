@@ -185,10 +185,9 @@ def ranking_dump_lines(query_id: str, ranking: Ranking) -> list[str]:
 
 @dataclass
 class PQCodebooks:
-    """Per-sub-vector quantizer tables: (m, 2**b, total_dim / m)."""
+    """Per-sub-vector quantizer tables: (m, k, total_dim / m), ``k`` centers each."""
 
     codebooks: np.ndarray
-    bits: int
 
 
 class _ByRow(Mapping):
@@ -546,7 +545,7 @@ def train_pq(
             centers = sub[rng.integers(0, n, size=k)]
             centers[:n] = sub
         books[j] = centers
-    return PQCodebooks(codebooks=books, bits=bits)
+    return PQCodebooks(codebooks=books)
 
 
 def attach_pq(index: DatabaseIndex, codebooks: PQCodebooks) -> None:

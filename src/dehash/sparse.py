@@ -35,6 +35,12 @@ LASSO_TOL = 1e-6
 LASSO_MAX_ITER = 1000
 
 
+def check_lam(lam, name: str = "lam") -> None:
+    """``ValueError`` naming ``name`` unless the weight ``lam`` is finite and ``>= 0``."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """Per-center difference dictionary: column t = leaf_center_t - vlad_center."""
@@ -177,8 +183,7 @@ def solve_nn_lasso_batch(
     result does not depend on its position in the batch, and differs from
     the same item solved alone only by rounding.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    check_lam(lam)
     count = len(problems)
     if not count:
         return []

@@ -9,6 +9,7 @@ With ``N`` coarse centers and ``M`` leaves, center ``v``'s pool is the
 
 :func:`kmeans` is the package's one k-means: it splits a level's tree nodes
 here and trains each product-quantizer codebook in ``retrieval.train_pq``.
+:func:`descriptor_rows` is the package's one rule for a descriptor set.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def train_vocabulary(
     """Train a hierarchical k-means vocabulary.
 
     Args:
-        descriptors: (n, D) training descriptors.
+        descriptors: (n, D) training descriptors, a set :func:`descriptor_rows` accepts.
         branch: children per node (>= 2).
         levels: tree depth; the leaf level has branch**levels centers.
         vlad_level: level used for coarse residual aggregation (1 <= vlad_level < levels).
@@ -445,11 +446,7 @@ def train_vocabulary(
     frozen per-node trainer in ``tests/vocabulary_reference.py`` bit for bit.
     """
     tree_shape(branch, levels, vlad_level)
-    X = np.asarray(descriptors, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("descriptor set must be a nonempty (n, D) array")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("descriptors must be finite")
+    X = np.asarray(descriptor_rows(descriptors), dtype=np.float64)
 
     node_of = np.zeros(X.shape[0], dtype=np.int64)
     centers = X.mean(axis=0)[None, :]
@@ -731,11 +728,22 @@ def _nearest_in_node(points: np.ndarray, groups: _NodeRows, centers: np.ndarray)
     return best
 
 
-def _descriptor_rows(tree: VocabularyTree, descriptors: np.ndarray) -> np.ndarray:
-    """Descriptors as finite float64 rows of the tree's dimension, else ``ValueError``."""
-    X = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    if X.shape[1] != tree.dim:
-        raise ValueError(f"descriptor dim {X.shape[1]} != tree dim {tree.dim}")
+def descriptor_rows(descriptors, dim: int | None = None) -> np.ndarray:
+    """One image's descriptors as an ``(n, D)`` array in their own dtype (a
+    1-D array is one descriptor); ``ValueError`` unless ``n >= 1``, ``D >= 1``,
+    ``D == dim`` when ``dim`` is given, and every value is finite."""
+    X = np.asarray(descriptors)
+    if X.ndim == 1:
+        X = X[None]
+    if X.ndim != 2:
+        raise ValueError(f"a descriptor set is an (n, D) array, got shape {X.shape}")
+    n, d = X.shape
+    if n == 0:
+        raise ValueError("descriptor set must be nonempty")
+    if d == 0:
+        raise ValueError("descriptor dimension must be positive")
+    if dim is not None and d != dim:
+        raise ValueError(f"descriptor dimension {d} != {dim} expected")
     if not np.isfinite(X).all():
         raise ValueError("descriptors must be finite")
     return X
@@ -791,16 +799,21 @@ def assign_descriptors(
 
     Both give every row the exact argmin of its difference-form distances
     over its pool, so an id does not depend on the route or on which other
-    rows share the call.  Non-finite rows or a wrong dimension raise
-    ``ValueError``.
+    rows share the call.  A set :func:`descriptor_rows` rejects, with
+    ``tree.dim`` as its width, raises ``ValueError``.
     """
-    X = _descriptor_rows(tree, descriptors)
+    X = np.asarray(descriptor_rows(descriptors, tree.dim), dtype=np.float64)
+    return (X, *_assign_rows(tree, X, leaves))
+
+
+def _assign_rows(tree: VocabularyTree, X: np.ndarray, leaves: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ids ``assign_descriptors`` gives float64 rows ``X`` that passed :func:`descriptor_rows`."""
     vlad_ids = nearest_center(X, tree.vlad_centers)
     if not leaves:
-        return X, vlad_ids, None
+        return vlad_ids, None
     if X.shape[0] * tree.num_leaves > _LEAF_PRODUCT_MAX_SCORES:
-        return X, vlad_ids, _leaves_by_pool(tree, X, vlad_ids)
-    return X, vlad_ids, _leaves_by_product(tree, X, vlad_ids)
+        return vlad_ids, _leaves_by_pool(tree, X, vlad_ids)
+    return vlad_ids, _leaves_by_product(tree, X, vlad_ids)
 
 
 def _leaves_by_product(tree: VocabularyTree, X: np.ndarray, vlad_ids: np.ndarray) -> np.ndarray:

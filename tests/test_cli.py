@@ -287,6 +287,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error" in err and str(short) in err
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_query_top_below_one_rejected(self, workspace, capsys, top):
+        data = workspace / "data"
+        code = main([
+            "query", "--manifest", str(data / "manifest.tsv"),
+            "--tree", str(workspace / "tree.bin"), "--model", str(workspace / "model.bin"),
+            "--descriptors", str(next((data / "descriptors").glob("*.desc"))), "--top", top,
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error [query] --top must be >= 1, got {top}\n")
+
     @pytest.mark.parametrize(
         "command, content, match",
         [

@@ -30,7 +30,7 @@ from dehash.pipeline import (
 )
 from dehash.reconstruct import reconstruct_bow
 from dehash.retrieval import Ranking, rank_bow, recall_at
-from dehash.vocab import assign_descriptors
+from dehash.vocab import _assign_rows
 
 
 def tiny_config(**overrides):
@@ -152,6 +152,7 @@ class TestConfig:
             ("tol", float("nan"), "tol"),
             ("tol", -1e-6, "tol"),
             ("max_iter", 0, "max_iter"),
+            ("lam", float("inf"), "lam"),
         ],
     )
     def test_bad_recon_params_rejected(self, field, value, match):
@@ -174,6 +175,9 @@ class TestConfig:
             ({"hash": {"variant": "sign", "nbits": 32}}, "one bit per component"),
             ({"hash": {"variant": "shared", "rotate": True}}, "rotation"),
             ({"hash": {"nbits": 0}}, "K >= 1"),
+            ({"lambda_sweep": [0.01, -0.1]}, "lambda_sweep"),
+            ({"lambda_sweep": [float("nan")]}, "lambda_sweep"),
+            ({"lambda_sweep": [float("inf")]}, "lambda_sweep"),
         ],
     )
     def test_bad_config_values_rejected(self, data, match):
@@ -459,7 +463,7 @@ class TestRankQuery:
 
     def test_one_aggregation_pass_per_query(self):
         # One coarse search serves the VLAD and, when bow is ranked, the
-        # histogram: assign_descriptors runs once per query either way.
+        # histogram: the rows are assigned once per query either way.
         config = tiny_config(modes=("bow", "vlad", "hamming", "recon-brpk"))
         result = run_pipeline(config)
         dataset = result.dataset
@@ -467,7 +471,7 @@ class TestRankQuery:
         for modes, leaves in ((config.modes, True), (config.modes[1:], False)):
             for qid in result.relevance:
                 entry, descriptors = entry_by_id[qid], dataset.descriptors[qid]
-                with mock.patch.object(aggregate, "assign_descriptors", wraps=assign_descriptors) as spy:
+                with mock.patch.object(aggregate, "_assign_rows", wraps=_assign_rows) as spy:
                     ranked = rank_query(
                         dataclasses.replace(config, modes=modes), result.index, result.model,
                         descriptors, qid, entry.gps, entry.category,

@@ -536,12 +536,12 @@ class TestBuildIndex:
         model = train_hashing(vlads, "shared", nbits=tree.num_vlad_centers * 4, seed=5)
         calls = []
 
-        def counting(tree_, X, leaves=True):
+        def counting(tree_, X, leaves):
             calls.append(len(X))
-            return vocab.assign_descriptors(tree_, X, leaves)
+            return vocab._assign_rows(tree_, X, leaves)
 
         with mock.patch.object(aggregate, "PASS_ROWS", pass_rows), \
-                mock.patch.object(aggregate, "assign_descriptors", counting):
+                mock.patch.object(aggregate, "_assign_rows", counting):
             index = build_index(tree, model, descriptors)
         assert calls == self.expected_passes(sizes, pass_rows)
         assert len(calls) > 1

@@ -216,7 +216,7 @@ class TestAdcScan:
         k = 2**bits
         books = matrix.reshape(n, m, width)[rng.integers(0, n, size=k)].transpose(1, 0, 2).copy()
         books += rng.standard_normal(books.shape) * (rng.random((m, k, 1)) < 0.5) * 0.1
-        attach_pq(index, PQCodebooks(books, bits))
+        attach_pq(index, PQCodebooks(books))
         raw = np.stack([index.pq_codes[i] for i in ids])
         assert raw.dtype == (np.uint8 if bits <= 8 else np.uint16)
         for row, code in zip(matrix, raw):
@@ -235,7 +235,7 @@ class TestAdcScan:
         index = DatabaseIndex(None, ids, vlads=stack)
         rows = index.ranking_vlad_matrix().reshape(BENCH_ROWS, m, width)
         books = rows[rng.integers(0, BENCH_ROWS, size=2**bits)].transpose(1, 0, 2).copy()
-        attach_pq(index, PQCodebooks(books, bits))
+        attach_pq(index, PQCodebooks(books))
         raw = np.stack([index.pq_codes[i] for i in ids])
         for query in (rng.standard_normal((m, width)), stack[3]):
             q = normalize_vlad(query, RANK_NORMALIZATION).flattened()
@@ -250,7 +250,7 @@ class TestAdcScan:
         n, width = 50, 2
         index = DatabaseIndex(None, ids_of(n), vlads=rng.standard_normal((n, m, width)))
         books = rng.standard_normal((m, 2**bits, width))
-        attach_pq(index, PQCodebooks(books, bits))
+        attach_pq(index, PQCodebooks(books))
         raw = np.stack([index.pq_codes[i] for i in index.ids])
         assert index._pq_codes.dtype == stored and index._pq_codes.shape == (m, n)
         assert np.array_equal(index._pq_codes, raw.T + (np.arange(m) * 2**bits)[:, None])

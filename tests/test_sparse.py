@@ -168,8 +168,9 @@ class TestNonNegativeLasso:
             solve_one(d, np.array([np.nan, 0.0]), 0.1)
         with pytest.raises(ValueError):
             solve_one(d, np.zeros(3), 0.1)
-        with pytest.raises(ValueError):
-            solve_one(d, np.zeros(2), -0.1)
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                solve_one(d, np.zeros(2), lam)
 
 
 class TestTikhonov:
