@@ -15,7 +15,16 @@ to bit 1.  Projection layouts:
 make a model and what shapes its arrays take; training, the model file and
 the report's memory accounting all ask it.
 
-Because PCA bases are orthonormal, a code reverses to ``mean + W * s`` where
+Every variant is one linear map, and ``HashingModel.blocks`` is the one rule
+for it: a ``(B, T, K/B)`` stack of blocks ``A`` and a ``(D*N,)`` offset
+``c``, projection block ``b`` being ``A[b].T @ (x - c)[b*T:(b+1)*T]``.  Joint
+is one block over the whole vector (``T = D*N``, a rotation ``R`` folded in
+as ``W @ R.T``), independent its stored ``(N, D, K/N)`` stack, shared a
+broadcast view of its one basis with the mean tiled ``N`` times, and sign
+``D*N`` blocks of weight 1 with ``c = 0``.  Encoding, batched encoding and
+reversal are each one batched product over these blocks.
+
+Because PCA bases are orthonormal, a code reverses to ``c + A s`` where
 ``s`` carries per-bit signs scaled by the mean absolute projection magnitude
 seen in training; re-encoding an approximated VLAD reproduces its code.
 """
@@ -23,6 +32,7 @@ seen in training; re-encoding an approximated VLAD reproduces its code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +85,7 @@ class HashingModel:
     num_centers: int  # N
     nbits: int  # K
     mean: np.ndarray  # float32; (D*N,) for joint/independent, (D,) shared, (0,) sign
-    projections: np.ndarray  # float32; see encode() for the per-variant shape
+    projections: np.ndarray  # float32; per-variant shape from model_layout
     reversal_scales: np.ndarray  # (K,) float32
     rotation: np.ndarray | None = None  # (K, K) float32, joint only
 
@@ -83,9 +93,28 @@ class HashingModel:
     def total_dim(self) -> int:
         return self.dim * self.num_centers
 
-    @property
-    def bits_per_center(self) -> int:
-        return self.nbits // self.num_centers
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only float64 pair ``(A, c)`` that encoding and reversal
+        use: a ``(B, T, K/B)`` stack of blocks and a ``(D*N,)`` offset, block
+        ``b`` of the projections being ``A[b].T @ (x - c)[b*T:(b+1)*T]``.
+        Derived once per model, never larger than the stored arrays plus
+        ``D*N`` floats."""
+        w = np.array(self.projections, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64)
+        if self.variant == "joint":
+            if self.rotation is not None:
+                w = w @ np.asarray(self.rotation, dtype=np.float64).T
+            a, c = w[None], mean
+        elif self.variant == "independent":
+            a, c = w, mean
+        elif self.variant == "shared":
+            a, c = np.broadcast_to(w, (self.num_centers, *w.shape)), np.tile(mean, self.num_centers)
+        else:  # sign
+            a, c = np.broadcast_to(1.0, (self.total_dim, 1, 1)), np.zeros(self.total_dim)
+        for array in (a, c):
+            array.flags.writeable = False
+        return a, c
 
 
 def _top_eigenvectors(cov: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,24 +249,11 @@ def train_hashing(
 
 
 def _project(model: HashingModel, x: np.ndarray) -> np.ndarray:
-    """Real-valued projections feeding the sign function, shape (K,)."""
-    if model.variant == "sign":
-        return x
-    mean = np.asarray(model.mean, dtype=np.float64)
-    if model.variant == "joint":
-        proj = np.asarray(model.projections, dtype=np.float64).T @ (x - mean)
-        if model.rotation is not None:
-            proj = np.asarray(model.rotation, dtype=np.float64) @ proj
-        return proj
-    blocks = x.reshape(model.num_centers, model.dim)
-    if model.variant == "independent":
-        centered = blocks - mean.reshape(model.num_centers, model.dim)
-        ws = np.asarray(model.projections, dtype=np.float64)
-        return np.einsum("idk,id->ik", ws, centered).reshape(model.nbits)
-    # shared
-    centered = blocks - mean
-    w = np.asarray(model.projections, dtype=np.float64)
-    return (centered @ w).reshape(model.nbits)
+    """Real-valued projections feeding the sign function, shape (K,): block
+    ``b`` is ``A[b].T @ (x - c)[b*T:(b+1)*T]`` (``HashingModel.blocks``)."""
+    a, c = model.blocks
+    y = (x - c).reshape(len(a), -1, 1)
+    return np.matmul(a.transpose(0, 2, 1), y).reshape(model.nbits)
 
 
 def encode(model: HashingModel, v: np.ndarray) -> BinaryCode:
@@ -249,110 +265,61 @@ def encode(model: HashingModel, v: np.ndarray) -> BinaryCode:
 
 
 def _project_stack(model: HashingModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_project`` of every ``(N*D,)`` row of ``X`` by matrix products, as an
-    ``(n, K)`` array, and per entry a radius: where the product lies farther
-    than its radius from 0, ``_project`` of the row alone has the same sign.
-    A radius is ``inf`` where the proof below does not hold.
+    """``_project`` of every ``(N*D,)`` row of ``X`` by one batched product,
+    as an ``(n, K)`` array, and per entry a radius: where the product lies
+    farther than its radius from 0, ``_project`` of the row alone has the
+    same sign.  A radius is ``inf`` where the proof below does not hold.
 
-    Both ways subtract the mean element by element, bit for bit alike, so
-    they differ only in how they sum the ``T``-term dot products with each
-    column ``w`` (``T = N*D`` for joint, ``D`` per sub-vector for the
-    split variants).  For any summation order, with ``g = T u / (1 - T u)``,
-    each sum lies within ``g sum_t |y_t w_t| + T tiny`` of the exact value
-    (the last term covers products that underflow), and
-    ``sum_t |y_t w_t| <= max_t |y_t| * sum_t |w_t| =: S``.  So the two differ
-    by at most ``2 e``, ``e = g S + T tiny``.  A rotation then applies ``R``
-    to either result ``q`` (within ``e`` of the exact ``p``, the row's
-    within ``2 e`` of the product's): each rotated value lies within
-    ``|R| e + g_K |R| |q| + K tiny`` of ``R p``, which for both ways is at
-    most ``e' = (1 + 2 g_K) |R| e + g_K |R| |P| + K tiny`` with ``P`` the
-    product's.  The radius is twice the bound on the difference, ``4 e`` (or
-    ``4 e'``): the factor two covers the rounding of the bound itself.  No
-    partial sum can overflow while ``4 S`` (and ``4 |R| (|P| + 2 e)`` after
-    a rotation) is finite; an entry where it is not, or whose row is not
-    finite, gets radius ``inf``.
+    Both ways subtract ``c`` element by element, bit for bit alike, so they
+    differ only in how they sum the ``T``-term dot products of a block ``y``
+    of ``x - c`` with each column ``a`` of its ``A[b]`` (``T = N*D`` for
+    joint, ``D`` for independent and shared, 1 for sign).  For any summation
+    order, with ``g = T u / (1 - T u)``, each sum lies within
+    ``g sum_t |y_t a_t| + T tiny`` of the exact value (the last term covers
+    products that underflow), and ``sum_t |y_t a_t| <= max_t |y_t| *
+    sum_t |a_t| =: S``.  So the two differ by at most ``2 e``, ``e = g S +
+    T tiny``.  The radius is twice the bound on the difference, ``4 e``: the
+    factor two covers the rounding of the bound itself.  No partial sum can
+    overflow while ``4 S`` is finite; an entry where it is not, as where its
+    block of the row is not finite, gets radius ``inf``.
     """
-    n = len(X)
-    mean = np.asarray(model.mean, dtype=np.float64)
-    w = np.asarray(model.projections, dtype=np.float64)
-    if model.variant == "joint":
-        y = X - mean
-        proj = y @ w
-        span = np.abs(y).max(axis=1)[:, None] * np.abs(w).sum(axis=0)
-        terms = y.shape[1]
-    else:
-        blocks = X.reshape(n, model.num_centers, model.dim)
-        if model.variant == "independent":
-            y = blocks - mean.reshape(model.num_centers, model.dim)
-            proj = np.matmul(y.transpose(1, 0, 2), w).transpose(1, 0, 2)
-            column_sums = np.abs(w).sum(axis=1)  # (N, K/N)
-        else:  # shared
-            y = blocks - mean
-            proj = y @ w
-            column_sums = np.abs(w).sum(axis=0)  # (K/N,)
-        span = (np.abs(y).max(axis=2)[:, :, None] * column_sums).reshape(n, model.nbits)
-        proj = proj.reshape(n, model.nbits)
-        terms = model.dim
-    limit = np.finfo(np.float64).max / 4
+    a, c = model.blocks
+    n, terms = len(X), a.shape[1]
+    y = (X - c).reshape(n, len(a), terms)
+    proj = np.matmul(y.transpose(1, 0, 2), a).transpose(1, 0, 2).reshape(n, model.nbits)
+    span = (np.abs(y).max(axis=2)[:, :, None] * np.abs(a).sum(axis=1)).reshape(n, model.nbits)
     g = terms * _U / (1 - terms * _U)
-    err = g * span + terms * _TINY
-    safe = span < limit  # false for NaN
-    if model.rotation is not None:
-        r = np.asarray(model.rotation, dtype=np.float64)
-        g_k = model.nbits * _U / (1 - model.nbits * _U)
-        abs_rt = np.abs(r).T
-        reach = np.abs(proj) @ abs_rt
-        spread = err @ abs_rt
-        safe = safe.all(axis=1)[:, None] & (reach + 2 * spread < limit)
-        err = (1 + 2 * g_k) * spread + g_k * reach + model.nbits * _TINY
-        proj = proj @ r.T
-    return proj, np.where(safe, 4 * err, np.inf)
+    safe = span < np.finfo(np.float64).max / 4  # false for NaN
+    return proj, np.where(safe, 4 * (g * span + terms * _TINY), np.inf)
 
 
 def encode_stack(model: HashingModel, vlads: np.ndarray) -> np.ndarray:
     """The packed codes of an ``(n, N, D)`` stack of raw VLADs, one row each
     as ``encode`` makes it, in an ``(n, ceil(K / 8))`` uint8 matrix.
 
-    The projections come from one product per variant (``_project_stack``);
-    a row with any projection within its radius of 0 is projected again on
-    its own by ``_project``, so every bit is the one ``encode`` gives.
+    The projections come from one batched product (``_project_stack``); a
+    row with any projection within its radius of 0 is projected again on its
+    own by ``_project``, so every bit is the one ``encode`` gives.
     """
     n = len(vlads)
     X = vlad_rows(vlads, (n, model.num_centers, model.dim)).reshape(n, model.total_dim)
-    if model.variant == "sign":
-        proj = X
-    else:
-        proj, radius = _project_stack(model, X)
-        for r in np.flatnonzero(~(np.abs(proj) > radius).all(axis=1)):
-            proj[r] = _project(model, X[r])
+    proj, radius = _project_stack(model, X)
+    for r in np.flatnonzero(~(np.abs(proj) > radius).all(axis=1)):
+        proj[r] = _project(model, X[r])
     return np.packbits(proj >= 0.0, axis=1, bitorder="little")
 
 
 def approximate_vlad(model: HashingModel, code: BinaryCode) -> np.ndarray:
-    """Reverse a code into a raw-space approximated ``(N, D)`` VLAD.
+    """Reverse a code into a raw-space approximated ``(N, D)`` VLAD, ``c +
+    A s`` block by block (``HashingModel.blocks``).
 
     Signs come from the bits; magnitudes are restored with the stored per-bit
     training scales, so re-encoding the result reproduces ``code``.
     """
     if code.nbits != model.nbits:
         raise ValueError(f"code length {code.nbits} != model bits {model.nbits}")
+    a, c = model.blocks
     signs = 2.0 * code.bits().astype(np.float64) - 1.0
     scaled = signs * np.asarray(model.reversal_scales, dtype=np.float64)
-    if model.variant == "sign":
-        flat = scaled
-    elif model.variant == "joint":
-        if model.rotation is not None:
-            scaled = np.asarray(model.rotation, dtype=np.float64).T @ scaled
-        flat = np.asarray(model.projections, dtype=np.float64) @ scaled
-        flat += np.asarray(model.mean, dtype=np.float64)
-    elif model.variant == "independent":
-        ws = np.asarray(model.projections, dtype=np.float64)
-        blocks = np.einsum(
-            "idk,ik->id", ws, scaled.reshape(model.num_centers, model.bits_per_center)
-        )
-        flat = (blocks + np.asarray(model.mean, dtype=np.float64).reshape(blocks.shape)).reshape(-1)
-    else:  # shared
-        w = np.asarray(model.projections, dtype=np.float64)
-        blocks = scaled.reshape(model.num_centers, model.bits_per_center) @ w.T
-        flat = (blocks + np.asarray(model.mean, dtype=np.float64)).reshape(-1)
-    return flat.reshape(model.num_centers, -1)
+    flat = np.matmul(a, scaled.reshape(len(a), -1, 1)).reshape(-1) + c
+    return flat.reshape(model.num_centers, model.dim)

@@ -348,7 +348,7 @@ def rank_query(
     candidates = None
     if "recon-cads" in config.modes or "recon-brpk" in config.modes:
         candidates = _query_candidates(config, index, binary, gps, category)
-    cads_result = None
+    cads_result = cads_ranking = None
     ranked = {}
     for mode in config.modes:
         result = None
@@ -380,9 +380,12 @@ def rank_query(
                 )
             result = cads_result
             histogram = cads_result.histogram
+            if cads_ranking is None and (mode == "recon-cads" or config.recon.prior_source == "recon"):
+                cads_ranking = rank_bow(index, histogram)  # once for recon-cads and a "recon" prior
+            ranking = cads_ranking
             if mode == "recon-brpk":
                 if config.recon.prior_source == "recon":
-                    initial = rank_bow(index, histogram).drop(qid)
+                    initial = cads_ranking.drop(qid)
                 else:  # binary
                     initial = binary
                 prior = pseudo_bow(index, initial, config.recon.top_r_pseudo)
@@ -390,7 +393,7 @@ def rank_query(
                 histogram = reconstruct_bow_with_prior(
                     approx, tree, prior, config.recon.alpha, candidates, mass
                 ).histogram
-            ranking = rank_bow(index, histogram)
+                ranking = rank_bow(index, histogram)
         else:  # pragma: no cover - guarded by config validation
             raise ValueError(mode)
         ranked[mode] = (ranking, result)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .aggregate import BowHistogram, _readonly, vlad_rows
-from .sparse import Dictionary, solve_nn_lasso_batch, solve_tikhonov_batch
+from .sparse import LASSO_MAX_ITER, LASSO_TOL, Dictionary, solve_nn_lasso_batch, solve_tikhonov_batch
 from .vocab import VocabularyTree, subtree_leaves
 
 if TYPE_CHECKING:
@@ -234,8 +234,8 @@ def reconstruct_bow(
     tree: VocabularyTree,
     lam: float,
     candidates: CandidateVWs | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
+    tol: float = LASSO_TOL,
+    max_iter: int = LASSO_MAX_ITER,
 ) -> ReconstructionResult:
     """Recover a word histogram from a raw-space ``(N, D)`` VLAD.
 

@@ -166,11 +166,13 @@ class TestEncode:
 
 
 def projection_columns(model):
-    """``(A, c)`` with ``_project(model, x) = A.T @ (x - c)`` in exact
-    arithmetic, for every variant but sign."""
-    n_c, d, per = model.num_centers, model.dim, model.bits_per_center
+    """Dense ``(A, c)`` with ``_project(model, x) = A.T @ (x - c)`` in exact
+    arithmetic, sign's ``A`` the identity about 0."""
+    n_c, d, per = model.num_centers, model.dim, model.nbits // model.num_centers
     w = np.asarray(model.projections, dtype=np.float64)
     mean = np.asarray(model.mean, dtype=np.float64)
+    if model.variant == "sign":
+        return np.eye(n_c * d), np.zeros(n_c * d)
     if model.variant == "joint":
         if model.rotation is not None:
             w = w @ np.asarray(model.rotation, dtype=np.float64).T
@@ -262,7 +264,43 @@ class TestEncodeStack:
                 encode_stack(model, np.zeros(shape))
 
 
+def dense_blocks(model):
+    """``HashingModel.blocks`` laid out as one block-diagonal ``(D*N, K)``
+    matrix, with its offset."""
+    a, c = model.blocks
+    cols = np.zeros((model.total_dim, model.nbits))
+    blocks, terms, per = a.shape
+    for b in range(blocks):
+        cols[b * terms : (b + 1) * terms, b * per : (b + 1) * per] = a[b]
+    return cols, c
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
+    def test_blocks_equal_the_dense_oracle(self, rng, variant, rotate):
+        model = train_hashing(random_vlads(rng, 60, 4, 8), variant, 32, seed=3, rotate=rotate)
+        cols, center = projection_columns(model)
+        got_cols, got_center = dense_blocks(model)
+        assert np.array_equal(got_cols, cols) and np.array_equal(got_center, center)
+        a, c = model.blocks
+        assert model.blocks[0] is a and not a.flags.writeable and not c.flags.writeable
+        # Shared views its one basis for every block, sign its one weight.
+        assert (len(a) > 1 and a.strides[0] == 0) == (variant in ("shared", "sign"))
+
+
 class TestReversal:
+    @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
+    def test_reversal_equals_the_dense_oracle(self, rng, variant, rotate):
+        model = train_hashing(random_vlads(rng, 60, 4, 8), variant, 32, seed=3, rotate=rotate)
+        cols, center = projection_columns(model)
+        scales = np.asarray(model.reversal_scales, dtype=np.float64)
+        for _ in range(20):
+            code = BinaryCode.from_bits(rng.integers(0, 2, size=32))
+            want = cols @ ((2.0 * code.bits() - 1.0) * scales) + center
+            got = approximate_vlad(model, code)
+            assert got.shape == (4, 8)
+            np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     @pytest.mark.parametrize("variant,rotate", VARIANT_CASES)
     def test_reencode_fixed_point(self, rng, variant, rotate):
         vlads = random_vlads(rng, 120, 4, 8)

@@ -461,6 +461,24 @@ class TestRankQuery:
             for mode, (ranking, _) in ranked.items():
                 assert result.rankings[mode][qid] == ranking.drop(qid)
 
+    @pytest.mark.parametrize("prior_source", ["recon", "binary"])
+    def test_one_rank_bow_call_per_histogram(self, prior_source):
+        # bow, vlad-to-bow, recon, recon-cads and BRPK each rank one
+        # histogram; a "recon" prior reuses the recon-cads ranking.
+        config = tiny_config(modes=ALL_MODES, recon=ReconParams(prior_source=prior_source))
+        result = run_pipeline(config)
+        entry_by_id = {e.image_id: e for e in result.dataset.entries}
+        for qid in result.relevance:
+            entry = entry_by_id[qid]
+            with mock.patch.object(pipeline, "rank_bow", wraps=rank_bow) as spy:
+                rank_query(
+                    config, result.index, result.model, result.dataset.descriptors[qid], qid,
+                    entry.gps, entry.category,
+                )
+            histograms = [call.args[1] for call in spy.call_args_list]
+            keys = {(h.words.tobytes(), h.values.tobytes()) for h in histograms}
+            assert len(histograms) == len(keys) == 5
+
     def test_one_aggregation_pass_per_query(self):
         # One coarse search serves the VLAD and, when bow is ranked, the
         # histogram: the rows are assigned once per query either way.
